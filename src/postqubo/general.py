@@ -597,7 +597,7 @@ class CompiledGeneral:
             total_weight += weight
             walks.append(
                 RouteWalk(
-                    tuple(WalkStep(arc.tail, arc.head, mode) for arc, mode in kept),
+                    tuple(WalkStep(arc.tail, arc.head, mode, arc.kind) for arc, mode in kept),
                     weight,
                 )
             )

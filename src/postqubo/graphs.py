@@ -34,8 +34,9 @@ class EdgeRef:
         if self.kind not in ("u", "d"):
             raise InvalidGraph(f"edge kind must be 'u' or 'd', got {self.kind!r}")
         if self.kind == "u" and self.a > self.b:
-            object.__setattr__(self, "a", self.b)
-            object.__setattr__(self, "b", self.a)
+            a, b = self.b, self.a
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.a},{self.b})"

@@ -206,7 +206,7 @@ def exact_walk_oracle(
 
     if best_path is None and best_total == float("inf"):
         raise NoValidSolution("no covering walk fits within i_max steps")
-    steps = tuple(WalkStep(m.tail, m.head, m.mode) for m in (best_path or []))
+    steps = tuple(WalkStep(m.tail, m.head, m.mode, m.kind) for m in (best_path or []))
     weight = sum(m.cost for m in (best_path or []))
     return RouteSolution(
         walks=(RouteWalk(steps, weight),),
@@ -235,7 +235,8 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
     kinds = {ref.kind for ref in required}
     if len(kinds) != 1:
         return None
-    directed = kinds == {"d"}
+    (kind,) = kinds
+    directed = kind == "d"
 
     def weight_of(tail: int, head: int, kind: str) -> float:
         if spec.service is not None:
@@ -273,6 +274,6 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
         steps = steps[k:] + steps[:k]
 
     mode = MODE_SERVICE if spec.service is not None else MODE_PLAIN
-    weight = sum(weight_of(a, b, "d" if directed else "u") for a, b in steps)
-    walk = RouteWalk(tuple(WalkStep(a, b, mode) for a, b in steps), weight)
+    weight = sum(weight_of(a, b, kind) for a, b in steps)
+    walk = RouteWalk(tuple(WalkStep(a, b, mode, kind) for a, b in steps), weight)
     return RouteSolution(walks=(walk,), objective_weight=weight)

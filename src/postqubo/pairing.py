@@ -206,7 +206,7 @@ def augment_and_route(
             steps.append((tail, head))
     steps = rotate_closed_walk(steps)
     weight = mg.total_weight
-    walk = RouteWalk(tuple(WalkStep(a, b) for a, b in steps), weight)
+    walk = RouteWalk(tuple(WalkStep(a, b, kind="u") for a, b in steps), weight)
     return RouteSolution(walks=(walk,), objective_weight=weight)
 
 
@@ -257,5 +257,5 @@ def euler_route(g: Graph) -> RouteSolution:
     mg = MultiGraph.from_graph(g)
     sequence = _euler_edge_sequence(mg)
     steps = rotate_closed_walk([(a, b) for a, b, _ in sequence])
-    walk = RouteWalk(tuple(WalkStep(a, b) for a, b in steps), mg.total_weight)
+    walk = RouteWalk(tuple(WalkStep(a, b, kind="u") for a, b in steps), mg.total_weight)
     return RouteSolution(walks=(walk,), objective_weight=mg.total_weight)

@@ -10,6 +10,7 @@ class WalkStep:
     frm: int
     to: int
     mode: str = "plain"
+    kind: str | None = None  # edge kind, "u" or "d"; None when not known
 
 
 @dataclass(frozen=True)

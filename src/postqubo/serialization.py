@@ -263,7 +263,8 @@ def route_to_json(
         "validity": solution.validity.as_dict(),
         "walks": [
             [
-                {"from": doc.label_of(s.frm), "to": doc.label_of(s.to), "mode": s.mode}
+                {"from": doc.label_of(s.frm), "to": doc.label_of(s.to), "mode": s.mode,
+                 "kind": s.kind}
                 for s in walk.steps
             ]
             for walk in solution.walks
@@ -282,14 +283,10 @@ def route_from_json(obj: Mapping, doc: GraphDocument) -> RouteSolution:
     for walk_obj in obj["walks"]:
         steps = []
         for step in walk_obj:
-            _check_keys(step, {"from", "to"}, {"mode"}, "route step")
-            steps.append(
-                WalkStep(
-                    doc.id_of(step["from"]),
-                    doc.id_of(step["to"]),
-                    step.get("mode", "plain"),
-                )
-            )
+            _check_keys(step, {"from", "to"}, {"mode", "kind"}, "route step")
+            frm, to = doc.id_of(step["from"]), doc.id_of(step["to"])
+            kind = _resolve_arc_kind(doc, frm, to, step.get("kind"), "route step")
+            steps.append(WalkStep(frm, to, step.get("mode", "plain"), kind))
         walks.append(RouteWalk(tuple(steps), 0.0))
     validity = ValidityReport(**obj.get("validity", {}))
     return RouteSolution(
@@ -362,7 +359,9 @@ def revalidate_route(
 
     def step_kind(s: WalkStep) -> str | None:
         kinds = arc_kinds.get((s.frm, s.to), set())
-        return sorted(kinds)[0] if kinds else None
+        if s.kind is None and len(kinds) == 1:
+            return next(iter(kinds))
+        return s.kind if s.kind in kinds else None
 
     total = 0.0
     service_counts: dict[EdgeRef, list[int]] = {}

@@ -1,8 +1,12 @@
 """Classical binary-quadratic samplers and the penalty-retune loop.
 
 All stochastic solvers are bit-reproducible for a fixed (seed, parameters)
-pair; per-read randomness is derived from (seed, read index) so batched and
-sequential execution agree.
+pair, and greedy, tabu and annealing share one flip update (`_flip`).
+Annealing read r draws its initial state and then its acceptance uniforms,
+in (sweep, variable) order, from its own Philox stream keyed (seed, r).  The
+uniforms are drawn `_SWEEP_BLOCK` sweeps at a time, so memory is
+O(reads * n * _SWEEP_BLOCK).  All reads run together; the result is the first
+state in (sweep, variable, read) order that reaches the lowest energy seen.
 """
 
 from __future__ import annotations
@@ -126,29 +130,35 @@ def _row_energies(q: Qubo, states: np.ndarray) -> np.ndarray:
     return q.offset + states @ lin + 0.5 * np.einsum("bi,bi->b", states @ sym, states)
 
 
+def _flip(spins: np.ndarray, deltas: np.ndarray, sym: np.ndarray, at: tuple) -> np.ndarray:
+    """Flip spins[at] of s = 1 - 2x, keeping `deltas` the single-flip energy
+    changes; return the change each flip made.  `at` is (col,) for one state or
+    (rows, cols) for distinct rows of a batch.  Every product is +-1 times a
+    coupling, so the update is exact."""
+    *rows, cols = at
+    rows = tuple(rows)
+    old = deltas[at]
+    sign = spins[at]
+    spins[at] = -sign
+    deltas[rows] += spins[rows] * sym[cols] * sign[..., None]
+    deltas[at] = -old
+    return old
+
+
 def _descend(q: Qubo, states: np.ndarray) -> tuple[np.ndarray, int]:
     """Steepest single-flip descent on each row until no move improves."""
     lin, _, _, _ = q.as_arrays()
     sym = q.dense_symmetric()
     x = states.astype(np.float64)
-    deltas = (1.0 - 2.0 * x) * (lin + x @ sym)
+    spins = 1.0 - 2.0 * x
+    deltas = spins * (lin + x @ sym)
     flips = 0
     while True:
-        best_col = np.argmin(deltas, axis=1)
-        rows_all = np.arange(len(x))
-        best_val = deltas[rows_all, best_col]
-        active = best_val < -_EPS
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        cols = best_col[rows]
+        rows = np.flatnonzero(deltas.min(axis=1) < -_EPS)
+        if not len(rows):
+            return (1.0 - spins) / 2.0, flips
+        _flip(spins, deltas, sym, (rows, np.argmin(deltas[rows], axis=1)))
         flips += len(rows)
-        sign = 1.0 - 2.0 * x[rows, cols]
-        x[rows, cols] = 1.0 - x[rows, cols]
-        old = deltas[rows, cols].copy()
-        deltas[rows, :] += (1.0 - 2.0 * x[rows, :]) * sym[cols, :] * sign[:, None]
-        deltas[rows, cols] = -old
-    return x, flips
 
 
 def greedy_descent(q: Qubo, starts: int = 64, seed: int = 0) -> SolveReport:
@@ -190,10 +200,7 @@ def greedy_post(q: Qubo, report: SolveReport) -> SolveReport:
     )
 
 
-def _read_batch_size(reads: int, sweeps: int, n: int) -> int:
-    budget = 48_000_000  # pre-drawn uniforms per batch (~0.4 GB)
-    per_read = max(sweeps * n, 1)
-    return max(1, min(reads, budget // per_read))
+_SWEEP_BLOCK = 32  # sweeps of acceptance thresholds held in memory at once
 
 
 def simulated_annealing(
@@ -224,49 +231,43 @@ def simulated_annealing(
     sym = q.dense_symmetric().astype(np.float32)
     betas = np.geomspace(beta_min, beta_max, sweeps)
 
-    best_state = None
-    best_energy = np.inf
-    batch = _read_batch_size(reads, sweeps, n)
-    for first in range(0, reads, batch):
-        count = min(batch, reads - first)
-        inits = np.empty((count, n))
-        thresholds = np.empty((count, sweeps, n))
-        for r in range(count):
-            gen = np.random.Generator(
-                np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, first + r])
-            )
-            inits[r] = gen.random(n)
-            thresholds[r] = gen.random((sweeps, n))
+    key = seed & 0xFFFFFFFFFFFFFFFF
+    gens = [np.random.Generator(np.random.Philox(key=[key, r])) for r in range(reads)]
+    x = (np.stack([gen.random(n) for gen in gens]) < 0.5).astype(np.float32)
+    spins = 1.0 - 2.0 * x
+    deltas = spins * (lin + x @ sym)
+    current = _row_energies(q, x.astype(np.float64))
+    best_row = int(np.argmin(current))
+    best_energy = float(current[best_row])
+    best_spins = spins[best_row].copy()
+
+    block = min(_SWEEP_BLOCK, sweeps)
+    uniform_buf = np.empty(reads * block * n)
+    for first in range(0, sweeps, block):
+        count = min(block, sweeps - first)
+        # per read, the stream continues exactly where the last block ended
+        uniforms = uniform_buf[: reads * count * n].reshape(reads, count, n)
+        for gen, out in zip(gens, uniforms):
+            gen.random(out=out)
         # accepting delta d with probability exp(-beta * max(d, 0)) against a
         # uniform u in [0,1) is exactly the test d < -log(u)/beta
-        np.log(thresholds, out=thresholds)
-        thresholds *= -1.0
-        thresholds /= betas[None, :, None]
-        thresholds = thresholds.astype(np.float32)
-        x = (inits < 0.5).astype(np.float32)
-        deltas = (1.0 - 2.0 * x) * (lin + x @ sym)
-        current = _row_energies(q, x.astype(np.float64))
-        floor = float(current.min())
-        if floor < best_energy:
-            best_energy = floor
-            best_state = x[int(np.argmin(current))].copy()
-        for s in range(sweeps):
+        np.log(uniforms, out=uniforms)
+        uniforms *= -1.0
+        uniforms /= betas[None, first : first + count, None]
+        # sweep-major: the test for variable i reads one contiguous row
+        thresholds = uniforms.transpose(1, 2, 0).astype(np.float32, order="C")
+        for s in range(count):
             for i in range(n):
-                rows = np.flatnonzero(deltas[:, i] < thresholds[:, s, i])
+                rows = np.flatnonzero(deltas[:, i] < thresholds[s, i])
                 if not len(rows):
                     continue
-                sign = 1.0 - 2.0 * x[rows, i]
-                x[rows, i] = 1.0 - x[rows, i]
-                old = deltas[rows, i].copy()
-                deltas[rows, :] += (1.0 - 2.0 * x[rows, :]) * sym[i, :] * sign[:, None]
-                deltas[rows, i] = -old
-                current[rows] += old
-                floor = float(current[rows].min())
-                if floor < best_energy:
-                    best_energy = floor
-                    best_state = x[rows[int(np.argmin(current[rows]))]].copy()
-    assert best_state is not None
-    return _finish(q, best_state, reads * sweeps * n, t0, "sa", seed)
+                current[rows] += _flip(spins, deltas, sym, (rows, i))
+                energies = current[rows]
+                k = int(np.argmin(energies))
+                if energies[k] < best_energy:
+                    best_energy = float(energies[k])
+                    best_spins = spins[rows[k]].copy()
+    return _finish(q, (1.0 - best_spins) / 2.0, reads * sweeps * n, t0, "sa", seed)
 
 
 def tabu_search(
@@ -294,9 +295,10 @@ def tabu_search(
     sym = q.dense_symmetric()
     rng = np.random.default_rng(seed)
     x = (rng.random(n) < 0.5).astype(np.float64)
-    deltas = (1.0 - 2.0 * x) * (lin + x @ sym)
+    spins = 1.0 - 2.0 * x
+    deltas = spins * (lin + x @ sym)
     current = float(q.energy(x))
-    best_state = x.copy()
+    best_spins = spins.copy()
     best_energy = current
     tabu_until = np.zeros(n, dtype=np.int64)
     for it in range(iterations):
@@ -308,17 +310,12 @@ def tabu_search(
             blocked[:] = False  # everything tabu: fall back to the plain best move
         candidate[blocked] = np.inf
         j = int(np.argmin(candidate))
-        sign = 1.0 - 2.0 * x[j]
-        x[j] = 1.0 - x[j]
-        old = deltas[j]
-        deltas += (1.0 - 2.0 * x) * sym[j, :] * sign
-        deltas[j] = -old
-        current += old
+        current += _flip(spins, deltas, sym, (j,))
         tabu_until[j] = it + 1 + tenure
         if current < best_energy:
             best_energy = current
-            best_state = x.copy()
-    return _finish(q, best_state, iterations * n, t0, "tabu", seed)
+            best_spins = spins.copy()
+    return _finish(q, (1.0 - best_spins) / 2.0, iterations * n, t0, "tabu", seed)
 
 
 # --- retune loop -------------------------------------------------------------

@@ -232,3 +232,35 @@ def test_solve_general_spec_with_solver_flags(tmp_path):
     route = json.loads((tmp_path / "out" / "walk.route.json").read_text())
     assert route["valid"] is True
     assert route["weight"] == 3.0  # open walk 0-1-2 covers both edges
+
+
+def solve_and_validate(tmp_path, spec: dict, *flags) -> tuple[dict, int]:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", path, "--solver", "brute", "--out", out, *flags) == 0
+    route_path = out / "spec.route.json"
+    return json.loads(route_path.read_text()), run("validate", route_path, "--instance", path)
+
+
+def test_validate_accepts_undirected_edge_walked_high_to_low(tmp_path):
+    spec = {
+        "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
+        "start": 0, "stop": 0, "i_max": 4,
+    }
+    route, code = solve_and_validate(tmp_path, spec, "--force-qubo")
+    assert route["valid"] is True and route["weight"] == 3.0
+    assert any(s["from"] > s["to"] for s in route["walks"][0])
+    assert code == 0
+
+
+def test_validate_uses_the_arc_kind_written_in_the_route(tmp_path):
+    # an undirected and a directed edge join 0 -> 1; only the cheap one is used
+    spec = {
+        "graph": {"vertices": [0, 1], "undirected": [[0, 1, 1]], "directed": [[0, 1, 5]]},
+        "required": [[0, 1, "u"]], "start": 0, "stop": 0, "i_max": 4,
+    }
+    route, code = solve_and_validate(tmp_path, spec)
+    assert route["valid"] is True and route["weight"] == 2.0
+    assert [s["kind"] for s in route["walks"][0]] == ["u", "u"]
+    assert code == 0

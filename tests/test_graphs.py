@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from postqubo import (
+    EdgeRef,
     Graph,
     InvalidGraph,
     MultiGraph,
@@ -44,6 +45,13 @@ def test_rejects_unknown_endpoint_and_bad_weight():
 def test_opposite_directed_arcs_coexist():
     g = Graph.build([0, 1], directed=[(0, 1, 1), (1, 0, 2)])
     assert g.edge_count == 2
+
+
+def test_edge_ref_orders_undirected_endpoints_only():
+    ref = EdgeRef("u", 2, 1)
+    assert (ref.a, ref.b) == (1, 2)
+    assert ref == EdgeRef("u", 1, 2)
+    assert (EdgeRef("d", 2, 1).a, EdgeRef("d", 2, 1).b) == (2, 1)
 
 
 def test_undirected_and_directed_between_same_pair_are_distinct():

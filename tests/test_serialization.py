@@ -1,8 +1,19 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from postqubo import EdgeRef, InputError, Postmen, ProblemSpec, ServiceMode
+from postqubo import (
+    EdgeRef,
+    InputError,
+    Postmen,
+    PostquboError,
+    ProblemSpec,
+    ServiceMode,
+    brute_force,
+    compile_general,
+    default_penalties,
+)
 from postqubo.pairing import euler_route
 from postqubo.routes import RouteSolution, RouteWalk, WalkStep
 from postqubo.serialization import (
@@ -121,6 +132,69 @@ def test_route_json_roundtrip():
     assert back.objective_weight == solution.objective_weight
     assert [s.frm for s in back.walks[0].steps] == [s.frm for s in solution.walks[0].steps]
     assert revalidate_route(doc, back) == []
+
+
+def test_spec_required_edge_accepts_either_endpoint_order():
+    sd = parse_spec({"graph": {"vertices": [0, 1, 2],
+                               "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
+                     "required": [[2, 1, "u"]]})
+    assert sd.spec.required_edges == frozenset({EdgeRef("u", 1, 2)})
+
+
+def test_route_step_kind_is_optional_but_never_guessed():
+    doc = parse_graph({"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1]],
+                       "directed": [[1, 0, 4]]})
+    route = {"pipeline": "general", "weight": 2.0, "valid": True,
+             "walks": [[{"from": 0, "to": 1}, {"from": 1, "to": 2}]]}
+    steps = route_from_json(route, doc).walks[0].steps
+    assert [s.kind for s in steps] == ["u", "u"]
+    route["walks"] = [[{"from": 1, "to": 0}]]  # both an undirected and a directed arc
+    with pytest.raises(InputError, match="give a kind"):
+        route_from_json(route, doc)
+    route["walks"] = [[{"from": 1, "to": 0, "kind": "d"}]]
+    assert route_from_json(route, doc).walks[0].steps[0].kind == "d"
+
+
+@st.composite
+def tiny_mixed_specs(draw) -> dict:
+    """Connected 2-3 vertex specs whose extra edges may be windy or directed
+    and may join the same vertex pair as an existing edge of the other kind."""
+    nv = draw(st.integers(2, 3))
+    weight = st.integers(1, 5)
+    undirected = [[v, v + 1, draw(weight)] for v in range(nv - 1)]
+    directed = []
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.permutations(range(nv)))[:2]
+        if draw(st.booleans()):
+            if all({a, b} != {e[0], e[1]} for e in undirected):
+                undirected.append([a, b, draw(weight), draw(weight)])
+        elif [a, b] not in [d[:2] for d in directed]:
+            directed.append([a, b, draw(weight)])
+    spec = {"graph": {"vertices": list(range(nv)), "undirected": undirected,
+                      "directed": directed},
+            "i_max": draw(st.integers(1, 3))}
+    for end in ("start", "stop"):
+        if draw(st.booleans()):
+            spec[end] = draw(st.integers(0, nv - 1))
+    return spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tiny_mixed_specs())
+def test_route_json_round_trip_keeps_decode_validity(obj):
+    sd = parse_spec(obj)
+    try:
+        compiled = compile_general(sd.spec)
+    except PostquboError:
+        assume(False)
+    q = compiled.qubo(default_penalties(sd.spec))
+    assume(q.n <= 20)
+    report = brute_force(q)
+    solution = compiled.decode(report.best_assignment)
+    text = json.dumps(route_to_json(solution, sd.graph_doc, "general", "brute", 0,
+                                    report.best_energy))
+    back = route_from_json(json.loads(text), sd.graph_doc)
+    assert (revalidate_route(sd, back) == []) == solution.is_valid
 
 
 def test_revalidate_flags_broken_routes():
