@@ -20,7 +20,8 @@ print(f"odd-degree vertices: {odd}")
 sp = pq.shortest_paths(graph)
 print(f"cheapest reconnection: {sp.path(odd[0], odd[1])} at cost {sp.distance(odd[0], odd[1])}")
 
-qubo, registry = pq.build_pairing_qubo(graph, p=10.0)
+compiled = pq.compile_pairing(graph, p=10.0)
+qubo, registry = compiled.qubo(), compiled.registry
 print(f"pairing QUBO has {len(registry)} variable(s): {[str(l) for l in registry]}")
 print(f"  energy with the pair skipped:  {qubo.energy([0])}")
 print(f"  energy with the pair matched:  {qubo.energy([1])}")

@@ -28,7 +28,7 @@ while len(instances) < 10:
 
 qubos = []
 for g in instances:
-    qubo, _ = pq.build_pairing_qubo(g, p=pq.default_pairing_penalty(g))
+    qubo = pq.compile_pairing(g, p=pq.default_pairing_penalty(g)).qubo()
     qubos.append((qubo, pq.brute_force(qubo).best_energy))
 
 solvers = {

@@ -21,23 +21,13 @@ from .errors import (
     TooManyOddVertices,
     UnsupportedCombination,
 )
-from .general import (
-    CompiledGeneral,
-    build_general_qubo,
-    compile_general,
-    decode_walk,
-    default_penalties,
-    enumerate_variables,
-)
+from .general import CompiledGeneral, compile_general, default_penalties
 from .graphs import (
     DirectedEdge,
     EdgeRef,
     Graph,
     MultiGraph,
     UndirectedEdge,
-    Walk,
-    degree_profile,
-    eulerian_circuit,
     is_strongly_connected,
     odd_degree_vertices,
     shortest_paths,
@@ -46,7 +36,7 @@ from .oracle import euler_shortcut, exact_walk_oracle
 from .pairing import (
     Pairing,
     augment_and_route,
-    build_pairing_qubo,
+    compile_pairing,
     decode_pairing,
     default_pairing_penalty,
     exact_pairing_oracle,
@@ -54,6 +44,7 @@ from .pairing import (
 from .problem import Postmen, ProblemSpec, ServiceMode, TurnPenalty
 from .qubo import (
     CapacitySlack,
+    CompiledProblem,
     EdgeStep,
     PairVar,
     PenaltyConfig,

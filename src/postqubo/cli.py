@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .general import compile_general, default_penalties
-from .graphs import odd_degree_vertices
+from .graphs import Graph, odd_degree_vertices
 from .oracle import euler_shortcut, exact_walk_oracle
 from .pairing import (
     augment_and_route,
@@ -37,7 +37,13 @@ from .pairing import (
     exact_pairing_oracle,
 )
 from .problem import ProblemSpec
-from .qubo import PENALTY_FAMILIES, PenaltyConfig, format_qubo_text, format_registry_text
+from .qubo import (
+    PENALTY_FAMILIES,
+    CompiledProblem,
+    PenaltyConfig,
+    format_qubo_text,
+    format_registry_text,
+)
 from .routes import RouteSolution
 from .serialization import (
     GraphDocument,
@@ -170,7 +176,29 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "seeds"):
         cfg.seeds = tuple(int(s) for s in str(args.seeds).split(",") if s != "")
+    if hasattr(args, "reads"):
+        # sampler arguments, checked before any work is done
+        for name in _solver_names(cfg):
+            if name not in SOLVER_NAMES:
+                raise InputError(f"unknown solver {name!r}")
+        if cfg.seed < 0:
+            raise InputError("--seed must be >= 0")
+        for name in ("reads", "sweeps", "starts", "tenure"):
+            value = getattr(cfg, name)
+            if value is not None and value < 1:
+                raise InputError(f"--{name} must be >= 1")
+        if cfg.max_retunes < 0:
+            raise InputError("--max-retunes must be >= 0")
+        if not cfg.beta_min < cfg.beta_max:
+            raise InputError("--beta-min must be below --beta-max")
     return cfg
+
+
+def _solver_names(cfg: RunConfig) -> list[str]:
+    """`solve` takes one solver name, `bench` a comma-separated list."""
+    if cfg.command != "bench":
+        return [cfg.solver]
+    return [s.strip() for s in cfg.solver.split(",") if s.strip()]
 
 
 def _sampler_for(cfg: RunConfig, solver: str, seed: int):
@@ -186,69 +214,59 @@ def _sampler_for(cfg: RunConfig, solver: str, seed: int):
     )
 
 
-def _resolve_pipeline(cfg_pipeline: str, instance) -> str:
-    if cfg_pipeline != "auto":
-        if cfg_pipeline == "pairing" and isinstance(instance, SpecDocument):
+def _problem_of(instance, cfg: RunConfig):
+    """(pipeline, graph or spec to compile, graph document) for an instance."""
+    pipeline = cfg.pipeline
+    if pipeline == "auto":
+        pipeline = "pairing" if isinstance(instance, GraphDocument) else "general"
+    if pipeline == "pairing":
+        if isinstance(instance, SpecDocument):
             raise InputError("the pairing pipeline takes a graph file, not a spec")
-        return cfg_pipeline
-    return "pairing" if isinstance(instance, GraphDocument) else "general"
-
-
-def _spec_of(instance, cfg: RunConfig) -> tuple[ProblemSpec, GraphDocument]:
+        return pipeline, instance.graph, instance
     if isinstance(instance, SpecDocument):
         spec, doc = instance.spec, instance.graph_doc
     else:
         spec, doc = ProblemSpec(graph=instance.graph), instance
     if cfg.i_max is not None:
         spec = replace(spec, i_max=cfg.i_max)
-    return spec, doc
+    return pipeline, spec, doc
 
 
-def _penalties_for(spec_or_graph, cfg: RunConfig) -> PenaltyConfig:
-    if isinstance(spec_or_graph, ProblemSpec):
-        pen = default_penalties(spec_or_graph)
+def _penalties_for(problem, cfg: RunConfig) -> PenaltyConfig:
+    if isinstance(problem, ProblemSpec):
+        pen = default_penalties(problem)
     else:
-        pen = PenaltyConfig.for_max_weight(spec_or_graph.max_weight)
+        pen = PenaltyConfig.for_max_weight(problem.max_weight)
     overrides = {f"p_{fam}": value for fam, value in cfg.penalties.items()}
-    return dataclasses.replace(pen, **overrides) if overrides else pen
+    pen = dataclasses.replace(pen, **overrides) if overrides else pen
+    if isinstance(problem, Graph) and "pairing" not in cfg.penalties:
+        pen = dataclasses.replace(pen, p_pairing=default_pairing_penalty(problem))
+    return pen
+
+
+def _compile(problem, pen: PenaltyConfig) -> CompiledProblem:
+    if isinstance(problem, Graph):
+        return compile_pairing(problem, pen.p_pairing)
+    return compile_general(problem)
 
 
 def _solve_one(
     instance, cfg: RunConfig, solver: str, seed: int
 ) -> tuple[RouteSolution, dict, GraphDocument]:
     """Shared solve path; returns (solution, report dict, graph doc)."""
-    pipeline = _resolve_pipeline(cfg.pipeline, instance)
+    pipeline, problem, doc = _problem_of(instance, cfg)
     sampler = _sampler_for(cfg, solver, seed)
-    if pipeline == "pairing":
-        doc = instance
-        g = doc.graph
-        if not odd_degree_vertices(g) and not cfg.force_qubo:
-            solution = euler_route(g)
-            meta = {"pipeline": pipeline, "solver": "euler-shortcut", "seed": seed,
-                    "energy": None, "retunes": 0, "report": None}
-            return solution, meta, doc
-        pen = _penalties_for(g, cfg)
-        if "pairing" not in cfg.penalties:
-            pen = dataclasses.replace(pen, p_pairing=default_pairing_penalty(g))
-
-        def builder(p: PenaltyConfig) -> CompiledInstance:
-            compiled = compile_pairing(g, p.p_pairing)
-            return CompiledInstance(compiled.qubo(), compiled.decode, compiled.constraint_values)
-
-        report, solution = solve_with_retune(builder, pen, sampler, cfg.max_retunes)
-        meta = {"pipeline": pipeline, "solver": solver, "seed": seed,
-                "energy": report.best_energy, "retunes": report.retunes, "report": report}
-        return solution, meta, doc
-
-    spec, doc = _spec_of(instance, cfg)
     if not cfg.force_qubo:
-        shortcut = euler_shortcut(spec)
+        if isinstance(problem, Graph):
+            shortcut = None if odd_degree_vertices(problem) else euler_route(problem)
+        else:
+            shortcut = euler_shortcut(problem)
         if shortcut is not None:
             meta = {"pipeline": pipeline, "solver": "euler-shortcut", "seed": seed,
                     "energy": None, "retunes": 0, "report": None}
             return shortcut, meta, doc
-    pen = _penalties_for(spec, cfg)
-    compiled = compile_general(spec)
+    pen = _penalties_for(problem, cfg)
+    compiled = _compile(problem, pen)
 
     def builder(p: PenaltyConfig) -> CompiledInstance:
         return CompiledInstance(compiled.qubo(p), compiled.decode, compiled.constraint_values)
@@ -307,30 +325,25 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_export_qubo(cfg: RunConfig) -> int:
     instance = load_instance(cfg.input_path)
-    pipeline = _resolve_pipeline(cfg.pipeline, instance)
-    if pipeline == "pairing":
-        g = instance.graph
-        if not odd_degree_vertices(g):
+    _, problem, _ = _problem_of(instance, cfg)
+    if isinstance(problem, Graph):
+        if not odd_degree_vertices(problem):
             print(
                 "ShortcutApplies: graph is already Eulerian; there is no pairing "
                 "QUBO to export",
                 file=sys.stderr,
             )
             return EXIT_NO_SOLUTION
-        p = cfg.penalties.get("pairing", default_pairing_penalty(g))
-        compiled = compile_pairing(g, p)
-        qubo, registry = compiled.qubo(), compiled.registry
-    else:
-        spec, _ = _spec_of(instance, cfg)
-        if not cfg.force_qubo and euler_shortcut(spec) is not None:
-            print(
-                "ShortcutApplies: the required edges admit a direct Euler circuit; "
-                "re-run with --force-qubo to export anyway",
-                file=sys.stderr,
-            )
-            return EXIT_NO_SOLUTION
-        compiled = compile_general(spec)
-        qubo, registry = compiled.qubo(_penalties_for(spec, cfg)), compiled.registry
+    elif not cfg.force_qubo and euler_shortcut(problem) is not None:
+        print(
+            "ShortcutApplies: the required edges admit a direct Euler circuit; "
+            "re-run with --force-qubo to export anyway",
+            file=sys.stderr,
+        )
+        return EXIT_NO_SOLUTION
+    pen = _penalties_for(problem, cfg)
+    compiled = _compile(problem, pen)
+    qubo, registry = compiled.qubo(pen), compiled.registry
     out = cfg.out if cfg.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     stem = cfg.input_path.stem
@@ -407,10 +420,6 @@ def _bench_rows(cfg: RunConfig):
     )
     if not suite:
         raise InputError(f"no instances in {cfg.input_path}")
-    solvers = [s.strip() for s in cfg.solver.split(",") if s.strip()]
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            raise InputError(f"unknown solver {name!r}")
     for path in suite:
         oracle_path = path.with_name(path.stem + ".oracle.json")
         oracle_weight = None
@@ -419,7 +428,7 @@ def _bench_rows(cfg: RunConfig):
 
             with open(oracle_path, "r", encoding="utf-8") as fh:
                 oracle_weight = float(json.load(fh)["weight"])
-        for solver in solvers:
+        for solver in _solver_names(cfg):
             for seed in cfg.seeds:
                 yield path, solver, seed, oracle_weight
 
@@ -467,9 +476,6 @@ def cmd_bench(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
-    if args.command == "validate":
-        cfg.instance_path = args.instance
     handlers = {
         "solve": cmd_solve,
         "export-qubo": cmd_export_qubo,
@@ -478,6 +484,9 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
     }
     try:
+        cfg = _config_from_args(args)
+        if args.command == "validate":
+            cfg.instance_path = args.instance
         return handlers[args.command](cfg)
     except NoValidSolution as exc:
         print(f"no valid solution: {exc}", file=sys.stderr)

@@ -11,6 +11,11 @@ encodings are supported for a single postman:
 
 Multiple postmen (or capacities / collision bans) use per-postman rest
 variables: the rest bit plays the terminal role for that postman's walk.
+
+`compile_general` sizes both single-postman encodings (arcs, step pruning,
+registry) and builds the constraint forms only for the smaller one.  Every
+objective, capacity and decode weight comes from the spec's one weight rule,
+`ProblemSpec.weight`; terminal arcs cost nothing.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InfeasibleEndpoints, SpecError
-from .graphs import EdgeRef, Graph
+from .graphs import EdgeRef
 from .problem import ProblemSpec
 from .qubo import (
     MODE_PLAIN,
     MODE_SERVICE,
     MODE_TRAVERSE,
     CapacitySlack,
+    CompiledProblem,
     EdgeStep,
     PenaltyConfig,
     Qubo,
@@ -144,8 +150,12 @@ def _prune_steps(
     return allowed
 
 
-class CompiledGeneral:
-    """Spec compiled to a registry, objective and per-family constraints."""
+class CompiledGeneral(CompiledProblem):
+    """Spec compiled to a registry, objective and per-family constraints.
+
+    Construction lays out arcs, step pruning and the registry;
+    `compile_general` then builds the forms for the encoding it returns.
+    """
 
     def __init__(self, spec: ProblemSpec, encoding: str):
         if encoding not in (ENC_REPETITION, ENC_TERMINAL, ENC_REST):
@@ -171,16 +181,12 @@ class CompiledGeneral:
 
         self._hierarchy = spec.hierarchy_closure()
         self._build_registry()
-        self._build_forms()
 
     # ---- variables -------------------------------------------------------
 
     def _arc_modes(self, arc: CompArc) -> tuple[str, ...]:
-        if not self.service_mode:
-            return (MODE_PLAIN,)
-        if arc.is_terminal:
-            return (MODE_TRAVERSE,)
-        return (MODE_SERVICE, MODE_TRAVERSE)
+        # a terminal arc is padding, never service
+        return self.spec.modes[-1:] if arc.is_terminal else self.spec.modes
 
     def _build_registry(self) -> None:
         spec = self.spec
@@ -242,19 +248,12 @@ class CompiledGeneral:
                 out.append((self._edge_var[(postman, step, ai, mode)], arc, mode))
         return out
 
-    def variable_count(self) -> int:
-        return len(self.registry)
-
     # ---- weights ----------------------------------------------------------
 
     def _weight(self, postman: int, arc: CompArc, mode: str) -> float:
         if arc.is_terminal:
             return 0.0
-        if self.service_mode:
-            if mode == MODE_SERVICE:
-                return self.spec.service_weight(arc.tail, arc.head, arc.kind)
-            return self.spec.traverse_weight(arc.tail, arc.head, arc.kind)
-        return self.spec.postman_weight(postman, arc.tail, arc.head, arc.kind)
+        return self.spec.weight(postman, (arc.tail, arc.head, arc.kind), mode)
 
     # ---- movement rule ----------------------------------------------------
 
@@ -427,15 +426,6 @@ class CompiledGeneral:
 
         self.objective = objective
         self.constraints = constraints
-
-    def qubo(self, pen: PenaltyConfig) -> Qubo:
-        total = self.objective.copy()
-        for fam, c in self.constraints.items():
-            total.add_scaled(c, pen.value(fam))
-        return total
-
-    def constraint_values(self, x: Sequence[int]) -> dict[str, float]:
-        return {fam: c.energy(x) for fam, c in self.constraints.items()}
 
     # ---- decoding ---------------------------------------------------------
 
@@ -650,7 +640,7 @@ class CompiledGeneral:
                 f"arc {tail}->{head} (kind={kind}) matches {len(candidates)} arcs"
             )
         if mode is None:
-            mode = MODE_PLAIN if not self.service_mode else MODE_TRAVERSE
+            mode = self.spec.modes[-1]
         return candidates[0].index, mode
 
     def encode_route(self, walks: Sequence[Sequence[Sequence]]) -> list[int]:
@@ -697,7 +687,7 @@ class CompiledGeneral:
                 loop = self._find_arc(TERMINAL, TERMINAL, KIND_TERMINAL)
                 for i in range(padded_real, self.i_max):
                     ai = enter if i == padded_real else loop
-                    key = (p, i, ai, MODE_TRAVERSE if self.service_mode else MODE_PLAIN)
+                    key = (p, i, ai, self.spec.modes[-1])
                     if key not in self._edge_var:
                         raise SpecError(f"terminal arc unavailable at step {i}")
                     x[self._edge_var[key]] = 1
@@ -734,60 +724,35 @@ class CompiledGeneral:
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:
     """Compile a spec, choosing the smaller of the two single-postman encodings
-    when `encoding` is 'auto'."""
+    when `encoding` is 'auto'.  Only the returned encoding builds its forms."""
     if spec.uses_rest_encoding:
-        return CompiledGeneral(spec, ENC_REST)
-    if encoding != "auto":
-        return CompiledGeneral(spec, encoding)
-    candidates: list[CompiledGeneral] = []
-    errors: list[Exception] = []
-    for enc in (ENC_REPETITION, ENC_TERMINAL):
-        try:
-            candidates.append(CompiledGeneral(spec, enc))
-        except InfeasibleEndpoints as exc:
-            errors.append(exc)
-    if not candidates:
-        raise errors[0]
-    return min(candidates, key=lambda c: (c.variable_count(), c.encoding != ENC_REPETITION))
-
-
-def enumerate_variables(spec: ProblemSpec) -> VariableRegistry:
-    """Registry of the chosen (fewest-variables) encoding for a spec."""
-    return compile_general(spec).registry
-
-
-def build_general_qubo(
-    spec: ProblemSpec, pen: PenaltyConfig
-) -> tuple[Qubo, VariableRegistry]:
-    compiled = compile_general(spec)
-    return compiled.qubo(pen), compiled.registry
-
-
-def decode_walk(
-    x: Sequence[int], reg: VariableRegistry, spec: ProblemSpec
-) -> RouteSolution:
-    """Decode bits produced against `reg` (encoding inferred from the labels)."""
-    compiled = compile_general(spec)
-    if compiled.registry != reg and not spec.uses_rest_encoding:
+        compiled = CompiledGeneral(spec, ENC_REST)
+    elif encoding != "auto":
+        compiled = CompiledGeneral(spec, encoding)
+    else:
+        candidates: list[CompiledGeneral] = []
+        errors: list[Exception] = []
         for enc in (ENC_REPETITION, ENC_TERMINAL):
             try:
-                candidate = CompiledGeneral(spec, enc)
-            except InfeasibleEndpoints:
-                continue
-            if candidate.registry == reg:
-                compiled = candidate
-                break
-    if compiled.registry != reg:
-        raise SpecError("registry does not match this spec")
-    return compiled.decode(x)
+                candidates.append(CompiledGeneral(spec, enc))
+            except InfeasibleEndpoints as exc:
+                errors.append(exc)
+        if not candidates:
+            raise errors[0]
+        compiled = min(
+            candidates, key=lambda c: (len(c.registry), c.encoding != ENC_REPETITION)
+        )
+    compiled._build_forms()
+    return compiled
 
 
 def default_penalties(spec: ProblemSpec, factor: float = 5.0) -> PenaltyConfig:
     """Uniform multipliers at `factor` times the largest arc weight in play."""
-    weights = [spec.postman_weight(p, a.tail, a.head, a.ref.kind)
-               for p in range(spec.postmen.count)
-               for a in spec.graph.arcs()]
-    if spec.service is not None:
-        weights += [spec.service_weight(a.tail, a.head, a.ref.kind) for a in spec.graph.arcs()]
-        weights += [spec.traverse_weight(a.tail, a.head, a.ref.kind) for a in spec.graph.arcs()]
+    # plain weights count in service mode too: postman overrides may be set
+    weights = [
+        spec.weight(p, key, mode)
+        for p in range(spec.postmen.count)
+        for key in spec.graph.arc_weights
+        for mode in (MODE_PLAIN, *spec.modes)
+    ]
     return PenaltyConfig.for_max_weight(max(weights) if weights else 1.0, factor)

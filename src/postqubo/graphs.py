@@ -100,7 +100,11 @@ def _check_weight(w: float, what: str) -> float:
 
 @dataclass(frozen=True)
 class Graph:
-    """Mixed windy weighted graph; no parallel edges, no self-loops."""
+    """Mixed windy weighted graph; no parallel edges, no self-loops.
+
+    `arcs()` and the `arc_weights` table, (tail, head, kind) -> weight, are
+    built once at construction and are read-only.
+    """
 
     vertices: frozenset[int]
     undirected: tuple[UndirectedEdge, ...] = ()
@@ -138,6 +142,16 @@ class Graph:
                 raise InvalidGraph(f"duplicate directed edge ({d.tail},{d.head})")
             seen_d.add((d.tail, d.head))
             _check_weight(d.w, f"({d.tail},{d.head})")
+        arcs: list[Arc] = []
+        for e in und:
+            arcs.append(Arc(e.a, e.b, e.w_ab, e.ref))
+            arcs.append(Arc(e.b, e.a, e.w_ba, e.ref))
+        for d in dire:
+            arcs.append(Arc(d.tail, d.head, d.w, d.ref))
+        object.__setattr__(self, "_arcs", tuple(arcs))
+        object.__setattr__(
+            self, "arc_weights", {(a.tail, a.head, a.ref.kind): a.weight for a in arcs}
+        )
 
     @classmethod
     def build(
@@ -180,41 +194,17 @@ class Graph:
 
     def arcs(self) -> tuple[Arc, ...]:
         """Every directed traversal: two per undirected edge, one per directed."""
-        out: list[Arc] = []
-        for e in self.undirected:
-            out.append(Arc(e.a, e.b, e.w_ab, e.ref))
-            out.append(Arc(e.b, e.a, e.w_ba, e.ref))
-        for d in self.directed:
-            out.append(Arc(d.tail, d.head, d.w, d.ref))
-        return tuple(out)
-
-
-class DegreeProfile(NamedTuple):
-    in_degree: int
-    out_degree: int
-    undirected_degree: int
-
-
-def degree_profile(g: Graph) -> dict[int, DegreeProfile]:
-    """Per-vertex (in, out, undirected) degree counts."""
-    ind = {v: 0 for v in g.vertices}
-    out = {v: 0 for v in g.vertices}
-    und = {v: 0 for v in g.vertices}
-    for e in g.undirected:
-        und[e.a] += 1
-        und[e.b] += 1
-    for d in g.directed:
-        out[d.tail] += 1
-        ind[d.head] += 1
-    return {v: DegreeProfile(ind[v], out[v], und[v]) for v in g.vertices}
+        return self._arcs
 
 
 def odd_degree_vertices(g: Graph) -> frozenset[int]:
     """Vertices of odd undirected degree; rejects graphs with directed arcs."""
     if g.directed:
         raise NonUndirectedGraph("odd-degree scan expects a purely undirected graph")
-    profile = degree_profile(g)
-    return frozenset(v for v, p in profile.items() if p.undirected_degree % 2 == 1)
+    odd: set[int] = set()
+    for e in g.undirected:
+        odd ^= {e.a, e.b}
+    return frozenset(odd)
 
 
 def _adjacency(g: Graph) -> dict[int, list[tuple[int, float]]]:
@@ -314,29 +304,6 @@ def shortest_paths(g: Graph) -> ShortestPaths:
 
 
 @dataclass(frozen=True)
-class Walk:
-    """Ordered edge traversals; consecutive steps are vertex-adjacent."""
-
-    steps: tuple[tuple[int, int], ...]
-    weight: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple((int(a), int(b)) for a, b in self.steps))
-        for (_, b), (c, _) in zip(self.steps, self.steps[1:]):
-            if b != c:
-                raise InvalidGraph(f"walk steps not contiguous at {b} -> {c}")
-
-    @property
-    def closed(self) -> bool:
-        return bool(self.steps) and self.steps[0][0] == self.steps[-1][1]
-
-    def vertices_visited(self) -> list[int]:
-        if not self.steps:
-            return []
-        return [self.steps[0][0]] + [b for _, b in self.steps]
-
-
-@dataclass(frozen=True)
 class MultiEdge:
     tail: int
     head: int
@@ -360,12 +327,7 @@ class MultiGraph:
     def from_graph(cls, g: Graph) -> "MultiGraph":
         """Undirected multigraph copy; requires symmetric undirected weights."""
         if g.directed:
-            mg = cls(set(g.vertices), [], directed=True)
-            for d in g.directed:
-                mg.add_edge(d.tail, d.head, d.w, tag=d.ref)
-            if g.undirected:
-                raise NonUndirectedGraph("mixed graphs have no single multigraph form")
-            return mg
+            raise NonUndirectedGraph("only undirected graphs have a multigraph copy")
         mg = cls(set(g.vertices), [], directed=False)
         for e in g.undirected:
             mg.add_edge(e.a, e.b, e.w_ab, tag=e.ref)
@@ -461,13 +423,6 @@ def _euler_edge_sequence(mg: MultiGraph) -> list[tuple[int, int, int]]:
     if len(steps) != len(mg.edges):
         raise NoEulerianCircuit("traversal did not use every edge")
     return steps
-
-
-def eulerian_circuit(mg: MultiGraph) -> Walk:
-    """Closed walk using every multigraph edge exactly once."""
-    seq = _euler_edge_sequence(mg)
-    weight = sum(mg.edges[idx].weight for _, _, idx in seq)
-    return Walk(tuple((a, b) for a, b, _ in seq), weight)
 
 
 def rotate_closed_walk(steps: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graphs import EdgeRef, MultiGraph, _euler_edge_sequence
 from .problem import ProblemSpec
-from .qubo import MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
+from .qubo import MODE_SERVICE
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 DEFAULT_NODE_LIMIT = 2_000_000
@@ -37,37 +37,10 @@ class _Move:
 def _moves_for(spec: ProblemSpec) -> dict[int, list[_Move]]:
     by_tail: dict[int, list[_Move]] = {v: [] for v in spec.graph.vertices}
     for arc in spec.graph.arcs():
-        if spec.service is not None:
+        key = (arc.tail, arc.head, arc.ref.kind)
+        for mode in spec.modes:
             by_tail[arc.tail].append(
-                _Move(
-                    arc.tail,
-                    arc.head,
-                    arc.ref.kind,
-                    arc.ref,
-                    MODE_SERVICE,
-                    spec.service_weight(arc.tail, arc.head, arc.ref.kind),
-                )
-            )
-            by_tail[arc.tail].append(
-                _Move(
-                    arc.tail,
-                    arc.head,
-                    arc.ref.kind,
-                    arc.ref,
-                    MODE_TRAVERSE,
-                    spec.traverse_weight(arc.tail, arc.head, arc.ref.kind),
-                )
-            )
-        else:
-            by_tail[arc.tail].append(
-                _Move(
-                    arc.tail,
-                    arc.head,
-                    arc.ref.kind,
-                    arc.ref,
-                    MODE_PLAIN,
-                    spec.postman_weight(0, arc.tail, arc.head, arc.ref.kind),
-                )
+                _Move(arc.tail, arc.head, arc.ref.kind, arc.ref, mode, spec.weight(0, key, mode))
             )
     for moves in by_tail.values():
         moves.sort(key=lambda m: (m.head, m.kind, m.mode))
@@ -189,8 +162,6 @@ def exact_walk_oracle(
                         new_mask |= bit
                 else:
                     new_mask |= bit
-            elif spec.service is not None and m.mode == MODE_SERVICE:
-                pass  # servicing an optional edge is allowed, it just costs
             new_wsum = wsum + m.cost
             if capacity is not None and new_wsum > capacity:
                 continue
@@ -238,10 +209,11 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
     (kind,) = kinds
     directed = kind == "d"
 
+    # the circuit services every required edge once (plain without service mode)
+    mode = spec.modes[0]
+
     def weight_of(tail: int, head: int, kind: str) -> float:
-        if spec.service is not None:
-            return spec.service_weight(tail, head, kind)
-        return spec.postman_weight(0, tail, head, kind)
+        return spec.weight(0, (tail, head, kind), mode)
 
     mg = MultiGraph(directed=directed)
     for ref in required:
@@ -273,7 +245,6 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
         k = tails.index(anchor)
         steps = steps[k:] + steps[:k]
 
-    mode = MODE_SERVICE if spec.service is not None else MODE_PLAIN
     weight = sum(weight_of(a, b, kind) for a, b in steps)
     walk = RouteWalk(tuple(WalkStep(a, b, mode, kind) for a, b in steps), weight)
     return RouteSolution(walks=(walk,), objective_weight=weight)

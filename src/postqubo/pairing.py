@@ -30,7 +30,7 @@ from .graphs import (
     rotate_closed_walk,
     shortest_paths,
 )
-from .qubo import PairVar, PenaltyConfig, Qubo, VariableRegistry
+from .qubo import CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 ORACLE_MAX_ODD = 12
@@ -69,24 +69,22 @@ def _check_pairing_input(g: Graph) -> None:
 
 
 @dataclass
-class CompiledPairing:
-    """Pairing QUBO split into objective and constraint parts."""
+class CompiledPairing(CompiledProblem):
+    """Pairing QUBO: path-distance objective plus the "pairing" constraint.
+
+    `penalty` is the multiplier the graph was compiled for; `qubo()` uses it
+    and `qubo(pen)` reads `pen.p_pairing` instead.
+    """
 
     graph: Graph
-    odd: list[int]
     registry: VariableRegistry
     objective: Qubo
-    constraint: Qubo
+    constraints: dict[str, Qubo]
     penalty: float
     sp: ShortestPaths
 
-    def qubo(self) -> Qubo:
-        q = self.objective.copy()
-        q.add_scaled(self.constraint, self.penalty)
-        return q
-
-    def constraint_values(self, x: Sequence[int]) -> dict[str, float]:
-        return {"pairing": self.constraint.energy(x)}
+    def qubo(self, pen: PenaltyConfig | None = None) -> Qubo:
+        return super().qubo(pen if pen is not None else PenaltyConfig.uniform(self.penalty))
 
     def decode(self, x: Sequence[int]) -> RouteSolution:
         try:
@@ -111,6 +109,7 @@ def default_pairing_penalty(g: Graph) -> float:
 
 
 def compile_pairing(g: Graph, p: float) -> CompiledPairing:
+    """Pairing QUBO: sum W_ij x_ij plus p * sum_i (1 - sum_j x_ij)^2."""
     _check_pairing_input(g)
     if p <= 0:
         raise ValueError("pairing penalty must be positive")
@@ -137,13 +136,7 @@ def compile_pairing(g: Graph, p: float) -> CompiledPairing:
             continue
         seen.add(key)
         constraint.add_square_penalty(terms, constant=1.0, scale=1.0)
-    return CompiledPairing(g, odd, registry, objective, constraint, p, sp)
-
-
-def build_pairing_qubo(g: Graph, p: float) -> tuple[Qubo, VariableRegistry]:
-    """Pairing QUBO: sum W_ij x_ij plus p * sum_i (1 - sum_j x_ij)^2."""
-    compiled = compile_pairing(g, p)
-    return compiled.qubo(), compiled.registry
+    return CompiledPairing(g, registry, objective, {"pairing": constraint}, p, sp)
 
 
 def decode_pairing(x: Sequence[int], reg: VariableRegistry) -> Pairing:

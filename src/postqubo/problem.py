@@ -3,16 +3,22 @@
 A ProblemSpec selects the variant mix: endpoints, required-edge subset,
 turn bonuses, service/traversal split, service ordering, postman count with
 capacities, and the step budget.
+
+Every per-step weight comes from one rule, `ProblemSpec.weight(postman, arc,
+mode)`: a service step costs the service override, a traverse step the
+traverse override, a plain step the postman's override, and any arc without
+an override costs its graph weight.  `ProblemSpec.modes` is the matching mode
+rule: service and traverse in service mode, plain otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
 
 from .errors import SpecError, UnsupportedCombination
 from .graphs import EdgeRef, Graph
+from .qubo import MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
 
 ArcKey = tuple[int, int, str]  # (tail, head, kind)
 
@@ -51,12 +57,6 @@ class ServiceMode:
     service_overrides: tuple[tuple[int, int, str, float], ...] = ()
     traverse_overrides: tuple[tuple[int, int, str, float], ...] = ()
 
-    def service_map(self) -> dict[ArcKey, float]:
-        return {(t, h, k): w for t, h, k, w in self.service_overrides}
-
-    def traverse_map(self) -> dict[ArcKey, float]:
-        return {(t, h, k): w for t, h, k, w in self.traverse_overrides}
-
 
 @dataclass(frozen=True)
 class Postmen:
@@ -73,11 +73,6 @@ class Postmen:
             raise SpecError("need one capacity per postman")
         if self.weights is not None and len(self.weights) != self.count:
             raise SpecError("need one weight table per postman")
-
-    def weight_map(self, postman: int) -> dict[ArcKey, float]:
-        if self.weights is None:
-            return {}
-        return {(t, h, k): w for t, h, k, w in self.weights[postman]}
 
 
 def _is_integral(value: float) -> bool:
@@ -151,41 +146,24 @@ class ProblemSpec:
                 "rest-based formulations do not combine with service mode"
             )
 
-        for key, w in self._service_weight_overrides().items():
-            self._check_arc_key(key)
-            if w < 0:
-                raise SpecError("service/traverse weights must be non-negative")
-        if self.postmen.weights is not None:
-            for a in range(self.postmen.count):
-                for key, w in self.postmen.weight_map(a).items():
-                    self._check_arc_key(key)
-                    if w < 0:
-                        raise SpecError("postman weights must be non-negative")
+        # override tables, built once: service, traverse, one per postman
+        svc = self.service or ServiceMode()
+        service = _override_table(svc.service_overrides, g, "service/traverse")
+        traverse = _override_table(svc.traverse_overrides, g, "service/traverse")
+        per_postman = self.postmen.weights or ((),) * self.postmen.count
+        postman = tuple(_override_table(items, g, "postman") for items in per_postman)
+        object.__setattr__(self, "_service_weights", service)
+        object.__setattr__(self, "_traverse_weights", traverse)
+        object.__setattr__(self, "_postman_weights", postman)
 
         if self.postmen.capacities is not None:
             for c in self.postmen.capacities:
                 if not _is_integral(c) or c < 1:
                     raise SpecError("capacities must be positive integers")
             for a in range(self.postmen.count):
-                for arc in g.arcs():
-                    if not _is_integral(self.postman_weight(a, arc.tail, arc.head, arc.ref.kind)):
+                for key in g.arc_weights:
+                    if not _is_integral(self.weight(a, key, MODE_PLAIN)):
                         raise SpecError("capacitated problems need integer arc weights")
-
-    def _check_arc_key(self, key: ArcKey) -> None:
-        tail, head, kind = key
-        ok = any(
-            a.tail == tail and a.head == head and a.ref.kind == kind
-            for a in self.graph.arcs()
-        )
-        if not ok:
-            raise SpecError(f"weight override references missing arc {key}")
-
-    def _service_weight_overrides(self) -> Mapping[ArcKey, float]:
-        if self.service is None:
-            return {}
-        merged = dict(self.service.service_map())
-        merged.update(self.service.traverse_map())
-        return merged
 
     # -- derived views ----------------------------------------------------
 
@@ -219,33 +197,36 @@ class ProblemSpec:
                         changed = True
         return frozenset(closure)
 
-    def base_arc_weight(self, tail: int, head: int, kind: str) -> float:
-        for arc in self.graph.arcs():
-            if arc.tail == tail and arc.head == head and arc.ref.kind == kind:
-                return arc.weight
-        raise SpecError(f"no arc {tail}->{head} of kind {kind}")
+    @property
+    def modes(self) -> tuple[str, ...]:
+        """Step modes an arc can be used in: service/traverse, or plain."""
+        return (MODE_SERVICE, MODE_TRAVERSE) if self.service is not None else (MODE_PLAIN,)
 
-    def postman_weight(self, postman: int, tail: int, head: int, kind: str) -> float:
-        override = self.postmen.weight_map(postman).get((tail, head, kind))
-        if override is not None:
-            return override
-        return self.base_arc_weight(tail, head, kind)
+    def weight(self, postman: int, arc: ArcKey, mode: str) -> float:
+        """Cost of one step over `arc` in `mode` by `postman`."""
+        if mode == MODE_SERVICE:
+            table = self._service_weights
+        elif mode == MODE_TRAVERSE:
+            table = self._traverse_weights
+        else:
+            table = self._postman_weights[postman]
+        w = table.get(arc)
+        if w is None:
+            try:
+                w = self.graph.arc_weights[arc]
+            except KeyError:
+                raise SpecError(f"no arc {arc[0]}->{arc[1]} of kind {arc[2]}") from None
+        return w
 
-    def service_weight(self, tail: int, head: int, kind: str) -> float:
-        if self.service is None:
-            raise SpecError("service weights only exist in service mode")
-        override = self.service.service_map().get((tail, head, kind))
-        if override is not None:
-            return override
-        return self.base_arc_weight(tail, head, kind)
 
-    def traverse_weight(self, tail: int, head: int, kind: str) -> float:
-        if self.service is None:
-            raise SpecError("traverse weights only exist in service mode")
-        override = self.service.traverse_map().get((tail, head, kind))
-        if override is not None:
-            return override
-        return self.base_arc_weight(tail, head, kind)
-
-    def with_required(self, refs: Iterable[EdgeRef]) -> "ProblemSpec":
-        return replace(self, required_edges=frozenset(refs))
+def _override_table(
+    items: tuple[tuple[int, int, str, float], ...], g: Graph, what: str
+) -> dict[ArcKey, float]:
+    table: dict[ArcKey, float] = {}
+    for t, h, k, w in items:
+        if (t, h, k) not in g.arc_weights:
+            raise SpecError(f"weight override references missing arc {(t, h, k)}")
+        if w < 0:
+            raise SpecError(f"{what} weights must be non-negative")
+        table[(t, h, k)] = w
+    return table

@@ -2,7 +2,9 @@
 
 A Qubo stores linear/quadratic coefficients sparsely plus a constant offset
 so constraint values can be read off exactly.  A VariableRegistry is the
-bijection between semantic labels and dense indices.
+bijection between semantic labels and dense indices.  A CompiledProblem is
+the shape both pipelines compile to: a registry, an objective and one
+constraint form per penalty family.
 """
 
 from __future__ import annotations
@@ -134,9 +136,6 @@ class VariableRegistry:
     def __contains__(self, label: VarLabel) -> bool:
         return label in self._index
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VariableRegistry) and self._labels == other._labels
-
     def index_of(self, label: VarLabel) -> int:
         return self._index[label]
 
@@ -163,16 +162,12 @@ class Qubo:
         self.linear: dict[int, float] = {}
         self.quadratic: dict[tuple[int, int], float] = {}
         self.offset: float = 0.0
-        self._cache_version = 0
         self._arrays = None
-        self._neighbors = None
 
     # -- assembly --
 
     def _touch(self) -> None:
-        self._cache_version += 1
         self._arrays = None
-        self._neighbors = None
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -272,15 +267,6 @@ class Qubo:
         mat[qj, qi] = qv
         return mat
 
-    def _neighbor_lists(self):
-        if self._neighbors is None:
-            neigh: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for (i, j), c in self.quadratic.items():
-                neigh[i].append((j, c))
-                neigh[j].append((i, c))
-            self._neighbors = neigh
-        return self._neighbors
-
     def energy(self, x: Sequence[int]) -> float:
         """Quadratic form value at a bit vector."""
         x = np.asarray(x, dtype=np.float64)
@@ -291,17 +277,6 @@ class Qubo:
         if len(qv):
             total += float(np.sum(qv * x[qi] * x[qj]))
         return total
-
-    def energy_delta(self, x: Sequence[int], flip: int) -> float:
-        """energy(x with bit `flip` toggled) - energy(x), in O(degree) time."""
-        self._check_index(flip)
-        if len(x) != self.n:
-            raise LengthMismatch(f"assignment length {len(x)} != {self.n}")
-        acc = self.linear.get(flip, 0.0)
-        for j, c in self._neighbor_lists()[flip]:
-            if x[j]:
-                acc += c
-        return acc if not x[flip] else -acc
 
     def __repr__(self) -> str:
         return (
@@ -358,6 +333,29 @@ class PenaltyConfig:
     def scaled(self, families: Iterable[str], factor: float) -> "PenaltyConfig":
         changes = {f"p_{fam}": self.value(fam) * factor for fam in families}
         return replace(self, **changes)
+
+
+# --- compiled problems ---------------------------------------------------------
+
+class CompiledProblem:
+    """A registry, an objective form and one constraint form per family.
+
+    The penalized QUBO is the objective plus pen.value(family) times each
+    family's form; both pipelines' compiled problems share this shape.
+    """
+
+    registry: VariableRegistry
+    objective: Qubo
+    constraints: dict[str, Qubo]
+
+    def qubo(self, pen: PenaltyConfig) -> Qubo:
+        total = self.objective.copy()
+        for fam, form in self.constraints.items():
+            total.add_scaled(form, pen.value(fam))
+        return total
+
+    def constraint_values(self, x: Sequence[int]) -> dict[str, float]:
+        return {fam: form.energy(x) for fam, form in self.constraints.items()}
 
 
 # --- text export ------------------------------------------------------------

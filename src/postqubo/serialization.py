@@ -2,7 +2,8 @@
 
 External files may label vertices arbitrarily; labels are remapped to dense
 internal ids (their position in the `vertices` list) at ingestion and mapped
-back on output.  Unknown keys are rejected everywhere.
+back on output.  A label is looked up by its `repr`, so 1, 1.0 and true stay
+three distinct vertices.  Unknown keys are rejected everywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Any, Mapping, Sequence
 from .errors import InputError
 from .graphs import EdgeRef, Graph
 from .problem import Postmen, ProblemSpec, ServiceMode, TurnPenalty
+from .qubo import MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 
@@ -29,6 +31,14 @@ def _check_keys(obj: Mapping, required: set[str], optional: set[str], what: str)
         raise InputError(f"{what}: unknown keys {sorted(unknown)}")
 
 
+def _label_index(labels: Sequence[Any]) -> dict[str, int]:
+    """repr(label) -> internal id: 1, 1.0 and true are distinct labels."""
+    index = {repr(lab): i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise InputError("duplicate vertex labels")
+    return index
+
+
 @dataclass(frozen=True)
 class GraphDocument:
     """A graph plus the label <-> internal id mapping from its source file."""
@@ -36,11 +46,14 @@ class GraphDocument:
     graph: Graph
     labels: tuple[Any, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", _label_index(self.labels))
+
     def id_of(self, label: Any) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"unknown vertex label {label!r}") from None
+        vid = self._index.get(repr(label))
+        if vid is None:
+            raise InputError(f"unknown vertex label {label!r}")
+        return vid
 
     def label_of(self, vid: int) -> Any:
         return self.labels[vid]
@@ -51,9 +64,7 @@ def parse_graph(obj: Mapping) -> GraphDocument:
     labels = list(obj["vertices"])
     if not isinstance(obj["vertices"], list) or not labels:
         raise InputError("graph.vertices must be a non-empty list")
-    if len(set(map(repr, labels))) != len(labels):
-        raise InputError("duplicate vertex labels")
-    index = {repr(lab): i for i, lab in enumerate(labels)}
+    index = _label_index(labels)
 
     def vid(label: Any) -> int:
         key = repr(label)
@@ -84,20 +95,21 @@ def _parse_edge_ref(item: Sequence, doc: GraphDocument, what: str) -> EdgeRef:
     if not isinstance(item, list) or len(item) != 3 or item[2] not in ("u", "d"):
         raise InputError(f'{what} must be [a, b, "u"|"d"]: {item!r}')
     ref = EdgeRef(item[2], doc.id_of(item[0]), doc.id_of(item[1]))
-    if ref not in doc.graph.edge_refs():
+    if (ref.a, ref.b, ref.kind) not in doc.graph.arc_weights:
         raise InputError(f"{what} references a missing edge: {item!r}")
     return ref
 
 
-def _resolve_arc_kind(doc: GraphDocument, tail: int, head: int, kind: str | None, what: str) -> str:
-    kinds = {a.ref.kind for a in doc.graph.arcs() if (a.tail, a.head) == (tail, head)}
+def _resolve_arc_kind(g: Graph, tail: int, head: int, kind: str | None, what: str) -> str:
+    """The kind of arc tail->head: the given one if it exists, else the only one."""
+    kinds = [k for k in ("u", "d") if (tail, head, k) in g.arc_weights]
     if kind is not None:
         if kind not in kinds:
             raise InputError(f"{what}: no arc {tail}->{head} of kind {kind!r}")
         return kind
     if len(kinds) != 1:
         raise InputError(f"{what}: arc {tail}->{head} is ambiguous or missing; give a kind")
-    return kinds.pop()
+    return kinds[0]
 
 
 def _parse_weight_overrides(items, doc: GraphDocument, what: str):
@@ -107,7 +119,7 @@ def _parse_weight_overrides(items, doc: GraphDocument, what: str):
             raise InputError(f"{what} entry needs [from,to,w] or [from,to,w,kind]: {item!r}")
         tail, head = doc.id_of(item[0]), doc.id_of(item[1])
         kind = item[3] if len(item) == 4 else None
-        kind = _resolve_arc_kind(doc, tail, head, kind, what)
+        kind = _resolve_arc_kind(doc.graph, tail, head, kind, what)
         out.append((tail, head, kind, float(item[2])))
     return tuple(out)
 
@@ -285,8 +297,11 @@ def route_from_json(obj: Mapping, doc: GraphDocument) -> RouteSolution:
         for step in walk_obj:
             _check_keys(step, {"from", "to"}, {"mode", "kind"}, "route step")
             frm, to = doc.id_of(step["from"]), doc.id_of(step["to"])
-            kind = _resolve_arc_kind(doc, frm, to, step.get("kind"), "route step")
-            steps.append(WalkStep(frm, to, step.get("mode", "plain"), kind))
+            kind = _resolve_arc_kind(doc.graph, frm, to, step.get("kind"), "route step")
+            mode = step.get("mode", MODE_PLAIN)
+            if mode not in (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE):
+                raise InputError(f"route step: unknown mode {mode!r}")
+            steps.append(WalkStep(frm, to, mode, kind))
         walks.append(RouteWalk(tuple(steps), 0.0))
     validity = ValidityReport(**obj.get("validity", {}))
     return RouteSolution(
@@ -308,60 +323,22 @@ def dump_json(obj: dict, path) -> None:
 def revalidate_route(
     instance: GraphDocument | SpecDocument, solution: RouteSolution
 ) -> list[str]:
-    """Re-check a decoded route directly at the walk level; [] means valid."""
-    problems: list[str] = []
-    if isinstance(instance, GraphDocument):
-        g = instance.graph
-        if len(solution.walks) != 1:
-            return ["pairing routes have exactly one walk"]
-        walk = solution.walks[0]
-        if not walk.steps:
-            return ["empty walk"]
-        if not walk.closed:
-            problems.append("walk is not closed")
-        for (a, b) in zip(walk.steps, walk.steps[1:]):
-            if a.to != b.frm:
-                problems.append(f"walk jumps from {a.to} to {b.frm}")
-                break
-        covered = {(min(s.frm, s.to), max(s.frm, s.to)) for s in walk.steps}
-        for e in g.undirected:
-            if (e.a, e.b) not in covered:
-                problems.append(f"edge [{e.a},{e.b}] never traversed")
-        arc_pairs = {(a.tail, a.head) for a in g.arcs()}
-        for s in walk.steps:
-            if (s.frm, s.to) not in arc_pairs:
-                problems.append(f"step {s.frm}->{s.to} is not a graph arc")
-        weight = sum(
-            next(a.weight for a in g.arcs() if (a.tail, a.head) == (s.frm, s.to))
-            for s in walk.steps
-            if (s.frm, s.to) in arc_pairs
-        )
-        if abs(weight - solution.objective_weight) > 1e-9:
-            problems.append(
-                f"stated weight {solution.objective_weight} != recomputed {weight}"
-            )
-        return problems
+    """Re-check a decoded route directly at the walk level; [] means valid.
 
-    spec = instance.spec
+    A graph file is checked as the spec with every edge required, plus a
+    non-empty closed walk.
+    """
+    problems: list[str] = []
+    closed = isinstance(instance, GraphDocument)
+    spec = ProblemSpec(graph=instance.graph) if closed else instance.spec
     g = spec.graph
-    arc_kinds: dict[tuple[int, int], set[str]] = {}
-    for a in g.arcs():
-        arc_kinds.setdefault((a.tail, a.head), set()).add(a.ref.kind)
     if len(solution.walks) != spec.postmen.count:
         return [f"expected {spec.postmen.count} walks, found {len(solution.walks)}"]
-
-    def step_weight(p: int, s: WalkStep, kind: str) -> float:
-        if spec.service is not None:
-            if s.mode == "service":
-                return spec.service_weight(s.frm, s.to, kind)
-            return spec.traverse_weight(s.frm, s.to, kind)
-        return spec.postman_weight(p, s.frm, s.to, kind)
-
-    def step_kind(s: WalkStep) -> str | None:
-        kinds = arc_kinds.get((s.frm, s.to), set())
-        if s.kind is None and len(kinds) == 1:
-            return next(iter(kinds))
-        return s.kind if s.kind in kinds else None
+    if closed:
+        if not solution.walks[0].steps:
+            return ["empty walk"]
+        if not solution.walks[0].closed:
+            problems.append("walk is not closed")
 
     total = 0.0
     service_counts: dict[EdgeRef, list[int]] = {}
@@ -376,13 +353,16 @@ def revalidate_route(
             problems.append(f"walk {p} ends at {walk.steps[-1].to}, not {spec.stop}")
         used = 0.0
         for i, s in enumerate(walk.steps):
-            kind = step_kind(s)
-            if kind is None:
+            try:
+                kind = _resolve_arc_kind(g, s.frm, s.to, s.kind, "")
+            except InputError:
                 problems.append(f"walk {p} step {s.frm}->{s.to} is not a graph arc")
                 continue
+            if s.mode not in spec.modes:
+                problems.append(f"walk {p} step {s.frm}->{s.to} has mode {s.mode!r}")
             ref = EdgeRef(kind, s.frm, s.to)
-            used += step_weight(p, s, kind)
-            if spec.service is not None and s.mode == "service":
+            used += spec.weight(p, (s.frm, s.to, kind), s.mode)
+            if s.mode == MODE_SERVICE:
                 service_counts.setdefault(ref, []).append(i)
             visit_counts[ref] = visit_counts.get(ref, 0) + 1
         total += used

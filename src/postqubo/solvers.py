@@ -231,8 +231,12 @@ def simulated_annealing(
     sym = q.dense_symmetric().astype(np.float32)
     betas = np.geomspace(beta_min, beta_max, sweeps)
 
+    # a uint64 key: every seed mod 2^64 gets its own streams
     key = seed & 0xFFFFFFFFFFFFFFFF
-    gens = [np.random.Generator(np.random.Philox(key=[key, r])) for r in range(reads)]
+    gens = [
+        np.random.Generator(np.random.Philox(key=np.array([key, r], dtype=np.uint64)))
+        for r in range(reads)
+    ]
     x = (np.stack([gen.random(n) for gen in gens]) < 0.5).astype(np.float32)
     spins = 1.0 - 2.0 * x
     deltas = spins * (lin + x @ sym)

@@ -28,7 +28,6 @@ from postqubo import (
     ServiceMode,
     TurnPenalty,
     brute_force,
-    build_pairing_qubo,
     decode_pairing,
     default_pairing_penalty,
     default_penalties,
@@ -88,7 +87,8 @@ def pairing_suite() -> list[PairingInstance]:
     for d in sizes:
         g = random_graph_with_odd_count(rng, d)
         p = default_pairing_penalty(g)
-        qubo, registry = build_pairing_qubo(g, p)
+        compiled = compile_pairing(g, p)
+        qubo, registry = compiled.qubo(), compiled.registry
         _, added = exact_pairing_oracle(g)
         instances.append(PairingInstance(g, p, qubo, registry, added))
     return instances
@@ -190,7 +190,8 @@ def test_criterion_01_single_variable_golden():
         undirected=[(3, 2, 5), (2, 1, 1), (1, 0, 1), (0, 5, 2), (5, 4, 5),
                     (4, 2, 5), (5, 2, 4)],
     )
-    qubo, registry = build_pairing_qubo(g, p=10.0)
+    compiled = compile_pairing(g, p=10.0)
+    qubo, registry = compiled.qubo(), compiled.registry
     assert len(registry) == 1
     assert qubo.energy([0]) == 10.0
     assert qubo.energy([1]) == 9.0

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from postqubo.cli import main
+from postqubo.pairing import compile_pairing
 
 FIG_GRAPH = {
     "vertices": [0, 1, 2, 3, 4, 5],
@@ -264,3 +265,41 @@ def test_validate_uses_the_arc_kind_written_in_the_route(tmp_path):
     assert route["valid"] is True and route["weight"] == 2.0
     assert [s["kind"] for s in route["walks"][0]] == ["u", "u"]
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--solver", "annealer"), "unknown solver"),
+        (("--reads", "0"), "--reads"),
+        (("--sweeps", "0"), "--sweeps"),
+        (("--tenure", "0"), "--tenure"),
+        (("--max-retunes", "-1"), "--max-retunes"),
+        (("--beta-min", "2", "--beta-max", "2"), "--beta-min"),
+        (("--seed", "-5"), "--seed"),
+    ],
+)
+def test_solve_rejects_bad_sampler_arguments(fig_graph_file, tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    code = run("solve", fig_graph_file, "--out", out, *flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    assert not out.exists()
+
+
+def test_pairing_retunes_reuse_one_compile(fig_graph_file, tmp_path, capsys, monkeypatch):
+    import postqubo.cli as cli
+
+    calls = []
+
+    def counting_compile(g, p):
+        calls.append(p)
+        return compile_pairing(g, p)
+
+    monkeypatch.setattr(cli, "compile_pairing", counting_compile)
+    code = run("solve", fig_graph_file, "--solver", "brute", "--p-pairing", "0.001",
+               "--out", tmp_path / "out")
+    assert code == 2
+    assert "after 5 retunes" in capsys.readouterr().err
+    assert calls == [0.001]

@@ -17,14 +17,17 @@ from postqubo import (
     TurnPenalty,
     UnsupportedCombination,
     brute_force,
-    build_general_qubo,
     compile_general,
-    decode_walk,
     default_penalties,
-    enumerate_variables,
     enumerate_all_energies,
 )
-from postqubo.general import ENC_REPETITION, ENC_TERMINAL, TERMINAL, VALIDITY_FAMILIES
+from postqubo.general import (
+    ENC_REPETITION,
+    ENC_TERMINAL,
+    TERMINAL,
+    VALIDITY_FAMILIES,
+    CompiledGeneral,
+)
 from postqubo.qubo import Qubo
 from conftest import bits_from_index, figure_example_graph
 
@@ -117,10 +120,28 @@ def test_infeasible_endpoints_raise():
 
 def test_enumerate_variables_picks_smaller_encoding():
     spec = small_path_spec(i_max=2)
-    reg = enumerate_variables(spec)
+    reg = compile_general(spec).registry
     rep = compile_general(spec, encoding=ENC_REPETITION)
     term = compile_general(spec, encoding=ENC_TERMINAL)
     assert len(reg) == min(len(rep.registry), len(term.registry))
+
+
+def test_auto_encoding_builds_forms_once(monkeypatch):
+    spec = small_path_spec(i_max=2)
+    sizes = {enc: len(compile_general(spec, encoding=enc).registry)
+             for enc in (ENC_REPETITION, ENC_TERMINAL)}  # both encodings are feasible
+    built = []
+    build_forms = CompiledGeneral._build_forms
+
+    def counting(self):
+        built.append(self.encoding)
+        build_forms(self)
+
+    monkeypatch.setattr(CompiledGeneral, "_build_forms", counting)
+    compiled = compile_general(spec)
+    q = compiled.qubo(default_penalties(spec))
+    assert built == [compiled.encoding]
+    assert q.n == len(compiled.registry) == min(sizes.values())
 
 
 def test_terminal_arcs_gated_by_required_count():
@@ -220,9 +241,9 @@ def test_encode_decode_roundtrip():
 def test_decode_walk_via_public_api():
     spec = small_path_spec(i_max=2)
     pen = default_penalties(spec)
-    qubo, reg = build_general_qubo(spec, pen)
-    report = brute_force(qubo)
-    solution = decode_walk(report.best_assignment, reg, spec)
+    compiled = compile_general(spec)
+    report = brute_force(compiled.qubo(pen))
+    solution = compiled.decode(report.best_assignment)
     assert solution.is_valid
     assert solution.objective_weight == 3.0
 

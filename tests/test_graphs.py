@@ -9,13 +9,11 @@ from postqubo import (
     NoEulerianCircuit,
     NonUndirectedGraph,
     NotStronglyConnected,
-    Walk,
-    degree_profile,
-    eulerian_circuit,
     is_strongly_connected,
     odd_degree_vertices,
     shortest_paths,
 )
+from postqubo.graphs import _euler_edge_sequence
 from conftest import figure_example_graph, floyd_warshall, random_connected_undirected
 
 
@@ -60,42 +58,36 @@ def test_undirected_and_directed_between_same_pair_are_distinct():
     assert len(g.arcs()) == 3
 
 
-# --- degree_profile ------------------------------------------------------------
+# --- degree_profile: undirected degrees and their parity -------------------------
+
+def degrees(g: Graph) -> dict[int, int]:
+    return MultiGraph.from_graph(g).degrees()
+
 
 def test_degree_profile_example_vertex_two():
-    profile = degree_profile(figure_example_graph())
-    assert profile[2].undirected_degree == 4
+    assert degrees(figure_example_graph())[2] == 4
 
 
 def test_degree_profile_single_edge():
     g = Graph.build([0, 1], undirected=[(0, 1, 1)])
-    profile = degree_profile(g)
-    assert profile[0].undirected_degree == 1
-    assert profile[1].undirected_degree == 1
+    assert degrees(g) == {0: 1, 1: 1}
+    assert odd_degree_vertices(g) == {0, 1}
 
 
 def test_degree_profile_matches_recount(rng):
     g = random_connected_undirected(rng, 6, 3)
     assert g.edge_count >= 8 - 3  # tree edges at minimum
-    profile = degree_profile(g)
+    profile = degrees(g)
     for v in g.vertices:
         recount = sum(1 for e in g.undirected if v in (e.a, e.b))
-        assert profile[v].undirected_degree == recount
+        assert profile[v] == recount
+    assert odd_degree_vertices(g) == {v for v, d in profile.items() if d % 2 == 1}
 
 
 def test_degree_sum_is_twice_edge_count(rng):
     for _ in range(10):
         g = random_connected_undirected(rng, int(rng.integers(3, 9)), int(rng.integers(0, 6)))
-        total = sum(p.undirected_degree for p in degree_profile(g).values())
-        assert total == 2 * g.edge_count
-
-
-def test_degree_profile_mixed():
-    g = Graph.build([0, 1, 2], undirected=[(0, 1, 1)], directed=[(1, 2, 1), (2, 0, 1)])
-    profile = degree_profile(g)
-    assert profile[0] == (1, 0, 1)
-    assert profile[1] == (0, 1, 1)
-    assert profile[2] == (1, 1, 0)
+        assert sum(degrees(g).values()) == 2 * g.edge_count
 
 
 # --- odd_degree_vertices ---------------------------------------------------------
@@ -223,22 +215,33 @@ def test_directed_cycle_minus_arc_not_connected():
 
 # --- eulerian_circuit ------------------------------------------------------------
 
+def circuit(mg: MultiGraph) -> tuple[list[tuple[int, int]], float]:
+    """Closed walk over every multigraph edge once, plus its weight."""
+    seq = _euler_edge_sequence(mg)
+    return [(a, b) for a, b, _ in seq], sum(mg.edges[idx].weight for _, _, idx in seq)
+
+
+def is_closed_walk(steps: list[tuple[int, int]]) -> bool:
+    contiguous = all(b == c for (_, b), (c, _) in zip(steps, steps[1:]))
+    return bool(steps) and contiguous and steps[0][0] == steps[-1][1]
+
+
 def test_euler_circuit_on_augmented_example():
     mg = MultiGraph.from_graph(figure_example_graph())
     mg.add_edge(3, 5, 9.0, tag="pair")
-    walk = eulerian_circuit(mg)
-    assert walk.weight == 32.0
-    assert walk.closed
-    assert len(walk.steps) == 8
+    steps, weight = circuit(mg)
+    assert weight == 32.0
+    assert is_closed_walk(steps)
+    assert len(steps) == 8
 
 
 def test_euler_circuit_triangle():
     mg = MultiGraph()
     for a, b in [(0, 1), (1, 2), (2, 0)]:
         mg.add_edge(a, b, 1.0)
-    walk = eulerian_circuit(mg)
-    assert walk.weight == 3.0
-    assert walk.closed
+    steps, weight = circuit(mg)
+    assert weight == 3.0
+    assert is_closed_walk(steps)
 
 
 def test_euler_circuit_uses_every_edge_once(rng):
@@ -253,20 +256,20 @@ def test_euler_circuit_uses_every_edge_once(rng):
                 mg.add_edge(int(a), int(b), float(rng.integers(1, 9)))
         # keep one connected component only
         try:
-            walk = eulerian_circuit(mg)
+            steps, weight = circuit(mg)
         except NoEulerianCircuit:
             continue
-        used = sorted((min(a, b), max(a, b)) for a, b in walk.steps)
+        used = sorted((min(a, b), max(a, b)) for a, b in steps)
         expected = sorted((min(e.tail, e.head), max(e.tail, e.head)) for e in mg.edges)
         assert used == expected
-        assert walk.weight == pytest.approx(mg.total_weight)
+        assert weight == pytest.approx(mg.total_weight)
 
 
 def test_euler_circuit_rejects_odd_degree():
     mg = MultiGraph()
     mg.add_edge(0, 1, 1.0)
     with pytest.raises(NoEulerianCircuit):
-        eulerian_circuit(mg)
+        circuit(mg)
 
 
 def test_euler_circuit_rejects_disconnected():
@@ -274,21 +277,16 @@ def test_euler_circuit_rejects_disconnected():
     for a, b in [(0, 1), (1, 0), (2, 3), (3, 2)]:
         mg.add_edge(a, b, 1.0)
     with pytest.raises(NoEulerianCircuit):
-        eulerian_circuit(mg)
+        circuit(mg)
 
 
 def test_euler_circuit_directed_balance():
     mg = MultiGraph(directed=True)
     for a, b in [(0, 1), (1, 2), (2, 0)]:
         mg.add_edge(a, b, 2.0)
-    walk = eulerian_circuit(mg)
-    assert walk.weight == 6.0
-    assert walk.steps[0][0] == 0
+    steps, weight = circuit(mg)
+    assert weight == 6.0
+    assert steps[0][0] == 0
     mg.add_edge(0, 1, 1.0)
     with pytest.raises(NoEulerianCircuit):
-        eulerian_circuit(mg)
-
-
-def test_walk_contiguity_enforced():
-    with pytest.raises(InvalidGraph):
-        Walk(((0, 1), (2, 3)), 2.0)
+        circuit(mg)

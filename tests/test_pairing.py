@@ -13,7 +13,6 @@ from postqubo import (
     TooManyOddVertices,
     augment_and_route,
     brute_force,
-    build_pairing_qubo,
     decode_pairing,
     default_pairing_penalty,
     exact_pairing_oracle,
@@ -29,10 +28,11 @@ from conftest import (
 )
 
 
-# --- build_pairing_qubo ------------------------------------------------------
+# --- compile_pairing ---------------------------------------------------------
 
 def test_example_graph_gives_single_variable_qubo():
-    q, reg = build_pairing_qubo(figure_example_graph(), p=10.0)
+    compiled = compile_pairing(figure_example_graph(), p=10.0)
+    q, reg = compiled.qubo(), compiled.registry
     assert len(reg) == 1
     assert q.energy([0]) == 10.0
     assert q.energy([1]) == 9.0
@@ -42,7 +42,8 @@ def test_two_odd_vertices_always_pair():
     g = Graph.build([0, 1, 2], undirected=[(0, 1, 3), (1, 2, 4)])
     odd = odd_degree_vertices(g)
     assert len(odd) == 2
-    q, reg = build_pairing_qubo(g, p=default_pairing_penalty(g))
+    compiled = compile_pairing(g, p=default_pairing_penalty(g))
+    q, reg = compiled.qubo(), compiled.registry
     assert len(reg) == 1
     assert q.energy([1]) < q.energy([0])
 
@@ -50,13 +51,15 @@ def test_two_odd_vertices_always_pair():
 def test_variable_count_is_d_choose_2(rng):
     for d in (4, 6):
         g = random_graph_with_odd_count(rng, d)
-        q, reg = build_pairing_qubo(g, p=default_pairing_penalty(g))
+        compiled = compile_pairing(g, p=default_pairing_penalty(g))
+        q, reg = compiled.qubo(), compiled.registry
         assert len(reg) == d * (d - 1) // 2
 
 
 def test_d6_minimum_matches_enumeration(rng):
     g = random_graph_with_odd_count(rng, 6)
-    q, reg = build_pairing_qubo(g, p=default_pairing_penalty(g))
+    compiled = compile_pairing(g, p=default_pairing_penalty(g))
+    q, reg = compiled.qubo(), compiled.registry
     assert len(reg) == 15
     report = brute_force(q)
     pairing = decode_pairing(report.best_assignment, reg)
@@ -72,31 +75,31 @@ def test_d6_minimum_matches_enumeration(rng):
 
 def test_pairing_rejects_directed_and_asymmetric_and_eulerian():
     with pytest.raises(DirectedEdgesPresent):
-        build_pairing_qubo(Graph.build([0, 1], directed=[(0, 1, 1)]), p=1.0)
+        compile_pairing(Graph.build([0, 1], directed=[(0, 1, 1)]), p=1.0)
     windy = Graph.build([0, 1, 2], undirected=[(0, 1, 1, 2), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(AsymmetricUndirectedWeights):
-        build_pairing_qubo(windy, p=1.0)
+        compile_pairing(windy, p=1.0)
     c3 = Graph.build([0, 1, 2], undirected=[(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(NoOddVertices):
-        build_pairing_qubo(c3, p=1.0)
+        compile_pairing(c3, p=1.0)
 
 
 # --- decode_pairing ------------------------------------------------------------
 
 def test_decode_pairing_example():
-    _, reg = build_pairing_qubo(figure_example_graph(), p=10.0)
+    reg = compile_pairing(figure_example_graph(), p=10.0).registry
     assert decode_pairing([1], reg).pairs == frozenset({(3, 5)})
 
 
 def test_decode_all_zero_is_not_perfect():
-    _, reg = build_pairing_qubo(figure_example_graph(), p=10.0)
+    reg = compile_pairing(figure_example_graph(), p=10.0).registry
     with pytest.raises(NotPerfectPairing):
         decode_pairing([0], reg)
 
 
 def test_decode_rejects_overcovered_vertex(rng):
     g = random_graph_with_odd_count(rng, 4)
-    _, reg = build_pairing_qubo(g, p=default_pairing_penalty(g))
+    reg = compile_pairing(g, p=default_pairing_penalty(g)).registry
     x = [1] * len(reg)
     with pytest.raises(NotPerfectPairing):
         decode_pairing(x, reg)
@@ -105,7 +108,7 @@ def test_decode_rejects_overcovered_vertex(rng):
 def test_pairing_roundtrip(rng):
     for _ in range(10):
         g = random_graph_with_odd_count(rng, 6)
-        _, reg = build_pairing_qubo(g, p=default_pairing_penalty(g))
+        reg = compile_pairing(g, p=default_pairing_penalty(g)).registry
         odd = sorted(odd_degree_vertices(g))
         options = list(all_pairings(odd))
         pairing = Pairing(frozenset(options[int(rng.integers(0, len(options)))]))
@@ -212,7 +215,8 @@ def test_large_penalty_forces_perfect_pairing(rng):
         sp = shortest_paths(g)
         odd = sorted(odd_degree_vertices(g))
         max_dist = max(sp.distance(a, b) for a, b in itertools.combinations(odd, 2))
-        q, reg = build_pairing_qubo(g, p=2.0 * max_dist + 1.0)
+        compiled = compile_pairing(g, p=2.0 * max_dist + 1.0)
+        q, reg = compiled.qubo(), compiled.registry
         report = brute_force(q)
         decode_pairing(report.best_assignment, reg)  # must not raise
 
@@ -221,7 +225,8 @@ def test_insufficient_penalty_can_break(rng):
     # the two-vertex failure mode: dropping the pair saves more than the
     # penalty charges when p is too small
     g = Graph.build([0, 1, 2], undirected=[(0, 1, 5), (1, 2, 5)])
-    q, reg = build_pairing_qubo(g, p=1.0)
+    compiled = compile_pairing(g, p=1.0)
+    q, reg = compiled.qubo(), compiled.registry
     report = brute_force(q)
     with pytest.raises(NotPerfectPairing):
         decode_pairing(report.best_assignment, reg)

@@ -5,7 +5,6 @@ import pytest
 
 from postqubo import (
     EdgeStep,
-    IndexOutOfRange,
     LengthMismatch,
     PairVar,
     PenaltyConfig,
@@ -17,6 +16,7 @@ from postqubo import (
     format_registry_text,
 )
 from postqubo.errors import QuboError
+from postqubo.solvers import _flip
 from conftest import bits_from_index, naive_energy
 
 
@@ -133,17 +133,26 @@ def test_x_squared_collapses_to_linear():
     assert not q.quadratic
 
 
-# --- energy_delta ---------------------------------------------------------------
+# --- energy_delta: the samplers' single-flip update ------------------------------
+
+def flip_state(q: Qubo, x):
+    """Spins, single-flip energy changes and couplings, as the samplers keep them."""
+    lin, _, _, _ = q.as_arrays()
+    sym = q.dense_symmetric()
+    x = np.asarray(x, dtype=np.float64)
+    spins = 1.0 - 2.0 * x
+    return spins, spins * (lin + x @ sym), sym
+
 
 def test_energy_delta_paper_instance():
     q = paper_single_variable_qubo()
-    assert q.energy_delta([0], 0) == -1.0
+    assert _flip(*flip_state(q, [0]), (0,)) == -1.0
 
 
 def test_energy_delta_zero_qubo():
     q = Qubo(3)
     for i in range(3):
-        assert q.energy_delta([0, 1, 0], i) == 0.0
+        assert _flip(*flip_state(q, [0, 1, 0]), (i,)) == 0.0
 
 
 def test_energy_delta_matches_full_reevaluation(rng):
@@ -154,22 +163,20 @@ def test_energy_delta_matches_full_reevaluation(rng):
         flip = int(rng.integers(0, n))
         x2 = list(x)
         x2[flip] = 1 - x2[flip]
-        assert q.energy_delta(x, flip) == pytest.approx(q.energy(x2) - q.energy(x), abs=1e-9)
-
-
-def test_energy_delta_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        paper_single_variable_qubo().energy_delta([0], 1)
+        change = _flip(*flip_state(q, x), (flip,))
+        assert change == pytest.approx(q.energy(x2) - q.energy(x), abs=1e-9)
 
 
 def test_energy_delta_composes_over_flips(rng):
     q = random_qubo(rng, 6)
     x = [0] * 6
+    spins, deltas, sym = flip_state(q, x)
     acc = 0.0
     start = q.energy(x)
     for flip in [2, 4, 2, 0, 5, 1, 4]:
-        acc += q.energy_delta(x, flip)
+        acc += _flip(spins, deltas, sym, (flip,))
         x[flip] = 1 - x[flip]
+    assert list((1.0 - spins) / 2.0) == x
     assert start + acc == pytest.approx(q.energy(x), abs=1e-9)
 
 

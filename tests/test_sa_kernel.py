@@ -3,8 +3,10 @@ the earlier straightforward implementations, kept here as references."""
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from postqubo import Qubo, greedy_descent, greedy_post, simulated_annealing, tabu_search
@@ -189,3 +191,15 @@ def test_sa_default_memory_is_bounded_by_the_sweep_block():
         tracemalloc.stop()
     # drawing every threshold up front peaked above 300 MB here
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_sa_seeds_above_int64_get_their_own_streams(seed):
+    q = Qubo(32)  # flat: the best state stays read 0's initial draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulated_annealing(q, sweeps=2, reads=3, seed=seed)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    assert np.array_equal(report.best_assignment, (gen.random(32) < 0.5).astype(np.uint8))
+    seed_zero = simulated_annealing(q, sweeps=2, reads=3, seed=0)
+    assert not np.array_equal(report.best_assignment, seed_zero.best_assignment)

@@ -78,7 +78,7 @@ def test_parse_spec_full_feature():
     assert spec.resolved_required() == (EdgeRef("d", 0, 1), EdgeRef("d", 1, 2))
     assert spec.turn_penalties[0].bonus == 2.5
     assert spec.service is not None
-    assert spec.traverse_weight(0, 1, "d") == 0.5
+    assert spec.weight(0, (0, 1, "d"), "traverse") == 0.5
     assert spec.hierarchy == ((EdgeRef("d", 1, 2), EdgeRef("d", 0, 1)),)
     assert spec.effective_i_max == 5
 
@@ -155,6 +155,33 @@ def test_route_step_kind_is_optional_but_never_guessed():
     assert route_from_json(route, doc).walks[0].steps[0].kind == "d"
 
 
+# 1, 1.0 and true are equal in Python but three distinct JSON labels
+NUMERIC_LABELS = {"vertices": [0, 1.0, 1], "undirected": [[0, 1.0, 1], [1.0, 1, 1], [1, 0, 1]]}
+
+
+def test_spec_endpoint_labels_match_by_repr():
+    sd = parse_spec({"graph": NUMERIC_LABELS, "start": 1, "stop": 1.0})
+    assert (sd.spec.start, sd.spec.stop) == (2, 1)
+    with pytest.raises(InputError, match="unknown vertex label"):
+        sd.graph_doc.id_of(True)
+
+
+def test_route_step_labels_match_by_repr():
+    doc = parse_graph(NUMERIC_LABELS)
+    route = {"pipeline": "pairing", "weight": 1.0, "valid": True,
+             "walks": [[{"from": 1, "to": 0}]]}
+    step = route_from_json(route, doc).walks[0].steps[0]
+    assert (step.frm, step.to) == (2, 0)
+
+
+def test_route_step_rejects_unknown_mode():
+    doc = parse_graph(FIG_GRAPH)
+    route = {"pipeline": "pairing", "weight": 1.0, "valid": True,
+             "walks": [[{"from": 0, "to": 1, "mode": "banana"}]]}
+    with pytest.raises(InputError, match="mode"):
+        route_from_json(route, doc)
+
+
 @st.composite
 def tiny_mixed_specs(draw) -> dict:
     """Connected 2-3 vertex specs whose extra edges may be windy or directed
@@ -206,6 +233,18 @@ def test_revalidate_flags_broken_routes():
     problems = revalidate_route(doc, bad)
     assert any("not closed" in p for p in problems)
     assert any("never traversed" in p for p in problems)
+
+
+def test_revalidate_flags_modes_outside_the_spec():
+    plain = parse_spec({"graph": {"vertices": [0, 1], "undirected": [[0, 1, 2]]}})
+    walk = RouteWalk((WalkStep(0, 1, "service"), WalkStep(1, 0, "traverse")), 4.0)
+    problems = revalidate_route(plain, RouteSolution(walks=(walk,), objective_weight=4.0))
+    assert len([p for p in problems if "mode" in p]) == 2
+    served = parse_spec({"graph": {"vertices": [0, 1], "undirected": [[0, 1, 2]]},
+                         "service": True})
+    walk = RouteWalk((WalkStep(0, 1, "service"), WalkStep(1, 0, "plain")), 4.0)
+    problems = revalidate_route(served, RouteSolution(walks=(walk,), objective_weight=4.0))
+    assert any("'plain'" in p for p in problems)
 
 
 def test_revalidate_spec_route_checks_capacity_and_required():
