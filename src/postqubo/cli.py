@@ -96,10 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, solver: bool = True) -> None:
-        p.add_argument("input", type=Path, help="graph or spec JSON file")
-        p.add_argument("--pipeline", choices=("auto", "pairing", "general"), default="auto")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    def add_compile_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--i-max", type=int, default=None, dest="i_max")
         for family in PENALTY_FAMILIES:
             p.add_argument(
@@ -109,18 +106,27 @@ def _build_parser() -> argparse.ArgumentParser:
                 dest=f"p_{family}",
                 help=f"penalty multiplier for the {family} constraint",
             )
+
+    def add_sampler_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--max-retunes", type=int, default=5, dest="max_retunes")
+        p.add_argument("--reads", type=int, default=1000)
+        p.add_argument("--sweeps", type=int, default=1000)
+        p.add_argument("--starts", type=int, default=64)
+        p.add_argument("--tenure", type=int, default=None)
+        p.add_argument("--iterations", type=int, default=None)
+        p.add_argument("--beta-min", type=float, default=0.1, dest="beta_min")
+        p.add_argument("--beta-max", type=float, default=10.0, dest="beta_max")
+
+    def add_common(p: argparse.ArgumentParser, solver: bool = True) -> None:
+        p.add_argument("input", type=Path, help="graph or spec JSON file")
+        p.add_argument("--pipeline", choices=("auto", "pairing", "general"), default="auto")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        add_compile_flags(p)
         p.add_argument("--force-qubo", action="store_true", dest="force_qubo")
         if solver:
             p.add_argument("--solver", default="sa+greedy")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--max-retunes", type=int, default=5, dest="max_retunes")
-            p.add_argument("--reads", type=int, default=1000)
-            p.add_argument("--sweeps", type=int, default=1000)
-            p.add_argument("--starts", type=int, default=64)
-            p.add_argument("--tenure", type=int, default=None)
-            p.add_argument("--iterations", type=int, default=None)
-            p.add_argument("--beta-min", type=float, default=0.1, dest="beta_min")
-            p.add_argument("--beta-max", type=float, default=10.0, dest="beta_max")
+            add_sampler_flags(p)
 
     p_solve = sub.add_parser("solve", help="solve one instance and write the route")
     add_common(p_solve)
@@ -144,19 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seeds", default="0", help="comma-separated seed list")
     p_bench.add_argument("--out", type=Path, default=None, help="CSV path")
     p_bench.add_argument("--timings", action="store_true", help="include wall_time column")
-    p_bench.add_argument("--i-max", type=int, default=None, dest="i_max")
-    for family in PENALTY_FAMILIES:
-        p_bench.add_argument(
-            f"--p-{family.replace('_', '-')}", type=float, default=None, dest=f"p_{family}"
-        )
-    p_bench.add_argument("--max-retunes", type=int, default=5, dest="max_retunes")
-    p_bench.add_argument("--reads", type=int, default=1000)
-    p_bench.add_argument("--sweeps", type=int, default=1000)
-    p_bench.add_argument("--starts", type=int, default=64)
-    p_bench.add_argument("--tenure", type=int, default=None)
-    p_bench.add_argument("--iterations", type=int, default=None)
-    p_bench.add_argument("--beta-min", type=float, default=0.1, dest="beta_min")
-    p_bench.add_argument("--beta-max", type=float, default=10.0, dest="beta_max")
+    add_compile_flags(p_bench)
+    add_sampler_flags(p_bench)
     return parser
 
 
@@ -175,7 +170,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "seeds"):
-        cfg.seeds = tuple(int(s) for s in str(args.seeds).split(",") if s != "")
+        try:
+            cfg.seeds = tuple(int(s) for s in str(args.seeds).split(",") if s != "")
+        except ValueError:
+            raise InputError(f"--seeds must be comma-separated integers: {args.seeds!r}") from None
     if hasattr(args, "reads"):
         # sampler arguments, checked before any work is done
         for name in _solver_names(cfg):

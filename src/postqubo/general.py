@@ -21,6 +21,7 @@ objective, capacity and decode weight comes from the spec's one weight rule,
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -460,9 +461,11 @@ class CompiledGeneral(CompiledProblem):
     def decode(self, x: Sequence[int]) -> RouteSolution:
         """Interpret a bit assignment as per-postman walks plus validity.
 
-        Validity flags are computed from walk-level rules (step counts, move
-        legality, coverage with slack arithmetic, endpoint/order/capacity
-        checks), not by evaluating the penalty polynomials.
+        Decode checks what only the bits show: one move or rest per step,
+        legal moves between steps, and the required- and capacity-slack
+        identities.  The walks, with terminal arcs and repeats stripped, go
+        through `ProblemSpec.check_walks` for the route rules, the walk
+        weights and the turn bonus.
         """
         spec = self.spec
         moves, rest, req_slack, cap_slack = self._set_entries(x)
@@ -486,139 +489,52 @@ class CompiledGeneral(CompiledProblem):
                         if not self._move_allowed(arc_a, mode_a, arc_b, mode_b):
                             contiguous_ok = False
 
-        # coverage plus the slack-register identity
+        walks = [self._walk(per_step) for per_step in moves]
+        problems, weights, turn_extra = spec.check_walks(walks)
+        # slack identities: every visit past the first, and unused capacity
         required_ok = True
-        for ref in self.required:
-            if self.service_mode:
-                services = sum(
-                    1
-                    for p in range(self.postmen)
-                    for entries in moves[p].values()
-                    for arc, mode in entries
-                    if mode == MODE_SERVICE and arc.ref == ref
-                )
-                if services != 1:
-                    required_ok = False
-            else:
-                visits = sum(
-                    1
-                    for p in range(self.postmen)
-                    for entries in moves[p].values()
-                    for arc, _ in entries
-                    if arc.ref == ref
-                )
-                if visits - 1 - req_slack[ref] != 0:
-                    required_ok = False
+        if not self.service_mode:
+            visits = Counter(
+                arc.ref for per_step in moves for entries in per_step.values() for arc, _ in entries
+            )
+            required_ok = all(visits[ref] - 1 - req_slack[ref] == 0 for ref in self.required)
+        # the rest encoding strips nothing, so a walk weight is the bits' used weight
+        capacity_ok = spec.postmen.capacities is None or all(
+            float(c) - used - slack == 0.0
+            for c, used, slack in zip(spec.postmen.capacities, weights, cap_slack)
+        )
+        flags = {
+            "one_edge_per_step": one_edge_ok,
+            "contiguous": contiguous_ok,
+            "required_covered": required_ok,
+            "capacity_ok": capacity_ok,
+        }
+        for name, _ in problems:
+            flags[name] = False
+        return RouteSolution(
+            walks=tuple(RouteWalk(tuple(w), weight) for w, weight in zip(walks, weights)),
+            objective_weight=sum(weights, 0.0),
+            validity=ValidityReport(**flags),
+            turn_extra=turn_extra,
+        )
 
-        hierarchy_ok = True
-        if self._hierarchy:
-            occurrences: dict[EdgeRef, list[int]] = {}
-            for p in range(self.postmen):
-                for i, entries in moves[p].items():
-                    for arc, mode in entries:
-                        if mode == MODE_SERVICE and arc.ref is not None:
-                            occurrences.setdefault(arc.ref, []).append(i)
-            for first, second in self._hierarchy:
-                f_steps = occurrences.get(first, [])
-                s_steps = occurrences.get(second, [])
-                if f_steps and s_steps and min(s_steps) < max(f_steps):
-                    hierarchy_ok = False
-
-        collisions_ok = True
-        if spec.forbid_edge_collisions:
-            for i in range(self.i_max):
-                seen: dict[tuple[int, int], set[int]] = {}
-                for p in range(self.postmen):
-                    for arc, _ in moves[p].get(i, []):
-                        seen.setdefault((arc.tail, arc.head), set()).add(p)
-                if any(len(ps) > 1 for ps in seen.values()):
-                    collisions_ok = False
-
-        capacity_ok = True
-        if spec.postmen.capacities is not None:
-            for p, c in enumerate(spec.postmen.capacities):
-                used = sum(
-                    self._weight(p, arc, mode)
-                    for entries in moves[p].values()
-                    for arc, mode in entries
-                )
-                if float(c) - used - cap_slack[p] != 0.0:
-                    capacity_ok = False
-
-        walks = []
-        endpoints_ok = True
-        total_weight = 0.0
-        for p in range(self.postmen):
-            ordered = [
-                (i, arc, mode)
-                for i in sorted(moves[p])
-                for arc, mode in moves[p][i]
-            ]
-            if spec.start is not None and ordered:
-                if ordered[0][1].tail != spec.start:
-                    endpoints_ok = False
-            if spec.stop is not None and ordered:
-                terminal_entries = [e for e in ordered if e[1].is_terminal]
-                if terminal_entries:
-                    first_term = terminal_entries[0][1]
-                    end_vertex = first_term.tail if first_term.tail != TERMINAL else None
-                else:
-                    end_vertex = ordered[-1][1].head
-                if end_vertex is not None and end_vertex != spec.stop:
-                    endpoints_ok = False
-
-            real = [(i, arc, mode) for i, arc, mode in ordered if not arc.is_terminal]
-            kept: list[tuple[CompArc, str]] = []
-            prev_step = None
-            prev_key = None
-            for i, arc, mode in real:
-                key = (arc.index, mode)
+    def _walk(self, per_step: dict[int, list[tuple[CompArc, str]]]) -> list[WalkStep]:
+        """One postman's moves in step order, terminal arcs and repeats stripped."""
+        steps: list[WalkStep] = []
+        prev = None
+        for i in sorted(per_step):
+            for arc, mode in per_step[i]:
+                if arc.is_terminal:
+                    continue
                 repeat = (
                     self.encoding == ENC_REPETITION
-                    and prev_step is not None
-                    and i == prev_step + 1
-                    and key == prev_key
+                    and prev == (i - 1, arc.index, mode)
                     and mode in (MODE_PLAIN, MODE_TRAVERSE)
                 )
                 if not repeat:
-                    kept.append((arc, mode))
-                prev_step, prev_key = i, key
-            weight = sum(self._weight(p, arc, mode) for arc, mode in kept)
-            total_weight += weight
-            walks.append(
-                RouteWalk(
-                    tuple(WalkStep(arc.tail, arc.head, mode, arc.kind) for arc, mode in kept),
-                    weight,
-                )
-            )
-
-        turn_extra = 0.0
-        for p in range(self.postmen):
-            for i in range(self.i_max - 1):
-                for arc_a, _ in moves[p].get(i, []):
-                    for arc_b, _ in moves[p].get(i + 1, []):
-                        for t in spec.turn_penalties:
-                            if (arc_a.tail, arc_a.head) == t.arc_in and (
-                                arc_b.tail,
-                                arc_b.head,
-                            ) == t.arc_out:
-                                turn_extra += t.bonus
-
-        validity = ValidityReport(
-            one_edge_per_step=one_edge_ok,
-            contiguous=contiguous_ok,
-            required_covered=required_ok,
-            endpoints_ok=endpoints_ok,
-            hierarchy_ok=hierarchy_ok,
-            collisions_ok=collisions_ok,
-            capacity_ok=capacity_ok,
-        )
-        return RouteSolution(
-            walks=tuple(walks),
-            objective_weight=total_weight,
-            validity=validity,
-            turn_extra=turn_extra,
-        )
+                    steps.append(WalkStep(arc.tail, arc.head, mode, arc.kind))
+                prev = (i, arc.index, mode)
+        return steps
 
     # ---- encoding a walk back into bits ------------------------------------
 

@@ -2,7 +2,8 @@
 
 A graph is a set of integer vertices plus undirected edges (one weight per
 traversal direction) and directed edges.  Everything is immutable after
-construction and safe to share across threads.
+construction and safe to share across threads; a graph's all-pairs shortest
+paths are computed on first use and then kept.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -195,6 +197,11 @@ class Graph:
     def arcs(self) -> tuple[Arc, ...]:
         """Every directed traversal: two per undirected edge, one per directed."""
         return self._arcs
+
+    @cached_property
+    def paths(self) -> ShortestPaths:
+        """All-pairs shortest paths, computed once per graph on first use."""
+        return shortest_paths(self)
 
 
 def odd_degree_vertices(g: Graph) -> frozenset[int]:

@@ -23,12 +23,10 @@ from .errors import (
 from .graphs import (
     Graph,
     MultiGraph,
-    ShortestPaths,
     _euler_edge_sequence,
     is_strongly_connected,
     odd_degree_vertices,
     rotate_closed_walk,
-    shortest_paths,
 )
 from .qubo import CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
@@ -81,7 +79,6 @@ class CompiledPairing(CompiledProblem):
     objective: Qubo
     constraints: dict[str, Qubo]
     penalty: float
-    sp: ShortestPaths
 
     def qubo(self, pen: PenaltyConfig | None = None) -> Qubo:
         return super().qubo(pen if pen is not None else PenaltyConfig.uniform(self.penalty))
@@ -95,7 +92,7 @@ class CompiledPairing(CompiledProblem):
                 objective_weight=float("inf"),
                 validity=ValidityReport(required_covered=False),
             )
-        return augment_and_route(self.graph, pairing, sp=self.sp)
+        return augment_and_route(self.graph, pairing)
 
 
 def default_pairing_penalty(g: Graph) -> float:
@@ -104,8 +101,7 @@ def default_pairing_penalty(g: Graph) -> float:
     odd = sorted(odd_degree_vertices(g))
     if len(odd) < 2:
         raise NoOddVertices("graph has no odd-degree vertices to pair")
-    sp = shortest_paths(g)
-    return 5.0 * max(sp.distance(a, b) for a, b in itertools.combinations(odd, 2))
+    return 5.0 * max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
 
 
 def compile_pairing(g: Graph, p: float) -> CompiledPairing:
@@ -116,7 +112,7 @@ def compile_pairing(g: Graph, p: float) -> CompiledPairing:
     odd = sorted(odd_degree_vertices(g))
     if not odd:
         raise NoOddVertices("graph has no odd-degree vertices to pair")
-    sp = shortest_paths(g)
+    sp = g.paths
     registry = VariableRegistry(
         PairVar(a, b) for a, b in itertools.combinations(odd, 2)
     )
@@ -136,7 +132,7 @@ def compile_pairing(g: Graph, p: float) -> CompiledPairing:
             continue
         seen.add(key)
         constraint.add_square_penalty(terms, constant=1.0, scale=1.0)
-    return CompiledPairing(g, registry, objective, {"pairing": constraint}, p, sp)
+    return CompiledPairing(g, registry, objective, {"pairing": constraint}, p)
 
 
 def decode_pairing(x: Sequence[int], reg: VariableRegistry) -> Pairing:
@@ -169,9 +165,7 @@ def encode_pairing(pairing: Pairing, reg: VariableRegistry) -> list[int]:
     return x
 
 
-def augment_and_route(
-    g: Graph, pairing: Pairing, sp: ShortestPaths | None = None
-) -> RouteSolution:
+def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
     """Duplicate one edge per pair, take the Euler circuit, expand duplicates.
 
     Total weight is exactly (sum of original edge weights) plus the pairing's
@@ -183,8 +177,7 @@ def augment_and_route(
         raise NotPerfectPairing(
             f"pairing covers {sorted(pairing.vertices())}, odd vertices are {sorted(odd)}"
         )
-    if sp is None:
-        sp = shortest_paths(g)
+    sp = g.paths
     mg = MultiGraph.from_graph(g)
     pair_tags: dict[int, tuple[int, int]] = {}
     for a, b in pairing.sorted_pairs():
@@ -215,7 +208,7 @@ def exact_pairing_oracle(g: Graph) -> tuple[Pairing, float]:
         raise NoOddVertices("graph has no odd-degree vertices to pair")
     if len(odd) > ORACLE_MAX_ODD:
         raise TooManyOddVertices(f"{len(odd)} odd vertices > cap {ORACLE_MAX_ODD}")
-    sp = shortest_paths(g)
+    sp = g.paths
 
     best_pairs: list[tuple[int, int]] | None = None
     best_weight = float("inf")

@@ -9,16 +9,21 @@ mode)`: a service step costs the service override, a traverse step the
 traverse override, a plain step the postman's override, and any arc without
 an override costs its graph weight.  `ProblemSpec.modes` is the matching mode
 rule: service and traverse in service mode, plain otherwise.
+
+The route rules live in one place, `ProblemSpec.check_walks`: the decoder and
+the route validator both call it on per-postman walks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import SpecError, UnsupportedCombination
 from .graphs import EdgeRef, Graph
 from .qubo import MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
+from .routes import WalkStep
 
 ArcKey = tuple[int, int, str]  # (tail, head, kind)
 
@@ -155,6 +160,14 @@ class ProblemSpec:
         object.__setattr__(self, "_service_weights", service)
         object.__setattr__(self, "_traverse_weights", traverse)
         object.__setattr__(self, "_postman_weights", postman)
+        # for check_walks: the required edge each arc traverses, and the order pairs
+        required_arcs: dict[ArcKey, EdgeRef] = {}
+        for ref in required:
+            required_arcs[(ref.a, ref.b, ref.kind)] = ref
+            if ref.kind == "u":
+                required_arcs[(ref.b, ref.a, ref.kind)] = ref
+        object.__setattr__(self, "_required_arcs", required_arcs)
+        object.__setattr__(self, "_precedence", tuple(sorted(closure)))
 
         if self.postmen.capacities is not None:
             for c in self.postmen.capacities:
@@ -217,6 +230,75 @@ class ProblemSpec:
             except KeyError:
                 raise SpecError(f"no arc {arc[0]}->{arc[1]} of kind {arc[2]}") from None
         return w
+
+    def check_walks(
+        self, walks: Sequence[Sequence[WalkStep]]
+    ) -> tuple[list[tuple[str, str]], list[float], float]:
+        """The route rules, checked on one walk per postman.
+
+        Every step names a graph arc by (frm, to, kind) and carries its mode.
+        Returns the problems as (ValidityReport field, message) pairs, the
+        weight of each walk and the total turn bonus; the walks are valid
+        exactly when there are no problems.
+        """
+        problems: list[tuple[str, str]] = []
+        weights: list[float] = []
+        turn_extra = 0.0
+        serviced: dict[EdgeRef, list[int]] = {}
+        visited: set[EdgeRef] = set()
+        for p, walk in enumerate(walks):
+            for a, b in zip(walk, walk[1:]):
+                if a.to != b.frm:
+                    problems.append(("contiguous", f"walk {p} jumps from {a.to} to {b.frm}"))
+                for t in self.turn_penalties:
+                    if (a.frm, a.to) == t.arc_in and (b.frm, b.to) == t.arc_out:
+                        turn_extra += t.bonus
+            if self.start is not None and walk and walk[0].frm != self.start:
+                problems.append(
+                    ("endpoints_ok", f"walk {p} starts at {walk[0].frm}, not {self.start}")
+                )
+            if self.stop is not None and walk and walk[-1].to != self.stop:
+                problems.append(
+                    ("endpoints_ok", f"walk {p} ends at {walk[-1].to}, not {self.stop}")
+                )
+            for i, s in enumerate(walk):
+                ref = self._required_arcs.get((s.frm, s.to, s.kind))
+                if ref is None:
+                    continue
+                if s.mode == MODE_SERVICE:
+                    serviced.setdefault(ref, []).append(i)
+                visited.add(ref)
+            used = sum(self.weight(p, (s.frm, s.to, s.kind), s.mode) for s in walk)
+            weights.append(used)
+            caps = self.postmen.capacities
+            if caps is not None and used > caps[p]:
+                problems.append(
+                    ("capacity_ok", f"walk {p} weight {used} exceeds capacity {caps[p]}")
+                )
+        for ref in self.resolved_required():
+            if self.service is not None:
+                if len(serviced.get(ref, [])) != 1:
+                    problems.append(("required_covered", f"required edge {ref} serviced != once"))
+            elif ref not in visited:
+                problems.append(("required_covered", f"required edge {ref} never traversed"))
+        for first, second in self._precedence:
+            f_steps = serviced.get(first, [])
+            s_steps = serviced.get(second, [])
+            if f_steps and s_steps and min(s_steps) < max(f_steps):
+                problems.append(("hierarchy_ok", f"{second} serviced before {first}"))
+        if self.forbid_edge_collisions:
+            for i in range(max((len(w) for w in walks), default=0)):
+                seen: dict[tuple[int, int], int] = {}
+                for p, walk in enumerate(walks):
+                    if i < len(walk):
+                        key = (walk[i].frm, walk[i].to)
+                        if key in seen:
+                            problems.append(
+                                ("collisions_ok",
+                                 f"postmen {seen[key]} and {p} collide on {key} at step {i}")
+                            )
+                        seen[key] = p
+        return problems, weights, turn_extra
 
 
 def _override_table(

@@ -325,13 +325,14 @@ def revalidate_route(
 ) -> list[str]:
     """Re-check a decoded route directly at the walk level; [] means valid.
 
-    A graph file is checked as the spec with every edge required, plus a
-    non-empty closed walk.
+    The route rules, the walk weights and the turn bonus come from
+    `ProblemSpec.check_walks`, the checker `decode` uses.  A graph file is
+    checked as the spec with every edge required, plus a non-empty closed
+    walk.
     """
     problems: list[str] = []
     closed = isinstance(instance, GraphDocument)
     spec = ProblemSpec(graph=instance.graph) if closed else instance.spec
-    g = spec.graph
     if len(solution.walks) != spec.postmen.count:
         return [f"expected {spec.postmen.count} walks, found {len(solution.walks)}"]
     if closed:
@@ -340,59 +341,30 @@ def revalidate_route(
         if not solution.walks[0].closed:
             problems.append("walk is not closed")
 
-    total = 0.0
-    service_counts: dict[EdgeRef, list[int]] = {}
-    visit_counts: dict[EdgeRef, int] = {}
+    walks = []
+    unresolved = False
     for p, walk in enumerate(solution.walks):
-        for (a, b) in zip(walk.steps, walk.steps[1:]):
-            if a.to != b.frm:
-                problems.append(f"walk {p} jumps from {a.to} to {b.frm}")
-        if spec.start is not None and walk.steps and walk.steps[0].frm != spec.start:
-            problems.append(f"walk {p} starts at {walk.steps[0].frm}, not {spec.start}")
-        if spec.stop is not None and walk.steps and walk.steps[-1].to != spec.stop:
-            problems.append(f"walk {p} ends at {walk.steps[-1].to}, not {spec.stop}")
-        used = 0.0
-        for i, s in enumerate(walk.steps):
+        steps = []
+        for s in walk.steps:
             try:
-                kind = _resolve_arc_kind(g, s.frm, s.to, s.kind, "")
+                kind = _resolve_arc_kind(spec.graph, s.frm, s.to, s.kind, "")
             except InputError:
                 problems.append(f"walk {p} step {s.frm}->{s.to} is not a graph arc")
+                unresolved = True
                 continue
             if s.mode not in spec.modes:
                 problems.append(f"walk {p} step {s.frm}->{s.to} has mode {s.mode!r}")
-            ref = EdgeRef(kind, s.frm, s.to)
-            used += spec.weight(p, (s.frm, s.to, kind), s.mode)
-            if s.mode == MODE_SERVICE:
-                service_counts.setdefault(ref, []).append(i)
-            visit_counts[ref] = visit_counts.get(ref, 0) + 1
-        total += used
-        if spec.postmen.capacities is not None and used > spec.postmen.capacities[p]:
-            problems.append(
-                f"walk {p} weight {used} exceeds capacity {spec.postmen.capacities[p]}"
-            )
-    for ref in spec.resolved_required():
-        if spec.service is not None:
-            if len(service_counts.get(ref, [])) != 1:
-                problems.append(f"required edge {ref} serviced != once")
-        elif visit_counts.get(ref, 0) < 1:
-            problems.append(f"required edge {ref} never traversed")
-    for first, second in spec.hierarchy_closure():
-        f_steps = service_counts.get(first, [])
-        s_steps = service_counts.get(second, [])
-        if f_steps and s_steps and min(s_steps) < max(f_steps):
-            problems.append(f"{second} serviced before {first}")
-    if spec.forbid_edge_collisions:
-        max_len = max((len(w.steps) for w in solution.walks), default=0)
-        for i in range(max_len):
-            seen: dict[tuple[int, int], int] = {}
-            for p, walk in enumerate(solution.walks):
-                if i < len(walk.steps):
-                    key = (walk.steps[i].frm, walk.steps[i].to)
-                    if key in seen:
-                        problems.append(f"postmen {seen[key]} and {p} collide on {key} at step {i}")
-                    seen[key] = p
+            steps.append(WalkStep(s.frm, s.to, s.mode, kind))
+        walks.append(steps)
+    if unresolved:
+        return problems  # the route rules need every step on a graph arc
+    found, weights, turn_extra = spec.check_walks(walks)
+    problems.extend(message for _, message in found)
+    total = sum(weights, 0.0)
     if abs(total - solution.objective_weight) > 1e-9:
         problems.append(f"stated weight {solution.objective_weight} != recomputed {total}")
+    if abs(turn_extra - solution.turn_extra) > 1e-9:
+        problems.append(f"stated turn_extra {solution.turn_extra} != recomputed {turn_extra}")
     return problems
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from postqubo.cli import main
+from postqubo.cli import _build_parser, main
 from postqubo.pairing import compile_pairing
+from postqubo.qubo import PENALTY_FAMILIES
 
 FIG_GRAPH = {
     "vertices": [0, 1, 2, 3, 4, 5],
@@ -303,3 +304,55 @@ def test_pairing_retunes_reuse_one_compile(fig_graph_file, tmp_path, capsys, mon
     assert code == 2
     assert "after 5 retunes" in capsys.readouterr().err
     assert calls == [0.001]
+
+
+def test_validate_checks_the_turn_bonus(tmp_path, capsys):
+    spec = {
+        "graph": {"vertices": [0, 1, 2], "directed": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]},
+        "turn_penalties": [[[0, 1], [1, 2], 3.0]], "start": 0, "i_max": 3,
+    }
+    route, code = solve_and_validate(tmp_path, spec)
+    assert route["turn_extra"] == 3.0 and code == 0
+    route["turn_extra"] = 123.0
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(route))
+    capsys.readouterr()
+    assert run("validate", tampered, "--instance", tmp_path / "spec.json") == 2
+    assert "turn_extra" in capsys.readouterr().err
+
+
+def test_bench_rejects_non_integer_seeds(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "fig.json").write_text(json.dumps(FIG_GRAPH))
+    out = tmp_path / "b.csv"
+    assert run("bench", suite, "--seeds", "a", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
+def test_pairing_solve_computes_shortest_paths_once(fig_graph_file, tmp_path, monkeypatch):
+    import postqubo.graphs as graphs
+    import postqubo.pairing as pairing
+
+    calls = []
+    real = graphs.shortest_paths
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "shortest_paths", counting)
+    monkeypatch.setattr(pairing, "shortest_paths", counting, raising=False)
+    assert run("solve", fig_graph_file, "--solver", "brute", "--out", tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
+def test_solve_and_bench_share_flag_defaults():
+    solve = vars(_build_parser().parse_args(["solve", "x"]))
+    bench = vars(_build_parser().parse_args(["bench", "x"]))
+    shared = set(solve) & set(bench) - {"command", "input", "out"}
+    assert shared == {"solver", "i_max", "max_retunes", "reads", "sweeps", "starts", "tenure",
+                      "iterations", "beta_min", "beta_max",
+                      *(f"p_{family}" for family in PENALTY_FAMILIES)}
+    assert {k: solve[k] for k in shared} == {k: bench[k] for k in shared}

@@ -20,6 +20,7 @@ from postqubo import (
     compile_general,
     default_penalties,
     enumerate_all_energies,
+    simulated_annealing,
 )
 from postqubo.general import (
     ENC_REPETITION,
@@ -282,6 +283,52 @@ def test_zero_penalty_iff_valid_rest_encoding():
     for idx in range(1 << n):
         x = bits_from_index(idx, n)
         assert (abs(sums[idx]) < 1e-9) == compiled.decode(x).is_valid
+
+
+_PATH = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 2)])
+_CYCLE = Graph.build(range(3), directed=[(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+VARIANT_SPECS = {
+    "start-stop": ProblemSpec(graph=_PATH, start=0, stop=0, i_max=4),
+    "service-hierarchy": ProblemSpec(
+        graph=_CYCLE, service=ServiceMode(), i_max=3,
+        hierarchy=((EdgeRef("d", 1, 2), EdgeRef("d", 0, 1)),),
+    ),
+    "two-postmen": ProblemSpec(graph=_PATH, start=1, postmen=Postmen(count=2), i_max=2),
+    "capacity": ProblemSpec(
+        graph=_PATH, start=0, postmen=Postmen(count=1, capacities=(3,)), i_max=2
+    ),
+    "collisions": ProblemSpec(
+        graph=Graph.build(range(2), undirected=[(0, 1, 2)]),
+        start=0, postmen=Postmen(count=2), forbid_edge_collisions=True, i_max=2,
+    ),
+    "turns": ProblemSpec(graph=_CYCLE, turn_penalties=(TurnPenalty(0, 1, 2, 3.0),), i_max=3),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_SPECS))
+def test_decode_validity_iff_zero_family_values(variant):
+    spec = VARIANT_SPECS[variant]
+    compiled = compile_general(spec)
+    n = len(compiled.registry)
+    if n <= 16:
+        states = [bits_from_index(idx, n) for idx in range(1 << n)]
+    else:
+        # random states, plus SA's best states and every one- and two-bit change of them
+        states = np.random.default_rng(41).integers(0, 2, size=(2000, n)).tolist()
+        q = compiled.qubo(default_penalties(spec))
+        flips = [(), *itertools.combinations(range(n), 1), *itertools.combinations(range(n), 2)]
+        for seed in range(4):
+            best = simulated_annealing(q, sweeps=100, reads=20, seed=seed).best_assignment
+            for cols in flips:
+                x = [int(b) for b in best]
+                for j in cols:
+                    x[j] ^= 1
+                states.append(x)
+    hard = hard_constraint_sum(compiled)
+    mismatches = [
+        x for x in states if compiled.decode(x).is_valid != (abs(hard.energy(x)) < 1e-9)
+    ]
+    assert not mismatches, f"{len(mismatches)} of {len(states)} states, first {mismatches[0]}"
 
 
 # --- encodings agree -----------------------------------------------------------------

@@ -185,7 +185,9 @@ def test_route_step_rejects_unknown_mode():
 @st.composite
 def tiny_mixed_specs(draw) -> dict:
     """Connected 2-3 vertex specs whose extra edges may be windy or directed
-    and may join the same vertex pair as an existing edge of the other kind."""
+    and may join the same vertex pair as an existing edge of the other kind,
+    with endpoints, turn bonuses, and either service mode (with an ordered
+    pair) or a team of postmen (with capacities and collision bans)."""
     nv = draw(st.integers(2, 3))
     weight = st.integers(1, 5)
     undirected = [[v, v + 1, draw(weight)] for v in range(nv - 1)]
@@ -200,13 +202,32 @@ def tiny_mixed_specs(draw) -> dict:
     spec = {"graph": {"vertices": list(range(nv)), "undirected": undirected,
                       "directed": directed},
             "i_max": draw(st.integers(1, 3))}
-    for end in ("start", "stop"):
+    arcs = [(e[0], e[1]) for e in undirected] + [(e[1], e[0]) for e in undirected]
+    arcs += [(d[0], d[1]) for d in directed]
+    turns = [(a, b) for a in arcs for b in arcs if a[1] == b[0]]
+    if turns and draw(st.booleans()):
+        (j, k), (_, r) = draw(st.sampled_from(turns))
+        spec["turn_penalties"] = [[[j, k], [k, r], draw(weight)]]
+    variant = draw(st.sampled_from(["service", "team", "single"]))
+    ends = ("start",) if variant == "team" else ("start", "stop")
+    for end in ends:
         if draw(st.booleans()):
             spec[end] = draw(st.integers(0, nv - 1))
+    if variant == "service":
+        spec["service"] = True
+        edges = [[*e[:2], "u"] for e in undirected] + [[*d[:2], "d"] for d in directed]
+        if len(edges) > 1 and draw(st.booleans()):
+            spec["hierarchy"] = [draw(st.permutations(edges))[:2]]
+    elif variant == "team":
+        count = draw(st.integers(1, 2))
+        spec["postmen"] = {"count": count}
+        if draw(st.booleans()):
+            spec["postmen"]["capacities"] = [draw(st.integers(1, 8)) for _ in range(count)]
+        spec["forbid_edge_collisions"] = draw(st.booleans())
     return spec
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(tiny_mixed_specs())
 def test_route_json_round_trip_keeps_decode_validity(obj):
     sd = parse_spec(obj)
@@ -233,6 +254,15 @@ def test_revalidate_flags_broken_routes():
     problems = revalidate_route(doc, bad)
     assert any("not closed" in p for p in problems)
     assert any("never traversed" in p for p in problems)
+
+
+def test_revalidate_flags_jumps_and_endpoints():
+    sd = parse_spec({"graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 2]]},
+                     "start": 0, "stop": 2})
+    walk = RouteWalk((WalkStep(1, 0), WalkStep(1, 2), WalkStep(2, 1)), 5.0)
+    problems = revalidate_route(sd, RouteSolution(walks=(walk,), objective_weight=5.0))
+    assert problems == ["walk 0 jumps from 0 to 1", "walk 0 starts at 1, not 0",
+                        "walk 0 ends at 1, not 2"]
 
 
 def test_revalidate_flags_modes_outside_the_spec():
