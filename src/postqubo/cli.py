@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import json
 import sys
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -61,32 +61,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_ORACLE_LIMIT = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Path
-    pipeline: str = "auto"
-    solver: str = "sa+greedy"
-    seed: int = 0
-    out: Path | None = None
-    i_max: int | None = None
-    penalties: dict[str, float] = dataclasses.field(default_factory=dict)
-    force_qubo: bool = False
-    dot: bool = False
-    max_retunes: int = 5
-    reads: int = 1000
-    sweeps: int = 1000
-    starts: int = 64
-    tenure: int | None = None
-    iterations: int | None = None
-    beta_min: float = 0.1
-    beta_max: float = 10.0
-    seeds: tuple[int, ...] = (0,)
-    timings: bool = False
-    node_limit: int = 2_000_000
-    instance_path: Path | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,66 +129,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    penalties = {
-        family: getattr(args, f"p_{family}")
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject bad arguments before any work; derive `penalties` and `seeds`."""
+    args.penalties = {
+        f"p_{family}": getattr(args, f"p_{family}")
         for family in PENALTY_FAMILIES
         if getattr(args, f"p_{family}", None) is not None
     }
-    cfg = RunConfig(command=args.command, input_path=args.input, penalties=penalties)
-    for name in (
-        "pipeline", "solver", "seed", "out", "i_max", "force_qubo", "dot",
-        "max_retunes", "reads", "sweeps", "starts", "tenure", "iterations",
-        "beta_min", "beta_max", "timings", "node_limit",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "seeds"):
+    if args.command == "bench":
         try:
-            cfg.seeds = tuple(int(s) for s in str(args.seeds).split(",") if s != "")
+            args.seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
         except ValueError:
             raise InputError(f"--seeds must be comma-separated integers: {args.seeds!r}") from None
     if hasattr(args, "reads"):
         # sampler arguments, checked before any work is done
-        for name in _solver_names(cfg):
+        for name in _solver_names(args):
             if name not in SOLVER_NAMES:
                 raise InputError(f"unknown solver {name!r}")
-        if cfg.seed < 0:
+        if hasattr(args, "seed") and args.seed < 0:
             raise InputError("--seed must be >= 0")
         for name in ("reads", "sweeps", "starts", "tenure"):
-            value = getattr(cfg, name)
+            value = getattr(args, name)
             if value is not None and value < 1:
                 raise InputError(f"--{name} must be >= 1")
-        if cfg.max_retunes < 0:
+        if args.max_retunes < 0:
             raise InputError("--max-retunes must be >= 0")
-        if not cfg.beta_min < cfg.beta_max:
+        if not args.beta_min < args.beta_max:
             raise InputError("--beta-min must be below --beta-max")
-    return cfg
 
 
-def _solver_names(cfg: RunConfig) -> list[str]:
+def _solver_names(args: argparse.Namespace) -> list[str]:
     """`solve` takes one solver name, `bench` a comma-separated list."""
-    if cfg.command != "bench":
-        return [cfg.solver]
-    return [s.strip() for s in cfg.solver.split(",") if s.strip()]
+    if args.command != "bench":
+        return [args.solver]
+    return [s.strip() for s in args.solver.split(",") if s.strip()]
 
 
-def _sampler_for(cfg: RunConfig, solver: str, seed: int):
-    return make_sampler(
-        solver,
-        seed=seed,
-        starts=cfg.starts,
-        sweeps=cfg.sweeps,
-        reads=cfg.reads,
-        beta_schedule=(cfg.beta_min, cfg.beta_max),
-        tenure=cfg.tenure,
-        iterations=cfg.iterations,
-    )
-
-
-def _problem_of(instance, cfg: RunConfig):
+def _problem_of(instance, args: argparse.Namespace):
     """(pipeline, graph or spec to compile, graph document) for an instance."""
-    pipeline = cfg.pipeline
+    pipeline = args.pipeline
     if pipeline == "auto":
         pipeline = "pairing" if isinstance(instance, GraphDocument) else "general"
     if pipeline == "pairing":
@@ -225,36 +178,39 @@ def _problem_of(instance, cfg: RunConfig):
         spec, doc = instance.spec, instance.graph_doc
     else:
         spec, doc = ProblemSpec(graph=instance.graph), instance
-    if cfg.i_max is not None:
-        spec = replace(spec, i_max=cfg.i_max)
+    if args.i_max is not None:
+        spec = replace(spec, i_max=args.i_max)
     return pipeline, spec, doc
 
 
-def _penalties_for(problem, cfg: RunConfig) -> PenaltyConfig:
-    if isinstance(problem, ProblemSpec):
-        pen = default_penalties(problem)
-    else:
-        pen = PenaltyConfig.for_max_weight(problem.max_weight)
-    overrides = {f"p_{fam}": value for fam, value in cfg.penalties.items()}
-    pen = dataclasses.replace(pen, **overrides) if overrides else pen
-    if isinstance(problem, Graph) and "pairing" not in cfg.penalties:
-        pen = dataclasses.replace(pen, p_pairing=default_pairing_penalty(problem))
-    return pen
-
-
-def _compile(problem, pen: PenaltyConfig) -> CompiledProblem:
-    if isinstance(problem, Graph):
-        return compile_pairing(problem, pen.p_pairing)
-    return compile_general(problem)
+def _compile(problem, args: argparse.Namespace) -> tuple[CompiledProblem, PenaltyConfig]:
+    """Compile a graph or spec; its penalties are the defaults under the --p-* flags."""
+    graph = isinstance(problem, Graph)
+    pen = PenaltyConfig.for_max_weight(problem.max_weight) if graph else default_penalties(problem)
+    pen = replace(pen, **args.penalties)
+    if not graph:
+        return compile_general(problem), pen
+    if "p_pairing" not in args.penalties:
+        pen = replace(pen, p_pairing=default_pairing_penalty(problem))
+    return compile_pairing(problem, pen.p_pairing), pen
 
 
 def _solve_one(
-    instance, cfg: RunConfig, solver: str, seed: int
+    instance, args: argparse.Namespace, solver: str, seed: int
 ) -> tuple[RouteSolution, dict, GraphDocument]:
     """Shared solve path; returns (solution, report dict, graph doc)."""
-    pipeline, problem, doc = _problem_of(instance, cfg)
-    sampler = _sampler_for(cfg, solver, seed)
-    if not cfg.force_qubo:
+    pipeline, problem, doc = _problem_of(instance, args)
+    sampler = make_sampler(
+        solver,
+        seed=seed,
+        starts=args.starts,
+        sweeps=args.sweeps,
+        reads=args.reads,
+        beta_schedule=(args.beta_min, args.beta_max),
+        tenure=args.tenure,
+        iterations=args.iterations,
+    )
+    if not args.force_qubo:
         if isinstance(problem, Graph):
             shortcut = None if odd_degree_vertices(problem) else euler_route(problem)
         else:
@@ -263,13 +219,12 @@ def _solve_one(
             meta = {"pipeline": pipeline, "solver": "euler-shortcut", "seed": seed,
                     "energy": None, "retunes": 0, "report": None}
             return shortcut, meta, doc
-    pen = _penalties_for(problem, cfg)
-    compiled = _compile(problem, pen)
+    compiled, pen = _compile(problem, args)
 
     def builder(p: PenaltyConfig) -> CompiledInstance:
         return CompiledInstance(compiled.qubo(p), compiled.decode, compiled.constraint_values)
 
-    report, solution = solve_with_retune(builder, pen, sampler, cfg.max_retunes)
+    report, solution = solve_with_retune(builder, pen, sampler, args.max_retunes)
     meta = {"pipeline": pipeline, "solver": solver, "seed": seed,
             "energy": report.best_energy, "retunes": report.retunes, "report": report}
     return solution, meta, doc
@@ -293,17 +248,16 @@ def _summary_text(solution: RouteSolution, meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    instance = load_instance(cfg.input_path)
-    solution, meta, doc = _solve_one(instance, cfg, cfg.solver, cfg.seed)
-    out = cfg.out if cfg.out is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    stem = cfg.input_path.stem
+def cmd_solve(args: argparse.Namespace) -> int:
+    instance = load_instance(args.input)
+    solution, meta, doc = _solve_one(instance, args, args.solver, args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
+    stem = args.input.stem
     route = route_to_json(
         solution, doc, meta["pipeline"], meta["solver"], meta["seed"],
         meta["energy"], meta["retunes"],
     )
-    dump_json(route, out / f"{stem}.route.json")
+    dump_json(route, args.out / f"{stem}.route.json")
     report = meta["report"]
     report_obj = {
         "solver": meta["solver"],
@@ -313,17 +267,17 @@ def cmd_solve(cfg: RunConfig) -> int:
         "wall_time": report.wall_time if report else 0.0,
         "retunes": meta["retunes"],
     }
-    dump_json(report_obj, out / f"{stem}.report.json")
-    (out / f"{stem}.summary.txt").write_text(_summary_text(solution, meta))
-    if cfg.dot:
-        (out / f"{stem}.route.dot").write_text(render_dot(doc, solution))
+    dump_json(report_obj, args.out / f"{stem}.report.json")
+    (args.out / f"{stem}.summary.txt").write_text(_summary_text(solution, meta))
+    if args.dot:
+        (args.out / f"{stem}.route.dot").write_text(render_dot(doc, solution))
     print(f"route weight {solution.objective_weight!r}, valid={solution.is_valid}")
     return EXIT_OK if solution.is_valid else EXIT_NO_SOLUTION
 
 
-def cmd_export_qubo(cfg: RunConfig) -> int:
-    instance = load_instance(cfg.input_path)
-    _, problem, _ = _problem_of(instance, cfg)
+def cmd_export_qubo(args: argparse.Namespace) -> int:
+    instance = load_instance(args.input)
+    _, problem, _ = _problem_of(instance, args)
     if isinstance(problem, Graph):
         if not odd_degree_vertices(problem):
             print(
@@ -332,53 +286,52 @@ def cmd_export_qubo(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             return EXIT_NO_SOLUTION
-    elif not cfg.force_qubo and euler_shortcut(problem) is not None:
+    elif not args.force_qubo and euler_shortcut(problem) is not None:
         print(
             "ShortcutApplies: the required edges admit a direct Euler circuit; "
             "re-run with --force-qubo to export anyway",
             file=sys.stderr,
         )
         return EXIT_NO_SOLUTION
-    pen = _penalties_for(problem, cfg)
-    compiled = _compile(problem, pen)
-    qubo, registry = compiled.qubo(pen), compiled.registry
-    out = cfg.out if cfg.out is not None else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    stem = cfg.input_path.stem
-    (out / f"{stem}.qubo.txt").write_text(format_qubo_text(qubo))
-    (out / f"{stem}.registry.txt").write_text(format_registry_text(registry))
+    compiled, pen = _compile(problem, args)
+    qubo = compiled.qubo(pen)
+    args.out.mkdir(parents=True, exist_ok=True)
+    stem = args.input.stem
+    (args.out / f"{stem}.qubo.txt").write_text(format_qubo_text(qubo))
+    (args.out / f"{stem}.registry.txt").write_text(format_registry_text(compiled.registry))
     print(f"wrote {qubo.n}-variable QUBO")
     return EXIT_OK
 
 
-def _oracle_route(instance, cfg: RunConfig) -> tuple[RouteSolution, GraphDocument, str]:
+def _suite(directory: Path) -> list[Path]:
+    """A suite's instance files: its JSON files that are not command outputs."""
+    return sorted(
+        p
+        for p in directory.glob("*.json")
+        if not p.name.endswith((".oracle.json", ".route.json", ".report.json"))
+    )
+
+
+def _oracle_route(instance, node_limit: int) -> tuple[RouteSolution, GraphDocument, str]:
     if isinstance(instance, GraphDocument):
         pairing, _added = exact_pairing_oracle(instance.graph)
         return augment_and_route(instance.graph, pairing), instance, "pairing"
-    solution = exact_walk_oracle(instance.spec, node_limit=cfg.node_limit)
+    solution = exact_walk_oracle(instance.spec, node_limit=node_limit)
     return solution, instance.graph_doc, "general"
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    paths = (
-        sorted(
-            p
-            for p in cfg.input_path.glob("*.json")
-            if not p.name.endswith((".oracle.json", ".route.json", ".report.json"))
-        )
-        if cfg.input_path.is_dir()
-        else [cfg.input_path]
-    )
+def cmd_oracle(args: argparse.Namespace) -> int:
+    paths = _suite(args.input) if args.input.is_dir() else [args.input]
     if not paths:
         print("no instances found", file=sys.stderr)
         return EXIT_INPUT
     limited = False
     for path in paths:
         instance = load_instance(path)
-        out_dir = cfg.out if cfg.out is not None else path.parent
+        out_dir = args.out if args.out is not None else path.parent
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            solution, doc, pipeline = _oracle_route(instance, cfg)
+            solution, doc, pipeline = _oracle_route(instance, args.node_limit)
         except (TooLarge, TooManyOddVertices, SearchBudgetExceeded) as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
             limited = True
@@ -389,14 +342,11 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_ORACLE_LIMIT if limited else EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    import json
-
-    assert cfg.instance_path is not None
-    instance = load_instance(cfg.instance_path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    instance = load_instance(args.instance)
     doc = instance if isinstance(instance, GraphDocument) else instance.graph_doc
     try:
-        with open(cfg.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             route_obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read route: {exc}") from exc
@@ -410,56 +360,56 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bench_rows(cfg: RunConfig):
-    suite = sorted(
-        p
-        for p in cfg.input_path.glob("*.json")
-        if not p.name.endswith((".oracle.json", ".route.json", ".report.json"))
-    )
+def _bench_rows(args: argparse.Namespace) -> list[tuple[Path, str, int, float | None]]:
+    """(instance, solver, seed, oracle weight) rows; every oracle file is read first."""
+    suite = _suite(args.input)
     if not suite:
-        raise InputError(f"no instances in {cfg.input_path}")
+        raise InputError(f"no instances in {args.input}")
+    rows = []
     for path in suite:
         oracle_path = path.with_name(path.stem + ".oracle.json")
         oracle_weight = None
         if oracle_path.exists():
-            import json
+            try:
+                with open(oracle_path, "r", encoding="utf-8") as fh:
+                    oracle_weight = float(json.load(fh)["weight"])
+            except (OSError, ValueError, TypeError, KeyError) as exc:
+                raise InputError(f"cannot read the weight in {oracle_path}: {exc!r}") from exc
+        rows += [(path, solver, seed, oracle_weight)
+                 for solver in _solver_names(args) for seed in args.seeds]
+    return rows
 
-            with open(oracle_path, "r", encoding="utf-8") as fh:
-                oracle_weight = float(json.load(fh)["weight"])
-        for solver in _solver_names(cfg):
-            for seed in cfg.seeds:
-                yield path, solver, seed, oracle_weight
 
-
-def cmd_bench(cfg: RunConfig) -> int:
-    out_path = cfg.out if cfg.out is not None else cfg.input_path / "bench.csv"
+def cmd_bench(args: argparse.Namespace) -> int:
+    out_path = args.out if args.out is not None else args.input / "bench.csv"
     header = ["instance", "solver", "seed", "valid", "energy", "weight", "gap_vs_oracle"]
-    if cfg.timings:
+    if args.timings:
         header.append("wall_time")
     rows = []
     successes = 0
-    bench_cfg = dataclasses.replace(cfg, force_qubo=True, pipeline="auto")
-    for path, solver, seed, oracle_weight in _bench_rows(cfg):
+    # bench always solves the QUBO of the pipeline its file implies
+    args.pipeline, args.force_qubo = "auto", True
+    for path, solver, seed, oracle_weight in _bench_rows(args):
         row = {"instance": path.stem, "solver": solver, "seed": seed,
                "valid": "false", "energy": "", "weight": "", "gap_vs_oracle": ""}
         try:
             instance = load_instance(path)
             # per-instance seed stream so suite composition does not couple runs
             row_seed = (seed + zlib.crc32(path.stem.encode())) % (1 << 32)
-            solution, meta, _doc = _solve_one(instance, bench_cfg, solver, row_seed)
+            solution, meta, _doc = _solve_one(instance, args, solver, row_seed)
             row["valid"] = "true" if solution.is_valid else "false"
             row["energy"] = repr(meta["energy"]) if meta["energy"] is not None else ""
             row["weight"] = repr(solution.objective_weight)
             if oracle_weight is not None:
                 row["gap_vs_oracle"] = repr(solution.objective_weight - oracle_weight)
-            if cfg.timings:
+            if args.timings:
                 row["wall_time"] = (
                     f"{meta['report'].wall_time:.3f}" if meta["report"] else "0.000"
                 )
             successes += 1
         except PostquboError as exc:
             print(f"{path.name} [{solver} seed {seed}]: {exc}", file=sys.stderr)
-            if cfg.timings:
+            if args.timings:
                 row["wall_time"] = ""
         rows.append(row)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -482,10 +432,8 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
     }
     try:
-        cfg = _config_from_args(args)
-        if args.command == "validate":
-            cfg.instance_path = args.instance
-        return handlers[args.command](cfg)
+        _check_args(args)
+        return handlers[args.command](args)
     except NoValidSolution as exc:
         print(f"no valid solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION

@@ -662,8 +662,8 @@ def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGenera
     return compiled
 
 
-def default_penalties(spec: ProblemSpec, factor: float = 5.0) -> PenaltyConfig:
-    """Uniform multipliers at `factor` times the largest arc weight in play."""
+def default_penalties(spec: ProblemSpec) -> PenaltyConfig:
+    """Uniform multipliers at PENALTY_FACTOR times the largest arc weight in play."""
     # plain weights count in service mode too: postman overrides may be set
     weights = [
         spec.weight(p, key, mode)
@@ -671,4 +671,4 @@ def default_penalties(spec: ProblemSpec, factor: float = 5.0) -> PenaltyConfig:
         for key in spec.graph.arc_weights
         for mode in (MODE_PLAIN, *spec.modes)
     ]
-    return PenaltyConfig.for_max_weight(max(weights) if weights else 1.0, factor)
+    return PenaltyConfig.for_max_weight(max(weights) if weights else 1.0)

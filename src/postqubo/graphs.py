@@ -315,7 +315,6 @@ class MultiEdge:
     tail: int
     head: int
     weight: float
-    tag: object = None
 
 
 @dataclass
@@ -337,13 +336,13 @@ class MultiGraph:
             raise NonUndirectedGraph("only undirected graphs have a multigraph copy")
         mg = cls(set(g.vertices), [], directed=False)
         for e in g.undirected:
-            mg.add_edge(e.a, e.b, e.w_ab, tag=e.ref)
+            mg.add_edge(e.a, e.b, e.w_ab)
         return mg
 
-    def add_edge(self, tail: int, head: int, weight: float, tag: object = None) -> int:
+    def add_edge(self, tail: int, head: int, weight: float) -> int:
         self.vertices.add(tail)
         self.vertices.add(head)
-        self.edges.append(MultiEdge(tail, head, float(weight), tag))
+        self.edges.append(MultiEdge(tail, head, float(weight)))
         return len(self.edges) - 1
 
     @property

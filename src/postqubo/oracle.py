@@ -222,7 +222,7 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
             w_ba = weight_of(ref.b, ref.a, ref.kind)
             if w_ab != w_ba:
                 return None  # windy edge: circuit orientation changes the cost
-        mg.add_edge(ref.a, ref.b, w_ab, tag=ref)
+        mg.add_edge(ref.a, ref.b, w_ab)
     try:
         sequence = _euler_edge_sequence(mg)
     except NoEulerianCircuit:

@@ -28,7 +28,7 @@ from .graphs import (
     odd_degree_vertices,
     rotate_closed_walk,
 )
-from .qubo import CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
+from .qubo import PENALTY_FACTOR, CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 ORACLE_MAX_ODD = 12
@@ -96,12 +96,12 @@ class CompiledPairing(CompiledProblem):
 
 
 def default_pairing_penalty(g: Graph) -> float:
-    """Five times the largest shortest-path distance among odd vertex pairs."""
+    """PENALTY_FACTOR times the largest shortest-path distance among odd vertex pairs."""
     _check_pairing_input(g)
     odd = sorted(odd_degree_vertices(g))
     if len(odd) < 2:
         raise NoOddVertices("graph has no odd-degree vertices to pair")
-    return 5.0 * max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
+    return PENALTY_FACTOR * max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
 
 
 def compile_pairing(g: Graph, p: float) -> CompiledPairing:
@@ -177,17 +177,14 @@ def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
         raise NotPerfectPairing(
             f"pairing covers {sorted(pairing.vertices())}, odd vertices are {sorted(odd)}"
         )
-    sp = g.paths
     mg = MultiGraph.from_graph(g)
-    pair_tags: dict[int, tuple[int, int]] = {}
-    for a, b in pairing.sorted_pairs():
-        idx = mg.add_edge(a, b, sp.distance(a, b), tag=("pair", a, b))
-        pair_tags[idx] = (a, b)
+    # g.paths is read only for pairs, so an empty pairing computes no shortest paths
+    added = {mg.add_edge(a, b, g.paths.distance(a, b)) for a, b in pairing.sorted_pairs()}
     sequence = _euler_edge_sequence(mg)
     steps: list[tuple[int, int]] = []
     for tail, head, idx in sequence:
-        if idx in pair_tags:
-            steps.extend(sp.path_steps(tail, head))
+        if idx in added:
+            steps.extend(g.paths.path_steps(tail, head))
         else:
             steps.append((tail, head))
     steps = rotate_closed_walk(steps)
@@ -236,12 +233,5 @@ def exact_pairing_oracle(g: Graph) -> tuple[Pairing, float]:
 
 
 def euler_route(g: Graph) -> RouteSolution:
-    """Direct Euler circuit for graphs with no odd vertices."""
-    _check_pairing_input(g)
-    if odd_degree_vertices(g):
-        raise NotPerfectPairing("graph has odd vertices; pairing is required")
-    mg = MultiGraph.from_graph(g)
-    sequence = _euler_edge_sequence(mg)
-    steps = rotate_closed_walk([(a, b) for a, b, _ in sequence])
-    walk = RouteWalk(tuple(WalkStep(a, b, kind="u") for a, b in steps), mg.total_weight)
-    return RouteSolution(walks=(walk,), objective_weight=mg.total_weight)
+    """Direct Euler circuit for graphs with no odd vertices (the empty pairing)."""
+    return augment_and_route(g, Pairing(frozenset()))

@@ -38,8 +38,8 @@ class TurnPenalty:
     bonus: float
 
     def __post_init__(self) -> None:
-        if self.bonus < 0:
-            raise SpecError("turn bonus weights must be non-negative")
+        if not math.isfinite(self.bonus) or self.bonus < 0:
+            raise SpecError(f"turn bonuses must be finite and non-negative, got {self.bonus}")
 
     @property
     def arc_in(self) -> tuple[int, int]:
@@ -268,7 +268,7 @@ class ProblemSpec:
                 if s.mode == MODE_SERVICE:
                     serviced.setdefault(ref, []).append(i)
                 visited.add(ref)
-            used = sum(self.weight(p, (s.frm, s.to, s.kind), s.mode) for s in walk)
+            used = sum((self.weight(p, (s.frm, s.to, s.kind), s.mode) for s in walk), 0.0)
             weights.append(used)
             caps = self.postmen.capacities
             if caps is not None and used > caps[p]:
@@ -308,7 +308,8 @@ def _override_table(
     for t, h, k, w in items:
         if (t, h, k) not in g.arc_weights:
             raise SpecError(f"weight override references missing arc {(t, h, k)}")
-        if w < 0:
-            raise SpecError(f"{what} weights must be non-negative")
+        w = float(w)
+        if not math.isfinite(w) or w < 0:
+            raise SpecError(f"{what} weights must be finite and non-negative, got {w}")
         table[(t, h, k)] = w
     return table

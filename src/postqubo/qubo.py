@@ -299,6 +299,10 @@ PENALTY_FAMILIES = (
 )
 
 
+# default penalty multipliers are this many times the largest weight in play
+PENALTY_FACTOR = 5.0
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """One positive multiplier per constraint family."""
@@ -322,9 +326,9 @@ class PenaltyConfig:
         return cls(p, p, p, p, p, p, p, p)
 
     @classmethod
-    def for_max_weight(cls, max_weight: float, factor: float = 5.0) -> "PenaltyConfig":
-        """Default multipliers: `factor` times the largest edge weight."""
-        base = factor * max_weight if max_weight > 0 else factor
+    def for_max_weight(cls, max_weight: float) -> "PenaltyConfig":
+        """Default multipliers: PENALTY_FACTOR times the largest edge weight."""
+        base = PENALTY_FACTOR * max_weight if max_weight > 0 else PENALTY_FACTOR
         return cls.uniform(base)
 
     def value(self, family: str) -> float:

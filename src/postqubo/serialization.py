@@ -61,8 +61,8 @@ class GraphDocument:
 
 def parse_graph(obj: Mapping) -> GraphDocument:
     _check_keys(obj, {"vertices"}, {"undirected", "directed"}, "graph")
-    labels = list(obj["vertices"])
-    if not isinstance(obj["vertices"], list) or not labels:
+    labels = obj["vertices"]
+    if not isinstance(labels, list) or not labels:
         raise InputError("graph.vertices must be a non-empty list")
     index = _label_index(labels)
 
@@ -76,15 +76,13 @@ def parse_graph(obj: Mapping) -> GraphDocument:
     for item in obj.get("undirected", []):
         if not isinstance(item, list) or len(item) not in (3, 4):
             raise InputError(f"undirected entry needs [a,b,w] or [a,b,w_ab,w_ba]: {item!r}")
-        a, b, w = vid(item[0]), vid(item[1]), float(item[2])
-        w_back = float(item[3]) if len(item) == 4 else w
-        undirected.append((a, b, w, w_back))
+        undirected.append((vid(item[0]), vid(item[1]), *item[2:]))
     directed = []
     for item in obj.get("directed", []):
         if not isinstance(item, list) or len(item) != 3:
             raise InputError(f"directed entry needs [from,to,w]: {item!r}")
-        directed.append((vid(item[0]), vid(item[1]), float(item[2])))
-    try:
+        directed.append((vid(item[0]), vid(item[1]), item[2]))
+    try:  # Graph.build converts the weights
         graph = Graph.build(range(len(labels)), undirected=undirected, directed=directed)
     except Exception as exc:
         raise InputError(f"invalid graph: {exc}") from exc
@@ -120,7 +118,7 @@ def _parse_weight_overrides(items, doc: GraphDocument, what: str):
         tail, head = doc.id_of(item[0]), doc.id_of(item[1])
         kind = item[3] if len(item) == 4 else None
         kind = _resolve_arc_kind(doc.graph, tail, head, kind, what)
-        out.append((tail, head, kind, float(item[2])))
+        out.append((tail, head, kind, item[2]))  # ProblemSpec converts the weight
     return tuple(out)
 
 
@@ -174,7 +172,7 @@ def parse_spec(obj: Mapping) -> SpecDocument:
         k2, r = doc.id_of(item[1][0]), doc.id_of(item[1][1])
         if k2 != k:
             raise InputError(f"turn entry: edge-out must start where edge-in ends: {item!r}")
-        turns.append(TurnPenalty(j, k, r, float(item[2])))
+        turns.append((j, k, r, item[2]))
 
     service = None
     svc_obj = obj.get("service")
@@ -204,29 +202,30 @@ def parse_spec(obj: Mapping) -> SpecDocument:
             )
         )
 
-    postmen = Postmen()
     pm_obj = obj.get("postmen")
+    weights = None
     if pm_obj is not None:
         _check_keys(pm_obj, {"count"}, {"capacities", "weights"}, "spec.postmen")
-        weights = None
         if pm_obj.get("weights") is not None:
             weights = tuple(
                 _parse_weight_overrides(table, doc, "postman weight")
                 for table in pm_obj["weights"]
             )
-        capacities = None
-        if pm_obj.get("capacities") is not None:
-            capacities = tuple(float(c) for c in pm_obj["capacities"])
-        postmen = Postmen(int(pm_obj["count"]), capacities, weights)
 
     i_max = obj.get("i_max")
-    try:
+    try:  # numbers are converted here, so a malformed one is an input error
+        postmen = Postmen()
+        if pm_obj is not None:
+            capacities = pm_obj.get("capacities")
+            if capacities is not None:
+                capacities = tuple(float(c) for c in capacities)
+            postmen = Postmen(int(pm_obj["count"]), capacities, weights)
         spec = ProblemSpec(
             graph=doc.graph,
             start=start,
             stop=stop,
             required_edges=required,
-            turn_penalties=tuple(turns),
+            turn_penalties=tuple(TurnPenalty(j, k, r, float(b)) for j, k, r, b in turns),
             service=service,
             hierarchy=tuple(hierarchy),
             postmen=postmen,

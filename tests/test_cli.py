@@ -356,3 +356,34 @@ def test_solve_and_bench_share_flag_defaults():
                       "iterations", "beta_min", "beta_max",
                       *(f"p_{family}" for family in PENALTY_FAMILIES)}
     assert {k: solve[k] for k in shared} == {k: bench[k] for k in shared}
+
+
+TRIANGLE = {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]}
+MALFORMED_NUMBERS = {
+    "edge-weight-string": {"vertices": [0, 1], "undirected": [[0, 1, "x"]]},
+    "edge-weight-null": {"vertices": [0, 1], "undirected": [[0, 1, None]]},
+    "vertices-not-a-list": {"vertices": 5},
+    "postman-count-string": {"graph": TRIANGLE, "postmen": {"count": "two"}},
+    "capacity-string": {"graph": TRIANGLE, "postmen": {"count": 2, "capacities": ["big", 3]}},
+    "nan-turn-bonus": {"graph": TRIANGLE, "turn_penalties": [[[0, 1], [1, 2], float("nan")]]},
+    "infinite-service-weight": {
+        "graph": TRIANGLE, "service": {"service_weights": [[0, 1, float("inf")]]},
+    },
+    "oracle-file-without-weight": None,
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_NUMBERS))
+def test_malformed_numbers_are_input_errors(case, tmp_path, capsys):
+    if MALFORMED_NUMBERS[case] is None:
+        (tmp_path / "fig.json").write_text(json.dumps(FIG_GRAPH))
+        (tmp_path / "fig.oracle.json").write_text(json.dumps({"walks": []}))
+        argv, written = ("bench", tmp_path, "--solver", "brute"), tmp_path / "bench.csv"
+    else:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(MALFORMED_NUMBERS[case]))
+        written = tmp_path / "out"
+        argv = ("export-qubo", path, "--force-qubo", "--out", written)
+    assert run(*argv) == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not written.exists()

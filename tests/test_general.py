@@ -410,6 +410,17 @@ def test_collision_constraint_counts_shared_arcs():
     assert not compiled.decode(together).validity.collisions_ok
 
 
+def test_two_postman_decode_weighs_an_empty_walk_as_float_zero():
+    g = Graph.build(range(2), undirected=[(0, 1, 2)])
+    spec = ProblemSpec(graph=g, start=0, postmen=Postmen(count=2), i_max=2)
+    compiled = compile_general(spec)
+    solution = compiled.decode(compiled.encode_route([[(0, 1), (1, 0)], []]))
+    assert solution.is_valid
+    weights = [walk.weight for walk in solution.walks]
+    assert weights == [4.0, 0.0]
+    assert [type(w) for w in weights] == [float, float]
+
+
 def test_capacity_constraint_and_slack():
     g = Graph.build(range(3), undirected=[(0, 1, 2), (1, 2, 3)])
     spec = ProblemSpec(graph=g, postmen=Postmen(count=1, capacities=(6,)), i_max=2)

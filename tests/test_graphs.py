@@ -228,7 +228,7 @@ def is_closed_walk(steps: list[tuple[int, int]]) -> bool:
 
 def test_euler_circuit_on_augmented_example():
     mg = MultiGraph.from_graph(figure_example_graph())
-    mg.add_edge(3, 5, 9.0, tag="pair")
+    mg.add_edge(3, 5, 9.0)
     steps, weight = circuit(mg)
     assert weight == 32.0
     assert is_closed_walk(steps)
