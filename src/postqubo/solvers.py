@@ -242,8 +242,11 @@ def simulated_annealing(
     deltas = spins * (lin + x @ sym)
     current = _row_energies(q, x.astype(np.float64))
     best_row = int(np.argmin(current))
-    best_energy = float(current[best_row])
+    # the best state is the first in (sweep, variable, read) order at the
+    # lowest energy seen: events are met out of that order, so compare keys
+    best_key = (float(current[best_row]), -1, 0, best_row)
     best_spins = spins[best_row].copy()
+    later_than = np.arange(n)[None, :] > np.arange(n)[:, None]  # [i, j]: j > i
 
     block = min(_SWEEP_BLOCK, sweeps)
     uniform_buf = np.empty(reads * block * n)
@@ -258,19 +261,28 @@ def simulated_annealing(
         np.log(uniforms, out=uniforms)
         uniforms *= -1.0
         uniforms /= betas[None, first : first + count, None]
-        # sweep-major: the test for variable i reads one contiguous row
-        thresholds = uniforms.transpose(1, 2, 0).astype(np.float32, order="C")
+        thresholds = uniforms.astype(np.float32)
         for s in range(count):
-            for i in range(n):
-                rows = np.flatnonzero(deltas[:, i] < thresholds[s, i])
-                if not len(rows):
-                    continue
-                current[rows] += _flip(spins, deltas, sym, (rows, i))
+            # test the whole sweep at once; each accepting read flips at its
+            # first accepted variable, then re-tests only the later ones
+            thr = thresholds[:, s]
+            accept = deltas < thr
+            rows = np.flatnonzero(accept.any(axis=1))
+            cols = accept[rows].argmax(axis=1)
+            while len(rows):
+                current[rows] += _flip(spins, deltas, sym, (rows, cols))
                 energies = current[rows]
-                k = int(np.argmin(energies))
-                if energies[k] < best_energy:
-                    best_energy = float(energies[k])
-                    best_spins = spins[rows[k]].copy()
+                low = energies.min()
+                if low <= best_key[0]:
+                    ties = np.flatnonzero(energies == low)
+                    k = ties[np.lexsort((rows[ties], cols[ties]))[0]]
+                    key = (float(low), first + s, int(cols[k]), int(rows[k]))
+                    if key < best_key:
+                        best_key = key
+                        best_spins = spins[rows[k]].copy()
+                accept = (deltas[rows] < thr[rows]) & later_than[cols]
+                more = accept.any(axis=1)
+                rows, cols = rows[more], accept[more].argmax(axis=1)
     return _finish(q, (1.0 - best_spins) / 2.0, reads * sweeps * n, t0, "sa", seed)
 
 
