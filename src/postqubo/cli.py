@@ -32,7 +32,6 @@ from .oracle import euler_shortcut, exact_walk_oracle
 from .pairing import (
     augment_and_route,
     compile_pairing,
-    default_pairing_penalty,
     euler_route,
     exact_pairing_oracle,
 )
@@ -190,9 +189,8 @@ def _compile(problem, args: argparse.Namespace) -> tuple[CompiledProblem, Penalt
     pen = replace(pen, **args.penalties)
     if not graph:
         return compile_general(problem), pen
-    if "p_pairing" not in args.penalties:
-        pen = replace(pen, p_pairing=default_pairing_penalty(problem))
-    return compile_pairing(problem, pen.p_pairing), pen
+    compiled = compile_pairing(problem, args.penalties.get("p_pairing"))
+    return compiled, replace(pen, p_pairing=compiled.penalty)
 
 
 def _solve_one(

@@ -92,26 +92,37 @@ class CompiledPairing(CompiledProblem):
                 objective_weight=float("inf"),
                 validity=ValidityReport(required_covered=False),
             )
-        return augment_and_route(self.graph, pairing)
+        return _augment_and_route(self.graph, pairing)  # the graph was checked at compile
+
+
+def _checked_odd_vertices(g: Graph) -> list[int]:
+    """Check the graph for the pairing pipeline; its odd-degree vertices, sorted."""
+    _check_pairing_input(g)
+    odd = sorted(odd_degree_vertices(g))
+    if not odd:
+        raise NoOddVertices("graph has no odd-degree vertices to pair")
+    return odd
+
+
+def _penalty(g: Graph, odd: list[int]) -> float:
+    return PENALTY_FACTOR * max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
 
 
 def default_pairing_penalty(g: Graph) -> float:
     """PENALTY_FACTOR times the largest shortest-path distance among odd vertex pairs."""
-    _check_pairing_input(g)
-    odd = sorted(odd_degree_vertices(g))
-    if len(odd) < 2:
-        raise NoOddVertices("graph has no odd-degree vertices to pair")
-    return PENALTY_FACTOR * max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
+    return _penalty(g, _checked_odd_vertices(g))
 
 
-def compile_pairing(g: Graph, p: float) -> CompiledPairing:
-    """Pairing QUBO: sum W_ij x_ij plus p * sum_i (1 - sum_j x_ij)^2."""
-    _check_pairing_input(g)
-    if p <= 0:
+def compile_pairing(g: Graph, p: float | None = None) -> CompiledPairing:
+    """Pairing QUBO: sum W_ij x_ij plus p * sum_i (1 - sum_j x_ij)^2.
+
+    `p` defaults to `default_pairing_penalty(g)`; the graph is checked once.
+    """
+    odd = _checked_odd_vertices(g)
+    if p is None:
+        p = _penalty(g, odd)
+    elif p <= 0:
         raise ValueError("pairing penalty must be positive")
-    odd = sorted(odd_degree_vertices(g))
-    if not odd:
-        raise NoOddVertices("graph has no odd-degree vertices to pair")
     sp = g.paths
     registry = VariableRegistry(
         PairVar(a, b) for a, b in itertools.combinations(odd, 2)
@@ -172,6 +183,11 @@ def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
     added shortest-path weight.
     """
     _check_pairing_input(g)
+    return _augment_and_route(g, pairing)
+
+
+def _augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
+    """`augment_and_route` on a graph already checked for the pairing pipeline."""
     odd = odd_degree_vertices(g)
     if pairing.vertices() != odd:
         raise NotPerfectPairing(
@@ -199,10 +215,7 @@ def exact_pairing_oracle(g: Graph) -> tuple[Pairing, float]:
     Enumerates all (d-1)!! pairings; ties break to the lexicographically
     smallest pairing.  Capped at 12 odd vertices (10395 pairings).
     """
-    _check_pairing_input(g)
-    odd = sorted(odd_degree_vertices(g))
-    if not odd:
-        raise NoOddVertices("graph has no odd-degree vertices to pair")
+    odd = _checked_odd_vertices(g)
     if len(odd) > ORACLE_MAX_ODD:
         raise TooManyOddVertices(f"{len(odd)} odd vertices > cap {ORACLE_MAX_ODD}")
     sp = g.paths

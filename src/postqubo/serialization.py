@@ -31,6 +31,20 @@ def _check_keys(obj: Mapping, required: set[str], optional: set[str], what: str)
         raise InputError(f"{what}: unknown keys {sorted(unknown)}")
 
 
+def _as_list(items: Any, what: str) -> list:
+    if not isinstance(items, list):
+        raise InputError(f"{what} must be a list: {items!r}")
+    return items
+
+
+def _integer(value: Any, what: str) -> int:
+    """An integral JSON number (2 or 2.0); not a bool, string or fraction."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise InputError(f"{what} must be an integer: {value!r}")
+    return int(value)
+
+
 def _label_index(labels: Sequence[Any]) -> dict[str, int]:
     """repr(label) -> internal id: 1, 1.0 and true are distinct labels."""
     index = {repr(lab): i for i, lab in enumerate(labels)}
@@ -73,12 +87,12 @@ def parse_graph(obj: Mapping) -> GraphDocument:
         return index[key]
 
     undirected = []
-    for item in obj.get("undirected", []):
+    for item in _as_list(obj.get("undirected", []), "graph.undirected"):
         if not isinstance(item, list) or len(item) not in (3, 4):
             raise InputError(f"undirected entry needs [a,b,w] or [a,b,w_ab,w_ba]: {item!r}")
         undirected.append((vid(item[0]), vid(item[1]), *item[2:]))
     directed = []
-    for item in obj.get("directed", []):
+    for item in _as_list(obj.get("directed", []), "graph.directed"):
         if not isinstance(item, list) or len(item) != 3:
             raise InputError(f"directed entry needs [from,to,w]: {item!r}")
         directed.append((vid(item[0]), vid(item[1]), item[2]))
@@ -112,7 +126,7 @@ def _resolve_arc_kind(g: Graph, tail: int, head: int, kind: str | None, what: st
 
 def _parse_weight_overrides(items, doc: GraphDocument, what: str):
     out = []
-    for item in items:
+    for item in _as_list(items, f"{what} table"):
         if not isinstance(item, list) or len(item) not in (3, 4):
             raise InputError(f"{what} entry needs [from,to,w] or [from,to,w,kind]: {item!r}")
         tail, head = doc.id_of(item[0]), doc.id_of(item[1])
@@ -158,7 +172,7 @@ def parse_spec(obj: Mapping) -> SpecDocument:
         required = frozenset(_parse_edge_ref(item, doc, "required edge") for item in req_obj)
 
     turns = []
-    for item in obj.get("turn_penalties", []):
+    for item in _as_list(obj.get("turn_penalties", []), "spec.turn_penalties"):
         if (
             not isinstance(item, list)
             or len(item) != 3
@@ -192,7 +206,7 @@ def parse_spec(obj: Mapping) -> SpecDocument:
         raise InputError("spec.service must be true, false, null, or an object")
 
     hierarchy = []
-    for item in obj.get("hierarchy", []):
+    for item in _as_list(obj.get("hierarchy", []), "spec.hierarchy"):
         if not isinstance(item, list) or len(item) != 2:
             raise InputError(f"hierarchy entry needs [first_edge, second_edge]: {item!r}")
         hierarchy.append(
@@ -209,17 +223,18 @@ def parse_spec(obj: Mapping) -> SpecDocument:
         if pm_obj.get("weights") is not None:
             weights = tuple(
                 _parse_weight_overrides(table, doc, "postman weight")
-                for table in pm_obj["weights"]
+                for table in _as_list(pm_obj["weights"], "spec.postmen.weights")
             )
+        count = _integer(pm_obj["count"], "spec.postmen.count")
 
-    i_max = obj.get("i_max")
+    i_max = _integer(obj["i_max"], "spec.i_max") if obj.get("i_max") is not None else None
     try:  # numbers are converted here, so a malformed one is an input error
         postmen = Postmen()
         if pm_obj is not None:
             capacities = pm_obj.get("capacities")
             if capacities is not None:
                 capacities = tuple(float(c) for c in capacities)
-            postmen = Postmen(int(pm_obj["count"]), capacities, weights)
+            postmen = Postmen(count, capacities, weights)
         spec = ProblemSpec(
             graph=doc.graph,
             start=start,
@@ -230,7 +245,7 @@ def parse_spec(obj: Mapping) -> SpecDocument:
             hierarchy=tuple(hierarchy),
             postmen=postmen,
             forbid_edge_collisions=bool(obj.get("forbid_edge_collisions", False)),
-            i_max=int(i_max) if i_max is not None else None,
+            i_max=i_max,
         )
     except Exception as exc:
         raise InputError(f"invalid spec: {exc}") from exc

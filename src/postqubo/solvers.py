@@ -2,11 +2,14 @@
 
 All stochastic solvers are bit-reproducible for a fixed (seed, parameters)
 pair, and greedy, tabu and annealing share one flip update (`_flip`).
-Annealing read r draws its initial state and then its acceptance uniforms,
-in (sweep, variable) order, from its own Philox stream keyed (seed, r).  The
-uniforms are drawn `_SWEEP_BLOCK` sweeps at a time, so memory is
-O(reads * n * _SWEEP_BLOCK).  All reads run together; the result is the first
-state in (sweep, variable, read) order that reaches the lowest energy seen.
+Annealing read r draws its initial state and then its float32 acceptance
+uniforms, in (sweep, variable) order, from its own Philox stream keyed
+(seed mod 2^64, r).  The uniforms are drawn `_SWEEP_BLOCK` sweeps at a time,
+so memory is O(reads * n * _SWEEP_BLOCK).  All reads run together and each
+sweep is event-driven: one comparison tests every read's n proposals, and
+work is done only where a proposal is accepted, so each read follows exactly
+the chain of a one-variable-at-a-time sweep.  The result is the first state
+in (sweep, variable, read) order that reaches the lowest energy seen.
 """
 
 from __future__ import annotations
@@ -203,6 +206,17 @@ def greedy_post(q: Qubo, report: SolveReport) -> SolveReport:
 _SWEEP_BLOCK = 32  # sweeps of acceptance thresholds held in memory at once
 
 
+def _acceptance_thresholds(u: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Turn float32 uniforms u in [0, 1), shaped (..., sweeps, n), into the
+    thresholds -log(1 - u)/beta in place.  Accepting delta d with probability
+    exp(-beta * max(d, 0)) is the test d < threshold; 1 - u is exact in
+    float32 and never 0, so no threshold is NaN or warns."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, -betas[:, None], out=u)
+    return u
+
+
 def simulated_annealing(
     q: Qubo,
     sweeps: int = 1000,
@@ -229,7 +243,7 @@ def simulated_annealing(
     # assignment is re-evaluated in float64 at the end either way
     lin = lin.astype(np.float32)
     sym = q.dense_symmetric().astype(np.float32)
-    betas = np.geomspace(beta_min, beta_max, sweeps)
+    betas = np.geomspace(beta_min, beta_max, sweeps).astype(np.float32)
 
     # a uint64 key: every seed mod 2^64 gets its own streams
     key = seed & 0xFFFFFFFFFFFFFFFF
@@ -246,22 +260,16 @@ def simulated_annealing(
     # lowest energy seen: events are met out of that order, so compare keys
     best_key = (float(current[best_row]), -1, 0, best_row)
     best_spins = spins[best_row].copy()
-    later_than = np.arange(n)[None, :] > np.arange(n)[:, None]  # [i, j]: j > i
 
     block = min(_SWEEP_BLOCK, sweeps)
-    uniform_buf = np.empty(reads * block * n)
+    buf = np.empty(reads * block * n, dtype=np.float32)
     for first in range(0, sweeps, block):
         count = min(block, sweeps - first)
         # per read, the stream continues exactly where the last block ended
-        uniforms = uniform_buf[: reads * count * n].reshape(reads, count, n)
-        for gen, out in zip(gens, uniforms):
-            gen.random(out=out)
-        # accepting delta d with probability exp(-beta * max(d, 0)) against a
-        # uniform u in [0,1) is exactly the test d < -log(u)/beta
-        np.log(uniforms, out=uniforms)
-        uniforms *= -1.0
-        uniforms /= betas[None, first : first + count, None]
-        thresholds = uniforms.astype(np.float32)
+        thresholds = buf[: reads * count * n].reshape(reads, count, n)
+        for gen, out in zip(gens, thresholds):
+            gen.random(out=out, dtype=np.float32)
+        _acceptance_thresholds(thresholds, betas[first : first + count])
         for s in range(count):
             # test the whole sweep at once; each accepting read flips at its
             # first accepted variable, then re-tests only the later ones
@@ -280,7 +288,7 @@ def simulated_annealing(
                     if key < best_key:
                         best_key = key
                         best_spins = spins[rows[k]].copy()
-                accept = (deltas[rows] < thr[rows]) & later_than[cols]
+                accept = (deltas[rows] < thr[rows]) & (np.arange(n) > cols[:, None])
                 more = accept.any(axis=1)
                 rows, cols = rows[more], accept[more].argmax(axis=1)
     return _finish(q, (1.0 - best_spins) / 2.0, reads * sweeps * n, t0, "sa", seed)

@@ -348,6 +348,23 @@ def test_pairing_solve_computes_shortest_paths_once(fig_graph_file, tmp_path, mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("force_qubo", [(), ("--force-qubo",)])
+def test_pairing_solve_checks_its_input_once(fig_graph_file, tmp_path, monkeypatch, force_qubo):
+    import postqubo.pairing as pairing
+
+    calls = []
+    real = pairing._check_pairing_input
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(pairing, "_check_pairing_input", counting)
+    assert run("solve", fig_graph_file, "--solver", "brute", *force_qubo,
+               "--out", tmp_path / "out") == 0
+    assert len(calls) == 1
+
+
 def test_solve_and_bench_share_flag_defaults():
     solve = vars(_build_parser().parse_args(["solve", "x"]))
     bench = vars(_build_parser().parse_args(["bench", "x"]))
@@ -387,3 +404,43 @@ def test_malformed_numbers_are_input_errors(case, tmp_path, capsys):
     assert run(*argv) == 1
     assert "input error:" in capsys.readouterr().err
     assert not written.exists()
+
+
+MALFORMED_FIELDS = {
+    "edge-list-not-a-list": {"vertices": [0, 1], "undirected": 5},
+    "service-weights-not-a-list": {"graph": TRIANGLE, "service": {"service_weights": 5}},
+    "hierarchy-not-a-list": {"graph": TRIANGLE, "hierarchy": 5},
+    "turn-penalties-not-a-list": {"graph": TRIANGLE, "turn_penalties": 5},
+    "postman-weights-not-a-list": {"graph": TRIANGLE, "postmen": {"count": 1, "weights": 5}},
+    "postman-weight-table-not-a-list": {"graph": TRIANGLE, "postmen": {"count": 1, "weights": [5]}},
+    "fractional-step-budget": {"graph": TRIANGLE, "i_max": 2.7},
+    "fractional-postman-count": {"graph": TRIANGLE, "postmen": {"count": 1.9}},
+    "boolean-step-budget": {"graph": TRIANGLE, "i_max": True},
+    "boolean-postman-count": {"graph": TRIANGLE, "postmen": {"count": True}},
+    "string-step-budget": {"graph": TRIANGLE, "i_max": "3"},
+}
+
+
+def export_qubo(spec, tmp_path, name="case"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / f"{name}-out"
+    return run("export-qubo", path, "--force-qubo", "--out", out), out
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FIELDS))
+def test_malformed_spec_fields_are_input_errors(case, tmp_path, capsys):
+    code, out = export_qubo(MALFORMED_FIELDS[case], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
+def test_integral_floats_are_counts(tmp_path):
+    written = []
+    for name, i_max, count in (("ints", 2, 1), ("floats", 2.0, 1.0)):
+        spec = {"graph": TRIANGLE, "i_max": i_max, "postmen": {"count": count}}
+        code, out = export_qubo(spec, tmp_path, name)
+        assert code == 0
+        written.append({p.name.removeprefix(name): p.read_bytes() for p in out.iterdir()})
+    assert written[0] and written[0] == written[1]

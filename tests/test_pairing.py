@@ -9,6 +9,7 @@ from postqubo import (
     Graph,
     NoOddVertices,
     NotPerfectPairing,
+    NotStronglyConnected,
     Pairing,
     TooManyOddVertices,
     augment_and_route,
@@ -82,6 +83,23 @@ def test_pairing_rejects_directed_and_asymmetric_and_eulerian():
     c3 = Graph.build([0, 1, 2], undirected=[(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(NoOddVertices):
         compile_pairing(c3, p=1.0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        default_pairing_penalty,
+        compile_pairing,
+        exact_pairing_oracle,
+        lambda g: augment_and_route(g, Pairing(frozenset({(0, 1)}))),
+    ],
+    ids=["default_pairing_penalty", "compile_pairing", "exact_pairing_oracle", "augment_and_route"],
+)
+def test_pairing_entry_points_check_their_input_on_their_own(entry):
+    with pytest.raises(DirectedEdgesPresent):
+        entry(Graph.build([0, 1], undirected=[(0, 1, 1)], directed=[(1, 0, 1)]))
+    with pytest.raises(NotStronglyConnected):
+        entry(Graph.build([0, 1, 2, 3], undirected=[(0, 1, 1), (2, 3, 1)]))
 
 
 # --- decode_pairing ------------------------------------------------------------

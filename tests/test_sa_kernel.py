@@ -11,36 +11,35 @@ from hypothesis import given, settings, strategies as st
 
 from postqubo import Qubo, greedy_descent, greedy_post, simulated_annealing, tabu_search
 from postqubo.pairing import compile_pairing, default_pairing_penalty
-from postqubo.solvers import _EPS, _finish, _row_energies
+from postqubo.solvers import _EPS, _acceptance_thresholds, _finish, _row_energies
 from conftest import random_graph_with_odd_count
 
 
 def reference_simulated_annealing(q, sweeps=1000, beta_schedule=(0.1, 10.0), reads=1000, seed=0):
-    """Annealing with every threshold drawn up front, in read batches of at
-    most 48 M uniforms; one batch whenever reads * sweeps * n <= 48 M."""
+    """Annealing one variable at a time, with every float32 threshold drawn up
+    front, in read batches of at most 48 M uniforms; one batch whenever
+    reads * sweeps * n <= 48 M."""
     beta_min, beta_max = beta_schedule
     t0 = time.perf_counter()
     n = q.n
     lin = q.as_arrays()[0].astype(np.float32)
     sym = q.dense_symmetric().astype(np.float32)
-    betas = np.geomspace(beta_min, beta_max, sweeps)
+    betas = np.geomspace(beta_min, beta_max, sweeps).astype(np.float32)
     best_state = None
     best_energy = np.inf
     batch = max(1, min(reads, 48_000_000 // max(sweeps * n, 1)))
     for first in range(0, reads, batch):
         count = min(batch, reads - first)
         inits = np.empty((count, n))
-        thresholds = np.empty((count, sweeps, n))
+        thresholds = np.empty((count, sweeps, n), dtype=np.float32)
         for r in range(count):
             gen = np.random.Generator(
                 np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, first + r])
             )
             inits[r] = gen.random(n)
-            thresholds[r] = gen.random((sweeps, n))
-        np.log(thresholds, out=thresholds)
-        thresholds *= -1.0
-        thresholds /= betas[None, :, None]
-        thresholds = thresholds.astype(np.float32)
+            thresholds[r] = gen.random((sweeps, n), dtype=np.float32)
+        # accept d with probability exp(-beta * max(d, 0)): d < -log(1 - u)/beta
+        thresholds = -np.log(1.0 - thresholds) / betas[:, None]
         x = (inits < 0.5).astype(np.float32)
         deltas = (1.0 - 2.0 * x) * (lin + x @ sym)
         current = _row_energies(q, x.astype(np.float64))
@@ -119,18 +118,24 @@ def reference_tabu(q, seed):
 
 
 @st.composite
-def integer_qubos(draw, max_n):
-    """Random integer QUBOs: n, coupling density and coefficients drawn."""
+def random_qubos(draw, max_n):
+    """Random QUBOs with integer or real coefficients: n, coupling density and
+    coefficients drawn."""
     n = draw(st.integers(1, max_n))
     density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    real = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coefficient(bound):
+        return float(rng.uniform(-bound, bound) if real else rng.integers(-bound, bound + 1))
+
     q = Qubo(n)
-    q.add_offset(float(rng.integers(-3, 4)))
+    q.add_offset(coefficient(3))
     for i in range(n):
-        q.add_linear(i, float(rng.integers(-9, 10)))
+        q.add_linear(i, coefficient(9))
         for j in range(i + 1, n):
             if rng.random() < density:
-                q.add_quadratic(i, j, float(rng.integers(-9, 10)))
+                q.add_quadratic(i, j, coefficient(9))
     return q
 
 
@@ -145,7 +150,7 @@ def same_report(a, b) -> bool:
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     # up to 40 variables and few reads, so the best state often shows up late
-    q=integer_qubos(max_n=40),
+    q=random_qubos(max_n=40),
     reads=st.integers(1, 12),
     sweeps=st.integers(1, 100),  # crosses sweep-block boundaries, full and partial
     seed=st.integers(0, 2**63 - 1),
@@ -161,8 +166,26 @@ def test_sa_matches_reference_bit_for_bit(q, reads, sweeps, seed, beta_min, rati
     assert same_report(new, ref)
 
 
+def test_sa_breaks_best_state_ties_like_the_reference():
+    """Coefficients in -2..2 and many reads: several reads often first reach
+    the lowest energy in the same sweep, and the event-driven sweep meets them
+    out of (variable, read) order."""
+    for case in range(40):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(6, 14))
+        q = Qubo(n)
+        for i in range(n):
+            q.add_linear(i, float(rng.integers(-2, 3)))
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    q.add_quadratic(i, j, float(rng.integers(-2, 3)))
+        args = dict(sweeps=int(rng.integers(1, 6)), beta_schedule=(0.1, 1.0),
+                    reads=int(rng.integers(20, 200)), seed=case)
+        assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(q=integer_qubos(max_n=16), seed=st.integers(0, 2**32 - 1))
+@given(q=random_qubos(max_n=16), seed=st.integers(0, 2**32 - 1))
 def test_greedy_and_tabu_match_references_bit_for_bit(q, seed):
     starts = (np.random.default_rng(seed).random((8, q.n)) < 0.5).astype(np.float64)
     final, flips = reference_descend(q, starts)
@@ -177,6 +200,17 @@ def test_greedy_and_tabu_match_references_bit_for_bit(q, seed):
 
     tabu = tabu_search(q, seed=seed)
     assert np.array_equal(tabu.best_assignment, reference_tabu(q, seed).astype(np.uint8))
+
+
+def test_a_zero_uniform_gives_a_finite_threshold_without_warning():
+    top = np.nextafter(np.float32(1), np.float32(0))  # the largest float32 uniform
+    u = np.array([[[0.0, 0.5, top]]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thresholds = _acceptance_thresholds(u, np.array([0.5], dtype=np.float32))
+    assert thresholds[0, 0, 0] == 0.0  # u = 0 accepts exactly the downhill moves
+    assert np.all(np.isfinite(thresholds))
+    assert np.allclose(thresholds[0, 0, 1:], [-np.log(0.5) / 0.5, 24 * np.log(2) / 0.5])
 
 
 def test_sa_default_memory_is_bounded_by_the_sweep_block():
