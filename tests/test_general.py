@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -29,7 +30,7 @@ from postqubo.general import (
     VALIDITY_FAMILIES,
     CompiledGeneral,
 )
-from postqubo.qubo import Qubo
+from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
 from conftest import bits_from_index, figure_example_graph
 
 
@@ -494,3 +495,85 @@ def test_hierarchy_closure_is_transitive():
     a, b, c = EdgeRef("u", 0, 1), EdgeRef("u", 1, 2), EdgeRef("u", 2, 3)
     spec = ProblemSpec(graph=g, service=ServiceMode(), hierarchy=((a, b), (b, c)))
     assert (a, c) in spec.hierarchy_closure()
+
+
+# --- compiled forms pinned byte for byte ----------------------------------------
+
+def _pinned_specs() -> dict[str, tuple[ProblemSpec, str]]:
+    mixed = Graph.build(
+        range(4), undirected=[(0, 1, 1.5, 2.25), (1, 2, 1), (2, 3, 2.5)],
+        directed=[(3, 0, 1), (1, 3, 2)],
+    )
+    plain = Graph.build(range(4), undirected=[(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])
+    arrows = Graph.build(range(3), undirected=[(0, 1, 2)], directed=[(1, 2, 1), (2, 0, 3)])
+    first, second = EdgeRef("d", 1, 2), EdgeRef("u", 0, 1)
+    return {
+        "repetition": (ProblemSpec(graph=mixed, start=0, i_max=6), ENC_REPETITION),
+        "terminal": (
+            ProblemSpec(graph=mixed, start=0, stop=2, i_max=6, required_edges=frozenset(
+                [EdgeRef("u", 0, 1), EdgeRef("d", 1, 3)])),
+            ENC_TERMINAL,
+        ),
+        "rest": (ProblemSpec(graph=plain, start=0, postmen=Postmen(1, (9,)), i_max=5), "auto"),
+        "service_hierarchy": (
+            ProblemSpec(
+                graph=arrows, start=0, i_max=5, hierarchy=((first, second),),
+                service=ServiceMode(service_overrides=((1, 2, "d", 4.0),),
+                                    traverse_overrides=((0, 1, "u", 0.5),)),
+            ),
+            "auto",
+        ),
+        "turns": (
+            ProblemSpec(graph=mixed, start=1, stop=1, i_max=6, turn_penalties=(
+                TurnPenalty(0, 1, 2, 3.0), TurnPenalty(1, 3, 0, 1.5), TurnPenalty(2, 1, 3, 2.0))),
+            "auto",
+        ),
+        "team": (
+            ProblemSpec(
+                graph=plain, start=0, i_max=4, forbid_edge_collisions=True,
+                postmen=Postmen(2, (7, 8), ((), ((1, 2, "u", 3.0),))),
+            ),
+            "auto",
+        ),
+    }
+
+
+def _form_hashes(compiled) -> dict[str, str]:
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    out = {"registry": sha(format_registry_text(compiled.registry)),
+           "objective": sha(format_qubo_text(compiled.objective))}
+    for fam, form in compiled.constraints.items():
+        out[fam] = sha(format_qubo_text(form))
+    return out
+
+
+# sha256 prefixes of the registry, objective and family texts of each spec above
+PINNED_FORMS = {
+    "repetition": {"registry": "836e0465d32e94cb", "objective": "003426bc51d58a14",
+                   "one_edge": "09fdb5b88d409c9f", "adjacency": "4fa38bfbb78e2082",
+                   "required": "1cfc6ecded86ff65"},
+    "terminal": {"registry": "e4b9af406c7b5938", "objective": "0ea357828b246a7e",
+                 "one_edge": "dc225492d09c38f1", "adjacency": "4fb9d6e066861140",
+                 "required": "81f20f866cc001ad"},
+    "rest": {"registry": "306beb4dbc0945dc", "objective": "3a16d071c68051b7",
+             "one_edge": "97d97f432276a0e8", "adjacency": "f876948ef20bad20",
+             "required": "89bf3d89b0bdd7ba", "capacity": "42b755dfca750e60"},
+    "service_hierarchy": {"registry": "dec00cf3a91f2515", "objective": "a277a92a517a806f",
+                          "one_edge": "8c4970014b02e266", "adjacency": "78b0f02110eb9861",
+                          "required": "a54d216bb93310a8", "hierarchy": "fd599668a3457920"},
+    "turns": {"registry": "b8152771941a2001", "objective": "d6771737958d3c4a",
+              "one_edge": "ab4a80d31d615de8", "adjacency": "9376ad551c7760a8",
+              "required": "3d1265fb59386da4", "turn": "99ccbc7b0da3e3ba"},
+    "team": {"registry": "10c8d7c304240645", "objective": "2d40523b360e68f1",
+             "one_edge": "91c2bd015d395597", "adjacency": "02c0ad3dc038c356",
+             "required": "04a44db75a082a36", "collision": "dcf5ff03d159fa9c",
+             "capacity": "8b79952782d212cb"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMS))
+def test_compiled_forms_are_pinned(name):
+    spec, encoding = _pinned_specs()[name]
+    assert _form_hashes(compile_general(spec, encoding)) == PINNED_FORMS[name]
