@@ -30,7 +30,7 @@ from .general import compile_general, default_penalties
 from .graphs import Graph, odd_degree_vertices
 from .oracle import euler_shortcut, exact_walk_oracle
 from .pairing import (
-    augment_and_route,
+    _augment_and_route,
     compile_pairing,
     euler_route,
     exact_pairing_oracle,
@@ -312,8 +312,8 @@ def _suite(directory: Path) -> list[Path]:
 
 def _oracle_route(instance, node_limit: int) -> tuple[RouteSolution, GraphDocument, str]:
     if isinstance(instance, GraphDocument):
-        pairing, _added = exact_pairing_oracle(instance.graph)
-        return augment_and_route(instance.graph, pairing), instance, "pairing"
+        pairing, _added = exact_pairing_oracle(instance.graph)  # checks the graph
+        return _augment_and_route(instance.graph, pairing), instance, "pairing"
     solution = exact_walk_oracle(instance.spec, node_limit=node_limit)
     return solution, instance.graph_doc, "general"
 

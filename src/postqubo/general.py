@@ -21,7 +21,6 @@ objective, capacity and decode weight comes from the spec's one weight rule,
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,7 +59,6 @@ class CompArc:
     tail: int
     head: int
     kind: str
-    weight: float
     ref: EdgeRef | None
 
     @property
@@ -76,12 +74,12 @@ def _slack_bit_count(limit: int) -> int:
 def _build_arcs(spec: ProblemSpec, with_terminal: bool) -> list[CompArc]:
     arcs: list[CompArc] = []
     for a in spec.graph.arcs():
-        arcs.append(CompArc(len(arcs), a.tail, a.head, a.ref.kind, a.weight, a.ref))
+        arcs.append(CompArc(len(arcs), a.tail, a.head, a.ref.kind, a.ref))
     if with_terminal:
         ends = [spec.stop] if spec.stop is not None else sorted(spec.graph.vertices)
         for v in ends:
-            arcs.append(CompArc(len(arcs), v, TERMINAL, KIND_TERMINAL, 0.0, None))
-        arcs.append(CompArc(len(arcs), TERMINAL, TERMINAL, KIND_TERMINAL, 0.0, None))
+            arcs.append(CompArc(len(arcs), v, TERMINAL, KIND_TERMINAL, None))
+        arcs.append(CompArc(len(arcs), TERMINAL, TERMINAL, KIND_TERMINAL, None))
     return arcs
 
 
@@ -154,8 +152,9 @@ def _prune_steps(
 class CompiledGeneral(CompiledProblem):
     """Spec compiled to a registry, objective and per-family constraints.
 
-    Construction lays out arcs, step pruning and the registry;
-    `compile_general` then builds the forms for the encoding it returns.
+    Construction lays out arcs, step pruning, the registry and its step
+    table; `compile_general` then builds the forms for the encoding it
+    returns.
     """
 
     def __init__(self, spec: ProblemSpec, encoding: str):
@@ -171,6 +170,8 @@ class CompiledGeneral(CompiledProblem):
         self.postmen = spec.postmen.count
         self.required: tuple[EdgeRef, ...] = spec.resolved_required()
         self.service_mode = spec.service is not None
+        # modes in which an arc may repeat at the next step to pad the walk
+        self._repeat_modes = (MODE_PLAIN, MODE_TRAVERSE) if encoding == ENC_REPETITION else ()
 
         with_terminal = encoding == ENC_TERMINAL
         self.arcs = _build_arcs(spec, with_terminal)
@@ -190,64 +191,75 @@ class CompiledGeneral(CompiledProblem):
         return self.spec.modes[-1:] if arc.is_terminal else self.spec.modes
 
     def _build_registry(self) -> None:
-        spec = self.spec
-        labels: list = []
+        """Lay out the variables once, as tables of registry indices.
+
+        `_steps[p][i]` holds (index, arc, mode) for postman p's edge variables
+        at step i, in arc then mode order; `_rest[p][i]` the rest bits (none
+        outside the rest encoding); `_req_slack[(ref, p)]` and `_cap_slack[p]`
+        the (bit, index) slack registers; `_covers[ref]` the (postman, step,
+        index) variables that count as covering a required edge.
+        """
+        postmen, steps = range(self.postmen), range(self.i_max)
+        edge_labels = [
+            [
+                [
+                    (EdgeStep(i, arc.tail, arc.head, mode, p, arc.kind), arc, mode)
+                    for arc in (self.arcs[ai] for ai in sorted(self.allowed[i]))
+                    for mode in self._arc_modes(arc)
+                ]
+                for i in steps
+            ]
+            for p in postmen
+        ]
+        rest_labels = [
+            [RestVar(i, p) for i in steps] if self.encoding == ENC_REST else [] for p in postmen
+        ]
+        nbits = 0 if self.service_mode else _slack_bit_count(self.i_max)
+        req_labels = {
+            (ref, p): [RequiredSlack(bit, ref.a, ref.b, p, ref.kind) for bit in range(nbits)]
+            for ref in self.required
+            for p in postmen
+        }
+        cap_labels = [
+            [CapacitySlack(bit, p) for bit in range(_slack_bit_count(int(cap)))]
+            for p, cap in enumerate(self.spec.postmen.capacities or ())
+        ]
+        self.registry = VariableRegistry(
+            [lab for per_p in edge_labels for step in per_p for lab, _, _ in step]
+            + [lab for labs in rest_labels for lab in labs]
+            + [lab for labs in req_labels.values() for lab in labs]
+            + [lab for labs in cap_labels for lab in labs]
+        )
+
+        index = self.registry.index_of
+        self._steps = [
+            [[(index(lab), arc, mode) for lab, arc, mode in step] for step in per_p]
+            for per_p in edge_labels
+        ]
+        self._rest = [[index(lab) for lab in labs] for labs in rest_labels]
+        self._req_slack = {
+            key: [(lab.bit, index(lab)) for lab in labs] for key, labs in req_labels.items()
+        }
+        self._cap_slack = [[(lab.bit, index(lab)) for lab in labs] for labs in cap_labels]
         self._edge_var: dict[tuple[int, int, int, str], int] = {}
-        self._rest_var: dict[tuple[int, int], int] = {}
-        self._req_slack: dict[tuple[EdgeRef, int], list[tuple[int, int]]] = {}
-        self._cap_slack: dict[int, list[tuple[int, int]]] = {}
-
-        for p in range(self.postmen):
-            for i in range(self.i_max):
-                for ai in sorted(self.allowed[i]):
-                    arc = self.arcs[ai]
-                    for mode in self._arc_modes(arc):
-                        labels.append(
-                            EdgeStep(i, arc.tail, arc.head, mode, p, arc.kind)
-                        )
-            if self.encoding == ENC_REST:
-                labels.extend(RestVar(i, p) for i in range(self.i_max))
-
-        if not self.service_mode:
-            nbits = _slack_bit_count(self.i_max)
-            slack_postmen = range(self.postmen) if self.encoding == ENC_REST else (0,)
-            for ref in self.required:
-                for p in slack_postmen:
-                    for bit in range(nbits):
-                        labels.append(RequiredSlack(bit, ref.a, ref.b, p, ref.kind))
-
-        if spec.postmen.capacities is not None:
-            for p, cap in enumerate(spec.postmen.capacities):
-                for bit in range(_slack_bit_count(int(cap))):
-                    labels.append(CapacitySlack(bit, p))
-
-        self.registry = VariableRegistry(labels)
-        for idx, lab in enumerate(self.registry.labels):
-            if isinstance(lab, EdgeStep):
-                arc_index = self._find_arc(lab.frm, lab.to, lab.kind)
-                self._edge_var[(lab.postman, lab.step, arc_index, lab.mode)] = idx
-            elif isinstance(lab, RestVar):
-                self._rest_var[(lab.postman, lab.step)] = idx
-            elif isinstance(lab, RequiredSlack):
-                ref = EdgeRef(lab.kind, lab.frm, lab.to)
-                self._req_slack.setdefault((ref, lab.postman), []).append((lab.bit, idx))
-            elif isinstance(lab, CapacitySlack):
-                self._cap_slack.setdefault(lab.postman, []).append((lab.bit, idx))
+        self._covers: dict[EdgeRef, list[tuple[int, int, int]]] = {
+            ref: [] for ref in self.required
+        }
+        for p, per_p in enumerate(self._steps):
+            for i, step in enumerate(per_p):
+                for idx, arc, mode in step:
+                    self._edge_var[(p, i, arc.index, mode)] = idx
+                    # in service mode only a service step covers its edge
+                    if arc.ref in self._covers and (
+                        not self.service_mode or mode == MODE_SERVICE
+                    ):
+                        self._covers[arc.ref].append((p, i, idx))
 
     def _find_arc(self, tail: int, head: int, kind: str) -> int:
         try:
             return self._arc_lookup[(tail, head, kind)]
         except KeyError:
             raise SpecError(f"no arc {tail}->{head} kind {kind}") from None
-
-    def _step_vars(self, postman: int, step: int) -> list[tuple[int, CompArc, str]]:
-        """(registry index, arc, mode) for all edge variables at one step."""
-        out = []
-        for ai in sorted(self.allowed[step]):
-            arc = self.arcs[ai]
-            for mode in self._arc_modes(arc):
-                out.append((self._edge_var[(postman, step, ai, mode)], arc, mode))
-        return out
 
     # ---- weights ----------------------------------------------------------
 
@@ -276,10 +288,7 @@ class CompiledGeneral(CompiledProblem):
             return True
         if b_arc.tail == a_arc.head:
             return True
-        if self.encoding == ENC_REPETITION and a_arc.index == b_arc.index:
-            if a_mode == b_mode and a_mode in (MODE_PLAIN, MODE_TRAVERSE):
-                return True
-        return False
+        return a_arc.index == b_arc.index and a_mode == b_mode and a_mode in self._repeat_modes
 
     # ---- QUBO assembly ----------------------------------------------------
 
@@ -296,76 +305,50 @@ class CompiledGeneral(CompiledProblem):
             "required": required_c,
         }
 
-        for p in range(self.postmen):
+        for p, steps in enumerate(self._steps):
+            rest = self._rest[p]
             # exactly one move (or rest) per step
-            for i in range(self.i_max):
-                terms = [(idx, -1.0) for idx, _, _ in self._step_vars(p, i)]
-                if self.encoding == ENC_REST:
-                    terms.append((self._rest_var[(p, i)], -1.0))
+            for i, step in enumerate(steps):
+                terms = [(idx, -1.0) for idx, _, _ in step]
+                if rest:
+                    terms.append((rest[i], -1.0))
                 one_edge.add_square_penalty(terms, constant=1.0)
 
             # no jumping between consecutive steps
-            for i in range(self.i_max - 1):
-                cur = self._step_vars(p, i)
-                nxt = self._step_vars(p, i + 1)
-                rest_cur = self._rest_var.get((p, i))
+            for i, (cur, nxt) in enumerate(zip(steps, steps[1:])):
                 for idx_a, arc_a, mode_a in cur:
                     for idx_b, arc_b, mode_b in nxt:
                         if not self._move_allowed(arc_a, mode_a, arc_b, mode_b):
                             adjacency.add_quadratic(idx_a, idx_b, 1.0)
-                if rest_cur is not None:
+                if rest:
                     # rest is absorbing: resuming movement afterwards is illegal
                     for idx_b, _, _ in nxt:
-                        adjacency.add_quadratic(rest_cur, idx_b, 1.0)
+                        adjacency.add_quadratic(rest[i], idx_b, 1.0)
 
             # objective: traversal weights, with the repeat discount only in
             # the repetition encoding (service steps are never discounted)
-            for i in range(self.i_max):
-                for idx, arc, mode in self._step_vars(p, i):
+            for i, step in enumerate(steps):
+                for idx, arc, mode in step:
                     w = self._weight(p, arc, mode)
                     if w == 0.0:
                         continue
                     objective.add_linear(idx, w)
-                    if (
-                        self.encoding == ENC_REPETITION
-                        and i > 0
-                        and mode in (MODE_PLAIN, MODE_TRAVERSE)
-                    ):
+                    if i > 0 and mode in self._repeat_modes:
                         prev = self._edge_var.get((p, i - 1, arc.index, mode))
                         if prev is not None:
                             objective.add_quadratic(idx, prev, -w)
 
-        # coverage of required edges
+        # coverage of required edges: one service, or visits less the slack
         for ref in self.required:
-            if self.service_mode:
-                terms = [
-                    (idx, -1.0)
-                    for p in range(self.postmen)
-                    for i in range(self.i_max)
-                    for idx, arc, mode in self._step_vars(p, i)
-                    if mode == MODE_SERVICE and arc.ref == ref
-                ]
-                required_c.add_square_penalty(terms, constant=1.0)
-            else:
-                terms = [
-                    (idx, -1.0)
-                    for p in range(self.postmen)
-                    for i in range(self.i_max)
-                    for idx, arc, _ in self._step_vars(p, i)
-                    if arc.ref == ref
-                ]
-                slack_postmen = range(self.postmen) if self.encoding == ENC_REST else (0,)
-                for p in slack_postmen:
-                    for bit, idx in self._req_slack[(ref, p)]:
-                        terms.append((idx, float(2**bit)))
-                required_c.add_square_penalty(terms, constant=1.0)
+            terms = [(idx, -1.0) for _, _, idx in self._covers[ref]]
+            for p in range(self.postmen):
+                terms.extend((idx, float(2**bit)) for bit, idx in self._req_slack[(ref, p)])
+            required_c.add_square_penalty(terms, constant=1.0)
 
         if spec.turn_penalties:
             turn = Qubo(n)
-            for p in range(self.postmen):
-                for i in range(self.i_max - 1):
-                    cur = self._step_vars(p, i)
-                    nxt = self._step_vars(p, i + 1)
+            for steps in self._steps:
+                for cur, nxt in zip(steps, steps[1:]):
                     for t in spec.turn_penalties:
                         for idx_a, arc_a, _ in cur:
                             if (arc_a.tail, arc_a.head) != t.arc_in:
@@ -376,34 +359,21 @@ class CompiledGeneral(CompiledProblem):
             constraints["turn"] = turn
 
         if self._hierarchy:
+            # a service of `second` before one of `first` by the same postman
             hier = Qubo(n)
             for first, second in sorted(self._hierarchy):
-                for p in range(self.postmen):
-                    for i0 in range(self.i_max):
-                        firsts = [
-                            idx
-                            for idx, arc, mode in self._step_vars(p, i0)
-                            if mode == MODE_SERVICE and arc.ref == first
-                        ]
-                        if not firsts:
-                            continue
-                        for i1 in range(i0):
-                            seconds = [
-                                idx
-                                for idx, arc, mode in self._step_vars(p, i1)
-                                if mode == MODE_SERVICE and arc.ref == second
-                            ]
-                            for ia in firsts:
-                                for ib in seconds:
-                                    hier.add_quadratic(ia, ib, 1.0)
+                for pa, i0, ia in self._covers[first]:
+                    for pb, i1, ib in self._covers[second]:
+                        if pa == pb and i1 < i0:
+                            hier.add_quadratic(ia, ib, 1.0)
             constraints["hierarchy"] = hier
 
         if spec.forbid_edge_collisions:
             coll = Qubo(n)
             for i in range(self.i_max):
                 by_key: dict[tuple[int, int], list[tuple[int, int]]] = {}
-                for p in range(self.postmen):
-                    for idx, arc, _ in self._step_vars(p, i):
+                for p, steps in enumerate(self._steps):
+                    for idx, arc, _ in steps[i]:
                         by_key.setdefault((arc.tail, arc.head), []).append((p, idx))
                 for entries in by_key.values():
                     for (pa, ia), (pb, ib) in itertools.combinations(entries, 2):
@@ -415,8 +385,8 @@ class CompiledGeneral(CompiledProblem):
             cap = Qubo(n)
             for p, c in enumerate(spec.postmen.capacities):
                 terms = []
-                for i in range(self.i_max):
-                    for idx, arc, mode in self._step_vars(p, i):
+                for step in self._steps[p]:
+                    for idx, arc, mode in step:
                         w = self._weight(p, arc, mode)
                         if w:
                             terms.append((idx, -w))
@@ -430,34 +400,6 @@ class CompiledGeneral(CompiledProblem):
 
     # ---- decoding ---------------------------------------------------------
 
-    def _set_entries(self, x: Sequence[int]):
-        """Per postman: step -> list of (arc, mode); plus rest/slack values."""
-        if len(x) != len(self.registry):
-            raise SpecError(f"assignment length {len(x)} != {len(self.registry)}")
-        moves: list[dict[int, list[tuple[CompArc, str]]]] = [
-            {} for _ in range(self.postmen)
-        ]
-        rest: list[set[int]] = [set() for _ in range(self.postmen)]
-        req_slack: dict[EdgeRef, int] = {ref: 0 for ref in self.required}
-        cap_slack: list[int] = [0] * self.postmen
-        for idx, bit in enumerate(x):
-            if not bit:
-                continue
-            lab = self.registry.label_of(idx)
-            if isinstance(lab, EdgeStep):
-                arc = self.arcs[self._find_arc(lab.frm, lab.to, lab.kind)]
-                moves[lab.postman].setdefault(lab.step, []).append((arc, lab.mode))
-            elif isinstance(lab, RestVar):
-                rest[lab.postman].add(lab.step)
-            elif isinstance(lab, RequiredSlack):
-                req_slack[EdgeRef(lab.kind, lab.frm, lab.to)] += 2**lab.bit
-            elif isinstance(lab, CapacitySlack):
-                cap_slack[lab.postman] += 2**lab.bit
-        for per_step in moves:
-            for lst in per_step.values():
-                lst.sort(key=lambda am: (am[0].index, am[1]))
-        return moves, rest, req_slack, cap_slack
-
     def decode(self, x: Sequence[int]) -> RouteSolution:
         """Interpret a bit assignment as per-postman walks plus validity.
 
@@ -467,23 +409,25 @@ class CompiledGeneral(CompiledProblem):
         through `ProblemSpec.check_walks` for the route rules, the walk
         weights and the turn bonus.
         """
+        if len(x) != len(self.registry):
+            raise SpecError(f"assignment length {len(x)} != {len(self.registry)}")
         spec = self.spec
-        moves, rest, req_slack, cap_slack = self._set_entries(x)
+        # per postman and step, the (arc, mode) moves that are set
+        moves = [
+            [[(arc, mode) for idx, arc, mode in step if x[idx]] for step in steps]
+            for steps in self._steps
+        ]
+        rest = [{i for i, idx in enumerate(bits) if x[idx]} for bits in self._rest]
 
         one_edge_ok = True
         contiguous_ok = True
         for p in range(self.postmen):
             for i in range(self.i_max):
-                count = len(moves[p].get(i, []))
-                if self.encoding == ENC_REST:
-                    count += 1 if i in rest[p] else 0
-                if count != 1:
+                if len(moves[p][i]) + (i in rest[p]) != 1:
                     one_edge_ok = False
             for i in range(self.i_max - 1):
-                cur = [(arc, mode) for arc, mode in moves[p].get(i, [])]
-                nxt = [(arc, mode) for arc, mode in moves[p].get(i + 1, [])]
-                cur_entries = cur + ([(None, None)] if i in rest[p] else [])
-                nxt_entries = nxt + ([(None, None)] if (i + 1) in rest[p] else [])
+                cur_entries = moves[p][i] + ([(None, None)] if i in rest[p] else [])
+                nxt_entries = moves[p][i + 1] + ([(None, None)] if (i + 1) in rest[p] else [])
                 for arc_a, mode_a in cur_entries:
                     for arc_b, mode_b in nxt_entries:
                         if not self._move_allowed(arc_a, mode_a, arc_b, mode_b):
@@ -492,16 +436,15 @@ class CompiledGeneral(CompiledProblem):
         walks = [self._walk(per_step) for per_step in moves]
         problems, weights, turn_extra = spec.check_walks(walks)
         # slack identities: every visit past the first, and unused capacity
-        required_ok = True
-        if not self.service_mode:
-            visits = Counter(
-                arc.ref for per_step in moves for entries in per_step.values() for arc, _ in entries
-            )
-            required_ok = all(visits[ref] - 1 - req_slack[ref] == 0 for ref in self.required)
+        required_ok = self.service_mode or all(
+            sum(1 for _, _, idx in self._covers[ref] if x[idx])
+            == 1 + sum(_register_value(self._req_slack[(ref, p)], x) for p in range(self.postmen))
+            for ref in self.required
+        )
         # the rest encoding strips nothing, so a walk weight is the bits' used weight
         capacity_ok = spec.postmen.capacities is None or all(
-            float(c) - used - slack == 0.0
-            for c, used, slack in zip(spec.postmen.capacities, weights, cap_slack)
+            float(c) - used - _register_value(slots, x) == 0.0
+            for c, used, slots in zip(spec.postmen.capacities, weights, self._cap_slack)
         )
         flags = {
             "one_edge_per_step": one_edge_ok,
@@ -518,20 +461,15 @@ class CompiledGeneral(CompiledProblem):
             turn_extra=turn_extra,
         )
 
-    def _walk(self, per_step: dict[int, list[tuple[CompArc, str]]]) -> list[WalkStep]:
+    def _walk(self, per_step: list[list[tuple[CompArc, str]]]) -> list[WalkStep]:
         """One postman's moves in step order, terminal arcs and repeats stripped."""
         steps: list[WalkStep] = []
         prev = None
-        for i in sorted(per_step):
-            for arc, mode in per_step[i]:
+        for i, entries in enumerate(per_step):
+            for arc, mode in entries:
                 if arc.is_terminal:
                     continue
-                repeat = (
-                    self.encoding == ENC_REPETITION
-                    and prev == (i - 1, arc.index, mode)
-                    and mode in (MODE_PLAIN, MODE_TRAVERSE)
-                )
-                if not repeat:
+                if not (mode in self._repeat_modes and prev == (i - 1, arc.index, mode)):
                     steps.append(WalkStep(arc.tail, arc.head, mode, arc.kind))
                 prev = (i, arc.index, mode)
         return steps
@@ -544,12 +482,9 @@ class CompiledGeneral(CompiledProblem):
         mode = str(step[2]) if len(step) > 2 and step[2] is not None else None
         kind = str(step[3]) if len(step) > 3 and step[3] is not None else None
         candidates = [
-            a
-            for a in self.arcs
-            if not a.is_terminal
-            and a.tail == tail
-            and a.head == head
-            and (kind is None or a.kind == kind)
+            self._arc_lookup[(tail, head, k)]
+            for k in ((kind,) if kind is not None else ("u", "d"))
+            if k != KIND_TERMINAL and (tail, head, k) in self._arc_lookup
         ]
         if len(candidates) != 1:
             raise SpecError(
@@ -557,7 +492,7 @@ class CompiledGeneral(CompiledProblem):
             )
         if mode is None:
             mode = self.spec.modes[-1]
-        return candidates[0].index, mode
+        return candidates[0], mode
 
     def encode_route(self, walks: Sequence[Sequence[Sequence]]) -> list[int]:
         """Bits for per-postman walks given as (tail, head[, mode[, kind]]) steps.
@@ -569,7 +504,6 @@ class CompiledGeneral(CompiledProblem):
         if len(walks) != self.postmen:
             raise SpecError(f"need {self.postmen} walks, got {len(walks)}")
         x = [0] * len(self.registry)
-        raw_counts: dict[EdgeRef, int] = {ref: 0 for ref in self.required}
         for p, walk in enumerate(walks):
             seq = [self._resolve_step(s) for s in walk]
             if len(seq) > self.i_max:
@@ -587,11 +521,6 @@ class CompiledGeneral(CompiledProblem):
                         "was pruned for this spec"
                     )
                 x[self._edge_var[key]] = 1
-                ref = self.arcs[ai].ref
-                if ref in raw_counts and (
-                    not self.service_mode or mode == MODE_SERVICE
-                ):
-                    raw_counts[ref] += 1
             if self.encoding == ENC_TERMINAL and padded_real < self.i_max:
                 if seq:
                     end_vertex = self.arcs[seq[-1][0]].head
@@ -607,35 +536,31 @@ class CompiledGeneral(CompiledProblem):
                     if key not in self._edge_var:
                         raise SpecError(f"terminal arc unavailable at step {i}")
                     x[self._edge_var[key]] = 1
-            if self.encoding == ENC_REST:
-                for i in range(padded_real, self.i_max):
-                    x[self._rest_var[(p, i)]] = 1
+            for idx in self._rest[p][padded_real:]:
+                x[idx] = 1
+            if self.spec.postmen.capacities is not None:
+                used = sum(self._weight(p, self.arcs[ai], mode) for ai, mode in seq)
+                value = int(max(float(self.spec.postmen.capacities[p]) - used, 0))
+                _fill_register(self._cap_slack[p], value, x)
 
         if not self.service_mode:
             for ref in self.required:
-                value = max(raw_counts[ref] - 1, 0)
-                slots = self._req_slack[(ref, 0)]
-                limit = sum(2**bit for bit, _ in slots)
-                value = min(value, limit)
-                for bit, idx in slots:
-                    if value & (1 << bit):
-                        x[idx] = 1
-
-        if self.spec.postmen.capacities is not None:
-            for p, c in enumerate(self.spec.postmen.capacities):
-                used = sum(
-                    self._weight(p, self.arcs[ai], mode)
-                    for (pp, _ii, ai, mode), idx in self._edge_var.items()
-                    if pp == p and x[idx]
-                )
-                value = int(max(float(c) - used, 0))
-                slots = self._cap_slack[p]
-                limit = sum(2**bit for bit, _ in slots)
-                value = min(value, limit)
-                for bit, idx in slots:
-                    if value & (1 << bit):
-                        x[idx] = 1
+                visits = sum(x[idx] for _, _, idx in self._covers[ref])
+                _fill_register(self._req_slack[(ref, 0)], max(visits - 1, 0), x)
         return x
+
+
+def _register_value(slots: list[tuple[int, int]], x: Sequence[int]) -> int:
+    """Value of a slack register: (bit, index) slots read from x."""
+    return sum(2**bit for bit, idx in slots if x[idx])
+
+
+def _fill_register(slots: list[tuple[int, int]], value: int, x: list[int]) -> None:
+    """Set a slack register's bits in x to `value`, clamped to its range."""
+    value = min(value, sum(2**bit for bit, _ in slots))
+    for bit, idx in slots:
+        if value & (1 << bit):
+            x[idx] = 1
 
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:

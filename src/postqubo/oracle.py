@@ -108,7 +108,9 @@ def exact_walk_oracle(
     best_total = float("inf")
     best_path: list[_Move] | None = None
     nodes = 0
-    # dominance memo: (vertex, mask, steps, last arc) -> lowest total seen
+    # dominance memo: (vertex, mask, steps, last arc) -> lowest total seen.
+    # Under a capacity only the weight decides which moves stay open, so a
+    # state dominates another only at equal weight: the weight joins the key.
     memo: dict[tuple, float] = {}
 
     roots = [spec.start] if spec.start is not None else sorted(spec.graph.vertices)
@@ -136,7 +138,7 @@ def exact_walk_oracle(
                 best_path = list(path)
         if steps == i_max:
             return
-        key = (v, mask, steps, last)
+        key = (v, mask, steps, last) if capacity is None else (v, mask, steps, last, wsum)
         prev = memo.get(key)
         if prev is not None and prev <= total:
             return

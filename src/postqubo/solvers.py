@@ -87,40 +87,24 @@ def enumerate_all_energies(q: Qubo) -> np.ndarray:
     return energies
 
 
-def _lex_keys(indices: np.ndarray, n: int) -> np.ndarray:
-    """Key comparing assignments as tuples (x_0, x_1, ...) lexicographically."""
-    keys = np.zeros_like(indices)
-    for j in range(n):
-        keys |= ((indices >> j) & 1) << (n - 1 - j)
-    return keys
-
-
 def bits_of(index: int, n: int) -> np.ndarray:
     return np.array([(index >> j) & 1 for j in range(n)], dtype=np.uint8)
 
 
 def brute_force(q: Qubo) -> SolveReport:
     """Global minimum over all assignments; ties break to the
-    lexicographically smallest bit tuple."""
+    lexicographically smallest bit tuple (x_0, x_1, ...)."""
     t0 = time.perf_counter()
     n = q.n
     energies = enumerate_all_energies(q)
-    best = float(energies.min())
-    best_key = None
-    chunk = 1 << 20
-    for lo in range(0, len(energies), chunk):
-        block = energies[lo : lo + chunk]
-        local = np.flatnonzero(block == best)
-        if len(local):
-            keys = _lex_keys(local.astype(np.int64) + lo, n)
-            k = int(keys.min())
-            if best_key is None or k < best_key:
-                best_key = k
-    assert best_key is not None
-    # invert the key back into an assignment index
+    tied = energies == energies.min()
     index = 0
+    # bit j of an index is x_j: keep the ties with x_j = 0 whenever there are any
     for j in range(n):
-        if best_key & (1 << (n - 1 - j)):
+        if tied[0::2].any():
+            tied = tied[0::2]
+        else:
+            tied = tied[1::2]
             index |= 1 << j
     return _finish(q, bits_of(index, n), 1 << n, t0, "brute", 0)
 

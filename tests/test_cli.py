@@ -365,6 +365,41 @@ def test_pairing_solve_checks_its_input_once(fig_graph_file, tmp_path, monkeypat
     assert len(calls) == 1
 
 
+def test_pairing_oracle_checks_its_input_once(fig_graph_file, tmp_path, monkeypatch):
+    import postqubo.pairing as pairing
+
+    calls = []
+    real = pairing._check_pairing_input
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(pairing, "_check_pairing_input", counting)
+    assert run("oracle", fig_graph_file, "--out", tmp_path / "out") == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "out" / "fig.oracle.json").read_text())["weight"] == 32.0
+
+
+def test_oracle_keeps_lighter_capacitated_walk_with_turn_bonus(tmp_path, capsys):
+    # the optimum 0-4-1-5-6 weighs 5 and pays the turn bonus; the bonus-free
+    # walk through 2 weighs 6 and breaks the capacity
+    spec = {
+        "graph": {"vertices": [0, 1, 2, 3, 4, 5, 6],
+                  "undirected": [[0, 2, 2], [2, 1, 1], [0, 4, 1], [4, 1, 1], [1, 5, 1],
+                                 [5, 6, 2]]},
+        "start": 0, "required": [[5, 6, "u"]], "turn_penalties": [[[0, 4], [4, 1], 10]],
+        "postmen": {"count": 1, "capacities": [5]}, "i_max": 4,
+    }
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(spec))
+    assert run("oracle", path) == 0
+    oracle = json.loads((tmp_path / "cap.oracle.json").read_text())
+    assert (oracle["weight"], oracle["turn_extra"], oracle["valid"]) == (5.0, 10.0, True)
+    assert [(s["from"], s["to"]) for s in oracle["walks"][0]] == [(0, 4), (4, 1), (1, 5), (5, 6)]
+    assert run("validate", path.with_name("cap.oracle.json"), "--instance", path) == 0
+
+
 def test_solve_and_bench_share_flag_defaults():
     solve = vars(_build_parser().parse_args(["solve", "x"]))
     bench = vars(_build_parser().parse_args(["bench", "x"]))

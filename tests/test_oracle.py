@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,35 @@ def test_oracle_respects_capacity():
     tight = ProblemSpec(graph=g, postmen=Postmen(count=1, capacities=(4,)), i_max=3)
     with pytest.raises(NoValidSolution):
         exact_walk_oracle(tight)
+
+
+def test_oracle_capacity_keeps_lighter_walk_with_larger_turn_bonus():
+    # 0-4-1 weighs 2 with a turn bonus of 10, 0-2-1 weighs 3 with none; only
+    # the lighter prefix fits the capacity of 5 on the way to edge 5-6
+    g = Graph.build(range(7), undirected=[(0, 2, 2), (2, 1, 1), (0, 4, 1), (4, 1, 1),
+                                          (1, 5, 1), (5, 6, 2)])
+    spec = ProblemSpec(
+        graph=g, start=0, required_edges=frozenset([EdgeRef("u", 5, 6)]),
+        turn_penalties=(TurnPenalty(0, 4, 1, 10.0),),
+        postmen=Postmen(count=1, capacities=(5,)), i_max=4,
+    )
+    solution = exact_walk_oracle(spec)
+    assert (solution.objective_weight, solution.turn_extra) == (5.0, 10.0)
+    walk = solution.single_walk()
+    assert [(s.frm, s.to) for s in walk.steps] == [(0, 4), (4, 1), (1, 5), (5, 6)]
+    # every walk of at most i_max arcs from the start: the same optimum
+    arcs = list(g.arcs())
+    best = float("inf")
+    for length in range(1, 5):
+        for seq in itertools.product(arcs, repeat=length):
+            if seq[0].tail != 0 or any(a.head != b.tail for a, b in zip(seq, seq[1:])):
+                continue
+            weight = sum(a.weight for a in seq)
+            if weight > 5 or EdgeRef("u", 5, 6) not in {a.ref for a in seq}:
+                continue
+            bonus = sum(10.0 for a, b in zip(seq, seq[1:]) if (a.tail, a.head, b.head) == (0, 4, 1))
+            best = min(best, weight + bonus)
+    assert best == 15.0
 
 
 def test_oracle_respects_hierarchy():

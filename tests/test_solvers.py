@@ -64,6 +64,14 @@ def test_brute_force_tie_breaks_lexicographically():
     report = brute_force(Qubo(3))
     assert report.best_energy == 0.0
     assert list(report.best_assignment) == [0, 0, 0]
+    # [0, 1] and [1, 0] tie at -1; the lowest index (x_0 = 1) would give [1, 0]
+    q = Qubo(2)
+    q.add_linear(0, -1.0)
+    q.add_linear(1, -1.0)
+    q.add_quadratic(0, 1, 1.0)
+    report = brute_force(q)
+    assert report.best_energy == -1.0
+    assert list(report.best_assignment) == [0, 1]
 
 
 def test_brute_force_matches_reverse_reenumeration(rng):
