@@ -21,6 +21,7 @@ from postqubo import (
     compile_general,
     default_penalties,
     enumerate_all_energies,
+    exact_walk_oracle,
     simulated_annealing,
 )
 from postqubo.general import (
@@ -577,3 +578,49 @@ PINNED_FORMS = {
 def test_compiled_forms_are_pinned(name):
     spec, encoding = _pinned_specs()[name]
     assert _form_hashes(compile_general(spec, encoding)) == PINNED_FORMS[name]
+
+
+def _pinned_route(name: str, spec: ProblemSpec) -> list[list[tuple]]:
+    """One valid route per pinned spec: the walk oracle's, or two hand walks for the team."""
+    if name == "team":
+        return [[(0, 1), (1, 2), (2, 1), (1, 0)], [(0, 3), (3, 2), (2, 3), (3, 0)]]
+    walk = exact_walk_oracle(spec).walks[0]
+    return [[(s.frm, s.to, s.mode, s.kind) for s in walk.steps]]
+
+
+def _decode_hash(name: str) -> str:
+    spec, encoding = _pinned_specs()[name]
+    compiled = compile_general(spec, encoding)
+    n = len(compiled.registry)
+    rng = np.random.default_rng(29)
+    states = [
+        (rng.random(n) < density).astype(int).tolist()
+        for density in (0.05, 0.2, 0.5)
+        for _ in range(30)
+    ]
+    valid = compiled.encode_route(_pinned_route(name, spec))
+    assert compiled.decode(valid).is_valid
+    states.append(valid)
+    for j in range(n):
+        flipped = list(valid)
+        flipped[j] ^= 1
+        states.append(flipped)
+    text = "\n".join(repr(compiled.decode(x)) for x in states)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of repr(decode(x)) over seeded random states, one valid
+# route's bits and every single-bit flip of them, per spec above
+PINNED_DECODES = {
+    "repetition": "0cae979307dfc3a7",
+    "terminal": "3e2711822b4f225e",
+    "rest": "cb105f820ca58eef",
+    "service_hierarchy": "1c2c7cf902008782",
+    "turns": "5412e1fdd2ffeb82",
+    "team": "95e1a157d5aa5b2e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DECODES))
+def test_decodes_are_pinned(name):
+    assert _decode_hash(name) == PINNED_DECODES[name]

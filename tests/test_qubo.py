@@ -5,6 +5,7 @@ import pytest
 
 from postqubo import (
     EdgeStep,
+    IndexOutOfRange,
     LengthMismatch,
     PairVar,
     PenaltyConfig,
@@ -248,6 +249,42 @@ def test_near_zero_coefficients_are_pruned():
     q.add_quadratic(0, 1, -0.5)
     assert not q.linear and not q.quadratic
 
+
+
+@pytest.mark.parametrize("add", [
+    lambda q: q.add_linear(2, 1.0),
+    lambda q: q.add_quadratic(0, 2, 1.0),
+    lambda q: q.add_quadratic(2, 1, 1.0),
+    lambda q: q.add_square_penalty([(0, 1.0), (2, -1.0)], constant=1.0),
+    lambda q: q.add_linear(-1, 1.0),
+])
+def test_assembly_rejects_an_index_outside_the_form(add):
+    q = Qubo(2)
+    q.add_square_penalty([(0, -1.0), (1, -1.0)], constant=1.0)
+    before = format_qubo_text(q)
+    with pytest.raises(IndexOutOfRange):
+        add(q)
+    assert format_qubo_text(q) == before
+
+
+def test_add_scaled_rejects_a_form_of_another_size():
+    with pytest.raises(LengthMismatch):
+        Qubo(2).add_scaled(Qubo(3))
+
+
+def test_energy_follows_merges_made_after_an_evaluation():
+    q = Qubo(2)
+    q.add_linear(0, 1.0)
+    assert q.energy([1, 1]) == 1.0
+    other = Qubo(2)
+    other.add_offset(0.5)
+    other.add_linear(1, 2.0)
+    other.add_quadratic(0, 1, -4.0)
+    q.add_scaled(other, 3.0)
+    assert q.energy([1, 1]) == 1.0 + 1.5 + 6.0 - 12.0
+    q.add_square_penalty([(0, 1.0), (1, 1.0)], constant=-1.0, scale=2.0)
+    assert q.energy([1, 1]) == -3.5 + 2.0
+    assert q.energy([0, 0]) == 1.5 + 2.0
 
 # --- text export --------------------------------------------------------------------
 
