@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import zlib
 from dataclasses import replace
@@ -147,14 +148,16 @@ def _check_args(args: argparse.Namespace) -> None:
                 raise InputError(f"unknown solver {name!r}")
         if hasattr(args, "seed") and args.seed < 0:
             raise InputError("--seed must be >= 0")
-        for name in ("reads", "sweeps", "starts", "tenure"):
+        for name in ("reads", "sweeps", "starts", "tenure", "iterations"):
             value = getattr(args, name)
             if value is not None and value < 1:
                 raise InputError(f"--{name} must be >= 1")
         if args.max_retunes < 0:
             raise InputError("--max-retunes must be >= 0")
-        if not args.beta_min < args.beta_max:
-            raise InputError("--beta-min must be below --beta-max")
+        if not 0 < args.beta_min < args.beta_max < math.inf:
+            raise InputError("need finite betas with 0 < --beta-min < --beta-max")
+    if getattr(args, "node_limit", 1) < 1:
+        raise InputError("--node-limit must be >= 1")
 
 
 def _solver_names(args: argparse.Namespace) -> list[str]:

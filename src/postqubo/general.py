@@ -268,28 +268,6 @@ class CompiledGeneral(CompiledProblem):
             return 0.0
         return self.spec.weight(postman, (arc.tail, arc.head, arc.kind), mode)
 
-    # ---- movement rule ----------------------------------------------------
-
-    def _move_allowed(
-        self,
-        a_arc: CompArc | None,
-        a_mode: str | None,
-        b_arc: CompArc | None,
-        b_mode: str | None,
-    ) -> bool:
-        """May variable A at step i be followed by variable B at step i+1?
-
-        None stands for a rest variable.  Rest is absorbing: anything may
-        enter rest, nothing may leave it.
-        """
-        if a_arc is None:
-            return b_arc is None
-        if b_arc is None:
-            return True
-        if b_arc.tail == a_arc.head:
-            return True
-        return a_arc.index == b_arc.index and a_mode == b_mode and a_mode in self._repeat_modes
-
     # ---- QUBO assembly ----------------------------------------------------
 
     def _build_forms(self) -> None:
@@ -314,11 +292,16 @@ class CompiledGeneral(CompiledProblem):
                     terms.append((rest[i], -1.0))
                 one_edge.add_square_penalty(terms, constant=1.0)
 
-            # no jumping between consecutive steps
+            # no jumping between consecutive steps: a move starts where the
+            # last one ended, or repeats it in a repeat mode
             for i, (cur, nxt) in enumerate(zip(steps, steps[1:])):
                 for idx_a, arc_a, mode_a in cur:
                     for idx_b, arc_b, mode_b in nxt:
-                        if not self._move_allowed(arc_a, mode_a, arc_b, mode_b):
+                        if arc_b.tail != arc_a.head and not (
+                            arc_b.index == arc_a.index
+                            and mode_b == mode_a
+                            and mode_a in self._repeat_modes
+                        ):
                             adjacency.add_quadratic(idx_a, idx_b, 1.0)
                 if rest:
                     # rest is absorbing: resuming movement afterwards is illegal
@@ -403,11 +386,14 @@ class CompiledGeneral(CompiledProblem):
     def decode(self, x: Sequence[int]) -> RouteSolution:
         """Interpret a bit assignment as per-postman walks plus validity.
 
-        Decode checks what only the bits show: one move or rest per step,
-        legal moves between steps, and the required- and capacity-slack
-        identities.  The walks, with terminal arcs and repeats stripped, go
-        through `ProblemSpec.check_walks` for the route rules, the walk
-        weights and the turn bonus.
+        One move or rest per step, legal moves between steps and required
+        coverage hold exactly when their compiled forms are zero: the forms
+        have small integer coefficients, so their energies are exact.  The
+        capacity-slack identity is checked linearly: the capacity form's
+        offset, the capacity squared, is inexact past 2^53.  The walks, with
+        terminal arcs and repeats stripped, go through
+        `ProblemSpec.check_walks` for the route rules, the walk weights and
+        the turn bonus.
         """
         if len(x) != len(self.registry):
             raise SpecError(f"assignment length {len(x)} != {len(self.registry)}")
@@ -417,39 +403,17 @@ class CompiledGeneral(CompiledProblem):
             [[(arc, mode) for idx, arc, mode in step if x[idx]] for step in steps]
             for steps in self._steps
         ]
-        rest = [{i for i, idx in enumerate(bits) if x[idx]} for bits in self._rest]
-
-        one_edge_ok = True
-        contiguous_ok = True
-        for p in range(self.postmen):
-            for i in range(self.i_max):
-                if len(moves[p][i]) + (i in rest[p]) != 1:
-                    one_edge_ok = False
-            for i in range(self.i_max - 1):
-                cur_entries = moves[p][i] + ([(None, None)] if i in rest[p] else [])
-                nxt_entries = moves[p][i + 1] + ([(None, None)] if (i + 1) in rest[p] else [])
-                for arc_a, mode_a in cur_entries:
-                    for arc_b, mode_b in nxt_entries:
-                        if not self._move_allowed(arc_a, mode_a, arc_b, mode_b):
-                            contiguous_ok = False
-
         walks = [self._walk(per_step) for per_step in moves]
         problems, weights, turn_extra = spec.check_walks(walks)
-        # slack identities: every visit past the first, and unused capacity
-        required_ok = self.service_mode or all(
-            sum(1 for _, _, idx in self._covers[ref] if x[idx])
-            == 1 + sum(_register_value(self._req_slack[(ref, p)], x) for p in range(self.postmen))
-            for ref in self.required
-        )
         # the rest encoding strips nothing, so a walk weight is the bits' used weight
         capacity_ok = spec.postmen.capacities is None or all(
             float(c) - used - _register_value(slots, x) == 0.0
             for c, used, slots in zip(spec.postmen.capacities, weights, self._cap_slack)
         )
         flags = {
-            "one_edge_per_step": one_edge_ok,
-            "contiguous": contiguous_ok,
-            "required_covered": required_ok,
+            "one_edge_per_step": self.constraints["one_edge"].energy(x) == 0.0,
+            "contiguous": self.constraints["adjacency"].energy(x) == 0.0,
+            "required_covered": self.constraints["required"].energy(x) == 0.0,
             "capacity_ok": capacity_ok,
         }
         for name, _ in problems:

@@ -149,6 +149,15 @@ class VariableRegistry:
 
 # --- quadratic form -------------------------------------------------------
 
+def _accumulate(table: dict, key, c: float) -> None:
+    """Add c to table[key], dropping the entry once it is within PRUNE_EPS of zero."""
+    v = table.get(key, 0.0) + c
+    if abs(v) < PRUNE_EPS:
+        table.pop(key, None)
+    else:
+        table[key] = v
+
+
 class Qubo:
     """offset + sum_i linear[i] x_i + sum_{i<j} quadratic[i,j] x_i x_j over bits.
 
@@ -179,11 +188,7 @@ class Qubo:
 
     def add_linear(self, i: int, c: float) -> None:
         self._check_index(i)
-        v = self.linear.get(i, 0.0) + c
-        if abs(v) < PRUNE_EPS:
-            self.linear.pop(i, None)
-        else:
-            self.linear[i] = v
+        _accumulate(self.linear, i, c)
         self._touch()
 
     def add_quadratic(self, i: int, j: int, c: float) -> None:
@@ -191,14 +196,9 @@ class Qubo:
         self._check_index(j)
         if i == j:
             # x^2 == x for bits
-            self.add_linear(i, c)
-            return
-        key = (i, j) if i < j else (j, i)
-        v = self.quadratic.get(key, 0.0) + c
-        if abs(v) < PRUNE_EPS:
-            self.quadratic.pop(key, None)
+            _accumulate(self.linear, i, c)
         else:
-            self.quadratic[key] = v
+            _accumulate(self.quadratic, (i, j) if i < j else (j, i), c)
         self._touch()
 
     def add_square_penalty(
@@ -217,25 +217,27 @@ class Qubo:
         for i, c in terms:
             self._check_index(i)
             merged[i] = merged.get(i, 0.0) + c
-        self.add_offset(scale * constant * constant)
+        self.offset += scale * constant * constant
         idxs = sorted(merged)
         for i in idxs:
             ci = merged[i]
-            self.add_linear(i, scale * (2.0 * constant * ci + ci * ci))
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i, j = idxs[a], idxs[b]
-                self.add_quadratic(i, j, scale * 2.0 * merged[i] * merged[j])
+            _accumulate(self.linear, i, scale * (2.0 * constant * ci + ci * ci))
+        for a, i in enumerate(idxs):
+            for j in idxs[a + 1:]:
+                _accumulate(self.quadratic, (i, j), scale * 2.0 * merged[i] * merged[j])
+        self._touch()
 
     def add_scaled(self, other: "Qubo", scale: float = 1.0) -> None:
         """Merge another form over the same registry, scaled."""
         if other.n != self.n:
             raise LengthMismatch(f"cannot merge n={other.n} into n={self.n}")
-        self.add_offset(scale * other.offset)
+        self.offset += scale * other.offset
+        # the other form's keys were checked when it was assembled
         for i, c in other.linear.items():
-            self.add_linear(i, scale * c)
-        for (i, j), c in other.quadratic.items():
-            self.add_quadratic(i, j, scale * c)
+            _accumulate(self.linear, i, scale * c)
+        for key, c in other.quadratic.items():
+            _accumulate(self.quadratic, key, scale * c)
+        self._touch()
 
     def copy(self) -> "Qubo":
         q = Qubo(self.n)
@@ -305,7 +307,7 @@ PENALTY_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """One positive multiplier per constraint family."""
+    """One positive, finite multiplier per constraint family."""
 
     p_one_edge: float
     p_adjacency: float
@@ -318,8 +320,8 @@ class PenaltyConfig:
 
     def __post_init__(self) -> None:
         for fam in PENALTY_FAMILIES:
-            if self.value(fam) <= 0:
-                raise QuboError(f"penalty p_{fam} must be strictly positive")
+            if not 0 < self.value(fam) < np.inf:
+                raise QuboError(f"penalty p_{fam} must be positive and finite")
 
     @classmethod
     def uniform(cls, p: float) -> "PenaltyConfig":

@@ -214,8 +214,8 @@ def simulated_annealing(
     flips are accepted with probability exp(-beta * delta).
     """
     beta_min, beta_max = beta_schedule
-    if not beta_min < beta_max:
-        raise ValueError("need beta_min < beta_max")
+    if not 0 < beta_min < beta_max < np.inf:
+        raise ValueError("need finite betas with 0 < beta_min < beta_max")
     if reads < 1 or sweeps < 1:
         raise ValueError("reads and sweeps must be >= 1")
     t0 = time.perf_counter()
@@ -289,6 +289,8 @@ def tabu_search(
     Recently flipped variables stay tabu for `tenure` iterations unless the
     move would beat the incumbent best.
     """
+    if iterations is not None and iterations < 1:
+        raise ValueError("iterations must be >= 1")
     t0 = time.perf_counter()
     n = q.n
     if n == 0:

@@ -289,6 +289,37 @@ def test_solve_rejects_bad_sampler_arguments(fig_graph_file, tmp_path, capsys, f
     assert not out.exists()
 
 
+
+TRIANGLE_SPEC = {
+    "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
+    "start": 0, "stop": 0, "i_max": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("solve", "--beta-min", "0"), "--beta-min"),
+        (("solve", "--beta-min", "-1"), "--beta-min"),
+        (("solve", "--beta-max", "inf"), "--beta-max"),
+        (("solve", "--p-one-edge", "nan"), "p_one_edge"),
+        (("solve", "--solver", "tabu+greedy", "--iterations", "0"), "--iterations"),
+        (("solve", "--solver", "tabu+greedy", "--iterations", "-3"), "--iterations"),
+        (("oracle", "--node-limit", "0"), "--node-limit"),
+        (("oracle", "--node-limit", "-5"), "--node-limit"),
+    ],
+)
+def test_bad_numeric_arguments_are_input_errors(tmp_path, capsys, flags, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TRIANGLE_SPEC))
+    command, *rest = flags
+    out = tmp_path / "out"
+    if command == "solve":
+        rest = ["--force-qubo", "--reads", "20", "--sweeps", "50", *rest]
+    assert run(command, path, "--out", out, *rest) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 def test_pairing_retunes_reuse_one_compile(fig_graph_file, tmp_path, capsys, monkeypatch):
     import postqubo.cli as cli
 

@@ -227,8 +227,11 @@ def test_energy_invariant_under_relabeling(rng):
 # --- penalties --------------------------------------------------------------------
 
 def test_penalty_config_requires_positive_values():
-    with pytest.raises(QuboError):
-        PenaltyConfig.uniform(0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(QuboError):
+            PenaltyConfig.uniform(bad)
+        with pytest.raises(QuboError):
+            PenaltyConfig.uniform(1.0).scaled(["turn"], bad)
     cfg = PenaltyConfig.for_max_weight(4.0)
     assert cfg.p_required == 20.0
     assert cfg.value("one_edge") == 20.0

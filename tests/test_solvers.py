@@ -290,3 +290,16 @@ def test_make_sampler_names():
         assert sampler(q).best_energy == 9.0
     with pytest.raises(ValueError):
         make_sampler("quantum")
+
+
+@pytest.mark.parametrize("sample", [
+    lambda q: simulated_annealing(q, beta_schedule=(0.0, 1.0)),
+    lambda q: simulated_annealing(q, beta_schedule=(-1.0, 1.0)),
+    lambda q: simulated_annealing(q, beta_schedule=(0.1, float("inf"))),
+    lambda q: simulated_annealing(q, beta_schedule=(float("nan"), 1.0)),
+    lambda q: tabu_search(q, iterations=0),
+    lambda q: tabu_search(q, iterations=-3),
+])
+def test_samplers_reject_bad_schedules(sample):
+    with pytest.raises(ValueError):
+        sample(paper_instance())
