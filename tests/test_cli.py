@@ -289,7 +289,6 @@ def test_solve_rejects_bad_sampler_arguments(fig_graph_file, tmp_path, capsys, f
     assert not out.exists()
 
 
-
 TRIANGLE_SPEC = {
     "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
     "start": 0, "stop": 0, "i_max": 4,
@@ -319,6 +318,7 @@ def test_bad_numeric_arguments_are_input_errors(tmp_path, capsys, flags, message
     assert run(command, path, "--out", out, *rest) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
 
 def test_pairing_retunes_reuse_one_compile(fig_graph_file, tmp_path, capsys, monkeypatch):
     import postqubo.cli as cli

@@ -253,7 +253,6 @@ def test_near_zero_coefficients_are_pruned():
     assert not q.linear and not q.quadratic
 
 
-
 @pytest.mark.parametrize("add", [
     lambda q: q.add_linear(2, 1.0),
     lambda q: q.add_quadratic(0, 2, 1.0),
@@ -288,6 +287,7 @@ def test_energy_follows_merges_made_after_an_evaluation():
     q.add_square_penalty([(0, 1.0), (1, 1.0)], constant=-1.0, scale=2.0)
     assert q.energy([1, 1]) == -3.5 + 2.0
     assert q.energy([0, 0]) == 1.5 + 2.0
+
 
 # --- text export --------------------------------------------------------------------
 
