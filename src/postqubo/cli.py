@@ -136,6 +136,10 @@ def _check_args(args: argparse.Namespace) -> None:
         for family in PENALTY_FAMILIES
         if getattr(args, f"p_{family}", None) is not None
     }
+    for name, value in args.penalties.items():
+        if not 0 < value < math.inf:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"penalty {name} must be positive and finite: {flag} {value}")
     if args.command == "bench":
         try:
             args.seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")

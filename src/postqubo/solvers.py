@@ -2,14 +2,17 @@
 
 All stochastic solvers are bit-reproducible for a fixed (seed, parameters)
 pair, and greedy, tabu and annealing share one flip update (`_flip`).
-Annealing read r draws its initial state and then its float32 acceptance
-uniforms, in (sweep, variable) order, from its own Philox stream keyed
-(seed mod 2^64, r).  The uniforms are drawn `_SWEEP_BLOCK` sweeps at a time,
-so memory is O(reads * n * _SWEEP_BLOCK).  All reads run together and each
-sweep is event-driven: one comparison tests every read's n proposals, and
-work is done only where a proposal is accepted, so each read follows exactly
-the chain of a one-variable-at-a-time sweep.  The result is the first state
-in (sweep, variable, read) order that reaches the lowest energy seen.
+An annealing call draws from one stream, default_rng(seed mod 2^64): every
+read's initial state, then raw 32-bit words in (sweep, read, variable)
+order, `_SWEEP_BLOCK` sweeps at a time, whose top 23 bits become acceptance
+thresholds in place.  Only one block is alive at a time, so memory is
+O(reads * n * _SWEEP_BLOCK).  All reads run together and each sweep is
+event-driven: one comparison tests every read's n proposals, and work is
+done only where a proposal is accepted, so each read follows exactly the
+chain of a one-variable-at-a-time sweep.  The result is the first state in
+(sweep, variable, read) order that reaches the lowest energy seen.  A
+`make_sampler` closure moves to a new seed on each call, so a retune does
+not replay the stream of the attempt it follows.
 """
 
 from __future__ import annotations
@@ -187,18 +190,24 @@ def greedy_post(q: Qubo, report: SolveReport) -> SolveReport:
     )
 
 
-_SWEEP_BLOCK = 32  # sweeps of acceptance thresholds held in memory at once
+_SWEEP_BLOCK = 16  # sweeps of acceptance thresholds held in memory at once
 
 
-def _acceptance_thresholds(u: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Turn float32 uniforms u in [0, 1), shaped (..., sweeps, n), into the
-    thresholds -log(1 - u)/beta in place.  Accepting delta d with probability
-    exp(-beta * max(d, 0)) is the test d < threshold; 1 - u is exact in
-    float32 and never 0, so no threshold is NaN or warns."""
-    np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    np.divide(u, -betas[:, None], out=u)
-    return u
+def _acceptance_thresholds(bits: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Turn uint32 random bits, shaped (sweeps, reads, n) with one beta per
+    sweep, into acceptance thresholds in place; return them as a float32 view.
+
+    The top 23 bits become the mantissa of f = 1.m in [1, 2), and v = 2 - f
+    is exact and lies in (0, 1].  Accepting delta d with probability
+    exp(-beta * max(d, 0)) is then the test d < -log(v)/beta, and no
+    threshold is infinite, NaN or warns."""
+    bits >>= 9
+    bits |= 0x3F800000
+    v = bits.view(np.float32)
+    np.subtract(np.float32(2.0), v, out=v)
+    np.log(v, out=v)
+    np.divide(v, -betas[:, None, None], out=v)
+    return v
 
 
 def simulated_annealing(
@@ -210,8 +219,8 @@ def simulated_annealing(
 ) -> SolveReport:
     """Metropolis sweeps over a geometric inverse-temperature ramp.
 
-    Each read is an independent restart with its own RNG stream; uphill
-    flips are accepted with probability exp(-beta * delta).
+    Each read is an independent restart; all reads share one random stream.
+    Uphill flips are accepted with probability exp(-beta * delta).
     """
     beta_min, beta_max = beta_schedule
     if not 0 < beta_min < beta_max < np.inf:
@@ -229,13 +238,8 @@ def simulated_annealing(
     sym = q.dense_symmetric().astype(np.float32)
     betas = np.geomspace(beta_min, beta_max, sweeps).astype(np.float32)
 
-    # a uint64 key: every seed mod 2^64 gets its own streams
-    key = seed & 0xFFFFFFFFFFFFFFFF
-    gens = [
-        np.random.Generator(np.random.Philox(key=np.array([key, r], dtype=np.uint64)))
-        for r in range(reads)
-    ]
-    x = (np.stack([gen.random(n) for gen in gens]) < 0.5).astype(np.float32)
+    gen = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    x = (gen.random((reads, n)) < 0.5).astype(np.float32)
     spins = 1.0 - 2.0 * x
     deltas = spins * (lin + x @ sym)
     current = _row_energies(q, x.astype(np.float64))
@@ -245,22 +249,24 @@ def simulated_annealing(
     best_key = (float(current[best_row]), -1, 0, best_row)
     best_spins = spins[best_row].copy()
 
-    block = min(_SWEEP_BLOCK, sweeps)
-    buf = np.empty(reads * block * n, dtype=np.float32)
-    for first in range(0, sweeps, block):
-        count = min(block, sweeps - first)
-        # per read, the stream continues exactly where the last block ended
-        thresholds = buf[: reads * count * n].reshape(reads, count, n)
-        for gen, out in zip(gens, thresholds):
-            gen.random(out=out, dtype=np.float32)
-        _acceptance_thresholds(thresholds, betas[first : first + count])
+    size = reads * n
+    for first in range(0, sweeps, _SWEEP_BLOCK):
+        count = min(_SWEEP_BLOCK, sweeps - first)
+        # one block of raw bits in (sweep, read, variable) order; the block
+        # before it is no longer referenced, so only one is alive at a time
+        words = gen.bit_generator.random_raw((count * size + 1) // 2)
+        bits = words.view(np.uint32)[: count * size].reshape(count, reads, n)
+        thresholds = _acceptance_thresholds(bits, betas[first : first + count])
         for s in range(count):
             # test the whole sweep at once; each accepting read flips at its
             # first accepted variable, then re-tests only the later ones
-            thr = thresholds[:, s]
-            accept = deltas < thr
-            rows = np.flatnonzero(accept.any(axis=1))
-            cols = accept[rows].argmax(axis=1)
+            thr = thresholds[s]
+            hits = np.flatnonzero(deltas < thr)
+            rows = hits // n
+            lead = np.ones(len(hits), dtype=bool)
+            np.not_equal(rows[1:], rows[:-1], out=lead[1:])
+            rows = rows[lead]
+            cols = hits[lead] - rows * n
             while len(rows):
                 current[rows] += _flip(spins, deltas, sym, (rows, cols))
                 energies = current[rows]
@@ -275,6 +281,7 @@ def simulated_annealing(
                 accept = (deltas[rows] < thr[rows]) & (np.arange(n) > cols[:, None])
                 more = accept.any(axis=1)
                 rows, cols = rows[more], accept[more].argmax(axis=1)
+        del words, bits, thresholds, thr
     return _finish(q, (1.0 - best_spins) / 2.0, reads * sweeps * n, t0, "sa", seed)
 
 
@@ -379,6 +386,7 @@ def solve_with_retune(
 # --- named sampler construction ----------------------------------------------
 
 SOLVER_NAMES = ("brute", "greedy", "sa", "tabu", "sa+greedy", "tabu+greedy")
+_SEED_STEP = 0x9E3779B97F4A7C15  # 2^64 / golden ratio: the seed step per sampler call
 
 
 def make_sampler(
@@ -391,22 +399,31 @@ def make_sampler(
     tenure: int | None = None,
     iterations: int | None = None,
 ) -> Sampler:
-    """Sampler closure for a solver name like 'sa+greedy'."""
+    """Sampler closure for a solver name like 'sa+greedy'.
+
+    The closure counts its calls: call k runs at seed
+    (seed + k * _SEED_STEP) mod 2^64, so a retune does not replay the stream
+    of the attempt before it, and call 0 runs at `seed` itself.
+    """
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; pick one of {SOLVER_NAMES}")
     base, _, post = name.partition("+")
+    calls = 0
 
     def run(q: Qubo) -> SolveReport:
+        nonlocal calls
+        seed_k = (seed + calls * _SEED_STEP) & 0xFFFFFFFFFFFFFFFF
+        calls += 1
         if base == "brute":
             report = brute_force(q)
         elif base == "greedy":
-            report = greedy_descent(q, starts=starts, seed=seed)
+            report = greedy_descent(q, starts=starts, seed=seed_k)
         elif base == "sa":
             report = simulated_annealing(
-                q, sweeps=sweeps, beta_schedule=beta_schedule, reads=reads, seed=seed
+                q, sweeps=sweeps, beta_schedule=beta_schedule, reads=reads, seed=seed_k
             )
         else:
-            report = tabu_search(q, tenure=tenure, iterations=iterations, seed=seed)
+            report = tabu_search(q, tenure=tenure, iterations=iterations, seed=seed_k)
         if post == "greedy":
             report = greedy_post(q, report)
         return report

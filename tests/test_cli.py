@@ -289,6 +289,20 @@ def test_solve_rejects_bad_sampler_arguments(fig_graph_file, tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "export-qubo", "bench"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_bad_penalty_multipliers_are_rejected_before_any_work(
+    fig_graph_file, tmp_path, capsys, command, value
+):
+    out = tmp_path / "out" / ("rows.csv" if command == "bench" else "")
+    target = fig_graph_file.parent if command == "bench" else fig_graph_file
+    code = run(command, target, "--out", out, "--p-pairing", value)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "--p-pairing" in err
+    assert not (tmp_path / "out").exists()
+
+
 TRIANGLE_SPEC = {
     "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
     "start": 0, "stop": 0, "i_max": 4,

@@ -10,58 +10,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postqubo import Qubo, greedy_descent, greedy_post, simulated_annealing, tabu_search
+from postqubo import solvers
 from postqubo.pairing import compile_pairing, default_pairing_penalty
 from postqubo.solvers import _EPS, _acceptance_thresholds, _finish, _row_energies
 from conftest import random_graph_with_odd_count
 
 
 def reference_simulated_annealing(q, sweeps=1000, beta_schedule=(0.1, 10.0), reads=1000, seed=0):
-    """Annealing one variable at a time, with every float32 threshold drawn up
-    front, in read batches of at most 48 M uniforms; one batch whenever
-    reads * sweeps * n <= 48 M."""
+    """Annealing one variable at a time, with every draw taken up front from
+    one default_rng(seed mod 2^64) stream: the (reads, n) initial uniforms,
+    then raw 64-bit words, each split low half first into two 32-bit draws in
+    (sweep, read, variable) order.  A draw's top 23 bits k give
+    v = 1 - k / 2^23 in (0, 1] and the float32 threshold -log(v)/beta."""
     beta_min, beta_max = beta_schedule
     t0 = time.perf_counter()
     n = q.n
     lin = q.as_arrays()[0].astype(np.float32)
     sym = q.dense_symmetric().astype(np.float32)
     betas = np.geomspace(beta_min, beta_max, sweeps).astype(np.float32)
-    best_state = None
-    best_energy = np.inf
-    batch = max(1, min(reads, 48_000_000 // max(sweeps * n, 1)))
-    for first in range(0, reads, batch):
-        count = min(batch, reads - first)
-        inits = np.empty((count, n))
-        thresholds = np.empty((count, sweeps, n), dtype=np.float32)
-        for r in range(count):
-            gen = np.random.Generator(
-                np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, first + r])
-            )
-            inits[r] = gen.random(n)
-            thresholds[r] = gen.random((sweeps, n), dtype=np.float32)
-        # accept d with probability exp(-beta * max(d, 0)): d < -log(1 - u)/beta
-        thresholds = -np.log(1.0 - thresholds) / betas[:, None]
-        x = (inits < 0.5).astype(np.float32)
-        deltas = (1.0 - 2.0 * x) * (lin + x @ sym)
-        current = _row_energies(q, x.astype(np.float64))
-        floor = float(current.min())
-        if floor < best_energy:
-            best_energy = floor
-            best_state = x[int(np.argmin(current))].copy()
-        for s in range(sweeps):
-            for i in range(n):
-                rows = np.flatnonzero(deltas[:, i] < thresholds[:, s, i])
-                if not len(rows):
-                    continue
-                sign = 1.0 - 2.0 * x[rows, i]
-                x[rows, i] = 1.0 - x[rows, i]
-                old = deltas[rows, i].copy()
-                deltas[rows, :] += (1.0 - 2.0 * x[rows, :]) * sym[i, :] * sign[:, None]
-                deltas[rows, i] = -old
-                current[rows] += old
-                floor = float(current[rows].min())
-                if floor < best_energy:
-                    best_energy = floor
-                    best_state = x[rows[int(np.argmin(current[rows]))]].copy()
+    gen = np.random.default_rng(seed % 2**64)
+    inits = gen.random((reads, n))
+    total = sweeps * reads * n
+    words = gen.bit_generator.random_raw((total + 1) // 2)
+    draws = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:total]
+    v = (1.0 - (draws >> 9) * 2.0**-23).astype(np.float32).reshape(sweeps, reads, n)
+    # accept d with probability exp(-beta * max(d, 0)): d < -log(v)/beta
+    thresholds = -np.log(v) / betas[:, None, None]
+    x = (inits < 0.5).astype(np.float32)
+    deltas = (1.0 - 2.0 * x) * (lin + x @ sym)
+    current = _row_energies(q, x.astype(np.float64))
+    best_energy = float(current.min())
+    best_state = x[int(np.argmin(current))].copy()
+    for s in range(sweeps):
+        for i in range(n):
+            rows = np.flatnonzero(deltas[:, i] < thresholds[s, :, i])
+            if not len(rows):
+                continue
+            sign = 1.0 - 2.0 * x[rows, i]
+            x[rows, i] = 1.0 - x[rows, i]
+            old = deltas[rows, i].copy()
+            deltas[rows, :] += (1.0 - 2.0 * x[rows, :]) * sym[i, :] * sign[:, None]
+            deltas[rows, i] = -old
+            current[rows] += old
+            floor = float(current[rows].min())
+            if floor < best_energy:
+                best_energy = floor
+                best_state = x[rows[int(np.argmin(current[rows]))]].copy()
     return _finish(q, best_state, reads * sweeps * n, t0, "sa", seed)
 
 
@@ -202,15 +196,34 @@ def test_greedy_and_tabu_match_references_bit_for_bit(q, seed):
     assert np.array_equal(tabu.best_assignment, reference_tabu(q, seed).astype(np.uint8))
 
 
-def test_a_zero_uniform_gives_a_finite_threshold_without_warning():
-    top = np.nextafter(np.float32(1), np.float32(0))  # the largest float32 uniform
-    u = np.array([[[0.0, 0.5, top]]], dtype=np.float32)
+def test_extreme_bits_give_finite_thresholds_without_warning():
+    # only the top 23 bits count: 0x1FF is all-zero there, 0x80000000 is v = 1/2
+    bits = np.array([[[0, 0x1FF, 0x80000000, 0xFFFFFFFF]]], dtype=np.uint32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        thresholds = _acceptance_thresholds(u, np.array([0.5], dtype=np.float32))
-    assert thresholds[0, 0, 0] == 0.0  # u = 0 accepts exactly the downhill moves
+        thresholds = _acceptance_thresholds(bits, np.array([0.5], dtype=np.float32))
+    assert thresholds.dtype == np.float32
+    assert thresholds[0, 0, 0] == 0.0 and thresholds[0, 0, 1] == 0.0  # only downhill moves
     assert np.all(np.isfinite(thresholds))
-    assert np.allclose(thresholds[0, 0, 1:], [-np.log(0.5) / 0.5, 24 * np.log(2) / 0.5])
+    assert np.allclose(thresholds[0, 0, 2:], [np.log(2) / 0.5, 23 * np.log(2) / 0.5], rtol=1e-6)
+
+
+@pytest.mark.parametrize("block", [2, 16, 1000])
+def test_sa_reports_do_not_depend_on_the_sweep_block(monkeypatch, block):
+    """Odd reads * n and sweep counts that leave a partial last block; a block
+    of 1000 holds every sweep at once."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n, reads, sweeps in ((7, 5, 37), (9, 3, 5), (12, 4, 33)):
+        q = Qubo(n)
+        for i in range(n):
+            q.add_linear(i, float(rng.integers(-4, 5)))
+            for j in range(i + 1, n):
+                q.add_quadratic(i, j, float(rng.integers(-4, 5)))
+        cases.append((q, dict(sweeps=sweeps, beta_schedule=(0.2, 3.0), reads=reads, seed=n)))
+    monkeypatch.setattr(solvers, "_SWEEP_BLOCK", block)
+    for q, args in cases:
+        assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
 
 
 def test_sa_default_memory_is_bounded_by_the_sweep_block():
@@ -233,7 +246,7 @@ def test_sa_seeds_above_int64_get_their_own_streams(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = simulated_annealing(q, sweeps=2, reads=3, seed=seed)
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    assert np.array_equal(report.best_assignment, (gen.random(32) < 0.5).astype(np.uint8))
+    read_0 = np.random.default_rng(seed % 2**64).random((3, 32))[0]
+    assert np.array_equal(report.best_assignment, (read_0 < 0.5).astype(np.uint8))
     seed_zero = simulated_annealing(q, sweeps=2, reads=3, seed=0)
     assert not np.array_equal(report.best_assignment, seed_zero.best_assignment)

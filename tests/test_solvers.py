@@ -292,6 +292,21 @@ def test_make_sampler_names():
         make_sampler("quantum")
 
 
+def test_each_sampler_call_runs_its_own_stream():
+    g = random_graph_with_odd_count(np.random.default_rng(8), 6)
+    q = compile_pairing(g, default_pairing_penalty(g)).qubo()
+    step = 0x9E3779B97F4A7C15
+    seed = 2**64 - 5  # call 1's seed wraps around 2^64
+    sampler = make_sampler("tabu", seed=seed, iterations=40)
+    first, second = sampler(q), sampler(q)
+    for report, k in ((first, 0), (second, 1)):
+        alone = tabu_search(q, iterations=40, seed=(seed + k * step) % 2**64)
+        assert np.array_equal(report.best_assignment, alone.best_assignment)
+    assert not np.array_equal(first.best_assignment, second.best_assignment)
+    replay = make_sampler("tabu", seed=seed, iterations=40)(q)
+    assert np.array_equal(replay.best_assignment, first.best_assignment)
+
+
 @pytest.mark.parametrize("sample", [
     lambda q: simulated_annealing(q, beta_schedule=(0.0, 1.0)),
     lambda q: simulated_annealing(q, beta_schedule=(-1.0, 1.0)),
