@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -209,3 +210,59 @@ def test_shortcut_only_covers_required_subset():
     assert solution.objective_weight == 3.0
     # matches the exact oracle on the same instance
     assert exact_walk_oracle(spec).objective_weight == 3.0
+
+
+# --- pinned shortcut routes ---------------------------------------------------------
+
+def _shortcut_specs():
+    """Seeded specs whose required edges are unions of arc-disjoint cycles.
+
+    Undirected and directed, sometimes with extra unrequired edges, a windy
+    edge, two components, a tight step budget or start/stop endpoints.
+    """
+    rng = np.random.default_rng(43)
+    for case in range(80):
+        directed = case % 2 == 1
+        n = int(rng.integers(3, 8))
+        required: dict[tuple[int, int], tuple[int, ...]] = {}
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(2 if directed else 3, n + 1))
+            cycle = [int(v) for v in rng.choice(n, size=size, replace=False)]
+            arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            keys = [a if directed else (min(a), max(a)) for a in arcs]
+            if any(k in required for k in keys):
+                continue
+            for k in keys:
+                w = int(rng.integers(1, 9))
+                windy = not directed and rng.random() < 0.05
+                required[k] = (w, int(rng.integers(1, 9))) if windy else (w,)
+        extra = {}
+        if rng.random() < 0.3:
+            a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+            key = (a, b) if directed else (min(a, b), max(a, b))
+            if key not in required and (b, a) not in required:
+                extra[key] = (int(rng.integers(1, 9)),)
+        edges = [k + w for k, w in {**required, **extra}.items()]
+        g = Graph.build(range(n), directed=edges) if directed else Graph.build(range(n), undirected=edges)
+        kind = "d" if directed else "u"
+        refs = frozenset(EdgeRef(kind, a, b) for a, b in required)
+        start = stop = None
+        r = rng.random()
+        if r < 0.25:
+            start = stop = int(rng.integers(0, n))
+        elif r < 0.4:
+            start = int(rng.integers(0, n))
+        elif r < 0.55:
+            stop = int(rng.integers(0, n))
+        elif r < 0.6:
+            start, stop = 0, 1
+        i_max = len(required) - 1 if rng.random() < 0.1 else None
+        yield ProblemSpec(
+            graph=g, start=start, stop=stop, required_edges=refs if extra else None, i_max=i_max
+        )
+
+
+def test_shortcut_routes_are_pinned():
+    lines = [repr(euler_shortcut(spec)) for spec in _shortcut_specs()]
+    assert sum(line != "None" for line in lines) >= 30
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "3551ce1669695a68"

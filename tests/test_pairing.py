@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -248,3 +249,36 @@ def test_insufficient_penalty_can_break(rng):
     report = brute_force(q)
     with pytest.raises(NotPerfectPairing):
         decode_pairing(report.best_assignment, reg)
+
+
+# --- pinned routes -------------------------------------------------------------------
+
+def _route_hash() -> str:
+    """sha256 prefix of repr(augment_and_route) over seeded pairing graphs.
+
+    Each graph is routed with the oracle pairing and with one random perfect
+    pairing; graphs with no odd vertex take the empty pairing.
+    """
+    rng = np.random.default_rng(41)
+    lines = []
+    for d in (0, 2, 2, 4, 4, 6, 6, 8):
+        for _ in range(4):
+            if d == 0:
+                n = int(rng.integers(3, 7))
+                cycle = [int(v) for v in rng.permutation(n)]
+                edges = [
+                    (a, b, int(rng.integers(0, 9))) for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                ]
+                lines.append(repr(euler_route(Graph.build(range(n), undirected=edges))))
+                continue
+            g = random_graph_with_odd_count(rng, d)
+            pairing, _ = exact_pairing_oracle(g)
+            lines.append(repr(augment_and_route(g, pairing)))
+            options = list(all_pairings(sorted(odd_degree_vertices(g))))
+            other = Pairing(frozenset(options[int(rng.integers(0, len(options)))]))
+            lines.append(repr(augment_and_route(g, other)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_routes_are_pinned():
+    assert _route_hash() == "0ce7c37bd94eb643"
