@@ -26,7 +26,6 @@ from .graphs import (
     DirectedEdge,
     EdgeRef,
     Graph,
-    MultiGraph,
     UndirectedEdge,
     is_strongly_connected,
     odd_degree_vertices,

@@ -4,13 +4,17 @@ A graph is a set of integer vertices plus undirected edges (one weight per
 traversal direction) and directed edges.  Everything is immutable after
 construction and safe to share across threads; a graph's all-pairs shortest
 paths are computed on first use and then kept.
+
+Euler circuits are taken over a plain list of (tail, head) pairs, so a
+caller can duplicate or select edges without building another graph and
+map each traversed index back to its own edge.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -310,106 +314,39 @@ def shortest_paths(g: Graph) -> ShortestPaths:
     return ShortestPaths(order, dist, pred)
 
 
-@dataclass(frozen=True)
-class MultiEdge:
-    tail: int
-    head: int
-    weight: float
+def _euler_edge_sequence(
+    edges: Sequence[tuple[int, int]], directed: bool = False
+) -> list[tuple[int, int, int]]:
+    """Hierholzer traversal of an edge multiset as (tail, head, edge_index) triples.
 
-
-@dataclass
-class MultiGraph:
-    """Internal multigraph for augmentation and terminal constructions.
-
-    Parallel edges are allowed; self-loops only where a builder creates them.
-    Never accepted as user input.
+    Starts at the lowest-numbered vertex with an edge and always explores the
+    lowest-numbered neighbor first, so output is deterministic.
     """
-
-    vertices: set[int] = field(default_factory=set)
-    edges: list[MultiEdge] = field(default_factory=list)
-    directed: bool = False
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "MultiGraph":
-        """Undirected multigraph copy; requires symmetric undirected weights."""
-        if g.directed:
-            raise NonUndirectedGraph("only undirected graphs have a multigraph copy")
-        mg = cls(set(g.vertices), [], directed=False)
-        for e in g.undirected:
-            mg.add_edge(e.a, e.b, e.w_ab)
-        return mg
-
-    def add_edge(self, tail: int, head: int, weight: float) -> int:
-        self.vertices.add(tail)
-        self.vertices.add(head)
-        self.edges.append(MultiEdge(tail, head, float(weight)))
-        return len(self.edges) - 1
-
-    @property
-    def total_weight(self) -> float:
-        return sum(e.weight for e in self.edges)
-
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            deg[e.tail] += 1
-            deg[e.head] += 1
-        return deg
-
-
-def _euler_edge_sequence(mg: MultiGraph) -> list[tuple[int, int, int]]:
-    """Hierholzer traversal as (tail, head, edge_index) triples.
-
-    Starts at the lowest-numbered vertex with positive degree and always
-    explores the lowest-numbered neighbor first, so output is deterministic.
-    """
-    if not mg.edges:
+    if not edges:
         return []
-    # incidence[v] = sorted (neighbor, edge_index) pairs leaving v
-    incidence: dict[int, list[tuple[int, int]]] = {v: [] for v in mg.vertices}
-    for idx, e in enumerate(mg.edges):
-        incidence[e.tail].append((e.head, idx))
-        if not mg.directed:
-            incidence[e.head].append((e.tail, idx))
+    # incidence[v] = sorted (neighbor, edge_index) pairs leaving v;
+    # balance[v] = out minus in (directed) or the degree (undirected)
+    incidence: dict[int, list[tuple[int, int]]] = {}
+    balance: dict[int, int] = {}
+    for idx, (tail, head) in enumerate(edges):
+        incidence.setdefault(tail, []).append((head, idx))
+        incidence.setdefault(head, [])
+        balance[tail] = balance.get(tail, 0) + 1
+        balance[head] = balance.get(head, 0) + (-1 if directed else 1)
+        if not directed:
+            incidence[head].append((tail, idx))
+    for v in sorted(balance):
+        if directed and balance[v]:
+            raise NoEulerianCircuit(f"vertex {v}: out-degree minus in-degree is {balance[v]}")
+        if not directed and balance[v] % 2:
+            raise NoEulerianCircuit(f"vertex {v} has odd degree {balance[v]}")
     for lst in incidence.values():
         lst.sort()
 
-    if mg.directed:
-        out = {v: 0 for v in mg.vertices}
-        ind = {v: 0 for v in mg.vertices}
-        for e in mg.edges:
-            out[e.tail] += 1
-            ind[e.head] += 1
-        for v in mg.vertices:
-            if out[v] != ind[v]:
-                raise NoEulerianCircuit(f"vertex {v}: in-degree {ind[v]} != out-degree {out[v]}")
-    else:
-        for v, d in mg.degrees().items():
-            if d % 2 == 1:
-                raise NoEulerianCircuit(f"vertex {v} has odd degree {d}")
-
-    # connectivity over vertices that carry edges (undirected view suffices:
-    # a balanced connected directed multigraph is strongly connected)
-    active = {e.tail for e in mg.edges} | {e.head for e in mg.edges}
-    links: dict[int, set[int]] = {v: set() for v in active}
-    for e in mg.edges:
-        links[e.tail].add(e.head)
-        links[e.head].add(e.tail)
-    start = min(active)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in links[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if seen != active:
-        raise NoEulerianCircuit("edge set is not connected")
-
-    used = [False] * len(mg.edges)
-    pointer = {v: 0 for v in mg.vertices}
+    used = [False] * len(edges)
+    pointer = dict.fromkeys(incidence, 0)
     # stack entries: (vertex, edge index used to arrive, arc tail)
-    path_stack: list[tuple[int, int, int]] = [(start, -1, -1)]
+    path_stack: list[tuple[int, int, int]] = [(min(incidence), -1, -1)]
     order: list[tuple[int, int, int]] = []
     while path_stack:
         v, _, _ = path_stack[-1]
@@ -426,16 +363,8 @@ def _euler_edge_sequence(mg: MultiGraph) -> list[tuple[int, int, int]]:
             path_stack.append((head, idx, v))
     order.reverse()
     steps = [(tail, v, idx) for (v, idx, tail) in order[1:]]
-    if len(steps) != len(mg.edges):
-        raise NoEulerianCircuit("traversal did not use every edge")
+    # with every degree even (or balanced) the traversal uses the start's
+    # whole component, so a leftover edge lies in another one
+    if len(steps) != len(edges):
+        raise NoEulerianCircuit("edge set is not connected")
     return steps
-
-
-def rotate_closed_walk(steps: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Rotate a closed walk so it starts at its lowest-numbered vertex."""
-    steps = list(steps)
-    if not steps:
-        return steps
-    lowest = min(a for a, _ in steps)
-    k = next(i for i, (a, _) in enumerate(steps) if a == lowest)
-    return steps[k:] + steps[:k]

@@ -16,7 +16,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedCombination,
 )
-from .graphs import EdgeRef, MultiGraph, _euler_edge_sequence
+from .graphs import EdgeRef, _euler_edge_sequence
 from .problem import ProblemSpec
 from .qubo import MODE_SERVICE
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
@@ -217,16 +217,12 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
     def weight_of(tail: int, head: int, kind: str) -> float:
         return spec.weight(0, (tail, head, kind), mode)
 
-    mg = MultiGraph(directed=directed)
-    for ref in required:
-        w_ab = weight_of(ref.a, ref.b, ref.kind)
-        if not directed:
-            w_ba = weight_of(ref.b, ref.a, ref.kind)
-            if w_ab != w_ba:
-                return None  # windy edge: circuit orientation changes the cost
-        mg.add_edge(ref.a, ref.b, w_ab)
+    if not directed and any(
+        weight_of(ref.a, ref.b, kind) != weight_of(ref.b, ref.a, kind) for ref in required
+    ):
+        return None  # windy edge: circuit orientation changes the cost
     try:
-        sequence = _euler_edge_sequence(mg)
+        sequence = _euler_edge_sequence([(ref.a, ref.b) for ref in required], directed)
     except NoEulerianCircuit:
         return None
     if len(sequence) > spec.effective_i_max:

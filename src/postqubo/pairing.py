@@ -20,14 +20,7 @@ from .errors import (
     NotStronglyConnected,
     TooManyOddVertices,
 )
-from .graphs import (
-    Graph,
-    MultiGraph,
-    _euler_edge_sequence,
-    is_strongly_connected,
-    odd_degree_vertices,
-    rotate_closed_walk,
-)
+from .graphs import Graph, _euler_edge_sequence, is_strongly_connected, odd_degree_vertices
 from .qubo import PENALTY_FACTOR, CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
@@ -193,18 +186,17 @@ def _augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
         raise NotPerfectPairing(
             f"pairing covers {sorted(pairing.vertices())}, odd vertices are {sorted(odd)}"
         )
-    mg = MultiGraph.from_graph(g)
+    pairs = pairing.sorted_pairs()
     # g.paths is read only for pairs, so an empty pairing computes no shortest paths
-    added = {mg.add_edge(a, b, g.paths.distance(a, b)) for a, b in pairing.sorted_pairs()}
-    sequence = _euler_edge_sequence(mg)
+    added = [g.paths.distance(a, b) for a, b in pairs]
+    edges = [(e.a, e.b) for e in g.undirected] + pairs
     steps: list[tuple[int, int]] = []
-    for tail, head, idx in sequence:
-        if idx in added:
+    for tail, head, idx in _euler_edge_sequence(edges):
+        if idx >= len(g.undirected):  # a pair: expand into its shortest path
             steps.extend(g.paths.path_steps(tail, head))
         else:
             steps.append((tail, head))
-    steps = rotate_closed_walk(steps)
-    weight = mg.total_weight
+    weight = sum(itertools.chain((e.w_ab for e in g.undirected), added))
     walk = RouteWalk(tuple(WalkStep(a, b, kind="u") for a, b in steps), weight)
     return RouteSolution(walks=(walk,), objective_weight=weight)
 

@@ -5,7 +5,6 @@ from postqubo import (
     EdgeRef,
     Graph,
     InvalidGraph,
-    MultiGraph,
     NoEulerianCircuit,
     NonUndirectedGraph,
     NotStronglyConnected,
@@ -58,36 +57,18 @@ def test_undirected_and_directed_between_same_pair_are_distinct():
     assert len(g.arcs()) == 3
 
 
-# --- degree_profile: undirected degrees and their parity -------------------------
-
-def degrees(g: Graph) -> dict[int, int]:
-    return MultiGraph.from_graph(g).degrees()
-
-
-def test_degree_profile_example_vertex_two():
-    assert degrees(figure_example_graph())[2] == 4
-
+# --- odd degree parity --------------------------------------------------------------
 
 def test_degree_profile_single_edge():
     g = Graph.build([0, 1], undirected=[(0, 1, 1)])
-    assert degrees(g) == {0: 1, 1: 1}
     assert odd_degree_vertices(g) == {0, 1}
 
 
 def test_degree_profile_matches_recount(rng):
     g = random_connected_undirected(rng, 6, 3)
     assert g.edge_count >= 8 - 3  # tree edges at minimum
-    profile = degrees(g)
-    for v in g.vertices:
-        recount = sum(1 for e in g.undirected if v in (e.a, e.b))
-        assert profile[v] == recount
-    assert odd_degree_vertices(g) == {v for v, d in profile.items() if d % 2 == 1}
-
-
-def test_degree_sum_is_twice_edge_count(rng):
-    for _ in range(10):
-        g = random_connected_undirected(rng, int(rng.integers(3, 9)), int(rng.integers(0, 6)))
-        assert sum(degrees(g).values()) == 2 * g.edge_count
+    recount = {v: sum(1 for e in g.undirected if v in (e.a, e.b)) for v in g.vertices}
+    assert odd_degree_vertices(g) == {v for v, d in recount.items() if d % 2 == 1}
 
 
 # --- odd_degree_vertices ---------------------------------------------------------
@@ -215,10 +196,13 @@ def test_directed_cycle_minus_arc_not_connected():
 
 # --- eulerian_circuit ------------------------------------------------------------
 
-def circuit(mg: MultiGraph) -> tuple[list[tuple[int, int]], float]:
-    """Closed walk over every multigraph edge once, plus its weight."""
-    seq = _euler_edge_sequence(mg)
-    return [(a, b) for a, b, _ in seq], sum(mg.edges[idx].weight for _, _, idx in seq)
+def circuit(edges: list[tuple[int, int]], directed: bool = False) -> list[tuple[int, int]]:
+    """Closed walk over every listed edge once, checked against its edge indices."""
+    seq = _euler_edge_sequence(edges, directed)
+    assert sorted(idx for _, _, idx in seq) == list(range(len(edges)))
+    for tail, head, idx in seq:
+        assert (tail, head) == edges[idx] or (not directed and (head, tail) == edges[idx])
+    return [(a, b) for a, b, _ in seq]
 
 
 def is_closed_walk(steps: list[tuple[int, int]]) -> bool:
@@ -227,66 +211,62 @@ def is_closed_walk(steps: list[tuple[int, int]]) -> bool:
 
 
 def test_euler_circuit_on_augmented_example():
-    mg = MultiGraph.from_graph(figure_example_graph())
-    mg.add_edge(3, 5, 9.0)
-    steps, weight = circuit(mg)
-    assert weight == 32.0
-    assert is_closed_walk(steps)
-    assert len(steps) == 8
+    g = figure_example_graph()
+    edges = [(e.a, e.b) for e in g.undirected] + [(3, 5)]
+    weights = [e.w_ab for e in g.undirected] + [9.0]
+    seq = _euler_edge_sequence(edges)
+    assert sum(weights[idx] for _, _, idx in seq) == 32.0
+    assert is_closed_walk([(a, b) for a, b, _ in seq])
+    assert len(seq) == 8
 
 
 def test_euler_circuit_triangle():
-    mg = MultiGraph()
-    for a, b in [(0, 1), (1, 2), (2, 0)]:
-        mg.add_edge(a, b, 1.0)
-    steps, weight = circuit(mg)
-    assert weight == 3.0
+    steps = circuit([(0, 1), (1, 2), (2, 0)])
+    assert len(steps) == 3
     assert is_closed_walk(steps)
+    assert _euler_edge_sequence([]) == []
 
 
 def test_euler_circuit_uses_every_edge_once(rng):
-    for _ in range(20):
-        mg = MultiGraph()
+    checked = 0
+    for _ in range(40):
+        edges = []
         n = int(rng.integers(3, 7))
-        # random even multigraph: add random cycles (each keeps degrees even)
+        directed = bool(rng.integers(0, 2))
+        # random even (balanced) multigraph: add random cycles
         for _ in range(int(rng.integers(1, 4))):
             size = int(rng.integers(2, n + 1))
-            cyc = list(rng.choice(n, size=size, replace=False))
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                mg.add_edge(int(a), int(b), float(rng.integers(1, 9)))
-        # keep one connected component only
+            cyc = [int(v) for v in rng.choice(n, size=size, replace=False)]
+            edges += list(zip(cyc, cyc[1:] + cyc[:1]))
         try:
-            steps, weight = circuit(mg)
-        except NoEulerianCircuit:
+            steps = circuit(edges, directed)
+        except NoEulerianCircuit as exc:
+            assert str(exc) == "edge set is not connected"
             continue
-        used = sorted((min(a, b), max(a, b)) for a, b in steps)
-        expected = sorted((min(e.tail, e.head), max(e.tail, e.head)) for e in mg.edges)
-        assert used == expected
-        assert weight == pytest.approx(mg.total_weight)
+        checked += 1
+        assert is_closed_walk(steps)
+        assert steps[0][0] == min(v for edge in edges for v in edge)
+    assert checked >= 10
 
 
 def test_euler_circuit_rejects_odd_degree():
-    mg = MultiGraph()
-    mg.add_edge(0, 1, 1.0)
-    with pytest.raises(NoEulerianCircuit):
-        circuit(mg)
+    with pytest.raises(NoEulerianCircuit, match="vertex 0 has odd degree 1"):
+        _euler_edge_sequence([(0, 1)])
 
 
 def test_euler_circuit_rejects_disconnected():
-    mg = MultiGraph()
-    for a, b in [(0, 1), (1, 0), (2, 3), (3, 2)]:
-        mg.add_edge(a, b, 1.0)
-    with pytest.raises(NoEulerianCircuit):
-        circuit(mg)
+    for directed in (False, True):
+        with pytest.raises(NoEulerianCircuit, match="edge set is not connected"):
+            _euler_edge_sequence([(0, 1), (1, 0), (2, 3), (3, 2)], directed)
 
 
 def test_euler_circuit_directed_balance():
-    mg = MultiGraph(directed=True)
-    for a, b in [(0, 1), (1, 2), (2, 0)]:
-        mg.add_edge(a, b, 2.0)
-    steps, weight = circuit(mg)
-    assert weight == 6.0
-    assert steps[0][0] == 0
-    mg.add_edge(0, 1, 1.0)
+    edges = [(0, 1), (1, 2), (2, 0)]
+    steps = circuit(edges, directed=True)
+    assert steps == edges
+    # the reversed triangle is an undirected circuit but not a directed one
+    assert len(circuit([(1, 0), (1, 2), (2, 0)])) == 3
     with pytest.raises(NoEulerianCircuit):
-        circuit(mg)
+        _euler_edge_sequence([(1, 0), (1, 2), (2, 0)], directed=True)
+    with pytest.raises(NoEulerianCircuit):
+        _euler_edge_sequence(edges + [(0, 1)], directed=True)

@@ -178,6 +178,23 @@ def test_route_covers_everything_and_closes(rng):
         assert covered.issuperset({(e.a, e.b) for e in g.undirected})
 
 
+def test_every_route_is_closed_and_starts_at_the_lowest_vertex(rng):
+    for _ in range(30):
+        d = int(rng.choice([0, 2, 4, 6]))
+        base = random_graph_with_odd_count(rng, d)
+        # relabel onto random ids so the lowest vertex is rarely 0
+        ids = [int(v) for v in rng.choice(50, len(base.vertices), replace=False)]
+        label = dict(zip(sorted(base.vertices), ids))
+        g = Graph.build(
+            ids, undirected=[(label[e.a], label[e.b], e.w_ab) for e in base.undirected]
+        )
+        options = list(all_pairings(sorted(odd_degree_vertices(g))))
+        pairing = Pairing(frozenset(options[int(rng.integers(0, len(options)))]))
+        walk = augment_and_route(g, pairing).single_walk()
+        assert walk.closed
+        assert walk.steps[0].frm == min(g.vertices)
+
+
 def test_route_rejects_wrong_pairing():
     g = figure_example_graph()
     with pytest.raises(NotPerfectPairing):
