@@ -191,13 +191,12 @@ def _problem_of(instance, args: argparse.Namespace):
 
 def _compile(problem, args: argparse.Namespace) -> tuple[CompiledProblem, PenaltyConfig]:
     """Compile a graph or spec; its penalties are the defaults under the --p-* flags."""
-    graph = isinstance(problem, Graph)
-    pen = PenaltyConfig.for_max_weight(problem.max_weight) if graph else default_penalties(problem)
-    pen = replace(pen, **args.penalties)
-    if not graph:
-        return compile_general(problem), pen
-    compiled = compile_pairing(problem, args.penalties.get("p_pairing"))
-    return compiled, replace(pen, p_pairing=compiled.penalty)
+    if isinstance(problem, Graph):
+        compiled = compile_pairing(problem)
+        pen = PenaltyConfig.uniform(compiled.penalty)
+    else:
+        compiled, pen = compile_general(problem), default_penalties(problem)
+    return compiled, replace(pen, **args.penalties)
 
 
 def _solve_one(

@@ -21,7 +21,7 @@ from .errors import (
     TooManyOddVertices,
 )
 from .graphs import Graph, _euler_edge_sequence, is_strongly_connected, odd_degree_vertices
-from .qubo import PENALTY_FACTOR, CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
+from .qubo import CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 ORACLE_MAX_ODD = 12
@@ -98,11 +98,12 @@ def _checked_odd_vertices(g: Graph) -> list[int]:
 
 
 def _penalty(g: Graph, odd: list[int]) -> float:
-    return PENALTY_FACTOR * max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
+    pairs = itertools.combinations(odd, 2)
+    return PenaltyConfig.for_max_weight(max(g.paths.distance(a, b) for a, b in pairs)).p_pairing
 
 
 def default_pairing_penalty(g: Graph) -> float:
-    """PENALTY_FACTOR times the largest shortest-path distance among odd vertex pairs."""
+    """The `PenaltyConfig.for_max_weight` multiplier at the largest odd-pair distance."""
     return _penalty(g, _checked_odd_vertices(g))
 
 

@@ -9,7 +9,7 @@ three distinct vertices.  Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from .errors import InputError
@@ -43,6 +43,13 @@ def _integer(value: Any, what: str) -> int:
     if isinstance(value, bool) or not integral:
         raise InputError(f"{what} must be an integer: {value!r}")
     return int(value)
+
+
+def _number(value: Any, what: str) -> float:
+    """A JSON number (int or float) as a float; not a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number: {value!r}")
+    return float(value)
 
 
 def _label_index(labels: Sequence[Any]) -> dict[str, int]:
@@ -90,13 +97,14 @@ def parse_graph(obj: Mapping) -> GraphDocument:
     for item in _as_list(obj.get("undirected", []), "graph.undirected"):
         if not isinstance(item, list) or len(item) not in (3, 4):
             raise InputError(f"undirected entry needs [a,b,w] or [a,b,w_ab,w_ba]: {item!r}")
-        undirected.append((vid(item[0]), vid(item[1]), *item[2:]))
+        weights = (_number(w, "undirected edge weight") for w in item[2:])
+        undirected.append((vid(item[0]), vid(item[1]), *weights))
     directed = []
     for item in _as_list(obj.get("directed", []), "graph.directed"):
         if not isinstance(item, list) or len(item) != 3:
             raise InputError(f"directed entry needs [from,to,w]: {item!r}")
-        directed.append((vid(item[0]), vid(item[1]), item[2]))
-    try:  # Graph.build converts the weights
+        directed.append((vid(item[0]), vid(item[1]), _number(item[2], "directed edge weight")))
+    try:
         graph = Graph.build(range(len(labels)), undirected=undirected, directed=directed)
     except Exception as exc:
         raise InputError(f"invalid graph: {exc}") from exc
@@ -132,7 +140,7 @@ def _parse_weight_overrides(items, doc: GraphDocument, what: str):
         tail, head = doc.id_of(item[0]), doc.id_of(item[1])
         kind = item[3] if len(item) == 4 else None
         kind = _resolve_arc_kind(doc.graph, tail, head, kind, what)
-        out.append((tail, head, kind, item[2]))  # ProblemSpec converts the weight
+        out.append((tail, head, kind, _number(item[2], what)))
     return tuple(out)
 
 
@@ -186,7 +194,7 @@ def parse_spec(obj: Mapping) -> SpecDocument:
         k2, r = doc.id_of(item[1][0]), doc.id_of(item[1][1])
         if k2 != k:
             raise InputError(f"turn entry: edge-out must start where edge-in ends: {item!r}")
-        turns.append((j, k, r, item[2]))
+        turns.append((j, k, r, _number(item[2], "turn bonus")))
 
     service = None
     svc_obj = obj.get("service")
@@ -226,25 +234,28 @@ def parse_spec(obj: Mapping) -> SpecDocument:
                 for table in _as_list(pm_obj["weights"], "spec.postmen.weights")
             )
         count = _integer(pm_obj["count"], "spec.postmen.count")
+        capacities = pm_obj.get("capacities")
+        if capacities is not None:
+            capacities = tuple(
+                _number(c, "capacity") for c in _as_list(capacities, "spec.postmen.capacities")
+            )
 
     i_max = _integer(obj["i_max"], "spec.i_max") if obj.get("i_max") is not None else None
-    try:  # numbers are converted here, so a malformed one is an input error
-        postmen = Postmen()
-        if pm_obj is not None:
-            capacities = pm_obj.get("capacities")
-            if capacities is not None:
-                capacities = tuple(float(c) for c in capacities)
-            postmen = Postmen(count, capacities, weights)
+    collisions = obj.get("forbid_edge_collisions", False)
+    if not isinstance(collisions, bool):
+        raise InputError(f"spec.forbid_edge_collisions must be true or false: {collisions!r}")
+    try:  # the spec checks the values, so a bad one is an input error
+        postmen = Postmen() if pm_obj is None else Postmen(count, capacities, weights)
         spec = ProblemSpec(
             graph=doc.graph,
             start=start,
             stop=stop,
             required_edges=required,
-            turn_penalties=tuple(TurnPenalty(j, k, r, float(b)) for j, k, r, b in turns),
+            turn_penalties=tuple(TurnPenalty(j, k, r, b) for j, k, r, b in turns),
             service=service,
             hierarchy=tuple(hierarchy),
             postmen=postmen,
-            forbid_edge_collisions=bool(obj.get("forbid_edge_collisions", False)),
+            forbid_edge_collisions=collisions,
             i_max=i_max,
         )
     except Exception as exc:
@@ -306,9 +317,9 @@ def route_from_json(obj: Mapping, doc: GraphDocument) -> RouteSolution:
         "route",
     )
     walks = []
-    for walk_obj in obj["walks"]:
+    for walk_obj in _as_list(obj["walks"], "route.walks"):
         steps = []
-        for step in walk_obj:
+        for step in _as_list(walk_obj, "route walk"):
             _check_keys(step, {"from", "to"}, {"mode", "kind"}, "route step")
             frm, to = doc.id_of(step["from"]), doc.id_of(step["to"])
             kind = _resolve_arc_kind(doc.graph, frm, to, step.get("kind"), "route step")
@@ -317,12 +328,16 @@ def route_from_json(obj: Mapping, doc: GraphDocument) -> RouteSolution:
                 raise InputError(f"route step: unknown mode {mode!r}")
             steps.append(WalkStep(frm, to, mode, kind))
         walks.append(RouteWalk(tuple(steps), 0.0))
-    validity = ValidityReport(**obj.get("validity", {}))
+    flags = obj.get("validity", {})
+    _check_keys(flags, set(), {f.name for f in fields(ValidityReport)}, "route.validity")
+    for name, flag in flags.items():
+        if not isinstance(flag, bool):
+            raise InputError(f"route.validity.{name} must be true or false: {flag!r}")
     return RouteSolution(
         walks=tuple(walks),
-        objective_weight=float(obj["weight"]),
-        validity=validity,
-        turn_extra=float(obj.get("turn_extra", 0.0)),
+        objective_weight=_number(obj["weight"], "route.weight"),
+        validity=ValidityReport(**flags),
+        turn_extra=_number(obj.get("turn_extra", 0.0), "route.turn_extra"),
     )
 
 

@@ -245,6 +245,41 @@ def solve_and_validate(tmp_path, spec: dict, *flags) -> tuple[dict, int]:
     return json.loads(route_path.read_text()), run("validate", route_path, "--instance", path)
 
 
+ZERO_DISTANCE_GRAPH = {"vertices": [0, 1, 2, 3], "undirected": [[0, 1, 0], [1, 2, 0], [2, 3, 0]]}
+
+
+def test_zero_distance_pairing_graph_solves_and_exports(tmp_path, capsys):
+    route, code = solve_and_validate(tmp_path, ZERO_DISTANCE_GRAPH)
+    assert route["weight"] == 0.0 and route["valid"] is True
+    assert code == 0
+    assert run("export-qubo", tmp_path / "spec.json", "--out", tmp_path / "qubo") == 0
+
+
+ROUTE_BREAKS = {
+    "walks-not-a-list": ("walks", 5),
+    "walk-not-a-list": ("walks", [5]),
+    "weight-string": ("weight", "abc"),
+    "weight-null": ("weight", None),
+    "validity-unknown-flag": ("validity", {"foo": True}),
+    "validity-not-an-object": ("validity", 5),
+    "validity-flag-not-a-bool": ("validity", {"contiguous": "yes"}),
+    "turn-extra-string": ("turn_extra", "x"),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTE_BREAKS))
+def test_validate_rejects_malformed_route_fields(case, tmp_path, capsys):
+    route, code = solve_and_validate(tmp_path, TRIANGLE)
+    assert code == 0
+    key, value = ROUTE_BREAKS[case]
+    route[key] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(route))
+    capsys.readouterr()
+    assert run("validate", broken, "--instance", tmp_path / "spec.json") == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_validate_accepts_undirected_edge_walked_high_to_low(tmp_path):
     spec = {
         "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
@@ -339,7 +374,7 @@ def test_pairing_retunes_reuse_one_compile(fig_graph_file, tmp_path, capsys, mon
 
     calls = []
 
-    def counting_compile(g, p):
+    def counting_compile(g, p=None):
         calls.append(p)
         return compile_pairing(g, p)
 
@@ -348,7 +383,7 @@ def test_pairing_retunes_reuse_one_compile(fig_graph_file, tmp_path, capsys, mon
                "--out", tmp_path / "out")
     assert code == 2
     assert "after 5 retunes" in capsys.readouterr().err
-    assert calls == [0.001]
+    assert calls == [None]  # compiled once at its default; --p-pairing sets the penalty
 
 
 def test_validate_checks_the_turn_bonus(tmp_path, capsys):
@@ -466,6 +501,20 @@ MALFORMED_NUMBERS = {
     "infinite-service-weight": {
         "graph": TRIANGLE, "service": {"service_weights": [[0, 1, float("inf")]]},
     },
+    "edge-weight-numeric-string": {"vertices": [0, 1], "undirected": [[0, 1, "3"]]},
+    "edge-weight-bool": {"vertices": [0, 1], "undirected": [[0, 1, True]]},
+    "directed-weight-numeric-string": {"vertices": [0, 1], "directed": [[0, 1, "3"], [1, 0, 1]]},
+    "turn-bonus-numeric-string": {"graph": TRIANGLE, "turn_penalties": [[[0, 1], [1, 2], "2"]]},
+    "service-weight-numeric-string": {
+        "graph": TRIANGLE, "service": {"service_weights": [[0, 1, "2"]]},
+    },
+    "traverse-weight-numeric-string": {
+        "graph": TRIANGLE, "service": {"traverse_weights": [[0, 1, "2"]]},
+    },
+    "postman-weight-numeric-string": {
+        "graph": TRIANGLE, "postmen": {"count": 1, "weights": [[[0, 1, "2"]]]},
+    },
+    "capacity-bool": {"graph": TRIANGLE, "postmen": {"count": 2, "capacities": [True, 9]}},
     "oracle-file-without-weight": None,
 }
 
@@ -498,6 +547,10 @@ MALFORMED_FIELDS = {
     "boolean-step-budget": {"graph": TRIANGLE, "i_max": True},
     "boolean-postman-count": {"graph": TRIANGLE, "postmen": {"count": True}},
     "string-step-budget": {"graph": TRIANGLE, "i_max": "3"},
+    "capacities-not-a-list": {"graph": TRIANGLE, "postmen": {"count": 2, "capacities": "99"}},
+    "collision-flag-string": {
+        "graph": TRIANGLE, "postmen": {"count": 2}, "forbid_edge_collisions": "no",
+    },
 }
 
 

@@ -12,6 +12,7 @@ from postqubo import (
     NotPerfectPairing,
     NotStronglyConnected,
     Pairing,
+    PenaltyConfig,
     TooManyOddVertices,
     augment_and_route,
     brute_force,
@@ -101,6 +102,15 @@ def test_pairing_entry_points_check_their_input_on_their_own(entry):
         entry(Graph.build([0, 1], undirected=[(0, 1, 1)], directed=[(1, 0, 1)]))
     with pytest.raises(NotStronglyConnected):
         entry(Graph.build([0, 1, 2, 3], undirected=[(0, 1, 1), (2, 3, 1)]))
+
+
+def test_zero_distance_pairing_graph_gets_the_fallback_penalty():
+    g = Graph.build(range(4), undirected=[(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+    p = default_pairing_penalty(g)
+    assert p == PenaltyConfig.for_max_weight(0.0).p_pairing > 0
+    compiled = compile_pairing(g, p)
+    assert compiled.penalty == compile_pairing(g).penalty == p
+    assert brute_force(compiled.qubo()).best_assignment == [1]
 
 
 # --- decode_pairing ------------------------------------------------------------
