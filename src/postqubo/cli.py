@@ -48,6 +48,7 @@ from .routes import RouteSolution
 from .serialization import (
     GraphDocument,
     SpecDocument,
+    _number,
     dump_json,
     load_instance,
     render_dot,
@@ -376,7 +377,7 @@ def _bench_rows(args: argparse.Namespace) -> list[tuple[Path, str, int, float | 
         if oracle_path.exists():
             try:
                 with open(oracle_path, "r", encoding="utf-8") as fh:
-                    oracle_weight = float(json.load(fh)["weight"])
+                    oracle_weight = _number(json.load(fh)["weight"], f"weight in {oracle_path}")
             except (OSError, ValueError, TypeError, KeyError) as exc:
                 raise InputError(f"cannot read the weight in {oracle_path}: {exc!r}") from exc
         rows += [(path, solver, seed, oracle_weight)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -326,13 +327,12 @@ def _euler_edge_sequence(
         return []
     # incidence[v] = sorted (neighbor, edge_index) pairs leaving v;
     # balance[v] = out minus in (directed) or the degree (undirected)
-    incidence: dict[int, list[tuple[int, int]]] = {}
-    balance: dict[int, int] = {}
+    incidence: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    balance: defaultdict[int, int] = defaultdict(int)
     for idx, (tail, head) in enumerate(edges):
-        incidence.setdefault(tail, []).append((head, idx))
-        incidence.setdefault(head, [])
-        balance[tail] = balance.get(tail, 0) + 1
-        balance[head] = balance.get(head, 0) + (-1 if directed else 1)
+        incidence[tail].append((head, idx))
+        balance[tail] += 1
+        balance[head] += -1 if directed else 1
         if not directed:
             incidence[head].append((tail, idx))
     for v in sorted(balance):

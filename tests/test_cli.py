@@ -515,15 +515,17 @@ MALFORMED_NUMBERS = {
         "graph": TRIANGLE, "postmen": {"count": 1, "weights": [[[0, 1, "2"]]]},
     },
     "capacity-bool": {"graph": TRIANGLE, "postmen": {"count": 2, "capacities": [True, 9]}},
-    "oracle-file-without-weight": None,
+    "oracle-file-without-weight": {"walks": []},
+    "oracle-weight-numeric-string": {"weight": "2"},
+    "oracle-weight-bool": {"weight": True},
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_NUMBERS))
 def test_malformed_numbers_are_input_errors(case, tmp_path, capsys):
-    if MALFORMED_NUMBERS[case] is None:
+    if case.startswith("oracle-"):
         (tmp_path / "fig.json").write_text(json.dumps(FIG_GRAPH))
-        (tmp_path / "fig.oracle.json").write_text(json.dumps({"walks": []}))
+        (tmp_path / "fig.oracle.json").write_text(json.dumps(MALFORMED_NUMBERS[case]))
         argv, written = ("bench", tmp_path, "--solver", "brute"), tmp_path / "bench.csv"
     else:
         path = tmp_path / "case.json"
