@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,54 @@ def test_brute_force_matches_reverse_reenumeration(rng):
 def test_brute_force_size_cap():
     with pytest.raises(TooLarge):
         brute_force(Qubo(29))
+
+
+# --- exhaustive layer pinned byte for byte ---------------------------------------------
+
+def _pinned_qubo(n: int, integer: bool, density: float) -> Qubo:
+    """Seeded QUBO with integer or normal coefficients and the given coupling density."""
+    rng = np.random.default_rng(1000 * n + 10 * integer + int(10 * density))
+
+    def coefficient() -> float:
+        return float(rng.integers(-9, 10)) if integer else float(rng.normal())
+
+    q = Qubo(n)
+    q.add_offset(coefficient())
+    for i in range(n):
+        q.add_linear(i, coefficient())
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                q.add_quadratic(i, j, coefficient())
+    return q
+
+
+# sha256 prefixes over each size's four QUBOs (integer and normal coefficients,
+# sparse and dense): the energy table's bytes, brute force's assignment and energy
+PINNED_EXHAUSTIVE = {
+    0: "76c92c68784b4eb8",
+    1: "e03a0202d66f2f86",
+    5: "a10180c6053453de",
+    13: "0587c7784d7b761b",
+    14: "a675b346af92f072",
+    15: "b9e5b0d87ccd5b3a",
+    17: "b5092c4172fa746d",
+    20: "29160a2532bc47e5",
+    22: "81047e3f7408e62a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_EXHAUSTIVE))
+def test_exhaustive_layer_is_pinned(n):
+    lines = []
+    for integer in (True, False):
+        for density in (0.2, 0.9):
+            q = _pinned_qubo(n, integer, density)
+            table = enumerate_all_energies(q)
+            report = brute_force(q)
+            bits = "".join(str(int(b)) for b in report.best_assignment)
+            lines.append(f"{hashlib.sha256(table.tobytes()).hexdigest()} {bits} {report.best_energy!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == PINNED_EXHAUSTIVE[n]
 
 
 # --- greedy descent -----------------------------------------------------------------
