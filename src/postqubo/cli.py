@@ -330,13 +330,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if not paths:
         print("no instances found", file=sys.stderr)
         return EXIT_INPUT
-    limited = False
+    infeasible = limited = False
     for path in paths:
         instance = load_instance(path)
         out_dir = args.out if args.out is not None else path.parent
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
             solution, doc, pipeline = _oracle_route(instance, args.node_limit)
+        except NoValidSolution as exc:
+            print(f"{path.name}: {exc}", file=sys.stderr)
+            infeasible = True
+            continue
         except (TooLarge, TooManyOddVertices, SearchBudgetExceeded) as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
             limited = True
@@ -344,6 +348,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         route = route_to_json(solution, doc, pipeline, "oracle", 0, None, 0)
         dump_json(route, out_dir / (path.stem + ".oracle.json"))
         print(f"{path.name}: optimum weight {solution.objective_weight!r}")
+    if infeasible:
+        return EXIT_NO_SOLUTION
     return EXIT_ORACLE_LIMIT if limited else EXIT_OK
 
 

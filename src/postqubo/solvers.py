@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,36 +57,78 @@ def _finish(q: Qubo, x: np.ndarray, samples: int, t0: float, name: str, seed: in
 
 # --- exhaustive enumeration -------------------------------------------------
 
-def enumerate_all_energies(q: Qubo) -> np.ndarray:
-    """Energies of all 2^n assignments; entry p has bit j of p as x_j.
+_BLOCK_BITS = 14  # low variables per enumerated block: 2^14 energies, 128 KB
 
-    Incremental doubling fill: O(2^n) work and memory, exact for
-    integer-valued coefficients.
+
+def _energy_blocks(q: Qubo) -> Iterator[tuple[int, np.ndarray]]:
+    """Check the cap, then return a generator of (h, block) pairs covering
+    all 2^n assignments once: block[l] is the energy of index (h << L) + l,
+    with L = min(n, _BLOCK_BITS) low bits and bit j of an index as x_j.
+
+    The low table is a doubling fill: entry h + r (r < h = 2^i) is
+    (entry r + lin_i) + cross_i[r], where cross_i[r] adds x_i's couplings
+    to the set bits of r in increasing order.  Every other block is made
+    from its parent by the same rule, one high bit at a time, so each entry
+    is bit-identical to a doubling fill over all n variables.  A block is
+    valid until the next one is drawn; memory is O((n - L) * 2^L).
     """
     n = q.n
     if n > BRUTE_FORCE_MAX_VARS:
         raise TooLarge(f"{n} variables > enumeration cap {BRUTE_FORCE_MAX_VARS}")
-    energies = np.empty(1 << n)
-    energies[0] = q.offset
-    if n == 0:
-        return energies
-    cols: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    low = min(n, _BLOCK_BITS)
+    cols: list[dict[int, float]] = [{} for _ in range(n)]
     for (i, j), v in q.quadratic.items():
-        cols[j].append((i, v))  # i < j by construction
-    cross = np.empty(1 << (n - 1)) if n > 1 else np.empty(1)
+        cols[j][i] = v  # i < j by construction
+    path = np.empty((n - low + 1, 1 << low))  # one block per depth of the search
+    scratch = np.empty(1 << low)
+    cross = np.empty((n - low, 1 << low))  # each high variable's low-bit couplings
+    block = path[0]
+    block[0] = q.offset
     for i in range(n):
-        h = 1 << i
-        col = dict(cols[i])
-        cross[0] = 0.0
-        for j in range(i):
+        row = scratch if i < low else cross[i - low]
+        row[0] = 0.0
+        for j in range(min(i, low)):
             hj = 1 << j
-            c = col.get(j)
+            c = cols[i].get(j)
             if c is None:
-                cross[hj : 2 * hj] = cross[:hj]
+                row[hj : 2 * hj] = row[:hj]
             else:
-                np.add(cross[:hj], c, out=cross[hj : 2 * hj])
-        np.add(energies[:h], q.linear.get(i, 0.0), out=energies[h : 2 * h])
-        energies[h : 2 * h] += cross[:h]
+                np.add(row[:hj], c, out=row[hj : 2 * hj])
+        if i < low:
+            h = 1 << i
+            np.add(block[:h], q.linear.get(i, 0.0), out=block[h : 2 * h])
+            block[h : 2 * h] += scratch[:h]
+    lin = [q.linear.get(i, 0.0) for i in range(low, n)]
+    high = [{j - low: c for j, c in cols[i].items() if j >= low} for i in range(low, n)]
+    return _block_tree(0, (), path, scratch, cross, lin, high)
+
+
+def _block_tree(h, on, path, scratch, cross, lin, high):
+    """Yield block h (high bits `on`, ascending) from path[len(on)], then,
+    depth first, every block that adds one high bit t above them."""
+    depth = len(on)
+    yield h, path[depth]
+    for t in range(on[-1] + 1 if on else 0, len(lin)):
+        couplings = cross[t]
+        for b in on:
+            c = high[t].get(b)
+            if c is not None:
+                couplings = np.add(couplings, c, out=scratch)
+        child = path[depth + 1]
+        np.add(path[depth], lin[t], out=child)
+        child += couplings
+        yield from _block_tree(h | 1 << t, on + (t,), path, scratch, cross, lin, high)
+
+
+def enumerate_all_energies(q: Qubo) -> np.ndarray:
+    """Energies of all 2^n assignments; entry p has bit j of p as x_j.
+
+    O(2^n) work and memory; exact for integer-valued coefficients.
+    """
+    blocks = _energy_blocks(q)
+    energies = np.empty(1 << q.n)
+    for h, block in blocks:
+        energies[h * block.size : (h + 1) * block.size] = block
     return energies
 
 
@@ -94,22 +136,34 @@ def bits_of(index: int, n: int) -> np.ndarray:
     return np.array([(index >> j) & 1 for j in range(n)], dtype=np.uint8)
 
 
-def brute_force(q: Qubo) -> SolveReport:
-    """Global minimum over all assignments; ties break to the
-    lexicographically smallest bit tuple (x_0, x_1, ...)."""
-    t0 = time.perf_counter()
-    n = q.n
-    energies = enumerate_all_energies(q)
-    tied = energies == energies.min()
+def _first_tied(tied: np.ndarray) -> int:
+    """Index of the tie with the lexicographically smallest bit tuple
+    (x_0, x_1, ...): keep the ties with x_j = 0 whenever there are any."""
     index = 0
-    # bit j of an index is x_j: keep the ties with x_j = 0 whenever there are any
-    for j in range(n):
+    for j in range(tied.size.bit_length() - 1):
         if tied[0::2].any():
             tied = tied[0::2]
         else:
             tied = tied[1::2]
             index |= 1 << j
-    return _finish(q, bits_of(index, n), 1 << n, t0, "brute", 0)
+    return index
+
+
+def brute_force(q: Qubo) -> SolveReport:
+    """Global minimum over all assignments; ties break to the
+    lexicographically smallest bit tuple (x_0, x_1, ...).
+
+    Blocks are enumerated one at a time, so memory stays O(n * 2^14)."""
+    t0 = time.perf_counter()
+    n = q.n
+    best = None
+    for h, block in _energy_blocks(q):
+        least = block.min()
+        if best is None or least <= best[0]:
+            key = (least, bits_of(h * block.size + _first_tied(block == least), n).tolist())
+            if best is None or key < best:
+                best = key
+    return _finish(q, best[1], 1 << n, t0, "brute", 0)
 
 
 # --- local search -----------------------------------------------------------

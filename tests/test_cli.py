@@ -152,6 +152,29 @@ def test_oracle_too_large_exits_three(tmp_path, rng, capsys):
     assert run("oracle", path) == 3
 
 
+def test_oracle_suite_skips_an_infeasible_spec(tmp_path, capsys):
+    no_walk = {"graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]},
+               "i_max": 2}
+    path_graph = {"vertices": [0, 1, 2, 3], "undirected": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
+    (tmp_path / "a.json").write_text(json.dumps(no_walk))
+    (tmp_path / "b.json").write_text(json.dumps(path_graph))
+    assert run("oracle", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert "a.json: no covering walk" in captured.err
+    assert "b.json: optimum weight" in captured.out
+    assert not (tmp_path / "a.oracle.json").exists()
+    assert json.loads((tmp_path / "b.oracle.json").read_text())["valid"] is True
+    assert run("oracle", tmp_path / "a.json") == 2
+    # a file with no covering walk outranks one that hits a limit
+    star = {"vertices": list(range(15)), "undirected": [[0, k, 1] for k in range(1, 15)]}
+    (tmp_path / "c.json").write_text(json.dumps(star))
+    assert run("oracle", tmp_path / "c.json") == 3
+    (tmp_path / "b.oracle.json").unlink()
+    assert run("oracle", tmp_path) == 2
+    assert (tmp_path / "b.oracle.json").exists()
+    assert run("oracle", tmp_path / "b.json") == 0
+
+
 def test_validate_roundtrip(fig_graph_file, tmp_path):
     out = tmp_path / "out"
     assert run("solve", fig_graph_file, "--pipeline", "pairing", "--solver", "brute",

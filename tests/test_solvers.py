@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from postqubo import (
     solve_with_retune,
     tabu_search,
 )
+from postqubo import solvers
 from postqubo.pairing import compile_pairing
 from postqubo.solvers import CompiledInstance
 from conftest import bits_from_index, naive_energy, random_graph_with_odd_count
@@ -76,26 +78,110 @@ def test_brute_force_tie_breaks_lexicographically():
     assert list(report.best_assignment) == [0, 1]
 
 
+def assert_matches_reverse_reenumeration(q: Qubo) -> None:
+    n = q.n
+    report = brute_force(q)
+    best = float("inf")
+    best_bits = None
+    # independent second pass in reverse enumeration order
+    for idx in range((1 << n) - 1, -1, -1):
+        x = bits_from_index(idx, n)
+        e = naive_energy(q, x)
+        if e < best or (e == best and tuple(x) <= tuple(best_bits)):
+            best, best_bits = e, tuple(x)
+    assert report.best_energy == pytest.approx(best)
+    assert tuple(report.best_assignment) == best_bits
+
+
 def test_brute_force_matches_reverse_reenumeration(rng):
     for _ in range(5):
-        n = 12
-        q = random_qubo(rng, n)
-        report = brute_force(q)
-        best = float("inf")
-        best_bits = None
-        # independent second pass in reverse enumeration order
-        for idx in range((1 << n) - 1, -1, -1):
-            x = bits_from_index(idx, n)
-            e = naive_energy(q, x)
-            if e < best or (e == best and tuple(x) <= tuple(best_bits)):
-                best, best_bits = e, tuple(x)
-        assert report.best_energy == pytest.approx(best)
-        assert tuple(report.best_assignment) == best_bits
+        assert_matches_reverse_reenumeration(random_qubo(rng, 12))
 
 
 def test_brute_force_size_cap():
     with pytest.raises(TooLarge):
         brute_force(Qubo(29))
+
+
+# --- block boundaries -------------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2, 3, 4])
+def small_blocks(request, monkeypatch):
+    """Enumerate in blocks of 2^1 to 2^4 assignments, so small QUBOs span many blocks."""
+    monkeypatch.setattr(solvers, "_BLOCK_BITS", request.param)
+    return request.param
+
+
+def test_blocked_energies_match_naive(rng, small_blocks):
+    for n in range(11):
+        q = random_qubo(rng, n)
+        table = enumerate_all_energies(q)
+        assert [float(e) for e in table] == [
+            naive_energy(q, bits_from_index(idx, n)) for idx in range(1 << n)
+        ]
+
+
+def test_blocked_brute_force_matches_reverse_reenumeration(rng, small_blocks):
+    for n in range(11):
+        assert_matches_reverse_reenumeration(random_qubo(rng, n))
+
+
+def test_blocked_edge_cases(small_blocks):
+    empty = Qubo(0)
+    empty.add_offset(2.5)
+    assert list(enumerate_all_energies(empty)) == [2.5]
+    report = brute_force(empty)
+    assert (report.best_energy, list(report.best_assignment)) == (2.5, [])
+    assert list(enumerate_all_energies(paper_instance())) == [10.0, 9.0]
+    assert list(brute_force(paper_instance()).best_assignment) == [1]
+    for n in (1, 2, 5, 10):
+        assert not enumerate_all_energies(Qubo(n)).any()
+        report = brute_force(Qubo(n))
+        assert report.best_energy == 0.0 and not report.best_assignment.any()
+        assert report.samples_evaluated == 1 << n
+
+
+def test_blocked_ties_in_different_blocks(small_blocks):
+    # minima (1,0,0,0) and (0,0,0,1) tie at -1: index 1 and index 8, in
+    # different blocks unless a block holds all four bits; the tuple rule
+    # picks (0,0,0,1), whose block is visited last
+    q = Qubo(4)
+    q.add_linear(0, -1.0)
+    q.add_linear(1, 1.0)
+    q.add_linear(2, 1.0)
+    q.add_linear(3, -1.0)
+    q.add_quadratic(0, 3, 2.0)
+    report = brute_force(q)
+    assert report.best_energy == -1.0
+    assert list(report.best_assignment) == [0, 0, 0, 1]
+    assert_matches_reverse_reenumeration(q)
+
+
+def test_size_cap_is_checked_before_allocating():
+    q = Qubo(29)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            brute_force(q)
+        with pytest.raises(TooLarge):
+            enumerate_all_energies(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_brute_force_memory_is_bounded(rng):
+    # the 2^24-entry energy table alone would take 128 MB
+    q = random_qubo(rng, 24)
+    tracemalloc.start()
+    try:
+        report = brute_force(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.samples_evaluated == 1 << 24
+    assert peak <= 8 << 20
 
 
 # --- exhaustive layer pinned byte for byte ---------------------------------------------
