@@ -31,6 +31,7 @@ from postqubo.general import (
     VALIDITY_FAMILIES,
     CompiledGeneral,
 )
+from postqubo.pairing import compile_pairing
 from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
 from conftest import bits_from_index, figure_example_graph
 
@@ -624,3 +625,47 @@ PINNED_DECODES = {
 @pytest.mark.parametrize("name", sorted(PINNED_DECODES))
 def test_decodes_are_pinned(name):
     assert _decode_hash(name) == PINNED_DECODES[name]
+
+
+# --- penalised exports pinned byte for byte ---------------------------------------
+
+def _export_hash(compiled, pen) -> str:
+    text = format_qubo_text(compiled.qubo(pen)) + format_registry_text(compiled.registry)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned_pairing():
+    # K6 with fractional weights: all six vertices odd, fifteen pair variables
+    g = Graph.build(
+        range(6), undirected=[(a, b, 0.1 * (a + 1) + 0.7 * b) for a, b in
+                              itertools.combinations(range(6), 2)],
+    )
+    return compile_pairing(g)
+
+
+# sha256 prefixes of format_qubo_text(qubo(pen)) + format_registry_text(registry)
+# per spec above and the pairing graph, at the default penalties and at
+# PenaltyConfig.uniform(3.0).scaled(["required", "capacity", "pairing"], 2.5)
+# .scaled(["adjacency"], 0.7)
+PINNED_EXPORTS = {
+    "repetition": ("dfcf7c4cc716146f", "21bd2f7d670be29e"),
+    "terminal": ("76c69a0e47234af0", "d2233addd5015e66"),
+    "rest": ("bcf3828479385456", "9c2dc1c50ec14ca8"),
+    "service_hierarchy": ("73330c195bf66231", "5113877c4aa152ce"),
+    "turns": ("45e392b3b26f4e9d", "6c15103e6cd7d43d"),
+    "team": ("64c175eecedbc680", "152a742c8bb9b9ae"),
+    "pairing": ("90738074f83cdc14", "e7e27256aa4246bd"),
+}
+
+
+def test_qubo_exports_are_pinned():
+    odd = PenaltyConfig.uniform(3.0).scaled(["required", "capacity", "pairing"], 2.5)
+    odd = odd.scaled(["adjacency"], 0.7)
+    got = {}
+    for name, (spec, encoding) in _pinned_specs().items():
+        compiled = compile_general(spec, encoding)
+        got[name] = (_export_hash(compiled, default_penalties(spec)),
+                     _export_hash(compiled, odd))
+    pairing = _pinned_pairing()
+    got["pairing"] = (_export_hash(pairing, None), _export_hash(pairing, odd))
+    assert got == PINNED_EXPORTS
