@@ -20,9 +20,10 @@ objective, capacity and decode weight comes from the spec's one weight rule,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import InfeasibleEndpoints, SpecError
 from .graphs import EdgeRef
@@ -255,6 +256,16 @@ class CompiledGeneral(CompiledProblem):
                     ):
                         self._covers[arc.ref].append((p, i, idx))
 
+    def _step_layout(self, step: list[tuple[int, CompArc, str]]) -> np.ndarray:
+        """One step's variables as rows of a (6, k) array: registry index,
+        tail, head, arc index, mode code and repeat flag."""
+        modes = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)
+        rows = [
+            (idx, arc.tail, arc.head, arc.index, modes.index(mode), mode in self._repeat_modes)
+            for idx, arc, mode in step
+        ]
+        return np.array(rows, dtype=np.int64).reshape(-1, 6).T
+
     def _find_arc(self, tail: int, head: int, kind: str) -> int:
         try:
             return self._arc_lookup[(tail, head, kind)]
@@ -283,6 +294,7 @@ class CompiledGeneral(CompiledProblem):
             "required": required_c,
         }
 
+        layout = [[self._step_layout(step) for step in steps] for steps in self._steps]
         for p, steps in enumerate(self._steps):
             rest = self._rest[p]
             # exactly one move (or rest) per step
@@ -294,19 +306,15 @@ class CompiledGeneral(CompiledProblem):
 
             # no jumping between consecutive steps: a move starts where the
             # last one ended, or repeats it in a repeat mode
-            for i, (cur, nxt) in enumerate(zip(steps, steps[1:])):
-                for idx_a, arc_a, mode_a in cur:
-                    for idx_b, arc_b, mode_b in nxt:
-                        if arc_b.tail != arc_a.head and not (
-                            arc_b.index == arc_a.index
-                            and mode_b == mode_a
-                            and mode_a in self._repeat_modes
-                        ):
-                            adjacency.add_quadratic(idx_a, idx_b, 1.0)
+            for i, (cur, nxt) in enumerate(zip(layout[p], layout[p][1:])):
+                _, _, head_a, arc_a, mode_a, repeat_a = (col[:, None] for col in cur)
+                idx_b, tail_b, _, arc_b, mode_b, _ = nxt
+                repeat = (arc_b == arc_a) & (mode_b == mode_a) & (repeat_a == 1)
+                a, b = np.nonzero((tail_b != head_a) & ~repeat)
+                adjacency.add_quadratic_terms(cur[0][a], idx_b[b], 1.0)
                 if rest:
                     # rest is absorbing: resuming movement afterwards is illegal
-                    for idx_b, _, _ in nxt:
-                        adjacency.add_quadratic(rest[i], idx_b, 1.0)
+                    adjacency.add_quadratic_terms(np.full(len(idx_b), rest[i]), idx_b, 1.0)
 
             # objective: traversal weights, with the repeat discount only in
             # the repetition encoding (service steps are never discounted)
@@ -330,38 +338,41 @@ class CompiledGeneral(CompiledProblem):
 
         if spec.turn_penalties:
             turn = Qubo(n)
-            for steps in self._steps:
+            for steps in layout:
                 for cur, nxt in zip(steps, steps[1:]):
                     for t in spec.turn_penalties:
-                        for idx_a, arc_a, _ in cur:
-                            if (arc_a.tail, arc_a.head) != t.arc_in:
-                                continue
-                            for idx_b, arc_b, _ in nxt:
-                                if (arc_b.tail, arc_b.head) == t.arc_out:
-                                    turn.add_quadratic(idx_a, idx_b, t.bonus)
+                        ia = cur[0][(cur[1] == t.arc_in[0]) & (cur[2] == t.arc_in[1])]
+                        ib = nxt[0][(nxt[1] == t.arc_out[0]) & (nxt[2] == t.arc_out[1])]
+                        turn.add_quadratic_terms(np.repeat(ia, len(ib)), np.tile(ib, len(ia)),
+                                                 t.bonus)
             constraints["turn"] = turn
 
         if self._hierarchy:
             # a service of `second` before one of `first` by the same postman
             hier = Qubo(n)
+            covers = {
+                ref: np.array(c, dtype=np.int64).reshape(-1, 3).T
+                for ref, c in self._covers.items()
+            }
             for first, second in sorted(self._hierarchy):
-                for pa, i0, ia in self._covers[first]:
-                    for pb, i1, ib in self._covers[second]:
-                        if pa == pb and i1 < i0:
-                            hier.add_quadratic(ia, ib, 1.0)
+                pa, i0, ia = covers[first]
+                pb, i1, ib = covers[second]
+                a, b = np.nonzero((pa[:, None] == pb) & (i1 < i0[:, None]))
+                hier.add_quadratic_terms(ia[a], ib[b], 1.0)
             constraints["hierarchy"] = hier
 
         if spec.forbid_edge_collisions:
+            # two postmen on the same arc at the same step
             coll = Qubo(n)
             for i in range(self.i_max):
-                by_key: dict[tuple[int, int], list[tuple[int, int]]] = {}
-                for p, steps in enumerate(self._steps):
-                    for idx, arc, _ in steps[i]:
-                        by_key.setdefault((arc.tail, arc.head), []).append((p, idx))
-                for entries in by_key.values():
-                    for (pa, ia), (pb, ib) in itertools.combinations(entries, 2):
-                        if pa != pb:
-                            coll.add_quadratic(ia, ib, 1.0)
+                owner = np.concatenate([np.full(len(per_p[i][0]), p)
+                                        for p, per_p in enumerate(layout)])
+                idx, tail, head = (np.concatenate([per_p[i][k] for per_p in layout])
+                                   for k in range(3))
+                clash = (tail[:, None] == tail) & (head[:, None] == head)
+                clash &= owner[:, None] != owner
+                a, b = np.nonzero(np.triu(clash, 1))
+                coll.add_quadratic_terms(idx[a], idx[b], 1.0)
             constraints["collision"] = coll
 
         if spec.postmen.capacities is not None:
@@ -378,6 +389,8 @@ class CompiledGeneral(CompiledProblem):
                 cap.add_square_penalty(terms, constant=float(c))
             constraints["capacity"] = cap
 
+        for form in (objective, *constraints.values()):
+            form.settle()
         self.objective = objective
         self.constraints = constraints
 

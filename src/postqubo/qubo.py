@@ -9,6 +9,7 @@ constraint form per penalty family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
@@ -149,57 +150,124 @@ class VariableRegistry:
 
 # --- quadratic form -------------------------------------------------------
 
-def _accumulate(table: dict, key, c: float) -> None:
-    """Add c to table[key], dropping the entry once it is within PRUNE_EPS of zero."""
-    v = table.get(key, 0.0) + c
-    if abs(v) < PRUNE_EPS:
-        table.pop(key, None)
-    else:
-        table[key] = v
+# dtypes of Qubo.linear and Qubo.quadratic
+LINEAR_TERM = np.dtype([("i", np.int64), ("value", np.float64)])
+QUADRATIC_TERM = np.dtype([("i", np.int64), ("j", np.int64), ("value", np.float64)])
+
+
+def _reduce(keys: np.ndarray, vals: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sum a stream of (key, value) contributions per key, in stream order.
+
+    Each key's running sum starts from 0.0 and is reset to absent whenever an
+    addition leaves it within `eps` of zero, so a later addition starts from
+    0.0 again.  Returns the sorted keys still present and their sums.
+    """
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    counts = np.append(start[1:], len(keys)) - start
+    acc = 0.0 + vals[start]
+    acc[np.abs(acc) < eps] = 0.0
+    # the r-th contribution of every key that has one, one rank at a time
+    live = np.arange(len(start))
+    for r in range(1, int(counts.max())):
+        live = live[counts[live] > r]
+        s = acc[live] + vals[start[live] + r]
+        s[np.abs(s) < eps] = 0.0
+        acc[live] = s
+    keep = ~(np.abs(acc) < eps)
+    return keys[start[keep]], acc[keep]
 
 
 class Qubo:
     """offset + sum_i linear[i] x_i + sum_{i<j} quadratic[i,j] x_i x_j over bits.
 
-    Mutable while being assembled (single writer), then used read-only.
+    Terms are stored as sorted int64 keys (i * n + j with i <= j; i == j is a
+    linear term) and float64 coefficients.  Assembly appends contributions
+    to a stream in call order; the first read after it reduces the stream
+    once (`settle`, with PRUNE_EPS), so every coefficient is the in-order
+    sum of its contributions with near-zero running sums dropped.  Inputs
+    are checked before anything is appended: a rejected call leaves the
+    form unchanged.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise QuboError("variable count must be non-negative")
         self.n = n
-        self.linear: dict[int, float] = {}
-        self.quadratic: dict[tuple[int, int], float] = {}
         self.offset: float = 0.0
+        self._keys = np.empty(0, dtype=np.int64)  # settled terms
+        self._vals = np.empty(0)
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []  # pending, in call order
+        self._scalar_keys: list[int] = []  # pending single terms after the last chunk
+        self._scalar_vals: list[float] = []
+        self._terms = None  # (linear, quadratic) of the settled terms
         self._arrays = None
 
     # -- assembly --
-
-    def _touch(self) -> None:
-        self._arrays = None
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"variable {i} outside [0,{self.n})")
 
+    def _check_indices(self, idx: np.ndarray) -> None:
+        bad = (idx < 0) | (idx >= self.n)
+        if bad.any():
+            raise IndexOutOfRange(f"variable {idx[bad][0]} outside [0,{self.n})")
+
+    def _flush_scalars(self) -> None:
+        if self._scalar_keys:
+            self._chunks.append((np.array(self._scalar_keys, dtype=np.int64),
+                                 np.array(self._scalar_vals, dtype=np.float64)))
+            self._scalar_keys, self._scalar_vals = [], []
+
+    def _append(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        self._flush_scalars()
+        if len(keys):
+            self._chunks.append((keys, vals))
+
+    def settle(self) -> None:
+        """Reduce the pending contributions now; every read does this first."""
+        self._flush_scalars()
+        if self._chunks:
+            keys = np.concatenate([self._keys, *(k for k, _ in self._chunks)])
+            vals = np.concatenate([self._vals, *(v for _, v in self._chunks)])
+            self._chunks = []
+            self._keys, self._vals = _reduce(keys, vals, PRUNE_EPS)
+            self._terms = self._arrays = None
+
     def add_offset(self, c: float) -> None:
+        if not math.isfinite(c):
+            raise QuboError(f"offset {c} is not finite")
         self.offset += c
-        self._touch()
 
     def add_linear(self, i: int, c: float) -> None:
-        self._check_index(i)
-        _accumulate(self.linear, i, c)
-        self._touch()
+        self.add_quadratic(i, i, c)
 
     def add_quadratic(self, i: int, j: int, c: float) -> None:
+        """Add c x_i x_j; i == j adds a linear term (x^2 == x for bits)."""
         self._check_index(i)
         self._check_index(j)
-        if i == j:
-            # x^2 == x for bits
-            _accumulate(self.linear, i, c)
-        else:
-            _accumulate(self.quadratic, (i, j) if i < j else (j, i), c)
-        self._touch()
+        if not math.isfinite(c):
+            raise QuboError(f"coefficient {c} is not finite")
+        self._scalar_keys.append(i * self.n + j if i <= j else j * self.n + i)
+        self._scalar_vals.append(c)
+
+    def add_quadratic_terms(self, i, j, c) -> None:
+        """Add c[k] x_i[k] x_j[k] for every k, in order; c may be one number."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        c = np.broadcast_to(np.asarray(c, dtype=np.float64), i.shape)
+        self._check_indices(i)
+        self._check_indices(j)
+        if not np.isfinite(c).all():
+            raise QuboError("coefficients must be finite")
+        self._append(np.minimum(i, j) * self.n + np.maximum(i, j), c)
 
     def add_square_penalty(
         self,
@@ -211,53 +279,79 @@ class Qubo:
 
         Duplicate indices in `terms` are merged first; x^2 == x is applied.
         """
-        if scale <= 0:
-            raise QuboError("penalty scale must be positive")
-        merged: dict[int, float] = {}
-        for i, c in terms:
-            self._check_index(i)
-            merged[i] = merged.get(i, 0.0) + c
+        if not 0 < scale < math.inf:
+            raise QuboError("penalty scale must be positive and finite")
+        if not math.isfinite(constant):
+            raise QuboError(f"penalty constant {constant} is not finite")
+        idx = np.array([i for i, _ in terms], dtype=np.int64)
+        coef = np.array([c for _, c in terms], dtype=np.float64)
+        self._check_indices(idx)
+        if not np.isfinite(coef).all():
+            raise QuboError("penalty coefficients must be finite")
+        order = np.argsort(idx, kind="stable")
+        idx, m = idx[order], coef[order]
+        if (idx[1:] == idx[:-1]).any():
+            idx, m = _reduce(idx, m, 0.0)  # merge duplicate indices, summed in order
         self.offset += scale * constant * constant
-        idxs = sorted(merged)
-        for i in idxs:
-            ci = merged[i]
-            _accumulate(self.linear, i, scale * (2.0 * constant * ci + ci * ci))
-        for a, i in enumerate(idxs):
-            for j in idxs[a + 1:]:
-                _accumulate(self.quadratic, (i, j), scale * 2.0 * merged[i] * merged[j])
-        self._touch()
+        r = np.arange(len(idx))
+        a, b = np.nonzero(r[:, None] < r)  # every pair a < b, a-major
+        n = self.n
+        self._append(
+            np.concatenate([idx * (n + 1), idx[a] * n + idx[b]]),
+            np.concatenate([scale * (2.0 * constant * m + m * m), scale * 2.0 * m[a] * m[b]]),
+        )
 
     def add_scaled(self, other: "Qubo", scale: float = 1.0) -> None:
         """Merge another form over the same registry, scaled."""
         if other.n != self.n:
             raise LengthMismatch(f"cannot merge n={other.n} into n={self.n}")
+        if not math.isfinite(scale):
+            raise QuboError(f"scale {scale} is not finite")
+        other.settle()
         self.offset += scale * other.offset
-        # the other form's keys were checked when it was assembled
-        for i, c in other.linear.items():
-            _accumulate(self.linear, i, scale * c)
-        for key, c in other.quadratic.items():
-            _accumulate(self.quadratic, key, scale * c)
-        self._touch()
+        self._append(other._keys, scale * other._vals)
 
     def copy(self) -> "Qubo":
+        self.settle()
         q = Qubo(self.n)
-        q.linear = dict(self.linear)
-        q.quadratic = dict(self.quadratic)
+        q._keys, q._vals = self._keys, self._vals  # settled arrays are never written
         q.offset = self.offset
         return q
 
-    # -- evaluation --
+    # -- reading --
+
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(linear, quadratic) of the settled terms; cached until they change."""
+        self.settle()
+        if self._terms is None:
+            i, j = np.divmod(self._keys, max(self.n, 1))
+            diag = i == j
+            linear = np.empty(int(diag.sum()), dtype=LINEAR_TERM)
+            linear["i"], linear["value"] = i[diag], self._vals[diag]
+            off = ~diag
+            quadratic = np.empty(len(diag) - len(linear), dtype=QUADRATIC_TERM)
+            quadratic["i"], quadratic["j"], quadratic["value"] = i[off], j[off], self._vals[off]
+            linear.flags.writeable = quadratic.flags.writeable = False
+            self._terms = (linear, quadratic)
+        return self._terms
+
+    @property
+    def linear(self) -> np.ndarray:
+        """Linear terms as a LINEAR_TERM array (i, value), sorted by i."""
+        return self._split()[0]
+
+    @property
+    def quadratic(self) -> np.ndarray:
+        """Quadratic terms as a QUADRATIC_TERM array (i, j, value), i < j, sorted."""
+        return self._split()[1]
 
     def as_arrays(self):
-        """(linear vector, qi, qj, qv arrays); cached until next mutation."""
+        """(linear vector, qi, qj, qv arrays); cached until the terms change."""
+        linear, quadratic = self._split()
         if self._arrays is None:
             lin = np.zeros(self.n)
-            for i, c in self.linear.items():
-                lin[i] = c
-            items = sorted(self.quadratic.items())
-            qi = np.array([k[0] for k, _ in items], dtype=np.int64)
-            qj = np.array([k[1] for k, _ in items], dtype=np.int64)
-            qv = np.array([v for _, v in items], dtype=np.float64)
+            lin[linear["i"]] = linear["value"]
+            qi, qj, qv = (np.ascontiguousarray(quadratic[f]) for f in ("i", "j", "value"))
             self._arrays = (lin, qi, qj, qv)
         return self._arrays
 
@@ -358,6 +452,7 @@ class CompiledProblem:
         total = self.objective.copy()
         for fam, form in self.constraints.items():
             total.add_scaled(form, pen.value(fam))
+        total.settle()
         return total
 
     def constraint_values(self, x: Sequence[int]) -> dict[str, float]:
@@ -367,12 +462,24 @@ class CompiledProblem:
 # --- text export ------------------------------------------------------------
 
 def format_qubo_text(q: Qubo) -> str:
-    """Deterministic text form: header, then `i i c` / `i j c` lines (i < j)."""
+    """Deterministic text form: header, then `i i c` / `i j c` lines (i < j).
+
+    Terms are sorted by index; each coefficient is its Python repr, made once
+    per distinct value, and the lines are joined without a Python-level loop.
+    """
+    linear, quadratic = q.linear, q.quadratic
+    values, which = np.unique(
+        np.concatenate([linear["value"], quadratic["value"]]), return_inverse=True
+    )
+    coef = [repr(v) for v in values.tolist()].__getitem__
+    name = [str(i) for i in range(q.n)].__getitem__
+    which = which.tolist()
+    cut = len(linear)
+    diagonal = list(map(name, linear["i"].tolist()))
     lines = [f"n {q.n} offset {q.offset!r}"]
-    for i in sorted(q.linear):
-        lines.append(f"{i} {i} {q.linear[i]!r}")
-    for i, j in sorted(q.quadratic):
-        lines.append(f"{i} {j} {q.quadratic[(i, j)]!r}")
+    lines += map(" ".join, zip(diagonal, diagonal, map(coef, which[:cut])))
+    lines += map(" ".join, zip(map(name, quadratic["i"].tolist()),
+                               map(name, quadratic["j"].tolist()), map(coef, which[cut:])))
     return "\n".join(lines) + "\n"
 
 

@@ -76,8 +76,10 @@ def _energy_blocks(q: Qubo) -> Iterator[tuple[int, np.ndarray]]:
     if n > BRUTE_FORCE_MAX_VARS:
         raise TooLarge(f"{n} variables > enumeration cap {BRUTE_FORCE_MAX_VARS}")
     low = min(n, _BLOCK_BITS)
+    linear, qi, qj, qv = q.as_arrays()
+    linear = linear.tolist()
     cols: list[dict[int, float]] = [{} for _ in range(n)]
-    for (i, j), v in q.quadratic.items():
+    for i, j, v in zip(qi.tolist(), qj.tolist(), qv.tolist()):
         cols[j][i] = v  # i < j by construction
     path = np.empty((n - low + 1, 1 << low))  # one block per depth of the search
     scratch = np.empty(1 << low)
@@ -96,9 +98,9 @@ def _energy_blocks(q: Qubo) -> Iterator[tuple[int, np.ndarray]]:
                 np.add(row[:hj], c, out=row[hj : 2 * hj])
         if i < low:
             h = 1 << i
-            np.add(block[:h], q.linear.get(i, 0.0), out=block[h : 2 * h])
+            np.add(block[:h], linear[i], out=block[h : 2 * h])
             block[h : 2 * h] += scratch[:h]
-    lin = [q.linear.get(i, 0.0) for i in range(low, n)]
+    lin = linear[low:]
     high = [{j - low: c for j, c in cols[i].items() if j >= low} for i in range(low, n)]
     return _block_tree(0, (), path, scratch, cross, lin, high)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from postqubo import EdgeRef, Graph, ProblemSpec, is_strongly_connected, odd_degree_vertices
+from postqubo.qubo import PRUNE_EPS
 
 
 def figure_example_graph() -> Graph:
@@ -106,11 +107,62 @@ def floyd_warshall(g: Graph) -> dict[tuple[int, int], float]:
 
 def naive_energy(q, x) -> float:
     total = q.offset
-    for i, c in q.linear.items():
+    for i, c in q.linear.tolist():
         total += c * x[i]
-    for (i, j), c in q.quadratic.items():
+    for i, j, c in q.quadratic.tolist():
         total += c * x[i] * x[j]
     return total
+
+
+class DictQubo:
+    """Reference model of Qubo assembly: one dict entry per term, each
+    contribution added in call order, an entry dropped whenever its sum
+    comes within PRUNE_EPS of zero."""
+
+    def __init__(self, n: int):
+        self.n, self.offset, self.terms = n, 0.0, {}
+
+    def _add(self, i: int, j: int, c: float) -> None:
+        key = (min(i, j), max(i, j))
+        v = self.terms.get(key, 0.0) + c
+        if abs(v) < PRUNE_EPS:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = v
+
+    def add_offset(self, c: float) -> None:
+        self.offset += c
+
+    def add_linear(self, i: int, c: float) -> None:
+        self._add(i, i, c)
+
+    def add_quadratic(self, i: int, j: int, c: float) -> None:
+        self._add(i, j, c)
+
+    def add_square_penalty(self, terms, constant: float, scale: float = 1.0) -> None:
+        merged: dict[int, float] = {}
+        for i, c in terms:
+            merged[i] = merged.get(i, 0.0) + c
+        self.offset += scale * constant * constant
+        idxs = sorted(merged)
+        for i in idxs:
+            self._add(i, i, scale * (2.0 * constant * merged[i] + merged[i] * merged[i]))
+        for a, i in enumerate(idxs):
+            for j in idxs[a + 1:]:
+                self._add(i, j, scale * 2.0 * merged[i] * merged[j])
+
+    def add_scaled(self, other: "DictQubo", scale: float = 1.0) -> None:
+        self.offset += scale * other.offset
+        for (i, j), c in list(other.terms.items()):
+            self._add(i, j, scale * c)
+
+    def text(self) -> str:
+        """format_qubo_text's layout: linear terms, then quadratic, by index."""
+        keys = sorted(k for k in self.terms if k[0] == k[1])
+        keys += sorted(k for k in self.terms if k[0] != k[1])
+        lines = [f"n {self.n} offset {self.offset!r}"]
+        lines += [f"{i} {j} {self.terms[(i, j)]!r}" for i, j in keys]
+        return "\n".join(lines) + "\n"
 
 
 def all_pairings(items: list[int]):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postqubo import (
     EdgeStep,
@@ -18,7 +19,7 @@ from postqubo import (
 )
 from postqubo.errors import QuboError
 from postqubo.solvers import _flip
-from conftest import bits_from_index, naive_energy
+from conftest import DictQubo, bits_from_index, naive_energy
 
 
 def paper_single_variable_qubo() -> Qubo:
@@ -49,14 +50,14 @@ def test_square_penalty_expansion_matches_worked_example():
     assert q.energy([0]) == 10.0
     assert q.energy([1]) == 9.0
     # merged linear coefficient is 9 - 20 + 10 = -1 with offset 10
-    assert q.linear == {0: -1.0}
+    assert q.linear.tolist() == [(0, -1.0)]
     assert q.offset == 10.0
 
 
 def test_square_penalty_plain_square():
     q = Qubo(1)
     q.add_square_penalty([(0, 1.0)], constant=0.0, scale=1.0)
-    assert q.linear == {0: 1.0}
+    assert q.linear.tolist() == [(0, 1.0)]
     assert q.offset == 0.0
 
 
@@ -64,8 +65,8 @@ def test_square_penalty_two_variable_expansion():
     q = Qubo(2)
     q.add_square_penalty([(0, -1.0), (1, -1.0)], constant=1.0, scale=2.0)
     assert q.offset == 2.0
-    assert q.linear == {0: -2.0, 1: -2.0}
-    assert q.quadratic == {(0, 1): 4.0}
+    assert q.linear.tolist() == [(0, -2.0), (1, -2.0)]
+    assert q.quadratic.tolist() == [(0, 1, 4.0)]
     for x in itertools.product((0, 1), repeat=2):
         direct = 2.0 * (1 - x[0] - x[1]) ** 2
         assert q.energy(list(x)) == pytest.approx(direct)
@@ -130,8 +131,8 @@ def test_energy_length_mismatch():
 def test_x_squared_collapses_to_linear():
     q = Qubo(2)
     q.add_quadratic(1, 1, 4.0)
-    assert q.linear == {1: 4.0}
-    assert not q.quadratic
+    assert q.linear.tolist() == [(1, 4.0)]
+    assert not len(q.quadratic)
 
 
 # --- energy_delta: the samplers' single-flip update ------------------------------
@@ -212,9 +213,9 @@ def test_energy_invariant_under_relabeling(rng):
     perm = list(rng.permutation(n))
     q2 = Qubo(n)
     q2.add_offset(q.offset)
-    for i, c in q.linear.items():
+    for i, c in q.linear.tolist():
         q2.add_linear(perm[i], c)
-    for (i, j), c in q.quadratic.items():
+    for i, j, c in q.quadratic.tolist():
         q2.add_quadratic(perm[i], perm[j], c)
     for _ in range(20):
         x = [int(b) for b in rng.integers(0, 2, n)]
@@ -250,7 +251,7 @@ def test_near_zero_coefficients_are_pruned():
     q.add_linear(0, -1.0)
     q.add_quadratic(0, 1, 0.5)
     q.add_quadratic(0, 1, -0.5)
-    assert not q.linear and not q.quadratic
+    assert not len(q.linear) and not len(q.quadratic)
 
 
 @pytest.mark.parametrize("add", [
@@ -287,6 +288,98 @@ def test_energy_follows_merges_made_after_an_evaluation():
     q.add_square_penalty([(0, 1.0), (1, 1.0)], constant=-1.0, scale=2.0)
     assert q.energy([1, 1]) == -3.5 + 2.0
     assert q.energy([0, 0]) == 1.5 + 2.0
+
+
+@pytest.mark.parametrize("add", [
+    lambda q: q.add_linear(0, float("nan")),
+    lambda q: q.add_linear(0, float("inf")),
+    lambda q: q.add_quadratic(0, 1, -float("inf")),
+    lambda q: q.add_quadratic_terms([0, 0], [1, 1], [1.0, float("nan")]),
+    lambda q: q.add_square_penalty([(0, 1.0)], constant=1.0, scale=float("nan")),
+    lambda q: q.add_square_penalty([(0, 1.0)], constant=1.0, scale=float("inf")),
+    lambda q: q.add_square_penalty([(0, 1.0)], constant=float("nan")),
+    lambda q: q.add_square_penalty([(0, 1.0), (1, float("-inf"))], constant=1.0),
+    lambda q: q.add_scaled(Qubo(2), float("nan")),
+    lambda q: q.add_scaled(Qubo(2), float("inf")),
+    lambda q: q.add_offset(float("inf")),
+])
+def test_assembly_rejects_non_finite_input(add):
+    q = Qubo(2)
+    q.add_square_penalty([(0, -1.0), (1, -1.0)], constant=1.0)
+    before = format_qubo_text(q)
+    with pytest.raises(QuboError):
+        add(q)
+    assert format_qubo_text(q) == before
+
+
+# --- accumulation against the dict reference model -------------------------------
+
+VALUES = (0.1, 0.2, -0.3, 0.3, 1e-13, -1e-13, 1.0, -1.0, 7.25, 2.0**-40, 2.0**30, -2.0**30)
+
+
+@st.composite
+def op_streams(draw):
+    """A variable count and an assembly stream over two forms (target 0 or 1),
+    with reads mixed in."""
+    n = draw(st.integers(1, 5))
+    idx, val, target = st.integers(0, n - 1), st.sampled_from(VALUES), st.integers(0, 1)
+    ops = st.one_of(
+        st.tuples(st.just("linear"), target, idx, val),
+        st.tuples(st.just("quadratic"), target, idx, idx, val),
+        st.tuples(st.just("quadratic_terms"), target, st.lists(st.tuples(idx, idx, val),
+                                                               max_size=6)),
+        st.tuples(st.just("square_penalty"), target, st.lists(st.tuples(idx, val), max_size=5),
+                  val, st.sampled_from((1.0, 0.1, 0.5, 3.0, 2.0**-3))),
+        st.tuples(st.just("scaled"), target, val),
+        st.tuples(st.just("offset"), target, val),
+        st.tuples(st.just("read"), target),
+    )
+    return n, draw(st.lists(ops, max_size=40))
+
+
+def assert_matches_model(q: Qubo, model: DictQubo) -> None:
+    terms = {(i, i): c for i, c in q.linear.tolist()}
+    terms.update(((i, j), c) for i, j, c in q.quadratic.tolist())
+    assert terms == model.terms
+    assert repr(q.offset) == repr(model.offset)
+    assert format_qubo_text(q) == model.text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(op_streams())
+def test_assembly_matches_the_dict_reference_model(stream):
+    n, ops = stream
+    forms, models = [Qubo(n), Qubo(n)], [DictQubo(n), DictQubo(n)]
+    for op, t, *args in ops:
+        q, model = forms[t], models[t]
+        if op == "read":
+            q.energy([1] * n)
+            q.as_arrays()
+            assert_matches_model(q, model)
+        elif op == "scaled":
+            q.add_scaled(forms[1 - t], *args)
+            model.add_scaled(models[1 - t], *args)
+        elif op == "quadratic_terms":
+            (terms,) = args
+            q.add_quadratic_terms([i for i, _, _ in terms], [j for _, j, _ in terms],
+                                  [c for _, _, c in terms])
+            for i, j, c in terms:
+                model.add_quadratic(i, j, c)
+        else:
+            getattr(q, f"add_{op}")(*args)
+            getattr(model, f"add_{op}")(*args)
+    for q, model in zip(forms, models):
+        assert_matches_model(q, model)
+
+
+def test_a_term_cancelled_part_way_restarts_from_zero():
+    q, model = Qubo(2), DictQubo(2)
+    for form in (q, model):
+        for c in (0.1, 0.2, -0.3, 1e-3):
+            form.add_quadratic(0, 1, c)
+    # 0.1 + 0.2 - 0.3 is 5.55e-17, dropped; the next addition starts from 0.0
+    assert q.quadratic.tolist() == [(0, 1, 1e-3)]
+    assert_matches_model(q, model)
 
 
 # --- text export --------------------------------------------------------------------
