@@ -509,6 +509,21 @@ def _pinned_specs() -> dict[str, tuple[ProblemSpec, str]]:
     plain = Graph.build(range(4), undirected=[(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1)])
     arrows = Graph.build(range(3), undirected=[(0, 1, 2)], directed=[(1, 2, 1), (2, 0, 3)])
     first, second = EdgeRef("d", 1, 2), EdgeRef("u", 0, 1)
+    # u(0,1) and d(1,0) give coexisting arcs (1,0,'u') and (1,0,'d'): arc-index
+    # order and label order differ within a step
+    twins = Graph.build(range(3), undirected=[(0, 1, 2, 1.5), (1, 2, 1)],
+                        directed=[(1, 0, 3), (2, 0, 1)])
+
+    def coexisting(i_max: int) -> ProblemSpec:
+        return ProblemSpec(
+            graph=twins, start=0, i_max=i_max, turn_penalties=(TurnPenalty(0, 1, 0, 1.25),),
+            hierarchy=((EdgeRef("u", 0, 1), EdgeRef("d", 2, 0)),),
+            required_edges=frozenset([EdgeRef("u", 0, 1), EdgeRef("d", 1, 0),
+                                      EdgeRef("d", 2, 0)]),
+            service=ServiceMode(service_overrides=((1, 0, "d", 2.5),),
+                                traverse_overrides=((0, 1, "u", 0.5),)),
+        )
+
     return {
         "repetition": (ProblemSpec(graph=mixed, start=0, i_max=6), ENC_REPETITION),
         "terminal": (
@@ -537,6 +552,8 @@ def _pinned_specs() -> dict[str, tuple[ProblemSpec, str]]:
             ),
             "auto",
         ),
+        "coexisting_repetition": (coexisting(5), ENC_REPETITION),
+        "coexisting_terminal": (coexisting(6), ENC_TERMINAL),
     }
 
 
@@ -572,6 +589,14 @@ PINNED_FORMS = {
              "one_edge": "91c2bd015d395597", "adjacency": "02c0ad3dc038c356",
              "required": "04a44db75a082a36", "collision": "dcf5ff03d159fa9c",
              "capacity": "8b79952782d212cb"},
+    "coexisting_repetition": {"registry": "9564372591b8a59e", "objective": "b124a637d73cf8ca",
+                              "one_edge": "156e93da69eaa008", "adjacency": "1acc5816fdbc54f2",
+                              "required": "f6be1d6b7d5b5745", "turn": "616d7700422ceb20",
+                              "hierarchy": "0ee6db563818cc20"},
+    "coexisting_terminal": {"registry": "0067b578672f8732", "objective": "5e5b3c557de523b6",
+                            "one_edge": "e72634878b00ed0f", "adjacency": "d26020acc8c0a3d3",
+                            "required": "c63c0f8d27f8877c", "turn": "8c1874e5c1f90c51",
+                            "hierarchy": "fb13dcb6bc961f46"},
 }
 
 
@@ -619,6 +644,8 @@ PINNED_DECODES = {
     "service_hierarchy": "1c2c7cf902008782",
     "turns": "5412e1fdd2ffeb82",
     "team": "95e1a157d5aa5b2e",
+    "coexisting_repetition": "738e2c375638058c",
+    "coexisting_terminal": "9f10bf2114815f27",
 }
 
 
@@ -654,6 +681,8 @@ PINNED_EXPORTS = {
     "service_hierarchy": ("73330c195bf66231", "5113877c4aa152ce"),
     "turns": ("45e392b3b26f4e9d", "6c15103e6cd7d43d"),
     "team": ("64c175eecedbc680", "152a742c8bb9b9ae"),
+    "coexisting_repetition": ("14a4825d223ccc84", "f582fa23c2474eaa"),
+    "coexisting_terminal": ("71f22683e6345129", "1641d370e3696a6e"),
     "pairing": ("90738074f83cdc14", "e7e27256aa4246bd"),
 }
 
