@@ -146,6 +146,10 @@ def _check_args(args: argparse.Namespace) -> None:
             args.seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
         except ValueError:
             raise InputError(f"--seeds must be comma-separated integers: {args.seeds!r}") from None
+        if not args.seeds:
+            raise InputError("--seeds names no seed")
+        if not _solver_names(args):
+            raise InputError("--solver names no solver")
     if hasattr(args, "reads"):
         # sampler arguments, checked before any work is done
         for name in _solver_names(args):

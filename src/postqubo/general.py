@@ -12,10 +12,12 @@ encodings are supported for a single postman:
 Multiple postmen (or capacities / collision bans) use per-postman rest
 variables: the rest bit plays the terminal role for that postman's walk.
 
-`compile_general` sizes both single-postman encodings (arcs, step pruning,
-registry) and builds the constraint forms only for the smaller one.  Every
-objective, capacity and decode weight comes from the spec's one weight rule,
-`ProblemSpec.weight`; terminal arcs cost nothing.
+Each postman's edge variables form one step table (`STEP_ROW` rows in step,
+arc-index and mode order) that the forms, `decode` and `encode_route` all
+read.  `compile_general` sizes both single-postman encodings by counting
+their pruned (arc, mode) slots and builds the registry, tables and forms only
+for the smaller one.  Every weight comes from one `ProblemSpec.weight` call
+per edge variable, kept in the table; terminal arcs cost nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleEndpoints, SpecError
+from .errors import InfeasibleEndpoints, LengthMismatch, SpecError
 from .graphs import EdgeRef
 from .problem import ProblemSpec
 from .qubo import (
@@ -52,6 +54,15 @@ ENC_REST = "rest"
 
 # constraint families that decide validity; turn bonuses are objective-like
 VALIDITY_FAMILIES = ("one_edge", "adjacency", "required", "hierarchy", "collision", "capacity")
+
+MODES = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)  # a step table's mode codes
+
+# one edge variable: its step, registry index, arc endpoints and index, mode
+# code, whether it may repeat at the next step, and the step weight
+STEP_ROW = np.dtype([
+    ("step", np.int64), ("index", np.int64), ("tail", np.int64), ("head", np.int64),
+    ("arc", np.int64), ("mode", np.int64), ("repeat", np.bool_), ("weight", np.float64),
+])
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,8 @@ def _prune_steps(
 class CompiledGeneral(CompiledProblem):
     """Spec compiled to a registry, objective and per-family constraints.
 
-    Construction lays out arcs, step pruning, the registry and its step
-    table; `compile_general` then builds the forms for the encoding it
+    Construction lays out arcs and step pruning; `compile_general` then
+    builds the registry, the step tables and the forms for the encoding it
     returns.
     """
 
@@ -171,8 +182,6 @@ class CompiledGeneral(CompiledProblem):
         self.postmen = spec.postmen.count
         self.required: tuple[EdgeRef, ...] = spec.resolved_required()
         self.service_mode = spec.service is not None
-        # modes in which an arc may repeat at the next step to pad the walk
-        self._repeat_modes = (MODE_PLAIN, MODE_TRAVERSE) if encoding == ENC_REPETITION else ()
 
         with_terminal = encoding == ENC_TERMINAL
         self.arcs = _build_arcs(spec, with_terminal)
@@ -181,35 +190,28 @@ class CompiledGeneral(CompiledProblem):
         self.allowed = _prune_steps(
             spec, self.arcs, self.i_max, encoding == ENC_REPETITION, gate
         )
-
-        self._hierarchy = spec.hierarchy_closure()
-        self._build_registry()
+        # the (arc, mode) slots of one postman: step, then arc index, then
+        # mode; a terminal arc is padding, never service
+        self._slots = [
+            (i, arc, mode)
+            for i, step in enumerate(self.allowed)
+            for arc in (self.arcs[ai] for ai in sorted(step))
+            for mode in (spec.modes[-1:] if arc.is_terminal else spec.modes)
+        ]
 
     # ---- variables -------------------------------------------------------
 
-    def _arc_modes(self, arc: CompArc) -> tuple[str, ...]:
-        # a terminal arc is padding, never service
-        return self.spec.modes[-1:] if arc.is_terminal else self.spec.modes
-
     def _build_registry(self) -> None:
-        """Lay out the variables once, as tables of registry indices.
+        """Lay out the variables once: the registry and one step table per postman.
 
-        `_steps[p][i]` holds (index, arc, mode) for postman p's edge variables
-        at step i, in arc then mode order; `_rest[p][i]` the rest bits (none
-        outside the rest encoding); `_req_slack[(ref, p)]` and `_cap_slack[p]`
-        the (bit, index) slack registers; `_covers[ref]` the (postman, step,
-        index) variables that count as covering a required edge.
+        `_tables[p]` holds postman p's edge variables as STEP_ROW rows, one
+        per slot, in step, arc-index and mode order; `_rest[p]` the rest bits
+        (none outside the rest encoding); `_req_slack[(ref, p)]` and
+        `_cap_slack[p]` the (bit, index) slack registers.
         """
-        postmen, steps = range(self.postmen), range(self.i_max)
+        spec, postmen, steps = self.spec, range(self.postmen), range(self.i_max)
         edge_labels = [
-            [
-                [
-                    (EdgeStep(i, arc.tail, arc.head, mode, p, arc.kind), arc, mode)
-                    for arc in (self.arcs[ai] for ai in sorted(self.allowed[i]))
-                    for mode in self._arc_modes(arc)
-                ]
-                for i in steps
-            ]
+            [EdgeStep(i, arc.tail, arc.head, mode, p, arc.kind) for i, arc, mode in self._slots]
             for p in postmen
         ]
         rest_labels = [
@@ -223,61 +225,53 @@ class CompiledGeneral(CompiledProblem):
         }
         cap_labels = [
             [CapacitySlack(bit, p) for bit in range(_slack_bit_count(int(cap)))]
-            for p, cap in enumerate(self.spec.postmen.capacities or ())
+            for p, cap in enumerate(spec.postmen.capacities or ())
         ]
         self.registry = VariableRegistry(
-            [lab for per_p in edge_labels for step in per_p for lab, _, _ in step]
+            [lab for labs in edge_labels for lab in labs]
             + [lab for labs in rest_labels for lab in labs]
             + [lab for labs in req_labels.values() for lab in labs]
             + [lab for labs in cap_labels for lab in labs]
         )
 
         index = self.registry.index_of
-        self._steps = [
-            [[(index(lab), arc, mode) for lab, arc, mode in step] for step in per_p]
-            for per_p in edge_labels
+        # an arc may repeat at the next step to pad the walk in these modes
+        repeat_modes = (MODE_PLAIN, MODE_TRAVERSE) if self.encoding == ENC_REPETITION else ()
+
+        def row(p: int, lab: EdgeStep, i: int, arc: CompArc, mode: str) -> tuple:
+            key = (arc.tail, arc.head, arc.kind)
+            weight = 0.0 if arc.is_terminal else spec.weight(p, key, mode)
+            return (i, index(lab), arc.tail, arc.head, arc.index, MODES.index(mode),
+                    mode in repeat_modes, weight)
+
+        self._tables = [
+            np.array([row(p, lab, *slot) for lab, slot in zip(labels, self._slots)],
+                     dtype=STEP_ROW)
+            for p, labels in enumerate(edge_labels)
         ]
         self._rest = [[index(lab) for lab in labs] for labs in rest_labels]
         self._req_slack = {
             key: [(lab.bit, index(lab)) for lab in labs] for key, labs in req_labels.items()
         }
         self._cap_slack = [[(lab.bit, index(lab)) for lab in labs] for labs in cap_labels]
-        self._edge_var: dict[tuple[int, int, int, str], int] = {}
-        self._covers: dict[EdgeRef, list[tuple[int, int, int]]] = {
-            ref: [] for ref in self.required
-        }
-        for p, per_p in enumerate(self._steps):
-            for i, step in enumerate(per_p):
-                for idx, arc, mode in step:
-                    self._edge_var[(p, i, arc.index, mode)] = idx
-                    # in service mode only a service step covers its edge
-                    if arc.ref in self._covers and (
-                        not self.service_mode or mode == MODE_SERVICE
-                    ):
-                        self._covers[arc.ref].append((p, i, idx))
 
-    def _step_layout(self, step: list[tuple[int, CompArc, str]]) -> np.ndarray:
-        """One step's variables as rows of a (6, k) array: registry index,
-        tail, head, arc index, mode code and repeat flag."""
-        modes = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)
-        rows = [
-            (idx, arc.tail, arc.head, arc.index, modes.index(mode), mode in self._repeat_modes)
-            for idx, arc, mode in step
-        ]
-        return np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    def _covers(self, ref: EdgeRef) -> list[np.ndarray]:
+        """Per postman, the step-table rows that count as covering `ref`; in
+        service mode only a service step covers its edge."""
+        arcs = [a.index for a in self.arcs if a.ref == ref]
+        rows = []
+        for table in self._tables:
+            hit = np.isin(table["arc"], arcs)
+            if self.service_mode:
+                hit &= table["mode"] == MODES.index(MODE_SERVICE)
+            rows.append(table[hit])
+        return rows
 
     def _find_arc(self, tail: int, head: int, kind: str) -> int:
         try:
             return self._arc_lookup[(tail, head, kind)]
         except KeyError:
             raise SpecError(f"no arc {tail}->{head} kind {kind}") from None
-
-    # ---- weights ----------------------------------------------------------
-
-    def _weight(self, postman: int, arc: CompArc, mode: str) -> float:
-        if arc.is_terminal:
-            return 0.0
-        return self.spec.weight(postman, (arc.tail, arc.head, arc.kind), mode)
 
     # ---- QUBO assembly ----------------------------------------------------
 
@@ -293,99 +287,83 @@ class CompiledGeneral(CompiledProblem):
             "adjacency": adjacency,
             "required": required_c,
         }
+        # each postman's table split into its steps (views)
+        steps = [
+            np.split(t, np.searchsorted(t["step"], np.arange(1, self.i_max)))
+            for t in self._tables
+        ]
 
-        layout = [[self._step_layout(step) for step in steps] for steps in self._steps]
-        for p, steps in enumerate(self._steps):
-            rest = self._rest[p]
-            # exactly one move (or rest) per step
-            for i, step in enumerate(steps):
-                terms = [(idx, -1.0) for idx, _, _ in step]
+        for t, per_step, rest in zip(self._tables, steps, self._rest):
+            objective.add_quadratic_terms(t["index"], t["index"], t["weight"])
+            for i, step in enumerate(per_step):
+                # exactly one move (or rest) per step
+                terms = [(idx, -1.0) for idx in step["index"].tolist()]
                 if rest:
                     terms.append((rest[i], -1.0))
                 one_edge.add_square_penalty(terms, constant=1.0)
 
             # no jumping between consecutive steps: a move starts where the
-            # last one ended, or repeats it in a repeat mode
-            for i, (cur, nxt) in enumerate(zip(layout[p], layout[p][1:])):
-                _, _, head_a, arc_a, mode_a, repeat_a = (col[:, None] for col in cur)
-                idx_b, tail_b, _, arc_b, mode_b, _ = nxt
-                repeat = (arc_b == arc_a) & (mode_b == mode_a) & (repeat_a == 1)
-                a, b = np.nonzero((tail_b != head_a) & ~repeat)
-                adjacency.add_quadratic_terms(cur[0][a], idx_b[b], 1.0)
+            # last one ended, or repeats it in a repeat mode; a repeat is
+            # discounted in the objective (service steps are never repeats)
+            for i, (cur, nxt) in enumerate(zip(per_step, per_step[1:])):
+                repeat = cur["repeat"][:, None] & (nxt["arc"] == cur["arc"][:, None])
+                repeat &= nxt["mode"] == cur["mode"][:, None]
+                a, b = np.nonzero((nxt["tail"] != cur["head"][:, None]) & ~repeat)
+                adjacency.add_quadratic_terms(cur["index"][a], nxt["index"][b], 1.0)
                 if rest:
                     # rest is absorbing: resuming movement afterwards is illegal
-                    adjacency.add_quadratic_terms(np.full(len(idx_b), rest[i]), idx_b, 1.0)
-
-            # objective: traversal weights, with the repeat discount only in
-            # the repetition encoding (service steps are never discounted)
-            for i, step in enumerate(steps):
-                for idx, arc, mode in step:
-                    w = self._weight(p, arc, mode)
-                    if w == 0.0:
-                        continue
-                    objective.add_linear(idx, w)
-                    if i > 0 and mode in self._repeat_modes:
-                        prev = self._edge_var.get((p, i - 1, arc.index, mode))
-                        if prev is not None:
-                            objective.add_quadratic(idx, prev, -w)
+                    adjacency.add_quadratic_terms(np.full(len(nxt), rest[i]), nxt["index"], 1.0)
+                a, b = np.nonzero(repeat)
+                objective.add_quadratic_terms(cur["index"][a], nxt["index"][b],
+                                              -nxt["weight"][b])
 
         # coverage of required edges: one service, or visits less the slack
+        covers = {ref: self._covers(ref) for ref in self.required}
         for ref in self.required:
-            terms = [(idx, -1.0) for _, _, idx in self._covers[ref]]
+            terms = [(idx, -1.0) for rows in covers[ref] for idx in rows["index"].tolist()]
             for p in range(self.postmen):
                 terms.extend((idx, float(2**bit)) for bit, idx in self._req_slack[(ref, p)])
             required_c.add_square_penalty(terms, constant=1.0)
 
         if spec.turn_penalties:
             turn = Qubo(n)
-            for steps in layout:
-                for cur, nxt in zip(steps, steps[1:]):
+            for per_step in steps:
+                for cur, nxt in zip(per_step, per_step[1:]):
                     for t in spec.turn_penalties:
-                        ia = cur[0][(cur[1] == t.arc_in[0]) & (cur[2] == t.arc_in[1])]
-                        ib = nxt[0][(nxt[1] == t.arc_out[0]) & (nxt[2] == t.arc_out[1])]
+                        ia = cur["index"][(cur["tail"] == t.in_tail) & (cur["head"] == t.in_head)]
+                        ib = nxt["index"][(nxt["tail"] == t.in_head) & (nxt["head"] == t.out_head)]
                         turn.add_quadratic_terms(np.repeat(ia, len(ib)), np.tile(ib, len(ia)),
                                                  t.bonus)
             constraints["turn"] = turn
 
-        if self._hierarchy:
-            # a service of `second` before one of `first` by the same postman
+        hierarchy = spec.hierarchy_closure()
+        if hierarchy:
+            # a service of `second` before one of `first`; service mode has one postman
             hier = Qubo(n)
-            covers = {
-                ref: np.array(c, dtype=np.int64).reshape(-1, 3).T
-                for ref, c in self._covers.items()
-            }
-            for first, second in sorted(self._hierarchy):
-                pa, i0, ia = covers[first]
-                pb, i1, ib = covers[second]
-                a, b = np.nonzero((pa[:, None] == pb) & (i1 < i0[:, None]))
-                hier.add_quadratic_terms(ia[a], ib[b], 1.0)
+            for first, second in sorted(hierarchy):
+                (ra,), (rb,) = covers[first], covers[second]
+                a, b = np.nonzero(rb["step"] < ra["step"][:, None])
+                hier.add_quadratic_terms(ra["index"][a], rb["index"][b], 1.0)
             constraints["hierarchy"] = hier
 
         if spec.forbid_edge_collisions:
             # two postmen on the same arc at the same step
             coll = Qubo(n)
             for i in range(self.i_max):
-                owner = np.concatenate([np.full(len(per_p[i][0]), p)
-                                        for p, per_p in enumerate(layout)])
-                idx, tail, head = (np.concatenate([per_p[i][k] for per_p in layout])
-                                   for k in range(3))
-                clash = (tail[:, None] == tail) & (head[:, None] == head)
-                clash &= owner[:, None] != owner
+                rows = np.concatenate([per_step[i] for per_step in steps])
+                owner = np.repeat(np.arange(self.postmen), [len(s[i]) for s in steps])
+                clash = (rows["tail"][:, None] == rows["tail"]) & (owner[:, None] != owner)
+                clash &= rows["head"][:, None] == rows["head"]
                 a, b = np.nonzero(np.triu(clash, 1))
-                coll.add_quadratic_terms(idx[a], idx[b], 1.0)
+                coll.add_quadratic_terms(rows["index"][a], rows["index"][b], 1.0)
             constraints["collision"] = coll
 
         if spec.postmen.capacities is not None:
             cap = Qubo(n)
-            for p, c in enumerate(spec.postmen.capacities):
-                terms = []
-                for step in self._steps[p]:
-                    for idx, arc, mode in step:
-                        w = self._weight(p, arc, mode)
-                        if w:
-                            terms.append((idx, -w))
-                for bit, idx in self._cap_slack[p]:
-                    terms.append((idx, -float(2**bit)))
+            for t, c, slots in zip(self._tables, spec.postmen.capacities, self._cap_slack):
+                used = t[t["weight"] != 0]
+                terms = list(zip(used["index"].tolist(), (-used["weight"]).tolist()))
+                terms += [(idx, -float(2**bit)) for bit, idx in slots]
                 cap.add_square_penalty(terms, constant=float(c))
             constraints["capacity"] = cap
 
@@ -409,14 +387,11 @@ class CompiledGeneral(CompiledProblem):
         the turn bonus.
         """
         if len(x) != len(self.registry):
-            raise SpecError(f"assignment length {len(x)} != {len(self.registry)}")
+            raise LengthMismatch(f"assignment length {len(x)} != {len(self.registry)}")
         spec = self.spec
-        # per postman and step, the (arc, mode) moves that are set
-        moves = [
-            [[(arc, mode) for idx, arc, mode in step if x[idx]] for step in steps]
-            for steps in self._steps
-        ]
-        walks = [self._walk(per_step) for per_step in moves]
+        bits = np.asarray(x)
+        # per postman, the table rows whose bits are set, in step order
+        walks = [self._walk(t[bits[t["index"]] != 0]) for t in self._tables]
         problems, weights, turn_extra = spec.check_walks(walks)
         # the rest encoding strips nothing, so a walk weight is the bits' used weight
         capacity_ok = spec.postmen.capacities is None or all(
@@ -438,17 +413,17 @@ class CompiledGeneral(CompiledProblem):
             turn_extra=turn_extra,
         )
 
-    def _walk(self, per_step: list[list[tuple[CompArc, str]]]) -> list[WalkStep]:
-        """One postman's moves in step order, terminal arcs and repeats stripped."""
+    def _walk(self, rows: np.ndarray) -> list[WalkStep]:
+        """One postman's set rows as a walk, terminal arcs and repeats stripped."""
         steps: list[WalkStep] = []
         prev = None
-        for i, entries in enumerate(per_step):
-            for arc, mode in entries:
-                if arc.is_terminal:
-                    continue
-                if not (mode in self._repeat_modes and prev == (i - 1, arc.index, mode)):
-                    steps.append(WalkStep(arc.tail, arc.head, mode, arc.kind))
-                prev = (i, arc.index, mode)
+        for i, _, tail, head, arc, mode, repeat, _ in rows.tolist():
+            kind = self.arcs[arc].kind
+            if kind == KIND_TERMINAL:
+                continue
+            if not (repeat and prev == (i - 1, arc, mode)):
+                steps.append(WalkStep(tail, head, MODES[mode], kind))
+            prev = (i, arc, mode)
         return steps
 
     # ---- encoding a walk back into bits ------------------------------------
@@ -481,7 +456,7 @@ class CompiledGeneral(CompiledProblem):
         if len(walks) != self.postmen:
             raise SpecError(f"need {self.postmen} walks, got {len(walks)}")
         x = [0] * len(self.registry)
-        for p, walk in enumerate(walks):
+        for p, (walk, table) in enumerate(zip(walks, self._tables)):
             seq = [self._resolve_step(s) for s in walk]
             if len(seq) > self.i_max:
                 raise SpecError(f"walk of {len(seq)} steps exceeds i_max={self.i_max}")
@@ -489,40 +464,38 @@ class CompiledGeneral(CompiledProblem):
                 if not seq:
                     raise SpecError("repetition encoding cannot express empty walks")
                 seq = seq + [seq[-1]] * (self.i_max - len(seq))
-            padded_real = len(seq)
-            for i, (ai, mode) in enumerate(seq):
-                key = (p, i, ai, mode)
-                if key not in self._edge_var:
-                    raise SpecError(
-                        f"step {i}: arc {self.arcs[ai].tail}->{self.arcs[ai].head} "
-                        "was pruned for this spec"
-                    )
-                x[self._edge_var[key]] = 1
-            if self.encoding == ENC_TERMINAL and padded_real < self.i_max:
+            moves = len(seq)
+            if self.encoding == ENC_TERMINAL and moves < self.i_max:
                 if seq:
                     end_vertex = self.arcs[seq[-1][0]].head
                 elif self.spec.start is not None:
                     end_vertex = self.spec.start
                 else:
                     end_vertex = min(self.spec.graph.vertices)
-                enter = self._find_arc(end_vertex, TERMINAL, KIND_TERMINAL)
+                pad = self.spec.modes[-1]
+                seq.append((self._find_arc(end_vertex, TERMINAL, KIND_TERMINAL), pad))
                 loop = self._find_arc(TERMINAL, TERMINAL, KIND_TERMINAL)
-                for i in range(padded_real, self.i_max):
-                    ai = enter if i == padded_real else loop
-                    key = (p, i, ai, self.spec.modes[-1])
-                    if key not in self._edge_var:
-                        raise SpecError(f"terminal arc unavailable at step {i}")
-                    x[self._edge_var[key]] = 1
-            for idx in self._rest[p][padded_real:]:
+                seq += [(loop, pad)] * (self.i_max - len(seq))
+            used = 0.0
+            for i, (ai, mode) in enumerate(seq):
+                row = table[(table["step"] == i) & (table["arc"] == ai)
+                            & (table["mode"] == MODES.index(mode))]
+                if not len(row):
+                    arc = self.arcs[ai]
+                    raise SpecError(
+                        f"step {i}: arc {arc.tail}->{arc.head} was pruned for this spec"
+                    )
+                x[int(row["index"][0])] = 1
+                used += float(row["weight"][0])
+            for idx in self._rest[p][moves:]:
                 x[idx] = 1
             if self.spec.postmen.capacities is not None:
-                used = sum(self._weight(p, self.arcs[ai], mode) for ai, mode in seq)
                 value = int(max(float(self.spec.postmen.capacities[p]) - used, 0))
                 _fill_register(self._cap_slack[p], value, x)
 
         if not self.service_mode:
             for ref in self.required:
-                visits = sum(x[idx] for _, _, idx in self._covers[ref])
+                visits = sum(x[idx] for rows in self._covers(ref) for idx in rows["index"])
                 _fill_register(self._req_slack[(ref, 0)], max(visits - 1, 0), x)
         return x
 
@@ -542,7 +515,12 @@ def _fill_register(slots: list[tuple[int, int]], value: int, x: list[int]) -> No
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:
     """Compile a spec, choosing the smaller of the two single-postman encodings
-    when `encoding` is 'auto'.  Only the returned encoding builds its forms."""
+    when `encoding` is 'auto' (ties go to repetition).
+
+    The two differ only in their pruned (arc, mode) slots, so they are sized
+    by counting those; only the returned encoding builds its registry, step
+    table and forms.
+    """
     if spec.uses_rest_encoding:
         compiled = CompiledGeneral(spec, ENC_REST)
     elif encoding != "auto":
@@ -558,8 +536,9 @@ def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGenera
         if not candidates:
             raise errors[0]
         compiled = min(
-            candidates, key=lambda c: (len(c.registry), c.encoding != ENC_REPETITION)
+            candidates, key=lambda c: (len(c._slots), c.encoding != ENC_REPETITION)
         )
+    compiled._build_registry()
     compiled._build_forms()
     return compiled
 

@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import (
     AsymmetricUndirectedWeights,
     DirectedEdgesPresent,
+    LengthMismatch,
     NoOddVertices,
     NotPerfectPairing,
     NotStronglyConnected,
@@ -122,8 +123,8 @@ def compile_pairing(g: Graph, p: float | None = None) -> CompiledPairing:
         PairVar(a, b) for a, b in itertools.combinations(odd, 2)
     )
     objective = Qubo(len(registry))
-    for label in registry:
-        objective.add_linear(registry.index_of(label), sp.distance(label.i, label.j))
+    idx = range(len(registry))
+    objective.add_quadratic_terms(idx, idx, [sp.distance(lab.i, lab.j) for lab in registry])
     constraint = Qubo(len(registry))
     seen: set[tuple[tuple[int, float], ...]] = set()
     for v in odd:
@@ -144,10 +145,11 @@ def decode_pairing(x: Sequence[int], reg: VariableRegistry) -> Pairing:
     """Read the set pair variables back as a perfect pairing.
 
     Raises NotPerfectPairing when any odd vertex is covered != 1 times,
-    which is the signal for the penalty-retune retry.
+    which is the signal for the penalty-retune retry, and LengthMismatch
+    when x does not have one bit per variable.
     """
     if len(x) != len(reg):
-        raise NotPerfectPairing(f"assignment length {len(x)} != {len(reg)} variables")
+        raise LengthMismatch(f"assignment length {len(x)} != {len(reg)} variables")
     chosen = [reg.label_of(i) for i, bit in enumerate(x) if bit]
     coverage: dict[int, int] = {}
     for lab in reg:

@@ -204,36 +204,22 @@ class Qubo:
         self._keys = np.empty(0, dtype=np.int64)  # settled terms
         self._vals = np.empty(0)
         self._chunks: list[tuple[np.ndarray, np.ndarray]] = []  # pending, in call order
-        self._scalar_keys: list[int] = []  # pending single terms after the last chunk
-        self._scalar_vals: list[float] = []
         self._terms = None  # (linear, quadratic) of the settled terms
         self._arrays = None
 
     # -- assembly --
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"variable {i} outside [0,{self.n})")
 
     def _check_indices(self, idx: np.ndarray) -> None:
         bad = (idx < 0) | (idx >= self.n)
         if bad.any():
             raise IndexOutOfRange(f"variable {idx[bad][0]} outside [0,{self.n})")
 
-    def _flush_scalars(self) -> None:
-        if self._scalar_keys:
-            self._chunks.append((np.array(self._scalar_keys, dtype=np.int64),
-                                 np.array(self._scalar_vals, dtype=np.float64)))
-            self._scalar_keys, self._scalar_vals = [], []
-
     def _append(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        self._flush_scalars()
         if len(keys):
             self._chunks.append((keys, vals))
 
     def settle(self) -> None:
         """Reduce the pending contributions now; every read does this first."""
-        self._flush_scalars()
         if self._chunks:
             keys = np.concatenate([self._keys, *(k for k, _ in self._chunks)])
             vals = np.concatenate([self._vals, *(v for _, v in self._chunks)])
@@ -251,12 +237,7 @@ class Qubo:
 
     def add_quadratic(self, i: int, j: int, c: float) -> None:
         """Add c x_i x_j; i == j adds a linear term (x^2 == x for bits)."""
-        self._check_index(i)
-        self._check_index(j)
-        if not math.isfinite(c):
-            raise QuboError(f"coefficient {c} is not finite")
-        self._scalar_keys.append(i * self.n + j if i <= j else j * self.n + i)
-        self._scalar_vals.append(c)
+        self.add_quadratic_terms([i], [j], c)
 
     def add_quadratic_terms(self, i, j, c) -> None:
         """Add c[k] x_i[k] x_j[k] for every k, in order; c may be one number."""

@@ -424,12 +424,15 @@ def test_validate_checks_the_turn_bonus(tmp_path, capsys):
     assert "turn_extra" in capsys.readouterr().err
 
 
-def test_bench_rejects_non_integer_seeds(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value", [
+    ("--seeds", "a"), ("--seeds", ""), ("--seeds", ","), ("--solver", ","),
+], ids=["seeds-a", "seeds-empty", "seeds-comma", "solver-comma"])
+def test_bench_rejects_non_integer_seeds(tmp_path, capsys, flag, value):
     suite = tmp_path / "suite"
     suite.mkdir()
     (suite / "fig.json").write_text(json.dumps(FIG_GRAPH))
     out = tmp_path / "b.csv"
-    assert run("bench", suite, "--seeds", "a", "--out", out) == 1
+    assert run("bench", suite, flag, value, "--out", out) == 1
     assert capsys.readouterr().err.startswith("input error:")
     assert not out.exists()
 

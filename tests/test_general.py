@@ -9,6 +9,7 @@ from postqubo import (
     EdgeStep,
     Graph,
     InfeasibleEndpoints,
+    LengthMismatch,
     PenaltyConfig,
     Postmen,
     ProblemSpec,
@@ -141,11 +142,61 @@ def test_auto_encoding_builds_forms_once(monkeypatch):
         built.append(self.encoding)
         build_forms(self)
 
+    registered = []
+    build_registry = CompiledGeneral._build_registry
+
+    def counting_registry(self):
+        registered.append(self.encoding)
+        build_registry(self)
+
     monkeypatch.setattr(CompiledGeneral, "_build_forms", counting)
+    monkeypatch.setattr(CompiledGeneral, "_build_registry", counting_registry)
     compiled = compile_general(spec)
     q = compiled.qubo(default_penalties(spec))
-    assert built == [compiled.encoding]
+    assert built == registered == [compiled.encoding]
     assert q.n == len(compiled.registry) == min(sizes.values())
+
+
+def _table_specs():
+    """Seeded mixed-graph specs for every encoding, with and without service mode."""
+    from conftest import random_mixed_graph
+
+    rng = np.random.default_rng(23)
+    cases = []
+    for k in range(9):
+        g = None
+        while g is None:
+            g = random_mixed_graph(rng, 4, int(rng.integers(3, 6)), windy=True,
+                                   directed_frac=0.4)
+        start, i_max = int(rng.integers(0, 4)), int(rng.integers(3, 6))
+        if k % 3 == 2:
+            cases.append((ProblemSpec(graph=g, start=start, i_max=i_max, postmen=Postmen(2)),
+                          "rest"))
+        else:
+            spec = ProblemSpec(graph=g, start=start, i_max=i_max,
+                               service=ServiceMode() if k % 3 else None)
+            cases += [(spec, ENC_REPETITION), (spec, ENC_TERMINAL)]
+    return cases
+
+
+def test_step_tables_agree_with_the_registry():
+    from postqubo.general import MODES
+
+    # the pinned specs add coexisting arcs, turns, hierarchy, collisions and capacity
+    for spec, encoding in [*_table_specs(), *_pinned_specs().values()]:
+        try:
+            compiled = compile_general(spec, encoding)
+        except InfeasibleEndpoints:
+            continue
+        assert encoding in ("auto", compiled.encoding)
+        rows = 0
+        for p, table in enumerate(compiled._tables):
+            for step, idx, tail, head, arc, mode, _, _ in table.tolist():
+                kind = compiled.arcs[arc].kind
+                assert compiled.registry.label_of(idx) == EdgeStep(
+                    step, tail, head, MODES[mode], p, kind)
+                rows += 1
+        assert rows == sum(isinstance(lab, EdgeStep) for lab in compiled.registry)
 
 
 def test_terminal_arcs_gated_by_required_count():
@@ -220,6 +271,18 @@ def test_decode_collapses_repeated_edges():
     walk = solution.single_walk()
     assert [(s.frm, s.to) for s in walk.steps] == [(3, 2), (2, 5), (5, 0)]
     assert solution.objective_weight == 11.0
+
+
+@pytest.mark.parametrize("pipeline", ["general", "pairing"])
+def test_decode_rejects_an_assignment_of_the_wrong_length(pipeline):
+    if pipeline == "general":
+        compiled = compile_general(small_path_spec(i_max=2))
+    else:
+        compiled = compile_pairing(figure_example_graph())
+    n = len(compiled.registry)
+    for x in ([0] * (n - 1), [1] * (n + 1)):
+        with pytest.raises(LengthMismatch):
+            compiled.decode(x)
 
 
 def test_decode_all_zero_fails_one_edge():
