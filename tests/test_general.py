@@ -28,6 +28,7 @@ from postqubo import (
 from postqubo.general import (
     ENC_REPETITION,
     ENC_TERMINAL,
+    MODES,
     TERMINAL,
     VALIDITY_FAMILIES,
     CompiledGeneral,
@@ -180,8 +181,6 @@ def _table_specs():
 
 
 def test_step_tables_agree_with_the_registry():
-    from postqubo.general import MODES
-
     # the pinned specs add coexisting arcs, turns, hierarchy, collisions and capacity
     for spec, encoding in [*_table_specs(), *_pinned_specs().values()]:
         try:
