@@ -389,7 +389,7 @@ class CompiledGeneral(CompiledProblem):
         if len(x) != len(self.registry):
             raise LengthMismatch(f"assignment length {len(x)} != {len(self.registry)}")
         spec = self.spec
-        bits = np.asarray(x)
+        bits = np.asarray(x, dtype=np.float64)  # converted once, for the masks and all three forms
         # per postman, the table rows whose bits are set, in step order
         walks = [self._walk(t[bits[t["index"]] != 0]) for t in self._tables]
         problems, weights, turn_extra = spec.check_walks(walks)
@@ -399,9 +399,9 @@ class CompiledGeneral(CompiledProblem):
             for c, used, slots in zip(spec.postmen.capacities, weights, self._cap_slack)
         )
         flags = {
-            "one_edge_per_step": self.constraints["one_edge"].energy(x) == 0.0,
-            "contiguous": self.constraints["adjacency"].energy(x) == 0.0,
-            "required_covered": self.constraints["required"].energy(x) == 0.0,
+            "one_edge_per_step": self.constraints["one_edge"].energy(bits) == 0.0,
+            "contiguous": self.constraints["adjacency"].energy(bits) == 0.0,
+            "required_covered": self.constraints["required"].energy(bits) == 0.0,
             "capacity_ok": capacity_ok,
         }
         for name, _ in problems:

@@ -1,7 +1,9 @@
 """Classical binary-quadratic samplers and the penalty-retune loop.
 
 All stochastic solvers are bit-reproducible for a fixed (seed, parameters)
-pair, and greedy, tabu and annealing share one flip update (`_flip`).
+pair.  Greedy descent and annealing share one batch flip update (`_flip`);
+tabu search keeps the local field lin + x @ sym and rebuilds its flip energy
+changes from it with one product per move, the same values bit for bit.
 An annealing call draws from one stream, default_rng(seed mod 2^64): every
 read's initial state, then raw 32-bit words in (sweep, read, variable)
 order, `_SWEEP_BLOCK` sweeps at a time, whose top 23 bits become acceptance
@@ -176,18 +178,18 @@ def _row_energies(q: Qubo, states: np.ndarray) -> np.ndarray:
     return q.offset + states @ lin + 0.5 * np.einsum("bi,bi->b", states @ sym, states)
 
 
-def _flip(spins: np.ndarray, deltas: np.ndarray, sym: np.ndarray, at: tuple) -> np.ndarray:
-    """Flip spins[at] of s = 1 - 2x, keeping `deltas` the single-flip energy
-    changes; return the change each flip made.  `at` is (col,) for one state or
-    (rows, cols) for distinct rows of a batch.  Every product is +-1 times a
-    coupling, so the update is exact."""
-    *rows, cols = at
-    rows = tuple(rows)
-    old = deltas[at]
-    sign = spins[at]
-    spins[at] = -sign
-    deltas[rows] += spins[rows] * sym[cols] * sign[..., None]
-    deltas[at] = -old
+def _flip(
+    spins: np.ndarray, deltas: np.ndarray, sym: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Flip spins[rows, cols] of s = 1 - 2x, one variable in each of distinct
+    rows of a batch, keeping `deltas` the single-flip energy changes; return
+    the change each flip made.  Every product is +-1 times a coupling, so the
+    update is exact."""
+    old = deltas[rows, cols]
+    sign = spins[rows, cols]
+    spins[rows, cols] = -sign
+    deltas[rows] += spins[rows] * sym[cols] * sign[:, None]
+    deltas[rows, cols] = -old
     return old
 
 
@@ -203,7 +205,7 @@ def _descend(q: Qubo, states: np.ndarray) -> tuple[np.ndarray, int]:
         rows = np.flatnonzero(deltas.min(axis=1) < -_EPS)
         if not len(rows):
             return (1.0 - spins) / 2.0, flips
-        _flip(spins, deltas, sym, (rows, np.argmin(deltas[rows], axis=1)))
+        _flip(spins, deltas, sym, rows, np.argmin(deltas[rows], axis=1))
         flips += len(rows)
 
 
@@ -324,7 +326,7 @@ def simulated_annealing(
             rows = rows[lead]
             cols = hits[lead] - rows * n
             while len(rows):
-                current[rows] += _flip(spins, deltas, sym, (rows, cols))
+                current[rows] += _flip(spins, deltas, sym, rows, cols)
                 energies = current[rows]
                 low = energies.min()
                 if low <= best_key[0]:
@@ -350,7 +352,8 @@ def tabu_search(
     """Best-improvement single flips with a recency tabu and aspiration.
 
     Recently flipped variables stay tabu for `tenure` iterations unless the
-    move would beat the incumbent best.
+    move would beat the incumbent best; when every move is tabu, the best
+    one is taken.
     """
     if iterations is not None and iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -369,22 +372,40 @@ def tabu_search(
     rng = np.random.default_rng(seed)
     x = (rng.random(n) < 0.5).astype(np.float64)
     spins = 1.0 - 2.0 * x
-    deltas = spins * (lin + x @ sym)
+    # the local field: deltas = spins * field, and a flip of j moves the field
+    # by +-sym[j] (zero diagonal); s * (h + c) = s * h + s * c exactly for
+    # s = +-1, so this is the batch `_flip` update bit for bit
+    field = lin + x @ sym
+    deltas = spins * field
     current = float(q.energy(x))
     best_spins = spins.copy()
     best_energy = current
-    tabu_until = np.zeros(n, dtype=np.int64)
+    tabu_until = [0] * n
+    barrier = np.zeros(n)  # inf exactly while a variable is tabu
+    moves: list[int] = []  # the variable flipped at each iteration
     for it in range(iterations):
-        candidate = deltas.copy()
-        tabu = tabu_until > it
-        aspiration = current + deltas < best_energy - _EPS
-        blocked = tabu & ~aspiration
-        if blocked.all():
-            blocked[:] = False  # everything tabu: fall back to the plain best move
-        candidate[blocked] = np.inf
-        j = int(np.argmin(candidate))
-        current += _flip(spins, deltas, sym, (j,))
+        if it > tenure:
+            v = moves[it - 1 - tenure]
+            if tabu_until[v] == it:  # not flipped again since: its tabu ends now
+                barrier[v] = 0.0
+        j = int(deltas.argmin())
+        old = deltas.item(j)
+        # current + d < best - eps is monotone in d: if the best move is tabu
+        # and misses aspiration, every tabu move misses it, so take the best
+        # move that is not tabu, or the best move when all are tabu
+        if tabu_until[j] > it and not current + old < best_energy - _EPS:
+            k = int((deltas + barrier).argmin())
+            if tabu_until[k] <= it:
+                j, old = k, deltas.item(k)
+        sign = spins.item(j)
+        field += sign * sym[j]
+        spins[j] = -sign
+        np.multiply(spins, field, out=deltas)
+        deltas[j] = -old
+        current += old
         tabu_until[j] = it + 1 + tenure
+        barrier[j] = np.inf
+        moves.append(j)
         if current < best_energy:
             best_energy = current
             best_spins = spins.copy()

@@ -127,6 +127,30 @@ def test_oracle_single_directed_cycle(tmp_path):
     assert sorted(moves) == [(0, 1), (1, 2), (2, 0)]
 
 
+def test_oracle_eulerian_graph_is_its_euler_circuit(tmp_path, capsys):
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps(TRIANGLE))
+    assert run("oracle", path) == 0
+    assert "even.json: optimum weight 3.0" in capsys.readouterr().out
+    oracle = json.loads((tmp_path / "even.oracle.json").read_text())
+    assert (oracle["weight"], oracle["valid"]) == (3.0, True)
+    assert sorted((s["from"], s["to"]) for s in oracle["walks"][0]) == [(0, 1), (1, 2), (2, 0)]
+    assert run("validate", tmp_path / "even.oracle.json", "--instance", path) == 0
+    assert run("solve", path, "--out", tmp_path / "out") == 0
+    assert json.loads((tmp_path / "out" / "even.route.json").read_text())["weight"] == 3.0
+
+
+def test_oracle_suite_goes_past_an_eulerian_graph(tmp_path, capsys):
+    (tmp_path / "a_even.json").write_text(json.dumps(TRIANGLE))
+    (tmp_path / "b_fig.json").write_text(json.dumps(FIG_GRAPH))
+    assert run("oracle", tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "a_even.json: optimum weight 3.0" in out
+    assert "b_fig.json: optimum weight 32.0" in out
+    assert json.loads((tmp_path / "a_even.oracle.json").read_text())["weight"] == 3.0
+    assert json.loads((tmp_path / "b_fig.oracle.json").read_text())["weight"] == 32.0
+
+
 def test_oracle_suite_directory_stable(tmp_path, fig_graph_file, capsys):
     suite = tmp_path / "suite"
     suite.mkdir()

@@ -138,23 +138,29 @@ def test_x_squared_collapses_to_linear():
 # --- energy_delta: the samplers' single-flip update ------------------------------
 
 def flip_state(q: Qubo, x):
-    """Spins, single-flip energy changes and couplings, as the samplers keep them."""
+    """Spins, single-flip energy changes and couplings of one state, as a
+    one-row batch the way the samplers keep them."""
     lin, _, _, _ = q.as_arrays()
     sym = q.dense_symmetric()
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     spins = 1.0 - 2.0 * x
     return spins, spins * (lin + x @ sym), sym
 
 
+def flip_one(spins, deltas, sym, col):
+    """Flip variable `col` of the one-row batch; the energy change it made."""
+    return float(_flip(spins, deltas, sym, np.array([0]), np.array([col]))[0])
+
+
 def test_energy_delta_paper_instance():
     q = paper_single_variable_qubo()
-    assert _flip(*flip_state(q, [0]), (0,)) == -1.0
+    assert flip_one(*flip_state(q, [0]), 0) == -1.0
 
 
 def test_energy_delta_zero_qubo():
     q = Qubo(3)
     for i in range(3):
-        assert _flip(*flip_state(q, [0, 1, 0]), (i,)) == 0.0
+        assert flip_one(*flip_state(q, [0, 1, 0]), i) == 0.0
 
 
 def test_energy_delta_matches_full_reevaluation(rng):
@@ -165,7 +171,7 @@ def test_energy_delta_matches_full_reevaluation(rng):
         flip = int(rng.integers(0, n))
         x2 = list(x)
         x2[flip] = 1 - x2[flip]
-        change = _flip(*flip_state(q, x), (flip,))
+        change = flip_one(*flip_state(q, x), flip)
         assert change == pytest.approx(q.energy(x2) - q.energy(x), abs=1e-9)
 
 
@@ -176,9 +182,9 @@ def test_energy_delta_composes_over_flips(rng):
     acc = 0.0
     start = q.energy(x)
     for flip in [2, 4, 2, 0, 5, 1, 4]:
-        acc += _flip(spins, deltas, sym, (flip,))
+        acc += flip_one(spins, deltas, sym, flip)
         x[flip] = 1 - x[flip]
-    assert list((1.0 - spins) / 2.0) == x
+    assert list((1.0 - spins[0]) / 2.0) == x
     assert start + acc == pytest.approx(q.energy(x), abs=1e-9)
 
 

@@ -81,10 +81,14 @@ def reference_descend(q, states):
         deltas[rows, cols] = -old
 
 
-def reference_tabu(q, seed):
-    """Tabu search at its default tenure and iteration count, one 0/1 row."""
+def reference_tabu(q, seed, tenure=None, iterations=None):
+    """Tabu search, one 0/1 row, with a masked argmin over every variable at
+    each iteration; tenure and iteration count default as in `tabu_search`."""
     n = q.n
-    tenure, iterations = max(10, n // 10), 1000 + 10 * n
+    if tenure is None:
+        tenure = max(10, n // 10)
+    if iterations is None:
+        iterations = 1000 + 10 * n
     lin = q.as_arrays()[0]
     sym = q.dense_symmetric()
     x = (np.random.default_rng(seed).random(n) < 0.5).astype(np.float64)
@@ -194,6 +198,63 @@ def test_greedy_and_tabu_match_references_bit_for_bit(q, seed):
 
     tabu = tabu_search(q, seed=seed)
     assert np.array_equal(tabu.best_assignment, reference_tabu(q, seed).astype(np.uint8))
+
+
+def small_integer_or_real_qubo(rng, n):
+    """Coefficients in -2..2, so argmin ties and the aspiration boundary
+    occur, or real ones in (-2, 2); random coupling density."""
+    real = bool(rng.integers(2))
+    density = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+
+    def coefficient():
+        return float(rng.uniform(-2, 2) if real else rng.integers(-2, 3))
+
+    q = Qubo(n)
+    q.add_offset(coefficient())
+    for i in range(n):
+        q.add_linear(i, coefficient())
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                q.add_quadratic(i, j, coefficient())
+    return q
+
+
+def test_tabu_matches_reference_up_to_ninety_variables():
+    """Sizes up to those the general-compiler QUBOs reach, tenure from 1 to
+    n + 5 and short runs as well as default ones."""
+    for case in range(60):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(1, 91))
+        q = small_integer_or_real_qubo(rng, n)
+        tenure = int(rng.integers(1, n + 6))
+        iterations = int(rng.integers(1, 120)) if case % 4 else None
+        seed = int(rng.integers(2**32))
+        report = tabu_search(q, tenure=tenure, iterations=iterations, seed=seed)
+        best = reference_tabu(q, seed, tenure, iterations)
+        samples = (iterations or 1000 + 10 * n) * n
+        assert same_report(report, _finish(q, best, samples, 0.0, "tabu", seed))
+
+
+def test_tabu_falls_back_to_the_best_move_when_all_are_tabu():
+    """tenure >= n: once every variable has moved within the tenure and no
+    move beats the best energy, every move is tabu and the plain best one
+    is taken."""
+    for n in (1, 2, 5, 12):
+        for seed in range(5):
+            q = small_integer_or_real_qubo(np.random.default_rng(100 + 10 * n + seed), n)
+            report = tabu_search(q, tenure=n + 3, iterations=80, seed=seed)
+            best = reference_tabu(q, seed, n + 3, 80)
+            assert same_report(report, _finish(q, best, 80 * n, 0.0, "tabu", seed))
+    # here, flipping variable 0 instead of the best move whenever all are
+    # tabu changes the reported state
+    q = Qubo(5)
+    q.add_offset(2.0)
+    for i, c in enumerate([1.0, -1.0, -2.0, 1.0]):
+        q.add_linear(i, c)
+    for i, j, c in [(0, 1, -1), (0, 2, 1), (0, 3, -1), (0, 4, -1), (1, 2, 1), (2, 4, 1), (3, 4, -1)]:
+        q.add_quadratic(i, j, float(c))
+    report = tabu_search(q, tenure=6, iterations=8, seed=96)
+    assert same_report(report, _finish(q, reference_tabu(q, 96, 6, 8), 40, 0.0, "tabu", 96))
 
 
 def test_extreme_bits_give_finite_thresholds_without_warning():
