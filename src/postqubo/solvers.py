@@ -20,6 +20,7 @@ not replay the stream of the attempt it follows.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -367,6 +368,7 @@ def tabu_search(
         raise ValueError("tenure must be >= 1")
     if iterations is None:
         iterations = 1000 + 10 * n
+    tenure = min(tenure, iterations)  # a longer tabu ends after the run either way
     lin, _, _, _ = q.as_arrays()
     sym = q.dense_symmetric()
     rng = np.random.default_rng(seed)
@@ -382,10 +384,10 @@ def tabu_search(
     best_energy = current
     tabu_until = [0] * n
     barrier = np.zeros(n)  # inf exactly while a variable is tabu
-    moves: list[int] = []  # the variable flipped at each iteration
+    recent: deque[int] = deque(maxlen=tenure + 1)  # the variables flipped last
     for it in range(iterations):
         if it > tenure:
-            v = moves[it - 1 - tenure]
+            v = recent[0]  # flipped at iteration it - 1 - tenure
             if tabu_until[v] == it:  # not flipped again since: its tabu ends now
                 barrier[v] = 0.0
         j = int(deltas.argmin())
@@ -405,7 +407,7 @@ def tabu_search(
         current += old
         tabu_until[j] = it + 1 + tenure
         barrier[j] = np.inf
-        moves.append(j)
+        recent.append(j)
         if current < best_energy:
             best_energy = current
             best_spins = spins.copy()

@@ -320,6 +320,15 @@ def test_tabu_with_huge_tenure_still_descends(rng):
     assert_single_flip_optimal(q, report.best_assignment)
 
 
+def test_tabu_tenure_past_the_run_is_the_run_length(rng):
+    q = random_qubo(rng, 6)
+    report = tabu_search(q, tenure=40, iterations=40, seed=2)
+    for tenure in (41, 2**63, 10**20):
+        longer = tabu_search(q, tenure=tenure, iterations=40, seed=2)
+        assert np.array_equal(longer.best_assignment, report.best_assignment)
+        assert longer.best_energy == report.best_energy
+
+
 def test_tabu_reaches_ground_on_pairing_instances(rng):
     g = random_graph_with_odd_count(rng, 6)
     q = compile_pairing(g, p=default_pairing_penalty(g)).qubo()
