@@ -389,7 +389,7 @@ class CompiledGeneral(CompiledProblem):
         if len(x) != len(self.registry):
             raise LengthMismatch(f"assignment length {len(x)} != {len(self.registry)}")
         spec = self.spec
-        bits = np.asarray(x, dtype=np.float64)  # converted once, for the masks and all three forms
+        bits = np.asarray(x, dtype=np.float64)  # once, for the masks and the three forms
         # per postman, the table rows whose bits are set, in step order
         walks = [self._walk(t[bits[t["index"]] != 0]) for t in self._tables]
         problems, weights, turn_extra = spec.check_walks(walks)

@@ -251,7 +251,8 @@ def test_tabu_falls_back_to_the_best_move_when_all_are_tabu():
     q.add_offset(2.0)
     for i, c in enumerate([1.0, -1.0, -2.0, 1.0]):
         q.add_linear(i, c)
-    for i, j, c in [(0, 1, -1), (0, 2, 1), (0, 3, -1), (0, 4, -1), (1, 2, 1), (2, 4, 1), (3, 4, -1)]:
+    couplings = [(0, 1, -1), (0, 2, 1), (0, 3, -1), (0, 4, -1), (1, 2, 1), (2, 4, 1), (3, 4, -1)]
+    for i, j, c in couplings:
         q.add_quadratic(i, j, float(c))
     report = tabu_search(q, tenure=6, iterations=8, seed=96)
     assert same_report(report, _finish(q, reference_tabu(q, 96, 6, 8), 40, 0.0, "tabu", 96))
