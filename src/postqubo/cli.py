@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,7 @@ EXIT_NO_SOLUTION = 2
 EXIT_ORACLE_LIMIT = 3
 
 
+@functools.cache  # one parser per process: building it costs about 2 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="postqubo",
@@ -288,7 +290,8 @@ def cmd_export_qubo(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     _, problem, _ = _problem_of(instance, args)
     if isinstance(problem, Graph):
-        if not odd_degree_vertices(problem):
+        # forced, an even graph reaches compile_pairing's NoOddVertices (exit 1)
+        if not args.force_qubo and not odd_degree_vertices(problem):
             print(
                 "ShortcutApplies: graph is already Eulerian; there is no pairing "
                 "QUBO to export",

@@ -11,10 +11,13 @@ thresholds in place.  Only one block is alive at a time, so memory is
 O(reads * n * _SWEEP_BLOCK).  All reads run together and each sweep is
 event-driven: one comparison tests every read's n proposals, and work is
 done only where a proposal is accepted, so each read follows exactly the
-chain of a one-variable-at-a-time sweep.  The result is the first state in
-(sweep, variable, read) order that reaches the lowest energy seen.  A
-`make_sampler` closure moves to a new seed on each call, so a retune does
-not replay the stream of the attempt it follows.
+chain of a one-variable-at-a-time sweep.  Before each block, if no read has
+a flip energy change below the largest threshold any remaining sweep can
+draw, every later proposal is a rejection fixed in advance and the call
+ends there; `samples_evaluated` still counts reads * sweeps * n.  The result
+is the first state in (sweep, variable, read) order that reaches the lowest
+energy seen.  A `make_sampler` closure moves to a new seed on each call, so
+a retune does not replay the stream of the attempt it follows.
 """
 
 from __future__ import annotations
@@ -279,7 +282,9 @@ def simulated_annealing(
     """Metropolis sweeps over a geometric inverse-temperature ramp.
 
     Each read is an independent restart; all reads share one random stream.
-    Uphill flips are accepted with probability exp(-beta * delta).
+    Uphill flips are accepted with probability exp(-beta * delta).  The run
+    ends early, with the same report, once no read can accept any later
+    proposal; the skipped proposals count as evaluated rejections.
     """
     beta_min, beta_max = beta_schedule
     if not 0 < beta_min < beta_max < np.inf:
@@ -296,6 +301,10 @@ def simulated_annealing(
     lin = lin.astype(np.float32)
     sym = q.dense_symmetric().astype(np.float32)
     betas = np.geomspace(beta_min, beta_max, sweeps).astype(np.float32)
+    # the largest threshold each sweep can draw (all 23 top bits set, the
+    # smallest v), then the largest over that sweep and every later one
+    ceilings = _acceptance_thresholds(np.full((sweeps, 1, 1), 0xFFFFFFFF, np.uint32), betas)
+    ceilings = np.maximum.accumulate(ceilings.ravel()[::-1])[::-1]
 
     gen = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     x = (gen.random((reads, n)) < 0.5).astype(np.float32)
@@ -310,6 +319,8 @@ def simulated_annealing(
 
     size = reads * n
     for first in range(0, sweeps, _SWEEP_BLOCK):
+        if not (deltas < ceilings[first]).any():
+            break  # frozen: no later proposal can pass, so the rest are rejections
         count = min(_SWEEP_BLOCK, sweeps - first)
         # one block of raw bits in (sweep, read, variable) order; the block
         # before it is no longer referenced, so only one is alive at a time

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from postqubo import cli
 from postqubo.cli import _build_parser, main
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import PENALTY_FAMILIES
@@ -629,3 +630,52 @@ def test_integral_floats_are_counts(tmp_path):
         assert code == 0
         written.append({p.name.removeprefix(name): p.read_bytes() for p in out.iterdir()})
     assert written[0] and written[0] == written[1]
+
+
+def test_even_graph_forced_is_an_input_error_in_solve_and_export(tmp_path, capsys):
+    """A graph with no odd-degree vertices has no pairing QUBO: forcing one
+    is an input error in both commands; unforced, `solve` takes its Euler
+    circuit and `export-qubo` refuses with exit 2."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE))
+    for command in ("solve", "export-qubo"):
+        out = tmp_path / f"{command}-out"
+        assert run(command, path, "--force-qubo", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "input error: graph has no odd-degree vertices to pair\n"
+        )
+        assert not out.exists()
+    assert run("solve", path, "--out", tmp_path / "solved") == 0
+    assert run("export-qubo", path, "--out", tmp_path / "refused") == 2
+    assert capsys.readouterr().err.startswith("ShortcutApplies: graph is already Eulerian")
+
+
+def test_main_builds_one_parser_and_each_call_gets_its_defaults(monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(vars(args).copy())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_solve", record)
+    assert main(["solve", "x", "--seed", "5", "--reads", "3", "--p-pairing", "2"]) == 0
+    parser = _build_parser()
+    assert main(["solve", "x"]) == 0
+    assert _build_parser() is parser
+    first, second = seen
+    assert (first["seed"], first["reads"], first["penalties"]) == (5, 3, {"p_pairing": 2.0})
+    assert (second["seed"], second["reads"], second["penalties"]) == (0, 1000, {})
+    fresh = vars(_build_parser.__wrapped__().parse_args(["solve", "x"]))
+    assert {k: second[k] for k in fresh} == fresh
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["bench", "--help"]])
+def test_help_text_is_the_fresh_parsers(argv, capsys):
+    printed = []
+    for parse in (main, main, _build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        assert exit_info.value.code == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0].startswith("usage: postqubo")
+    assert printed[0] == printed[1] == printed[2]

@@ -312,3 +312,110 @@ def test_sa_seeds_above_int64_get_their_own_streams(seed):
     assert np.array_equal(report.best_assignment, (read_0 < 0.5).astype(np.uint8))
     seed_zero = simulated_annealing(q, sweeps=2, reads=3, seed=0)
     assert not np.array_equal(report.best_assignment, seed_zero.best_assignment)
+
+
+@pytest.mark.parametrize(
+    "beta", [0.1, 1.0, 10.0, *np.exp(np.random.default_rng(23).uniform(-7.0, 7.0, 3)).tolist()]
+)
+def test_no_word_draws_a_threshold_above_the_all_ones_word(beta):
+    """Annealing stops once no flip energy change is below the all-ones word's
+    threshold, which is exact only if float32 log gives no other top-23-bit
+    value a larger one; all 2^23 of them are checked."""
+    betas = np.array([beta], dtype=np.float32)
+    bits = np.arange(1 << 23, dtype=np.uint32).reshape(1, 1, -1)
+    bits <<= 9
+    ceiling = _acceptance_thresholds(np.full((1, 1, 1), 0xFFFFFFFF, np.uint32), betas).item()
+    assert _acceptance_thresholds(bits, betas).max() == ceiling
+
+
+def odd_delta_qubo(rng, n, unit):
+    """Odd multiples of `unit` as linear terms and even ones as couplings:
+    every flip energy change is an odd multiple of `unit`, never zero, so a
+    local minimum rejects every proposal once no threshold reaches `unit`."""
+    q = Qubo(n)
+    for i in range(n):
+        q.add_linear(i, unit * float(2 * rng.integers(-3, 3) + 1))
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                q.add_quadratic(i, j, unit * float(2 * rng.integers(-3, 4)))
+    return q
+
+
+@pytest.fixture
+def threshold_fills(monkeypatch):
+    """Sweep counts of the `_acceptance_thresholds` calls annealing makes.
+    With more sweeps than a block, the one call longer than a block is the
+    per-sweep ceilings, and the others are the blocks that ran."""
+    fills = []
+
+    def counted(bits, betas):
+        fills.append(len(betas))
+        return _acceptance_thresholds(bits, betas)
+
+    monkeypatch.setattr(solvers, "_acceptance_thresholds", counted)
+    return fills
+
+
+def blocks_run(fills):
+    return sum(count <= solvers._SWEEP_BLOCK for count in fills)
+
+
+def test_sa_stops_at_the_first_frozen_block_with_the_reference_report(threshold_fills):
+    """With changes of at least 200, above the 159 that any sweep at beta >=
+    0.1 can accept, a read is frozen as soon as it reaches a local minimum:
+    the run ends after one block.  Smaller units freeze in later blocks.
+    The reference runs every sweep."""
+    for case in range(24):
+        rng = np.random.default_rng(case)
+        unit = (200.0, 137.5, 23.7, 6.0)[case % 4]
+        q = odd_delta_qubo(rng, int(rng.integers(2, 21)), unit)
+        args = dict(sweeps=int(rng.integers(200, 400)), reads=int(rng.integers(1, 60)), seed=case)
+        threshold_fills.clear()
+        report = simulated_annealing(q, **args)
+        assert same_report(report, reference_simulated_annealing(q, **args))
+        run = blocks_run(threshold_fills)
+        assert run < -(-args["sweeps"] // solvers._SWEEP_BLOCK)
+        if unit == 200.0:
+            assert run <= 1
+
+
+def test_sa_keeps_annealing_a_read_that_a_warmer_sweep_can_move():
+    """x = (0, 0) is a local minimum (both flips cost 10) and (1, 1) the
+    ground state at -20.  A read that starts at (0, 0) is not frozen: sweeps
+    at beta near 0.1 accept a flip of 10 about one time in three, and the
+    read then falls to (1, 1)."""
+    q = Qubo(2)
+    q.add_linear(0, 10.0)
+    q.add_linear(1, 10.0)
+    q.add_quadratic(0, 1, -40.0)
+    trapped = 0
+    for seed in range(12):
+        trapped += bool(np.random.default_rng(seed).random(2).min() >= 0.5)  # x = (0, 0)
+        args = dict(sweeps=200, reads=1, seed=seed)
+        report = simulated_annealing(q, **args)
+        assert same_report(report, reference_simulated_annealing(q, **args))
+        assert report.best_energy == -20.0
+    assert trapped
+
+
+# reports of the kernel before it stopped at a frozen block, when it ran all
+# 63 blocks: (odd vertices, graph seed, annealing seed) -> (energy, bits)
+PAIRING_REPORTS_AT_THE_DEFAULTS = {
+    (6, 5, 3): (19.0, "000011000000100"),
+    (8, 5, 3): (19.0, "0000001100000000001000000100"),
+    (10, 5, 3): (32.0, "001000000000001000000001000000000101000000000"),
+    (12, 9, 1): (18.0, "000010000000000100000000001000000001000010000000000000000000000001"),
+}
+
+
+@pytest.mark.parametrize("case", list(PAIRING_REPORTS_AT_THE_DEFAULTS))
+def test_pairing_reports_at_the_defaults_are_pinned(case, threshold_fills):
+    odd, graph_seed, seed = case
+    g = random_graph_with_odd_count(np.random.default_rng(graph_seed), odd)
+    q = compile_pairing(g, default_pairing_penalty(g)).qubo()
+    report = simulated_annealing(q, seed=seed)
+    energy, bits = PAIRING_REPORTS_AT_THE_DEFAULTS[case]
+    assert report.best_energy == energy
+    assert "".join(map(str, report.best_assignment)) == bits
+    assert report.samples_evaluated == 1000 * 1000 * q.n  # skipped proposals count
+    assert blocks_run(threshold_fills) < 63  # frozen before the last block
