@@ -35,7 +35,7 @@ from postqubo.general import (
 )
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
-from conftest import bits_from_index, figure_example_graph
+from conftest import bits_from_index, figure_example_graph, random_mixed_graph
 
 
 def small_path_spec(**kwargs) -> ProblemSpec:
@@ -733,7 +733,8 @@ def _pinned_pairing():
 
 
 # sha256 prefixes of format_qubo_text(qubo(pen)) + format_registry_text(registry)
-# per spec above and the pairing graph, at the default penalties and at
+# per spec above, the pairing graph and a 10-vertex, 16-edge mixed windy
+# graph, at the default penalties and at
 # PenaltyConfig.uniform(3.0).scaled(["required", "capacity", "pairing"], 2.5)
 # .scaled(["adjacency"], 0.7)
 PINNED_EXPORTS = {
@@ -746,6 +747,7 @@ PINNED_EXPORTS = {
     "coexisting_repetition": ("14a4825d223ccc84", "f582fa23c2474eaa"),
     "coexisting_terminal": ("71f22683e6345129", "1641d370e3696a6e"),
     "pairing": ("90738074f83cdc14", "e7e27256aa4246bd"),
+    "mixed_10_16": ("d511e798cf368921", "30c368ab38b23539"),
 }
 
 
@@ -759,4 +761,10 @@ def test_qubo_exports_are_pinned():
                      _export_hash(compiled, odd))
     pairing = _pinned_pairing()
     got["pairing"] = (_export_hash(pairing, None), _export_hash(pairing, odd))
+    # 1,024 variables: register names of one to four digits
+    graph = random_mixed_graph(np.random.default_rng(4), 10, 16, windy=True, directed_frac=0.3)
+    spec = ProblemSpec(graph=graph)
+    compiled = compile_general(spec)
+    got["mixed_10_16"] = (_export_hash(compiled, default_penalties(spec)),
+                          _export_hash(compiled, odd))
     assert got == PINNED_EXPORTS

@@ -401,6 +401,38 @@ def test_qubo_text_format_is_deterministic():
     assert format_qubo_text(q) == text
 
 
+# coefficient reprs of different widths
+WIDTHS = (1e-05, -1e+16, 0.30000000000000004, 12.0, -1.0, 2.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100, 1001])
+def test_text_matches_the_reference_model_at_every_name_and_value_width(n):
+    rng = np.random.default_rng(n)
+    q, model = Qubo(n), DictQubo(n)
+    for form in (q, model):
+        form.add_offset(-1e+16)
+        form.add_offset(0.1)
+    if n:
+        # the first and last index and a few in between, so every name width shows
+        idx = sorted({0, n - 1, *rng.integers(0, n, 6).tolist()})
+        for a, i in enumerate(idx):
+            for j in idx[a:]:
+                c = WIDTHS[int(rng.integers(len(WIDTHS)))]
+                q.add_quadratic(i, j, c)
+                model.add_quadratic(i, j, c)
+    assert format_qubo_text(q) == model.text()
+
+
+def test_text_of_a_form_without_terms_is_its_header():
+    q, model = Qubo(3), DictQubo(3)
+    for form in (q, model):
+        form.add_linear(1, 0.5)
+        form.add_linear(1, -0.5)
+        form.add_offset(12.0)
+    assert format_qubo_text(q) == model.text() == "n 3 offset 12.0\n"
+    assert format_qubo_text(Qubo(0)) == DictQubo(0).text() == "n 0 offset 0.0\n"
+
+
 def test_registry_text_lists_labels_in_index_order():
     reg = VariableRegistry([PairVar(3, 5), PairVar(1, 4)])
     assert format_registry_text(reg) == "0 x[1,4]\n1 x[3,5]\n"
