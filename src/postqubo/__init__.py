@@ -58,7 +58,6 @@ from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 from .solvers import (
     SolveReport,
     brute_force,
-    enumerate_all_energies,
     greedy_descent,
     greedy_post,
     make_sampler,

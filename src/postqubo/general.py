@@ -295,12 +295,9 @@ class CompiledGeneral(CompiledProblem):
 
         for t, per_step, rest in zip(self._tables, steps, self._rest):
             objective.add_quadratic_terms(t["index"], t["index"], t["weight"])
-            for i, step in enumerate(per_step):
-                # exactly one move (or rest) per step
-                terms = [(idx, -1.0) for idx in step["index"].tolist()]
-                if rest:
-                    terms.append((rest[i], -1.0))
-                one_edge.add_square_penalty(terms, constant=1.0)
+            # exactly one move (or rest) per step
+            one_edge.add_square_penalty(t["index"].tolist() + rest, -1.0, [1.0] * self.i_max,
+                                        t["step"].tolist() + list(range(len(rest))))
 
             # no jumping between consecutive steps: a move starts where the
             # last one ended, or repeats it in a repeat mode; a repeat is
@@ -319,11 +316,15 @@ class CompiledGeneral(CompiledProblem):
 
         # coverage of required edges: one service, or visits less the slack
         covers = {ref: self._covers(ref) for ref in self.required}
-        for ref in self.required:
-            terms = [(idx, -1.0) for rows in covers[ref] for idx in rows["index"].tolist()]
-            for p in range(self.postmen):
-                terms.extend((idx, float(2**bit)) for bit, idx in self._req_slack[(ref, p)])
-            required_c.add_square_penalty(terms, constant=1.0)
+        terms = [
+            (g, idx, -1.0) for g, ref in enumerate(self.required)
+            for rows in covers[ref] for idx in rows["index"].tolist()
+        ] + [
+            (g, idx, float(2**bit)) for g, ref in enumerate(self.required)
+            for p in range(self.postmen) for bit, idx in self._req_slack[(ref, p)]
+        ]
+        group, idx, coef = zip(*terms) if terms else ((), (), ())
+        required_c.add_square_penalty(idx, coef, [1.0] * len(self.required), group)
 
         if spec.turn_penalties:
             turn = Qubo(n)
@@ -359,12 +360,17 @@ class CompiledGeneral(CompiledProblem):
             constraints["collision"] = coll
 
         if spec.postmen.capacities is not None:
+            # per postman, the used weight plus the slack fills the capacity
+            terms = [
+                (p, idx, -w) for p, t in enumerate(self._tables)
+                for idx, w in t[["index", "weight"]][t["weight"] != 0].tolist()
+            ] + [
+                (p, idx, -float(2**bit)) for p, slots in enumerate(self._cap_slack)
+                for bit, idx in slots
+            ]
+            group, idx, coef = zip(*terms)
             cap = Qubo(n)
-            for t, c, slots in zip(self._tables, spec.postmen.capacities, self._cap_slack):
-                used = t[t["weight"] != 0]
-                terms = list(zip(used["index"].tolist(), (-used["weight"]).tolist()))
-                terms += [(idx, -float(2**bit)) for bit, idx in slots]
-                cap.add_square_penalty(terms, constant=float(c))
+            cap.add_square_penalty(idx, coef, [float(c) for c in spec.postmen.capacities], group)
             constraints["capacity"] = cap
 
         for form in (objective, *constraints.values()):

@@ -125,19 +125,14 @@ def compile_pairing(g: Graph, p: float | None = None) -> CompiledPairing:
     objective = Qubo(len(registry))
     idx = range(len(registry))
     objective.add_quadratic_terms(idx, idx, [sp.distance(lab.i, lab.j) for lab in registry])
+    # one coverage square per odd vertex, over the pairs that hold it; with
+    # exactly two odd vertices both are the same polynomial, counted once
+    group = {v: g for g, v in enumerate(odd[:1] if len(odd) == 2 else odd)}
+    terms = [(group[v], k) for k, lab in enumerate(registry) for v in (lab.i, lab.j)
+             if v in group]
     constraint = Qubo(len(registry))
-    seen: set[tuple[tuple[int, float], ...]] = set()
-    for v in odd:
-        terms = sorted(
-            (registry.index_of(PairVar(v, u)), -1.0) for u in odd if u != v
-        )
-        # with exactly two odd vertices both coverage terms are the same
-        # polynomial; count it once
-        key = tuple(terms)
-        if key in seen:
-            continue
-        seen.add(key)
-        constraint.add_square_penalty(terms, constant=1.0, scale=1.0)
+    constraint.add_square_penalty([k for _, k in terms], -1.0, [1.0] * len(group),
+                                  [g for g, _ in terms])
     return CompiledPairing(g, registry, objective, {"pairing": constraint}, p)
 
 
@@ -162,14 +157,6 @@ def decode_pairing(x: Sequence[int], reg: VariableRegistry) -> Pairing:
     if bad:
         raise NotPerfectPairing(f"odd vertices covered != 1 times: {bad}")
     return Pairing(frozenset((lab.i, lab.j) for lab in chosen))
-
-
-def encode_pairing(pairing: Pairing, reg: VariableRegistry) -> list[int]:
-    """Inverse of decode_pairing for round-trip checks."""
-    x = [0] * len(reg)
-    for a, b in pairing.pairs:
-        x[reg.index_of(PairVar(a, b))] = 1
-    return x
 
 
 def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:

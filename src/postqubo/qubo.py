@@ -219,17 +219,24 @@ class Qubo:
             self._chunks.append((keys, vals))
 
     def settle(self) -> None:
-        """Reduce the pending contributions now; every read does this first."""
+        """Reduce the pending contributions now; every read does this first.
+
+        A sum that overflows raises QuboError and stays pending.
+        """
         if self._chunks:
             keys = np.concatenate([self._keys, *(k for k, _ in self._chunks)])
             vals = np.concatenate([self._vals, *(v for _, v in self._chunks)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                keys, vals = _reduce(keys, vals, PRUNE_EPS)
+            if not np.isfinite(vals).all():
+                raise QuboError("a coefficient sum overflows")
             self._chunks = []
-            self._keys, self._vals = _reduce(keys, vals, PRUNE_EPS)
+            self._keys, self._vals = keys, vals
             self._terms = self._arrays = None
 
     def add_offset(self, c: float) -> None:
-        if not math.isfinite(c):
-            raise QuboError(f"offset {c} is not finite")
+        if not math.isfinite(self.offset + c):
+            raise QuboError(f"offset {self.offset} + {c} is not finite")
         self.offset += c
 
     def add_linear(self, i: int, c: float) -> None:
@@ -250,37 +257,50 @@ class Qubo:
             raise QuboError("coefficients must be finite")
         self._append(np.minimum(i, j) * self.n + np.maximum(i, j), c)
 
-    def add_square_penalty(
-        self,
-        terms: Sequence[tuple[int, float]],
-        constant: float,
-        scale: float = 1.0,
-    ) -> None:
-        """Expand scale * (constant + sum c_i x_i)^2 into the form.
+    def add_square_penalty(self, idx, coef, constant, group=0, scale: float = 1.0) -> None:
+        """Expand scale * (constant[g] + sum_{group[k] == g} coef[k] x_idx[k])^2
+        into the form for every group g, in group order.
 
-        Duplicate indices in `terms` are merged first; x^2 == x is applied.
+        `constant` holds one number per group; `group` (one id per term) and
+        `coef` may be single numbers.  Duplicate indices within a group are
+        merged first, summed in order; x^2 == x is applied.
         """
         if not 0 < scale < math.inf:
             raise QuboError("penalty scale must be positive and finite")
-        if not math.isfinite(constant):
-            raise QuboError(f"penalty constant {constant} is not finite")
-        idx = np.array([i for i, _ in terms], dtype=np.int64)
-        coef = np.array([c for _, c in terms], dtype=np.float64)
+        constant = np.atleast_1d(np.asarray(constant, dtype=np.float64))
+        if not np.isfinite(constant).all():
+            raise QuboError("penalty constants must be finite")
+        idx = np.asarray(idx, dtype=np.int64)
+        coef = np.broadcast_to(np.asarray(coef, dtype=np.float64), idx.shape)
+        group = np.broadcast_to(np.asarray(group, dtype=np.int64), idx.shape)
         self._check_indices(idx)
         if not np.isfinite(coef).all():
             raise QuboError("penalty coefficients must be finite")
-        order = np.argsort(idx, kind="stable")
-        idx, m = idx[order], coef[order]
-        if (idx[1:] == idx[:-1]).any():
-            idx, m = _reduce(idx, m, 0.0)  # merge duplicate indices, summed in order
-        self.offset += scale * constant * constant
-        r = np.arange(len(idx))
-        a, b = np.nonzero(r[:, None] < r)  # every pair a < b, a-major
+        if ((group < 0) | (group >= len(constant))).any():
+            raise QuboError(f"penalty groups must lie in [0,{len(constant)})")
+        # terms by group, then index; duplicates merged, summed in order
         n = self.n
-        self._append(
-            np.concatenate([idx * (n + 1), idx[a] * n + idx[b]]),
-            np.concatenate([scale * (2.0 * constant * m + m * m), scale * 2.0 * m[a] * m[b]]),
-        )
+        key = group * n + idx
+        order = np.argsort(key, kind="stable")
+        key, m = key[order], coef[order]
+        if (key[1:] == key[:-1]).any():
+            key, m = _reduce(key, m, 0.0)
+        group, idx = np.divmod(key, max(n, 1))
+        # every pair a < b within a group, a-major: a term's later partners
+        # are the rest of its group's run
+        later = np.searchsorted(group, group, side="right") - np.arange(len(group)) - 1
+        a = np.repeat(np.arange(len(group)), later)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+        c = constant[group]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.concatenate([scale * (2.0 * c * m + m * m), scale * 2.0 * m[a] * m[b]])
+            offset = self.offset
+            for t in (scale * constant * constant).tolist():
+                offset += t
+        if not (np.isfinite(vals).all() and math.isfinite(offset)):
+            raise QuboError("penalty expansion overflows")
+        self.offset = offset
+        self._append(np.concatenate([idx * (n + 1), idx[a] * n + idx[b]]), vals)
 
     def add_scaled(self, other: "Qubo", scale: float = 1.0) -> None:
         """Merge another form over the same registry, scaled."""
@@ -289,8 +309,13 @@ class Qubo:
         if not math.isfinite(scale):
             raise QuboError(f"scale {scale} is not finite")
         other.settle()
-        self.offset += scale * other.offset
-        self._append(other._keys, scale * other._vals)
+        with np.errstate(over="ignore"):
+            vals = scale * other._vals
+        offset = self.offset + scale * other.offset
+        if not (np.isfinite(vals).all() and math.isfinite(offset)):
+            raise QuboError(f"merging at scale {scale} overflows")
+        self.offset = offset
+        self._append(other._keys, vals)
 
     def copy(self) -> "Qubo":
         self.settle()
@@ -445,23 +470,26 @@ class CompiledProblem:
 def format_qubo_text(q: Qubo) -> str:
     """Deterministic text form: header, then `i i c` / `i j c` lines (i < j).
 
-    Terms are sorted by index; each coefficient is its Python repr, made once
-    per distinct value, and the lines are joined without a Python-level loop.
+    Terms are sorted by index.  Every line is one row of a fixed-width byte
+    table: a name per index and a repr per distinct coefficient, made once
+    each, padded with NUL bytes that are dropped when the table is joined.
     """
     linear, quadratic = q.linear, q.quadratic
-    values, which = np.unique(
-        np.concatenate([linear["value"], quadratic["value"]]), return_inverse=True
-    )
-    coef = [repr(v) for v in values.tolist()].__getitem__
-    name = [str(i) for i in range(q.n)].__getitem__
-    which = which.tolist()
-    cut = len(linear)
-    diagonal = list(map(name, linear["i"].tolist()))
-    lines = [f"n {q.n} offset {q.offset!r}"]
-    lines += map(" ".join, zip(diagonal, diagonal, map(coef, which[:cut])))
-    lines += map(" ".join, zip(map(name, quadratic["i"].tolist()),
-                               map(name, quadratic["j"].tolist()), map(coef, which[cut:])))
-    return "\n".join(lines) + "\n"
+    vals = np.concatenate([linear["value"], quadratic["value"]])
+    values = np.unique(vals)
+    names = np.array([str(i) for i in range(q.n)], dtype=bytes)
+    coefs = np.array([repr(v) for v in values.tolist()], dtype=bytes)
+    table = np.empty(len(vals), dtype=[
+        ("i", names.dtype), ("s", "S1"), ("j", names.dtype), ("t", "S1"),
+        ("c", coefs.dtype), ("nl", "S1"),
+    ])
+    table["i"] = names[np.concatenate([linear["i"], quadratic["i"]])]
+    table["j"] = names[np.concatenate([linear["i"], quadratic["j"]])]
+    table["c"] = coefs[np.searchsorted(values, vals)]
+    table["s"] = table["t"] = b" "
+    table["nl"] = b"\n"
+    body = table.tobytes().translate(None, b"\0")
+    return f"n {q.n} offset {q.offset!r}\n" + body.decode()
 
 
 def format_registry_text(reg: VariableRegistry) -> str:

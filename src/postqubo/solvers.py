@@ -128,18 +128,6 @@ def _block_tree(h, on, path, scratch, cross, lin, high):
         yield from _block_tree(h | 1 << t, on + (t,), path, scratch, cross, lin, high)
 
 
-def enumerate_all_energies(q: Qubo) -> np.ndarray:
-    """Energies of all 2^n assignments; entry p has bit j of p as x_j.
-
-    O(2^n) work and memory; exact for integer-valued coefficients.
-    """
-    blocks = _energy_blocks(q)
-    energies = np.empty(1 << q.n)
-    for h, block in blocks:
-        energies[h * block.size : (h + 1) * block.size] = block
-    return energies
-
-
 def bits_of(index: int, n: int) -> np.ndarray:
     return np.array([(index >> j) & 1 for j in range(n)], dtype=np.uint8)
 

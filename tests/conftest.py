@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from postqubo import EdgeRef, Graph, ProblemSpec, is_strongly_connected, odd_degree_vertices
-from postqubo.qubo import PRUNE_EPS
+from postqubo.qubo import PRUNE_EPS, PairVar
+from postqubo.solvers import _energy_blocks
 
 
 def figure_example_graph() -> Graph:
@@ -139,7 +140,16 @@ class DictQubo:
     def add_quadratic(self, i: int, j: int, c: float) -> None:
         self._add(i, j, c)
 
-    def add_square_penalty(self, terms, constant: float, scale: float = 1.0) -> None:
+    def add_square_penalty(self, idx, coef, constant, group=0, scale: float = 1.0) -> None:
+        """Qubo.add_square_penalty as one single-group square per group, in order."""
+        constants = list(np.atleast_1d(constant).tolist())
+        groups = np.broadcast_to(group, np.shape(idx)).tolist()
+        coefs = np.broadcast_to(coef, np.shape(idx)).tolist()
+        for g, c in enumerate(constants):
+            terms = [(i, m) for i, m, h in zip(list(idx), coefs, groups) if h == g]
+            self._add_square(terms, c, scale)
+
+    def _add_square(self, terms, constant: float, scale: float) -> None:
         merged: dict[int, float] = {}
         for i, c in terms:
             merged[i] = merged.get(i, 0.0) + c
@@ -163,6 +173,27 @@ class DictQubo:
         lines = [f"n {self.n} offset {self.offset!r}"]
         lines += [f"{i} {j} {self.terms[(i, j)]!r}" for i, j in keys]
         return "\n".join(lines) + "\n"
+
+
+def enumerate_all_energies(q) -> np.ndarray:
+    """Energies of all 2^n assignments; entry p has bit j of p as x_j.
+
+    O(2^n) work and memory; exact for integer-valued coefficients.  The
+    blocks of `brute_force`'s enumeration, written into one table.
+    """
+    blocks = _energy_blocks(q)
+    energies = np.empty(1 << q.n)
+    for h, block in blocks:
+        energies[h * block.size : (h + 1) * block.size] = block
+    return energies
+
+
+def encode_pairing(pairing, reg) -> list[int]:
+    """Inverse of decode_pairing for round-trip checks."""
+    x = [0] * len(reg)
+    for a, b in pairing.pairs:
+        x[reg.index_of(PairVar(a, b))] = 1
+    return x
 
 
 def all_pairings(items: list[int]):

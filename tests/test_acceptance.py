@@ -31,7 +31,6 @@ from postqubo import (
     decode_pairing,
     default_pairing_penalty,
     default_penalties,
-    enumerate_all_energies,
     exact_pairing_oracle,
     exact_walk_oracle,
     make_sampler,
@@ -50,7 +49,7 @@ from postqubo.general import (
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import MODE_PLAIN, MODE_TRAVERSE, Qubo
 from postqubo.solvers import CompiledInstance
-from conftest import random_graph_with_odd_count, random_mixed_graph
+from conftest import enumerate_all_energies, random_graph_with_odd_count, random_mixed_graph
 
 PAIRING_SEED = 91001
 GENERAL_SEED = 91002

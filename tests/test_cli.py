@@ -679,3 +679,22 @@ def test_help_text_is_the_fresh_parsers(argv, capsys):
         printed.append(capsys.readouterr().out)
     assert printed[0].startswith("usage: postqubo")
     assert printed[0] == printed[1] == printed[2]
+
+
+@pytest.mark.parametrize("spec, flags", [
+    # a capacity of 1e200: its slack register's squared weights overflow
+    ({"graph": TRIANGLE, "postmen": {"count": 1, "capacities": [1e200]}}, ()),
+    # twice the one-edge multiplier overflows in the penalised couplings
+    ({"graph": TRIANGLE}, ("--p-one-edge", "1e308")),
+    # each family's coupling is finite, their sum is not
+    ({"graph": TRIANGLE, "required": [[0, 1, "u"]], "i_max": 1},
+     ("--p-one-edge", "5e307", "--p-required", "5e307")),
+])
+def test_a_qubo_that_overflows_is_an_error_and_writes_nothing(tmp_path, capsys, spec, flags):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for command in ("export-qubo", "solve"):
+        out = tmp_path / command
+        assert run(command, path, "--force-qubo", *flags, "--out", out) == 1
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()

@@ -21,7 +21,6 @@ from postqubo import (
     brute_force,
     compile_general,
     default_penalties,
-    enumerate_all_energies,
     exact_walk_oracle,
     simulated_annealing,
 )
@@ -35,7 +34,12 @@ from postqubo.general import (
 )
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
-from conftest import bits_from_index, figure_example_graph, random_mixed_graph
+from conftest import (
+    bits_from_index,
+    enumerate_all_energies,
+    figure_example_graph,
+    random_mixed_graph,
+)
 
 
 def small_path_spec(**kwargs) -> ProblemSpec:

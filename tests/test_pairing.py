@@ -22,10 +22,11 @@ from postqubo import (
     odd_degree_vertices,
     shortest_paths,
 )
-from postqubo.pairing import compile_pairing, encode_pairing, euler_route
+from postqubo.pairing import compile_pairing, euler_route
 from conftest import (
     all_pairings,
     bits_from_index,
+    encode_pairing,
     figure_example_graph,
     random_graph_with_odd_count,
 )

@@ -26,7 +26,7 @@ def paper_single_variable_qubo() -> Qubo:
     """9x + 10(1-x)^2, whose assignment energies are 10 and 9."""
     q = Qubo(1)
     q.add_linear(0, 9.0)
-    q.add_square_penalty([(0, -1.0)], constant=1.0, scale=10.0)
+    q.add_square_penalty([0], [-1.0], 1.0, scale=10.0)
     return q
 
 
@@ -56,14 +56,14 @@ def test_square_penalty_expansion_matches_worked_example():
 
 def test_square_penalty_plain_square():
     q = Qubo(1)
-    q.add_square_penalty([(0, 1.0)], constant=0.0, scale=1.0)
+    q.add_square_penalty([0], [1.0], 0.0, scale=1.0)
     assert q.linear.tolist() == [(0, 1.0)]
     assert q.offset == 0.0
 
 
 def test_square_penalty_two_variable_expansion():
     q = Qubo(2)
-    q.add_square_penalty([(0, -1.0), (1, -1.0)], constant=1.0, scale=2.0)
+    q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0, scale=2.0)
     assert q.offset == 2.0
     assert q.linear.tolist() == [(0, -2.0), (1, -2.0)]
     assert q.quadratic.tolist() == [(0, 1, 4.0)]
@@ -74,7 +74,7 @@ def test_square_penalty_two_variable_expansion():
 
 def test_square_penalty_merges_duplicate_terms():
     q = Qubo(1)
-    q.add_square_penalty([(0, -1.0), (0, -1.0)], constant=1.0, scale=1.0)
+    q.add_square_penalty([0, 0], [-1.0, -1.0], 1.0, scale=1.0)
     for x in ((0,), (1,)):
         assert q.energy(list(x)) == pytest.approx((1 - 2 * x[0]) ** 2)
 
@@ -82,19 +82,19 @@ def test_square_penalty_merges_duplicate_terms():
 def test_square_penalty_rejects_nonpositive_scale():
     q = Qubo(1)
     with pytest.raises(QuboError):
-        q.add_square_penalty([(0, 1.0)], constant=0.0, scale=0.0)
+        q.add_square_penalty([0], [1.0], 0.0, scale=0.0)
 
 
 def test_square_penalty_scale_linearity(rng):
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        terms = [(i, float(rng.integers(-3, 4))) for i in range(n)]
+        coef = [float(rng.integers(-3, 4)) for i in range(n)]
         constant = float(rng.integers(-2, 3))
         scale = float(rng.integers(1, 7))
         q1 = Qubo(n)
-        q1.add_square_penalty(terms, constant, scale=1.0)
+        q1.add_square_penalty(range(n), coef, constant, scale=1.0)
         qs = Qubo(n)
-        qs.add_square_penalty(terms, constant, scale=scale)
+        qs.add_square_penalty(range(n), coef, constant, scale=scale)
         for idx in range(1 << n):
             x = bits_from_index(idx, n)
             assert qs.energy(x) == pytest.approx(scale * q1.energy(x))
@@ -111,7 +111,7 @@ def test_energy_all_zero_on_penalty_only_qubo():
     q = Qubo(4)
     m = 3
     for i in range(m):
-        q.add_square_penalty([(i, -1.0), (i + 1, -1.0)], constant=1.0, scale=p)
+        q.add_square_penalty([i, i + 1], [-1.0, -1.0], 1.0, scale=p)
     assert q.energy([0, 0, 0, 0]) == m * p
 
 
@@ -264,12 +264,12 @@ def test_near_zero_coefficients_are_pruned():
     lambda q: q.add_linear(2, 1.0),
     lambda q: q.add_quadratic(0, 2, 1.0),
     lambda q: q.add_quadratic(2, 1, 1.0),
-    lambda q: q.add_square_penalty([(0, 1.0), (2, -1.0)], constant=1.0),
+    lambda q: q.add_square_penalty([0, 2], [1.0, -1.0], 1.0),
     lambda q: q.add_linear(-1, 1.0),
 ])
 def test_assembly_rejects_an_index_outside_the_form(add):
     q = Qubo(2)
-    q.add_square_penalty([(0, -1.0), (1, -1.0)], constant=1.0)
+    q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0)
     before = format_qubo_text(q)
     with pytest.raises(IndexOutOfRange):
         add(q)
@@ -291,7 +291,7 @@ def test_energy_follows_merges_made_after_an_evaluation():
     other.add_quadratic(0, 1, -4.0)
     q.add_scaled(other, 3.0)
     assert q.energy([1, 1]) == 1.0 + 1.5 + 6.0 - 12.0
-    q.add_square_penalty([(0, 1.0), (1, 1.0)], constant=-1.0, scale=2.0)
+    q.add_square_penalty([0, 1], [1.0, 1.0], -1.0, scale=2.0)
     assert q.energy([1, 1]) == -3.5 + 2.0
     assert q.energy([0, 0]) == 1.5 + 2.0
 
@@ -301,26 +301,67 @@ def test_energy_follows_merges_made_after_an_evaluation():
     lambda q: q.add_linear(0, float("inf")),
     lambda q: q.add_quadratic(0, 1, -float("inf")),
     lambda q: q.add_quadratic_terms([0, 0], [1, 1], [1.0, float("nan")]),
-    lambda q: q.add_square_penalty([(0, 1.0)], constant=1.0, scale=float("nan")),
-    lambda q: q.add_square_penalty([(0, 1.0)], constant=1.0, scale=float("inf")),
-    lambda q: q.add_square_penalty([(0, 1.0)], constant=float("nan")),
-    lambda q: q.add_square_penalty([(0, 1.0), (1, float("-inf"))], constant=1.0),
+    lambda q: q.add_square_penalty([0], [1.0], 1.0, scale=float("nan")),
+    lambda q: q.add_square_penalty([0], [1.0], 1.0, scale=float("inf")),
+    lambda q: q.add_square_penalty([0], [1.0], float("nan")),
+    lambda q: q.add_square_penalty([0, 1], [1.0, float("-inf")], 1.0),
     lambda q: q.add_scaled(Qubo(2), float("nan")),
     lambda q: q.add_scaled(Qubo(2), float("inf")),
     lambda q: q.add_offset(float("inf")),
 ])
 def test_assembly_rejects_non_finite_input(add):
     q = Qubo(2)
-    q.add_square_penalty([(0, -1.0), (1, -1.0)], constant=1.0)
+    q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0)
     before = format_qubo_text(q)
     with pytest.raises(QuboError):
         add(q)
     assert format_qubo_text(q) == before
 
 
+def _big_offset() -> Qubo:
+    other = Qubo(2)
+    other.add_offset(10.0)
+    return other
+
+
+@pytest.mark.parametrize("add", [
+    lambda q: q.add_square_penalty([0, 1], [1e200, 1.0], 1.0),
+    lambda q: q.add_square_penalty([0, 1], [1e160, 1e160], 0.0),
+    lambda q: q.add_square_penalty([0], [1.0], 1e200),
+    lambda q: q.add_square_penalty([0], [1.0], [1.0, 1e200], [0]),
+    lambda q: q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0, scale=1e308),
+    lambda q: q.add_scaled(q.copy(), 1e308),
+    lambda q: q.add_scaled(_big_offset(), 1e308),
+])
+def test_assembly_rejects_a_call_that_overflows(add):
+    q = Qubo(2)
+    q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0)
+    before = format_qubo_text(q)
+    with pytest.raises(QuboError):
+        add(q)
+    assert format_qubo_text(q) == before
+
+
+def test_an_offset_that_overflows_is_rejected():
+    q = Qubo(1)
+    q.add_offset(1.7e308)
+    with pytest.raises(QuboError):
+        q.add_offset(1.7e308)
+    assert q.offset == 1.7e308
+
+
+def test_a_coefficient_sum_that_overflows_is_rejected_when_read():
+    q = Qubo(2)
+    q.add_quadratic_terms([0, 0], [1, 1], [1e308, 1e308])
+    for _ in range(2):
+        with pytest.raises(QuboError):
+            q.energy([1, 1])
+
+
 # --- accumulation against the dict reference model -------------------------------
 
 VALUES = (0.1, 0.2, -0.3, 0.3, 1e-13, -1e-13, 1.0, -1.0, 7.25, 2.0**-40, 2.0**30, -2.0**30)
+SCALES = (1.0, 0.1, 0.5, 3.0, 2.0**-3)
 
 
 @st.composite
@@ -329,13 +370,15 @@ def op_streams(draw):
     with reads mixed in."""
     n = draw(st.integers(1, 5))
     idx, val, target = st.integers(0, n - 1), st.sampled_from(VALUES), st.integers(0, 1)
+    group, scale = st.integers(0, 2), st.sampled_from(SCALES)
     ops = st.one_of(
         st.tuples(st.just("linear"), target, idx, val),
         st.tuples(st.just("quadratic"), target, idx, idx, val),
         st.tuples(st.just("quadratic_terms"), target, st.lists(st.tuples(idx, idx, val),
                                                                max_size=6)),
-        st.tuples(st.just("square_penalty"), target, st.lists(st.tuples(idx, val), max_size=5),
-                  val, st.sampled_from((1.0, 0.1, 0.5, 3.0, 2.0**-3))),
+        st.tuples(st.just("square_penalty"), target, st.lists(st.tuples(group, idx, val),
+                                                             max_size=8),
+                  st.lists(val, min_size=3, max_size=3), scale),
         st.tuples(st.just("scaled"), target, val),
         st.tuples(st.just("offset"), target, val),
         st.tuples(st.just("read"), target),
@@ -371,11 +414,55 @@ def test_assembly_matches_the_dict_reference_model(stream):
                                   [c for _, _, c in terms])
             for i, j, c in terms:
                 model.add_quadratic(i, j, c)
+        elif op == "square_penalty":
+            terms, constants, scale = args
+            for form in (q, model):
+                form.add_square_penalty([i for _, i, _ in terms], [c for _, _, c in terms],
+                                        constants, [g for g, _, _ in terms], scale=scale)
         else:
             getattr(q, f"add_{op}")(*args)
             getattr(model, f"add_{op}")(*args)
     for q, model in zip(forms, models):
         assert_matches_model(q, model)
+
+
+@st.composite
+def square_families(draw):
+    """A variable count and a few penalty families: per family, (group, index,
+    coefficient) terms with repeats within and across groups, one constant
+    per group and a scale."""
+    n = draw(st.integers(1, 6))
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        groups = draw(st.integers(1, 5))
+        term = st.tuples(st.integers(0, groups - 1), st.integers(0, n - 1),
+                         st.sampled_from((0.1, 0.2, -0.3, 1.0, -1.0, 2.5)))
+        families.append((draw(st.lists(term, max_size=16)),
+                         draw(st.lists(st.sampled_from(VALUES), min_size=groups,
+                                       max_size=groups)),
+                         draw(st.sampled_from(SCALES))))
+    return n, families
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(square_families())
+def test_grouped_squares_match_one_square_per_group(case):
+    n, families = case
+    q, model = Qubo(n), DictQubo(n)
+    for terms, constants, scale in families:
+        for form in (q, model):
+            form.add_square_penalty([i for _, i, _ in terms], [c for _, _, c in terms],
+                                    constants, [g for g, _, _ in terms], scale=scale)
+    assert format_qubo_text(q) == model.text()
+    assert repr(q.offset) == repr(model.offset)
+
+
+def test_a_penalty_group_outside_the_constants_is_rejected():
+    q = Qubo(2)
+    for group in (2, -1):
+        with pytest.raises(QuboError):
+            q.add_square_penalty([0, 1], [1.0, 1.0], [1.0, 1.0], [0, group])
+    assert format_qubo_text(q) == "n 2 offset 0.0\n"
 
 
 def test_a_term_cancelled_part_way_restarts_from_zero():

@@ -12,7 +12,6 @@ from postqubo import (
     brute_force,
     decode_pairing,
     default_pairing_penalty,
-    enumerate_all_energies,
     greedy_descent,
     greedy_post,
     make_sampler,
@@ -23,13 +22,18 @@ from postqubo import (
 from postqubo import solvers
 from postqubo.pairing import compile_pairing
 from postqubo.solvers import CompiledInstance
-from conftest import bits_from_index, naive_energy, random_graph_with_odd_count
+from conftest import (
+    bits_from_index,
+    enumerate_all_energies,
+    naive_energy,
+    random_graph_with_odd_count,
+)
 
 
 def paper_instance() -> Qubo:
     q = Qubo(1)
     q.add_linear(0, 9.0)
-    q.add_square_penalty([(0, -1.0)], constant=1.0, scale=10.0)
+    q.add_square_penalty([0], [-1.0], 1.0, scale=10.0)
     return q
 
 
