@@ -12,12 +12,19 @@ encodings are supported for a single postman:
 Multiple postmen (or capacities / collision bans) use per-postman rest
 variables: the rest bit plays the terminal role for that postman's walk.
 
-Each postman's edge variables form one step table (`STEP_ROW` rows in step,
-arc-index and mode order) that the forms, `decode` and `encode_route` all
-read.  `compile_general` sizes both single-postman encodings by counting
-their pruned (arc, mode) slots and builds the registry, tables and forms only
-for the smaller one.  Every weight comes from one `ProblemSpec.weight` call
-per edge variable, kept in the table; terminal arcs cost nothing.
+The layout is built from integer columns.  The arcs are tail, head, kind
+and required-edge columns; step pruning is one boolean (step x arc)
+reachability sweep over them each way, and a postman's slots are the (step,
+arc, mode) columns of the allowed entries.  `compile_general` sizes both
+single-postman encodings by their slot counts and builds the registry,
+tables and forms only for the smaller one.  Each postman's edge variables
+form one step table (`STEP_ROW` rows in step, arc-index and mode order,
+registry indices from one lexsort in label order) that the forms, `decode`
+and `encode_route` all read.  Adjacency, rest, the repeat discount and turns
+are masks over one join of every row with every row of the next step; the
+required family is one grouped square over the rows' required-edge column.
+Every weight comes from one `ProblemSpec.weight` call per (arc, mode) and
+postman, kept in the table; terminal arcs cost nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 TERMINAL = -1
 KIND_TERMINAL = "t"
+KINDS = ("d", KIND_TERMINAL, "u")  # arc kind codes, in label order
 
 ENC_REPETITION = "repetition"
 ENC_TERMINAL = "terminal"
@@ -97,68 +105,55 @@ def _build_arcs(spec: ProblemSpec, with_terminal: bool) -> list[CompArc]:
 
 def _prune_steps(
     spec: ProblemSpec,
-    arcs: list[CompArc],
+    tail: np.ndarray,
+    head: np.ndarray,
+    terminal: np.ndarray,
     i_max: int,
     repetition: bool,
     terminal_gate: int | None,
-) -> list[frozenset[int]]:
-    """allowed[i] = arcs usable at step i given start/stop reachability."""
+) -> np.ndarray:
+    """allowed[i, a]: arc a is usable at step i given start/stop reachability.
 
-    def mask(i: int, arc: CompArc) -> bool:
-        if arc.is_terminal:
-            if terminal_gate is None:
-                return False
-            if i < terminal_gate:
-                return False
-            if i == 0 and arc.tail == TERMINAL:
-                return False
-        return True
+    One forward sweep from the start and one backward sweep from the stop
+    over (step, arc) booleans: an arc is reached when it leaves a vertex the
+    last step's arcs enter (entering one the next step's arcs leave, going
+    back), or repeats one of them in the repetition encoding.
+    """
+    # a terminal arc is usable from the gate on, the terminal loop never at step 0
+    mask = np.repeat(~terminal[None, :], i_max, axis=0)
+    if terminal_gate is not None:
+        mask[terminal_gate:] = True
+        mask[0, tail == TERMINAL] = False
+    verts, pos = np.unique(np.concatenate([tail, head]), return_inverse=True)
+    tpos, hpos = pos[: len(tail)], pos[len(tail) :]
+
+    def sweep(first: np.ndarray, steps: range, out: np.ndarray, into: np.ndarray) -> np.ndarray:
+        reach = np.zeros_like(mask)
+        reach[steps[0]] = first
+        for prev, i in zip(steps, steps[1:]):
+            at = np.zeros(len(verts), dtype=bool)
+            at[out[reach[prev]]] = True
+            reach[i] = mask[i] & (at[into] | (reach[prev] & repetition))
+        return reach
 
     start, stop = spec.start, spec.stop
-    fwd: list[set[int]] = []
-    prev: set[int] = {
-        a.index for a in arcs if mask(0, a) and (start is None or a.tail == start)
-    }
-    fwd.append(prev)
-    for i in range(1, i_max):
-        heads = {arcs[j].head for j in prev}
-        cur = {
-            a.index
-            for a in arcs
-            if mask(i, a) and (a.tail in heads or (repetition and a.index in prev))
-        }
-        fwd.append(cur)
-        prev = cur
-
-    bwd: list[set[int]] = [set()] * i_max
-    if stop is None:
-        nxt = {a.index for a in arcs if mask(i_max - 1, a)}
-    else:
-        nxt = {
-            a.index
-            for a in arcs
-            if mask(i_max - 1, a) and a.head in (stop, TERMINAL)
-        }
-    bwd[i_max - 1] = nxt
-    for i in range(i_max - 2, -1, -1):
-        tails = {arcs[j].tail for j in nxt}
-        cur = {
-            a.index
-            for a in arcs
-            if mask(i, a) and (a.head in tails or (repetition and a.index in nxt))
-        }
-        bwd[i] = cur
-        nxt = cur
-
-    allowed: list[frozenset[int]] = []
-    for i in range(i_max):
-        step_set = frozenset(fwd[i] & bwd[i])
-        if not step_set:
-            raise InfeasibleEndpoints(
-                f"no arc can appear at step {i} given start={start}, stop={stop}"
-            )
-        allowed.append(step_set)
+    first = mask[0] if start is None else mask[0] & (tail == start)
+    last = mask[-1] if stop is None else mask[-1] & ((head == stop) | (head == TERMINAL))
+    allowed = sweep(first, range(i_max), hpos, tpos)
+    allowed &= sweep(last, range(i_max - 1, -1, -1), tpos, hpos)
+    empty = np.flatnonzero(~allowed.any(axis=1))
+    if len(empty):
+        raise InfeasibleEndpoints(
+            f"no arc can appear at step {empty[0]} given start={start}, stop={stop}"
+        )
     return allowed
+
+
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) for every row a and every b in [lo[a], hi[a]), a-major, then b."""
+    count = hi - lo
+    a = np.repeat(np.arange(len(lo)), count)
+    return a, np.arange(len(a)) - np.repeat(np.cumsum(count) - count - lo, count)
 
 
 class CompiledGeneral(CompiledProblem):
@@ -179,6 +174,8 @@ class CompiledGeneral(CompiledProblem):
         self.spec = spec
         self.encoding = encoding
         self.i_max = spec.effective_i_max
+        if self.i_max < 1:
+            raise SpecError("the step budget i_max is 0: the graph has no edges to walk")
         self.postmen = spec.postmen.count
         self.required: tuple[EdgeRef, ...] = spec.resolved_required()
         self.service_mode = spec.service is not None
@@ -186,18 +183,25 @@ class CompiledGeneral(CompiledProblem):
         with_terminal = encoding == ENC_TERMINAL
         self.arcs = _build_arcs(spec, with_terminal)
         self._arc_lookup = {(a.tail, a.head, a.kind): a.index for a in self.arcs}
+        # arc columns: tail, head, kind code and required edge (position in
+        # `required`, or -1)
+        required = {ref: g for g, ref in enumerate(self.required)}
+        self._tail, self._head, self._kind, self._group = np.array(
+            [(a.tail, a.head, KINDS.index(a.kind), required.get(a.ref, -1)) for a in self.arcs],
+            dtype=np.int64,
+        ).reshape(-1, 4).T
+        terminal = self._kind == KINDS.index(KIND_TERMINAL)
         gate = len(self.required) if with_terminal else None
         self.allowed = _prune_steps(
-            spec, self.arcs, self.i_max, encoding == ENC_REPETITION, gate
+            spec, self._tail, self._head, terminal, self.i_max, encoding == ENC_REPETITION, gate
         )
-        # the (arc, mode) slots of one postman: step, then arc index, then
-        # mode; a terminal arc is padding, never service
-        self._slots = [
-            (i, arc, mode)
-            for i, step in enumerate(self.allowed)
-            for arc in (self.arcs[ai] for ai in sorted(step))
-            for mode in (spec.modes[-1:] if arc.is_terminal else spec.modes)
-        ]
+        # the (step, arc, mode) slots of one postman, in that order; a
+        # terminal arc is padding in the last mode, never service
+        modes = np.array([m in spec.modes for m in MODES])
+        last = np.array([m == spec.modes[-1] for m in MODES])
+        self._slots = np.nonzero(
+            self.allowed[:, :, None] & np.where(terminal[:, None], last, modes)
+        )
 
     # ---- variables -------------------------------------------------------
 
@@ -205,14 +209,26 @@ class CompiledGeneral(CompiledProblem):
         """Lay out the variables once: the registry and one step table per postman.
 
         `_tables[p]` holds postman p's edge variables as STEP_ROW rows, one
-        per slot, in step, arc-index and mode order; `_rest[p]` the rest bits
-        (none outside the rest encoding); `_req_slack[(ref, p)]` and
+        per slot, in step, arc-index and mode order, and `_cover` the
+        required edge each slot covers (-1 for none; in service mode only a
+        service step covers its edge); `_rest[p]` the rest bits (none
+        outside the rest encoding); `_req_slack[(ref, p)]` and
         `_cap_slack[p]` the (bit, index) slack registers.
         """
         spec, postmen, steps = self.spec, range(self.postmen), range(self.i_max)
+        step, arc, mode = self._slots
+        size = len(step)
+        tail, head = self._tail[arc], self._head[arc]
+        # edge labels lead the registry, in EdgeStep.sort_key order: step,
+        # postman, tail, head, kind (d < t < u), mode (MODES order)
+        cols = [np.tile(c, self.postmen) for c in (step, tail, head, self._kind[arc], mode)]
+        owner = np.repeat(np.arange(self.postmen), size)
+        order = np.lexsort((cols[4], cols[3], cols[2], cols[1], owner, cols[0]))
+        index = np.empty(len(order), dtype=np.int64)
+        index[order] = np.arange(len(order))
         edge_labels = [
-            [EdgeStep(i, arc.tail, arc.head, mode, p, arc.kind) for i, arc, mode in self._slots]
-            for p in postmen
+            EdgeStep(i, t, h, MODES[m], p, KINDS[k])
+            for i, t, h, k, m, p in zip(*(c[order].tolist() for c in (*cols, owner)))
         ]
         rest_labels = [
             [RestVar(i, p) for i in steps] if self.encoding == ENC_REST else [] for p in postmen
@@ -228,44 +244,37 @@ class CompiledGeneral(CompiledProblem):
             for p, cap in enumerate(spec.postmen.capacities or ())
         ]
         self.registry = VariableRegistry(
-            [lab for labs in edge_labels for lab in labs]
+            edge_labels
             + [lab for labs in rest_labels for lab in labs]
             + [lab for labs in req_labels.values() for lab in labs]
             + [lab for labs in cap_labels for lab in labs]
         )
 
-        index = self.registry.index_of
         # an arc may repeat at the next step to pad the walk in these modes
         repeat_modes = (MODE_PLAIN, MODE_TRAVERSE) if self.encoding == ENC_REPETITION else ()
-
-        def row(p: int, lab: EdgeStep, i: int, arc: CompArc, mode: str) -> tuple:
-            key = (arc.tail, arc.head, arc.kind)
-            weight = 0.0 if arc.is_terminal else spec.weight(p, key, mode)
-            return (i, index(lab), arc.tail, arc.head, arc.index, MODES.index(mode),
-                    mode in repeat_modes, weight)
-
-        self._tables = [
-            np.array([row(p, lab, *slot) for lab, slot in zip(labels, self._slots)],
-                     dtype=STEP_ROW)
-            for p, labels in enumerate(edge_labels)
-        ]
-        self._rest = [[index(lab) for lab in labs] for labs in rest_labels]
+        template = np.empty(size, dtype=STEP_ROW)
+        template["step"], template["tail"], template["head"] = step, tail, head
+        template["arc"], template["mode"] = arc, mode
+        template["repeat"] = np.array([m in repeat_modes for m in MODES])[mode]
+        cover = self._group[arc]
+        if self.service_mode:
+            cover = np.where(mode == MODES.index(MODE_SERVICE), cover, -1)
+        self._tables, self._cover = [], cover  # every postman has the same slots
+        for p in postmen:
+            # one weight per (arc, mode) in play; terminal arcs cost nothing
+            weight = np.zeros((len(self.arcs), len(MODES)))
+            for a in self.arcs:
+                for m in () if a.is_terminal else spec.modes:
+                    weight[a.index, MODES.index(m)] = spec.weight(p, (a.tail, a.head, a.kind), m)
+            table = template.copy()
+            table["index"], table["weight"] = index[p * size : (p + 1) * size], weight[arc, mode]
+            self._tables.append(table)
+        index_of = self.registry.index_of
+        self._rest = [[index_of(lab) for lab in labs] for labs in rest_labels]
         self._req_slack = {
-            key: [(lab.bit, index(lab)) for lab in labs] for key, labs in req_labels.items()
+            key: [(lab.bit, index_of(lab)) for lab in labs] for key, labs in req_labels.items()
         }
-        self._cap_slack = [[(lab.bit, index(lab)) for lab in labs] for labs in cap_labels]
-
-    def _covers(self, ref: EdgeRef) -> list[np.ndarray]:
-        """Per postman, the step-table rows that count as covering `ref`; in
-        service mode only a service step covers its edge."""
-        arcs = [a.index for a in self.arcs if a.ref == ref]
-        rows = []
-        for table in self._tables:
-            hit = np.isin(table["arc"], arcs)
-            if self.service_mode:
-                hit &= table["mode"] == MODES.index(MODE_SERVICE)
-            rows.append(table[hit])
-        return rows
+        self._cap_slack = [[(lab.bit, index_of(lab)) for lab in labs] for labs in cap_labels]
 
     def _find_arc(self, tail: int, head: int, kind: str) -> int:
         try:
@@ -277,7 +286,7 @@ class CompiledGeneral(CompiledProblem):
 
     def _build_forms(self) -> None:
         n = len(self.registry)
-        spec = self.spec
+        spec, tables, cover = self.spec, self._tables, self._cover
         objective = Qubo(n)
         one_edge = Qubo(n)
         adjacency = Qubo(n)
@@ -287,76 +296,79 @@ class CompiledGeneral(CompiledProblem):
             "adjacency": adjacency,
             "required": required_c,
         }
-        # each postman's table split into its steps (views)
-        steps = [
-            np.split(t, np.searchsorted(t["step"], np.arange(1, self.i_max)))
-            for t in self._tables
-        ]
+        # (row a at step s, row b at step s + 1) for every s, step-major, then
+        # a-major; every postman has the same slots, so one join serves all
+        step, tail, head, arc, mode, repeat = (
+            tables[0][f] for f in ("step", "tail", "head", "arc", "mode", "repeat"))
+        bounds = np.searchsorted(step, np.arange(self.i_max + 2))
+        a, b = _pairs(bounds[step + 1], bounds[step + 2])
+        # no jumping between consecutive steps: a move starts where the last
+        # one ended, or repeats it in a repeat mode; a repeat is discounted in
+        # the objective (service steps are never repeats)
+        repeat = repeat[a] & (arc[b] == arc[a]) & (mode[b] == mode[a])
+        jump = (tail[b] != head[a]) & ~repeat
+        later = step > 0
 
-        for t, per_step, rest in zip(self._tables, steps, self._rest):
-            objective.add_quadratic_terms(t["index"], t["index"], t["weight"])
+        for t, rest in zip(tables, self._rest):
+            index, rest = t["index"], np.array(rest, dtype=np.int64)
+            objective.add_quadratic_terms(index, index, t["weight"])
             # exactly one move (or rest) per step
-            one_edge.add_square_penalty(t["index"].tolist() + rest, -1.0, [1.0] * self.i_max,
-                                        t["step"].tolist() + list(range(len(rest))))
-
-            # no jumping between consecutive steps: a move starts where the
-            # last one ended, or repeats it in a repeat mode; a repeat is
-            # discounted in the objective (service steps are never repeats)
-            for i, (cur, nxt) in enumerate(zip(per_step, per_step[1:])):
-                repeat = cur["repeat"][:, None] & (nxt["arc"] == cur["arc"][:, None])
-                repeat &= nxt["mode"] == cur["mode"][:, None]
-                a, b = np.nonzero((nxt["tail"] != cur["head"][:, None]) & ~repeat)
-                adjacency.add_quadratic_terms(cur["index"][a], nxt["index"][b], 1.0)
-                if rest:
-                    # rest is absorbing: resuming movement afterwards is illegal
-                    adjacency.add_quadratic_terms(np.full(len(nxt), rest[i]), nxt["index"], 1.0)
-                a, b = np.nonzero(repeat)
-                objective.add_quadratic_terms(cur["index"][a], nxt["index"][b],
-                                              -nxt["weight"][b])
+            one_edge.add_square_penalty(np.append(index, rest), -1.0, [1.0] * self.i_max,
+                                        np.append(step, np.arange(len(rest))))
+            adjacency.add_quadratic_terms(index[a[jump]], index[b[jump]], 1.0)
+            if len(rest):
+                # rest is absorbing: resuming movement afterwards is illegal
+                adjacency.add_quadratic_terms(rest[step[later] - 1], index[later], 1.0)
+            objective.add_quadratic_terms(index[a[repeat]], index[b[repeat]],
+                                          -t["weight"][b[repeat]])
 
         # coverage of required edges: one service, or visits less the slack
-        covers = {ref: self._covers(ref) for ref in self.required}
-        terms = [
-            (g, idx, -1.0) for g, ref in enumerate(self.required)
-            for rows in covers[ref] for idx in rows["index"].tolist()
-        ] + [
-            (g, idx, float(2**bit)) for g, ref in enumerate(self.required)
+        slack = np.array([
+            (g, idx, 2**bit) for g, ref in enumerate(self.required)
             for p in range(self.postmen) for bit, idx in self._req_slack[(ref, p)]
-        ]
-        group, idx, coef = zip(*terms) if terms else ((), (), ())
-        required_c.add_square_penalty(idx, coef, [1.0] * len(self.required), group)
+        ], dtype=np.int64).reshape(-1, 3).T
+        covering = np.flatnonzero(cover >= 0)
+        required_c.add_square_penalty(
+            np.concatenate([*(t["index"][covering] for t in tables), slack[1]]),
+            np.append(np.full(len(covering) * len(tables), -1.0), slack[2]),
+            [1.0] * len(self.required),
+            np.append(np.tile(cover[covering], len(tables)), slack[0]),
+        )
 
         if spec.turn_penalties:
             turn = Qubo(n)
-            for per_step in steps:
-                for cur, nxt in zip(per_step, per_step[1:]):
-                    for t in spec.turn_penalties:
-                        ia = cur["index"][(cur["tail"] == t.in_tail) & (cur["head"] == t.in_head)]
-                        ib = nxt["index"][(nxt["tail"] == t.in_head) & (nxt["head"] == t.out_head)]
-                        turn.add_quadratic_terms(np.repeat(ia, len(ib)), np.tile(ib, len(ia)),
-                                                 t.bonus)
+            for tp in spec.turn_penalties:
+                into = (tail == tp.in_tail) & (head == tp.in_head)
+                hit = into[a] & (tail[b] == tp.in_head) & (head[b] == tp.out_head)
+                for t in tables:
+                    turn.add_quadratic_terms(t["index"][a[hit]], t["index"][b[hit]], tp.bonus)
             constraints["turn"] = turn
 
         hierarchy = spec.hierarchy_closure()
         if hierarchy:
             # a service of `second` before one of `first`; service mode has one postman
             hier = Qubo(n)
+            (table,) = tables
             for first, second in sorted(hierarchy):
-                (ra,), (rb,) = covers[first], covers[second]
+                ra = table[cover == self.required.index(first)]
+                rb = table[cover == self.required.index(second)]
                 a, b = np.nonzero(rb["step"] < ra["step"][:, None])
                 hier.add_quadratic_terms(ra["index"][a], rb["index"][b], 1.0)
             constraints["hierarchy"] = hier
 
         if spec.forbid_edge_collisions:
-            # two postmen on the same arc at the same step
+            # two postmen on the same arc at the same step: every pair of rows
+            # of different postmen within one (step, tail, head) run
             coll = Qubo(n)
-            for i in range(self.i_max):
-                rows = np.concatenate([per_step[i] for per_step in steps])
-                owner = np.repeat(np.arange(self.postmen), [len(s[i]) for s in steps])
-                clash = (rows["tail"][:, None] == rows["tail"]) & (owner[:, None] != owner)
-                clash &= rows["head"][:, None] == rows["head"]
-                a, b = np.nonzero(np.triu(clash, 1))
-                coll.add_quadratic_terms(rows["index"][a], rows["index"][b], 1.0)
+            rows = np.concatenate(tables)
+            owner = np.repeat(np.arange(self.postmen), len(step))
+            key = np.stack([rows["step"], rows["tail"], rows["head"]])
+            order = np.lexsort(key[::-1])
+            key, rows, owner = key[:, order], rows[order], owner[order]
+            run = np.cumsum(np.append(True, (key[:, 1:] != key[:, :-1]).any(axis=0)))
+            a, b = _pairs(np.arange(1, len(run) + 1), np.searchsorted(run, run, side="right"))
+            clash = owner[a] != owner[b]
+            coll.add_quadratic_terms(rows["index"][a[clash]], rows["index"][b[clash]], 1.0)
             constraints["collision"] = coll
 
         if spec.postmen.capacities is not None:
@@ -500,9 +512,11 @@ class CompiledGeneral(CompiledProblem):
                 _fill_register(self._cap_slack[p], value, x)
 
         if not self.service_mode:
-            for ref in self.required:
-                visits = sum(x[idx] for rows in self._covers(ref) for idx in rows["index"])
-                _fill_register(self._req_slack[(ref, 0)], max(visits - 1, 0), x)
+            bits, covering = np.array(x), self._cover >= 0
+            visits = sum(np.bincount(self._cover[covering], bits[t["index"][covering]],
+                                     len(self.required)) for t in self._tables)
+            for ref, count in zip(self.required, visits.tolist()):
+                _fill_register(self._req_slack[(ref, 0)], max(int(count) - 1, 0), x)
         return x
 
 
@@ -542,7 +556,7 @@ def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGenera
         if not candidates:
             raise errors[0]
         compiled = min(
-            candidates, key=lambda c: (len(c._slots), c.encoding != ENC_REPETITION)
+            candidates, key=lambda c: (len(c._slots[0]), c.encoding != ENC_REPETITION)
         )
     compiled._build_registry()
     compiled._build_forms()

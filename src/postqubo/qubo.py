@@ -234,20 +234,9 @@ class Qubo:
             self._keys, self._vals = keys, vals
             self._terms = self._arrays = None
 
-    def add_offset(self, c: float) -> None:
-        if not math.isfinite(self.offset + c):
-            raise QuboError(f"offset {self.offset} + {c} is not finite")
-        self.offset += c
-
-    def add_linear(self, i: int, c: float) -> None:
-        self.add_quadratic(i, i, c)
-
-    def add_quadratic(self, i: int, j: int, c: float) -> None:
-        """Add c x_i x_j; i == j adds a linear term (x^2 == x for bits)."""
-        self.add_quadratic_terms([i], [j], c)
-
     def add_quadratic_terms(self, i, j, c) -> None:
-        """Add c[k] x_i[k] x_j[k] for every k, in order; c may be one number."""
+        """Add c[k] x_i[k] x_j[k] for every k, in order; c may be one number;
+        i == j adds a linear term (x^2 == x for bits)."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         c = np.broadcast_to(np.asarray(c, dtype=np.float64), i.shape)

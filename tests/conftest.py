@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from postqubo import EdgeRef, Graph, ProblemSpec, is_strongly_connected, odd_degree_vertices
+from postqubo import (
+    EdgeRef,
+    Graph,
+    InfeasibleEndpoints,
+    ProblemSpec,
+    is_strongly_connected,
+    odd_degree_vertices,
+)
+from postqubo.errors import QuboError
+from postqubo.general import TERMINAL
 from postqubo.qubo import PRUNE_EPS, PairVar
 from postqubo.solvers import _energy_blocks
 
@@ -131,14 +141,9 @@ class DictQubo:
         else:
             self.terms[key] = v
 
-    def add_offset(self, c: float) -> None:
-        self.offset += c
-
-    def add_linear(self, i: int, c: float) -> None:
-        self._add(i, i, c)
-
-    def add_quadratic(self, i: int, j: int, c: float) -> None:
-        self._add(i, j, c)
+    def add_quadratic_terms(self, i, j, c) -> None:
+        for a, b, v in zip(i, j, np.broadcast_to(c, np.shape(i)).tolist()):
+            self._add(a, b, v)
 
     def add_square_penalty(self, idx, coef, constant, group=0, scale: float = 1.0) -> None:
         """Qubo.add_square_penalty as one single-group square per group, in order."""
@@ -173,6 +178,89 @@ class DictQubo:
         lines = [f"n {self.n} offset {self.offset!r}"]
         lines += [f"{i} {j} {self.terms[(i, j)]!r}" for i, j in keys]
         return "\n".join(lines) + "\n"
+
+
+def reference_prune_steps(spec, arcs, i_max: int, repetition: bool, terminal_gate):
+    """Reference model of the general compiler's step pruning, one set of arc
+    indices per step: forward from the start, backward from the stop.
+
+    `arcs` are the compiler's arcs (`general._build_arcs`); a terminal arc is
+    usable from `terminal_gate` on (never without one), the terminal loop
+    never at step 0.  Raises InfeasibleEndpoints at the first empty step.
+    """
+
+    def mask(i: int, arc) -> bool:
+        if arc.is_terminal:
+            if terminal_gate is None:
+                return False
+            if i < terminal_gate:
+                return False
+            if i == 0 and arc.tail == TERMINAL:
+                return False
+        return True
+
+    start, stop = spec.start, spec.stop
+    fwd: list[set[int]] = []
+    prev: set[int] = {
+        a.index for a in arcs if mask(0, a) and (start is None or a.tail == start)
+    }
+    fwd.append(prev)
+    for i in range(1, i_max):
+        heads = {arcs[j].head for j in prev}
+        cur = {
+            a.index
+            for a in arcs
+            if mask(i, a) and (a.tail in heads or (repetition and a.index in prev))
+        }
+        fwd.append(cur)
+        prev = cur
+
+    bwd: list[set[int]] = [set()] * i_max
+    if stop is None:
+        nxt = {a.index for a in arcs if mask(i_max - 1, a)}
+    else:
+        nxt = {
+            a.index
+            for a in arcs
+            if mask(i_max - 1, a) and a.head in (stop, TERMINAL)
+        }
+    bwd[i_max - 1] = nxt
+    for i in range(i_max - 2, -1, -1):
+        tails = {arcs[j].tail for j in nxt}
+        cur = {
+            a.index
+            for a in arcs
+            if mask(i, a) and (a.head in tails or (repetition and a.index in nxt))
+        }
+        bwd[i] = cur
+        nxt = cur
+
+    allowed: list[frozenset[int]] = []
+    for i in range(i_max):
+        step_set = frozenset(fwd[i] & bwd[i])
+        if not step_set:
+            raise InfeasibleEndpoints(
+                f"no arc can appear at step {i} given start={start}, stop={stop}"
+            )
+        allowed.append(step_set)
+    return allowed
+
+
+def add_offset(q, c: float) -> None:
+    """Add a constant to a Qubo's (or a DictQubo's) offset; QuboError, and
+    no change, if the sum is not finite."""
+    if not math.isfinite(q.offset + c):
+        raise QuboError(f"offset {q.offset} + {c} is not finite")
+    q.offset += c
+
+
+def add_quadratic(q, i: int, j: int, c: float) -> None:
+    """Add c x_i x_j to a Qubo or a DictQubo; i == j adds a linear term."""
+    q.add_quadratic_terms([i], [j], c)
+
+
+def add_linear(q, i: int, c: float) -> None:
+    add_quadratic(q, i, i, c)
 
 
 def enumerate_all_energies(q) -> np.ndarray:

@@ -49,7 +49,14 @@ from postqubo.general import (
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import MODE_PLAIN, MODE_TRAVERSE, Qubo
 from postqubo.solvers import CompiledInstance
-from conftest import enumerate_all_energies, random_graph_with_odd_count, random_mixed_graph
+from conftest import (
+    add_linear,
+    add_offset,
+    add_quadratic,
+    enumerate_all_energies,
+    random_graph_with_odd_count,
+    random_mixed_graph,
+)
 
 PAIRING_SEED = 91001
 GENERAL_SEED = 91002
@@ -280,7 +287,7 @@ def _independent_validity_table(compiled: CompiledGeneral) -> np.ndarray:
         q = Qubo(n)
         for i, lab in edge_labels:
             if lab.step == step:
-                q.add_linear(i, 1.0)
+                add_linear(q, i, 1.0)
         ok &= enumerate_all_energies(q) == 1.0
 
     # consecutive moves must chain (or repeat the very same arc variable)
@@ -295,7 +302,7 @@ def _independent_validity_table(compiled: CompiledGeneral) -> np.ndarray:
     q = Qubo(n)
     for (i, la), (j, lb) in itertools.product(edge_labels, edge_labels):
         if lb.step == la.step + 1 and not allowed(la, lb):
-            q.add_quadratic(i, j, 1.0)
+            add_quadratic(q, i, j, 1.0)
     ok &= enumerate_all_energies(q) == 0.0
 
     # every required edge: visits - 1 - slack register == 0
@@ -308,11 +315,11 @@ def _independent_validity_table(compiled: CompiledGeneral) -> np.ndarray:
                 else EdgeRef("d", lab.frm, lab.to)
             )
             if lab.kind != "t" and lab_ref == ref:
-                q.add_linear(i, 1.0)
+                add_linear(q, i, 1.0)
         for i, lab in slack_labels:
             if EdgeRef(lab.kind, lab.frm, lab.to) == ref:
-                q.add_linear(i, -float(2**lab.bit))
-        q.add_offset(-1.0)
+                add_linear(q, i, -float(2**lab.bit))
+        add_offset(q, -1.0)
         ok &= enumerate_all_energies(q) == 0.0
     return ok
 

@@ -59,6 +59,18 @@ def test_solve_infeasible_endpoints_exits_one(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--force-qubo"],
+                                     ["export-qubo", "--force-qubo"]])
+def test_edgeless_spec_is_an_input_error(command, tmp_path, capsys):
+    # no edges: the default step budget is 0, so there is nothing to compile
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"graph": {"vertices": [0, 1], "undirected": []}}))
+    code = run(command[0], path, *command[1:], "--out", tmp_path / "out")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "i_max is 0" in err
+
+
 def test_solve_unknown_spec_key_exits_one(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"graph": FIG_GRAPH, "wat": 1}))

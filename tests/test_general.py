@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postqubo import (
     EdgeRef,
@@ -26,11 +27,13 @@ from postqubo import (
 )
 from postqubo.general import (
     ENC_REPETITION,
+    ENC_REST,
     ENC_TERMINAL,
     MODES,
     TERMINAL,
     VALIDITY_FAMILIES,
     CompiledGeneral,
+    _build_arcs,
 )
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
@@ -39,6 +42,7 @@ from conftest import (
     enumerate_all_energies,
     figure_example_graph,
     random_mixed_graph,
+    reference_prune_steps,
 )
 
 
@@ -122,6 +126,48 @@ def test_pruning_matches_independent_reachability_bfs():
         assert registry_steps == expected
 
 
+@st.composite
+def pruning_cases(draw):
+    """A random mixed graph with random endpoints, step budget, required
+    subset and encoding (the rest encoding through a second postman)."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = None
+    while g is None:
+        g = random_mixed_graph(rng, n, int(rng.integers(n - 1, n * (n - 1) // 2 + 1)),
+                               windy=True, directed_frac=0.4)
+    vertices = st.none() | st.sampled_from(sorted(g.vertices))
+    encoding = draw(st.sampled_from([ENC_REPETITION, ENC_TERMINAL, ENC_REST]))
+    refs = sorted(g.edge_refs())
+    required = draw(st.none() | st.sets(st.sampled_from(refs)).map(frozenset))
+    spec = ProblemSpec(
+        graph=g, start=draw(vertices), stop=None if encoding == ENC_REST else draw(vertices),
+        required_edges=required, i_max=draw(st.integers(1, 7)),
+        postmen=Postmen(2 if encoding == ENC_REST else 1),
+    )
+    return spec, encoding
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pruning_cases())
+def test_pruning_matches_the_set_reference_model(case):
+    spec, encoding = case
+    terminal = encoding == ENC_TERMINAL
+    arcs = _build_arcs(spec, terminal)
+    gate = len(spec.resolved_required()) if terminal else None
+    try:
+        allowed = reference_prune_steps(spec, arcs, spec.effective_i_max,
+                                        encoding == ENC_REPETITION, gate)
+        expected = {(i, a) for i, step in enumerate(allowed) for a in step}
+    except InfeasibleEndpoints as exc:
+        expected = str(exc)
+    try:
+        got = set(zip(*np.nonzero(CompiledGeneral(spec, encoding).allowed)))
+    except InfeasibleEndpoints as exc:
+        got = str(exc)
+    assert got == expected
+
+
 def test_infeasible_endpoints_raise():
     # one step cannot get from 0 to 2 on a path graph
     with pytest.raises(InfeasibleEndpoints):
@@ -200,6 +246,18 @@ def test_step_tables_agree_with_the_registry():
                     step, tail, head, MODES[mode], p, kind)
                 rows += 1
         assert rows == sum(isinstance(lab, EdgeStep) for lab in compiled.registry)
+
+
+@pytest.mark.parametrize("name", ["coexisting_repetition", "coexisting_terminal"])
+def test_lexsorted_indices_are_the_registry_indices(name):
+    spec, encoding = _pinned_specs()[name]
+    compiled = compile_general(spec, encoding)
+    (table,) = compiled._tables
+    for step, idx, tail, head, arc, mode, _, _ in table.tolist():
+        label = EdgeStep(step, tail, head, MODES[mode], 0, compiled.arcs[arc].kind)
+        assert idx == compiled.registry.index_of(label)
+    # within a step, arc-index order and label order differ
+    assert (np.diff(table["index"])[np.diff(table["step"]) == 0] < 0).any()
 
 
 def test_terminal_arcs_gated_by_required_count():

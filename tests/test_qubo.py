@@ -19,27 +19,34 @@ from postqubo import (
 )
 from postqubo.errors import QuboError
 from postqubo.solvers import _flip
-from conftest import DictQubo, bits_from_index, naive_energy
+from conftest import (
+    DictQubo,
+    add_linear,
+    add_offset,
+    add_quadratic,
+    bits_from_index,
+    naive_energy,
+)
 
 
 def paper_single_variable_qubo() -> Qubo:
     """9x + 10(1-x)^2, whose assignment energies are 10 and 9."""
     q = Qubo(1)
-    q.add_linear(0, 9.0)
+    add_linear(q, 0, 9.0)
     q.add_square_penalty([0], [-1.0], 1.0, scale=10.0)
     return q
 
 
 def random_qubo(rng, n, density=0.5) -> Qubo:
     q = Qubo(n)
-    q.add_offset(float(rng.integers(-5, 6)))
+    add_offset(q, float(rng.integers(-5, 6)))
     for i in range(n):
         if rng.random() < 0.8:
-            q.add_linear(i, float(rng.integers(-9, 10)))
+            add_linear(q, i, float(rng.integers(-9, 10)))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                q.add_quadratic(i, j, float(rng.integers(-9, 10)))
+                add_quadratic(q, i, j, float(rng.integers(-9, 10)))
     return q
 
 
@@ -130,7 +137,7 @@ def test_energy_length_mismatch():
 
 def test_x_squared_collapses_to_linear():
     q = Qubo(2)
-    q.add_quadratic(1, 1, 4.0)
+    add_quadratic(q, 1, 1, 4.0)
     assert q.linear.tolist() == [(1, 4.0)]
     assert not len(q.quadratic)
 
@@ -218,11 +225,11 @@ def test_energy_invariant_under_relabeling(rng):
     q = random_qubo(rng, n)
     perm = list(rng.permutation(n))
     q2 = Qubo(n)
-    q2.add_offset(q.offset)
+    add_offset(q2, q.offset)
     for i, c in q.linear.tolist():
-        q2.add_linear(perm[i], c)
+        add_linear(q2, perm[i], c)
     for i, j, c in q.quadratic.tolist():
-        q2.add_quadratic(perm[i], perm[j], c)
+        add_quadratic(q2, perm[i], perm[j], c)
     for _ in range(20):
         x = [int(b) for b in rng.integers(0, 2, n)]
         x_perm = [0] * n
@@ -253,19 +260,19 @@ def test_penalty_scaling_selected_families():
 
 def test_near_zero_coefficients_are_pruned():
     q = Qubo(2)
-    q.add_linear(0, 1.0)
-    q.add_linear(0, -1.0)
-    q.add_quadratic(0, 1, 0.5)
-    q.add_quadratic(0, 1, -0.5)
+    add_linear(q, 0, 1.0)
+    add_linear(q, 0, -1.0)
+    add_quadratic(q, 0, 1, 0.5)
+    add_quadratic(q, 0, 1, -0.5)
     assert not len(q.linear) and not len(q.quadratic)
 
 
 @pytest.mark.parametrize("add", [
-    lambda q: q.add_linear(2, 1.0),
-    lambda q: q.add_quadratic(0, 2, 1.0),
-    lambda q: q.add_quadratic(2, 1, 1.0),
+    lambda q: add_linear(q, 2, 1.0),
+    lambda q: add_quadratic(q, 0, 2, 1.0),
+    lambda q: add_quadratic(q, 2, 1, 1.0),
     lambda q: q.add_square_penalty([0, 2], [1.0, -1.0], 1.0),
-    lambda q: q.add_linear(-1, 1.0),
+    lambda q: add_linear(q, -1, 1.0),
 ])
 def test_assembly_rejects_an_index_outside_the_form(add):
     q = Qubo(2)
@@ -283,12 +290,12 @@ def test_add_scaled_rejects_a_form_of_another_size():
 
 def test_energy_follows_merges_made_after_an_evaluation():
     q = Qubo(2)
-    q.add_linear(0, 1.0)
+    add_linear(q, 0, 1.0)
     assert q.energy([1, 1]) == 1.0
     other = Qubo(2)
-    other.add_offset(0.5)
-    other.add_linear(1, 2.0)
-    other.add_quadratic(0, 1, -4.0)
+    add_offset(other, 0.5)
+    add_linear(other, 1, 2.0)
+    add_quadratic(other, 0, 1, -4.0)
     q.add_scaled(other, 3.0)
     assert q.energy([1, 1]) == 1.0 + 1.5 + 6.0 - 12.0
     q.add_square_penalty([0, 1], [1.0, 1.0], -1.0, scale=2.0)
@@ -297,9 +304,9 @@ def test_energy_follows_merges_made_after_an_evaluation():
 
 
 @pytest.mark.parametrize("add", [
-    lambda q: q.add_linear(0, float("nan")),
-    lambda q: q.add_linear(0, float("inf")),
-    lambda q: q.add_quadratic(0, 1, -float("inf")),
+    lambda q: add_linear(q, 0, float("nan")),
+    lambda q: add_linear(q, 0, float("inf")),
+    lambda q: add_quadratic(q, 0, 1, -float("inf")),
     lambda q: q.add_quadratic_terms([0, 0], [1, 1], [1.0, float("nan")]),
     lambda q: q.add_square_penalty([0], [1.0], 1.0, scale=float("nan")),
     lambda q: q.add_square_penalty([0], [1.0], 1.0, scale=float("inf")),
@@ -307,7 +314,7 @@ def test_energy_follows_merges_made_after_an_evaluation():
     lambda q: q.add_square_penalty([0, 1], [1.0, float("-inf")], 1.0),
     lambda q: q.add_scaled(Qubo(2), float("nan")),
     lambda q: q.add_scaled(Qubo(2), float("inf")),
-    lambda q: q.add_offset(float("inf")),
+    lambda q: add_offset(q, float("inf")),
 ])
 def test_assembly_rejects_non_finite_input(add):
     q = Qubo(2)
@@ -320,7 +327,7 @@ def test_assembly_rejects_non_finite_input(add):
 
 def _big_offset() -> Qubo:
     other = Qubo(2)
-    other.add_offset(10.0)
+    add_offset(other, 10.0)
     return other
 
 
@@ -344,9 +351,9 @@ def test_assembly_rejects_a_call_that_overflows(add):
 
 def test_an_offset_that_overflows_is_rejected():
     q = Qubo(1)
-    q.add_offset(1.7e308)
+    add_offset(q, 1.7e308)
     with pytest.raises(QuboError):
-        q.add_offset(1.7e308)
+        add_offset(q, 1.7e308)
     assert q.offset == 1.7e308
 
 
@@ -413,15 +420,16 @@ def test_assembly_matches_the_dict_reference_model(stream):
             q.add_quadratic_terms([i for i, _, _ in terms], [j for _, j, _ in terms],
                                   [c for _, _, c in terms])
             for i, j, c in terms:
-                model.add_quadratic(i, j, c)
+                add_quadratic(model, i, j, c)
         elif op == "square_penalty":
             terms, constants, scale = args
             for form in (q, model):
                 form.add_square_penalty([i for _, i, _ in terms], [c for _, _, c in terms],
                                         constants, [g for g, _, _ in terms], scale=scale)
         else:
-            getattr(q, f"add_{op}")(*args)
-            getattr(model, f"add_{op}")(*args)
+            add = {"linear": add_linear, "quadratic": add_quadratic, "offset": add_offset}[op]
+            add(q, *args)
+            add(model, *args)
     for q, model in zip(forms, models):
         assert_matches_model(q, model)
 
@@ -469,7 +477,7 @@ def test_a_term_cancelled_part_way_restarts_from_zero():
     q, model = Qubo(2), DictQubo(2)
     for form in (q, model):
         for c in (0.1, 0.2, -0.3, 1e-3):
-            form.add_quadratic(0, 1, c)
+            add_quadratic(form, 0, 1, c)
     # 0.1 + 0.2 - 0.3 is 5.55e-17, dropped; the next addition starts from 0.0
     assert q.quadratic.tolist() == [(0, 1, 1e-3)]
     assert_matches_model(q, model)
@@ -479,10 +487,10 @@ def test_a_term_cancelled_part_way_restarts_from_zero():
 
 def test_qubo_text_format_is_deterministic():
     q = Qubo(3)
-    q.add_offset(10.0)
-    q.add_linear(2, -11.0)
-    q.add_linear(0, 2.5)
-    q.add_quadratic(1, 0, 4.0)
+    add_offset(q, 10.0)
+    add_linear(q, 2, -11.0)
+    add_linear(q, 0, 2.5)
+    add_quadratic(q, 1, 0, 4.0)
     text = format_qubo_text(q)
     assert text == "n 3 offset 10.0\n0 0 2.5\n2 2 -11.0\n0 1 4.0\n"
     assert format_qubo_text(q) == text
@@ -497,25 +505,25 @@ def test_text_matches_the_reference_model_at_every_name_and_value_width(n):
     rng = np.random.default_rng(n)
     q, model = Qubo(n), DictQubo(n)
     for form in (q, model):
-        form.add_offset(-1e+16)
-        form.add_offset(0.1)
+        add_offset(form, -1e+16)
+        add_offset(form, 0.1)
     if n:
         # the first and last index and a few in between, so every name width shows
         idx = sorted({0, n - 1, *rng.integers(0, n, 6).tolist()})
         for a, i in enumerate(idx):
             for j in idx[a:]:
                 c = WIDTHS[int(rng.integers(len(WIDTHS)))]
-                q.add_quadratic(i, j, c)
-                model.add_quadratic(i, j, c)
+                add_quadratic(q, i, j, c)
+                add_quadratic(model, i, j, c)
     assert format_qubo_text(q) == model.text()
 
 
 def test_text_of_a_form_without_terms_is_its_header():
     q, model = Qubo(3), DictQubo(3)
     for form in (q, model):
-        form.add_linear(1, 0.5)
-        form.add_linear(1, -0.5)
-        form.add_offset(12.0)
+        add_linear(form, 1, 0.5)
+        add_linear(form, 1, -0.5)
+        add_offset(form, 12.0)
     assert format_qubo_text(q) == model.text() == "n 3 offset 12.0\n"
     assert format_qubo_text(Qubo(0)) == DictQubo(0).text() == "n 0 offset 0.0\n"
 

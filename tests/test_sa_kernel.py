@@ -13,7 +13,7 @@ from postqubo import Qubo, greedy_descent, greedy_post, simulated_annealing, tab
 from postqubo import solvers
 from postqubo.pairing import compile_pairing, default_pairing_penalty
 from postqubo.solvers import _EPS, _acceptance_thresholds, _finish, _row_energies
-from conftest import random_graph_with_odd_count
+from conftest import add_linear, add_offset, add_quadratic, random_graph_with_odd_count
 
 
 def reference_simulated_annealing(q, sweeps=1000, beta_schedule=(0.1, 10.0), reads=1000, seed=0):
@@ -128,12 +128,12 @@ def random_qubos(draw, max_n):
         return float(rng.uniform(-bound, bound) if real else rng.integers(-bound, bound + 1))
 
     q = Qubo(n)
-    q.add_offset(coefficient(3))
+    add_offset(q, coefficient(3))
     for i in range(n):
-        q.add_linear(i, coefficient(9))
+        add_linear(q, i, coefficient(9))
         for j in range(i + 1, n):
             if rng.random() < density:
-                q.add_quadratic(i, j, coefficient(9))
+                add_quadratic(q, i, j, coefficient(9))
     return q
 
 
@@ -173,10 +173,10 @@ def test_sa_breaks_best_state_ties_like_the_reference():
         n = int(rng.integers(6, 14))
         q = Qubo(n)
         for i in range(n):
-            q.add_linear(i, float(rng.integers(-2, 3)))
+            add_linear(q, i, float(rng.integers(-2, 3)))
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
-                    q.add_quadratic(i, j, float(rng.integers(-2, 3)))
+                    add_quadratic(q, i, j, float(rng.integers(-2, 3)))
         args = dict(sweeps=int(rng.integers(1, 6)), beta_schedule=(0.1, 1.0),
                     reads=int(rng.integers(20, 200)), seed=case)
         assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
@@ -210,12 +210,12 @@ def small_integer_or_real_qubo(rng, n):
         return float(rng.uniform(-2, 2) if real else rng.integers(-2, 3))
 
     q = Qubo(n)
-    q.add_offset(coefficient())
+    add_offset(q, coefficient())
     for i in range(n):
-        q.add_linear(i, coefficient())
+        add_linear(q, i, coefficient())
         for j in range(i + 1, n):
             if rng.random() < density:
-                q.add_quadratic(i, j, coefficient())
+                add_quadratic(q, i, j, coefficient())
     return q
 
 
@@ -248,12 +248,12 @@ def test_tabu_falls_back_to_the_best_move_when_all_are_tabu():
     # here, flipping variable 0 instead of the best move whenever all are
     # tabu changes the reported state
     q = Qubo(5)
-    q.add_offset(2.0)
+    add_offset(q, 2.0)
     for i, c in enumerate([1.0, -1.0, -2.0, 1.0]):
-        q.add_linear(i, c)
+        add_linear(q, i, c)
     couplings = [(0, 1, -1), (0, 2, 1), (0, 3, -1), (0, 4, -1), (1, 2, 1), (2, 4, 1), (3, 4, -1)]
     for i, j, c in couplings:
-        q.add_quadratic(i, j, float(c))
+        add_quadratic(q, i, j, float(c))
     report = tabu_search(q, tenure=6, iterations=8, seed=96)
     assert same_report(report, _finish(q, reference_tabu(q, 96, 6, 8), 40, 0.0, "tabu", 96))
 
@@ -279,9 +279,9 @@ def test_sa_reports_do_not_depend_on_the_sweep_block(monkeypatch, block):
     for n, reads, sweeps in ((7, 5, 37), (9, 3, 5), (12, 4, 33)):
         q = Qubo(n)
         for i in range(n):
-            q.add_linear(i, float(rng.integers(-4, 5)))
+            add_linear(q, i, float(rng.integers(-4, 5)))
             for j in range(i + 1, n):
-                q.add_quadratic(i, j, float(rng.integers(-4, 5)))
+                add_quadratic(q, i, j, float(rng.integers(-4, 5)))
         cases.append((q, dict(sweeps=sweeps, beta_schedule=(0.2, 3.0), reads=reads, seed=n)))
     monkeypatch.setattr(solvers, "_SWEEP_BLOCK", block)
     for q, args in cases:
@@ -334,10 +334,10 @@ def odd_delta_qubo(rng, n, unit):
     local minimum rejects every proposal once no threshold reaches `unit`."""
     q = Qubo(n)
     for i in range(n):
-        q.add_linear(i, unit * float(2 * rng.integers(-3, 3) + 1))
+        add_linear(q, i, unit * float(2 * rng.integers(-3, 3) + 1))
         for j in range(i + 1, n):
             if rng.random() < 0.5:
-                q.add_quadratic(i, j, unit * float(2 * rng.integers(-3, 4)))
+                add_quadratic(q, i, j, unit * float(2 * rng.integers(-3, 4)))
     return q
 
 
@@ -385,9 +385,9 @@ def test_sa_keeps_annealing_a_read_that_a_warmer_sweep_can_move():
     at beta near 0.1 accept a flip of 10 about one time in three, and the
     read then falls to (1, 1)."""
     q = Qubo(2)
-    q.add_linear(0, 10.0)
-    q.add_linear(1, 10.0)
-    q.add_quadratic(0, 1, -40.0)
+    add_linear(q, 0, 10.0)
+    add_linear(q, 1, 10.0)
+    add_quadratic(q, 0, 1, -40.0)
     trapped = 0
     for seed in range(12):
         trapped += bool(np.random.default_rng(seed).random(2).min() >= 0.5)  # x = (0, 0)

@@ -23,6 +23,9 @@ from postqubo import solvers
 from postqubo.pairing import compile_pairing
 from postqubo.solvers import CompiledInstance
 from conftest import (
+    add_linear,
+    add_offset,
+    add_quadratic,
     bits_from_index,
     enumerate_all_energies,
     naive_energy,
@@ -32,20 +35,20 @@ from conftest import (
 
 def paper_instance() -> Qubo:
     q = Qubo(1)
-    q.add_linear(0, 9.0)
+    add_linear(q, 0, 9.0)
     q.add_square_penalty([0], [-1.0], 1.0, scale=10.0)
     return q
 
 
 def random_qubo(rng, n) -> Qubo:
     q = Qubo(n)
-    q.add_offset(float(rng.integers(-3, 4)))
+    add_offset(q, float(rng.integers(-3, 4)))
     for i in range(n):
-        q.add_linear(i, float(rng.integers(-9, 10)))
+        add_linear(q, i, float(rng.integers(-9, 10)))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
-                q.add_quadratic(i, j, float(rng.integers(-9, 10)))
+                add_quadratic(q, i, j, float(rng.integers(-9, 10)))
     return q
 
 
@@ -74,9 +77,9 @@ def test_brute_force_tie_breaks_lexicographically():
     assert list(report.best_assignment) == [0, 0, 0]
     # [0, 1] and [1, 0] tie at -1; the lowest index (x_0 = 1) would give [1, 0]
     q = Qubo(2)
-    q.add_linear(0, -1.0)
-    q.add_linear(1, -1.0)
-    q.add_quadratic(0, 1, 1.0)
+    add_linear(q, 0, -1.0)
+    add_linear(q, 1, -1.0)
+    add_quadratic(q, 0, 1, 1.0)
     report = brute_force(q)
     assert report.best_energy == -1.0
     assert list(report.best_assignment) == [0, 1]
@@ -132,7 +135,7 @@ def test_blocked_brute_force_matches_reverse_reenumeration(rng, small_blocks):
 
 def test_blocked_edge_cases(small_blocks):
     empty = Qubo(0)
-    empty.add_offset(2.5)
+    add_offset(empty, 2.5)
     assert list(enumerate_all_energies(empty)) == [2.5]
     report = brute_force(empty)
     assert (report.best_energy, list(report.best_assignment)) == (2.5, [])
@@ -150,11 +153,11 @@ def test_blocked_ties_in_different_blocks(small_blocks):
     # different blocks unless a block holds all four bits; the tuple rule
     # picks (0,0,0,1), whose block is visited last
     q = Qubo(4)
-    q.add_linear(0, -1.0)
-    q.add_linear(1, 1.0)
-    q.add_linear(2, 1.0)
-    q.add_linear(3, -1.0)
-    q.add_quadratic(0, 3, 2.0)
+    add_linear(q, 0, -1.0)
+    add_linear(q, 1, 1.0)
+    add_linear(q, 2, 1.0)
+    add_linear(q, 3, -1.0)
+    add_quadratic(q, 0, 3, 2.0)
     report = brute_force(q)
     assert report.best_energy == -1.0
     assert list(report.best_assignment) == [0, 0, 0, 1]
@@ -198,13 +201,13 @@ def _pinned_qubo(n: int, integer: bool, density: float) -> Qubo:
         return float(rng.integers(-9, 10)) if integer else float(rng.normal())
 
     q = Qubo(n)
-    q.add_offset(coefficient())
+    add_offset(q, coefficient())
     for i in range(n):
-        q.add_linear(i, coefficient())
+        add_linear(q, i, coefficient())
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                q.add_quadratic(i, j, coefficient())
+                add_quadratic(q, i, j, coefficient())
     return q
 
 
