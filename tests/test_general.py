@@ -778,6 +778,43 @@ def test_decodes_are_pinned(name):
     assert _decode_hash(name) == PINNED_DECODES[name]
 
 
+def _encode_cases() -> dict[str, tuple[ProblemSpec, str, list]]:
+    """Each pinned spec's valid route, plus two walks that hit a register clamp."""
+    specs = _pinned_specs()
+    cases = {name: (spec, enc, _pinned_route(name, spec)) for name, (spec, enc) in specs.items()}
+    # postman 0 walks weight 9 over its capacity of 7: its capacity register reads 0
+    team, _ = specs["team"]
+    cases["team_over_capacity"] = (team, "auto", [[(0, 1), (1, 2), (2, 3), (3, 2)], [(0, 3)]])
+    # three postmen cross the one edge twelve times: 11 extra visits, a 3-bit register
+    trio = ProblemSpec(graph=Graph.build(range(2), undirected=[(0, 1, 1)]), start=0, i_max=4,
+                       postmen=Postmen(3))
+    cases["slack_overflow"] = (trio, "auto", [[(0, 1), (1, 0), (0, 1), (1, 0)]] * 3)
+    return cases
+
+
+# sha256 prefixes of encode_route's bits for each case above
+PINNED_ENCODES = {
+    "repetition": "8633c708ab671213",
+    "terminal": "906971fd78b92c13",
+    "rest": "501a11fbd87ded2b",
+    "service_hierarchy": "50f5c337ff0f933f",
+    "turns": "bce5eaf37a8b3359",
+    "team": "27b1eec02e39bf16",
+    "coexisting_repetition": "c6c89cc03219db37",
+    "coexisting_terminal": "79ad00ed4a845d69",
+    "team_over_capacity": "404e8113c6e14227",
+    "slack_overflow": "2261d3026cc1bd1a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENCODES))
+def test_encoded_routes_are_pinned(name):
+    spec, encoding, walks = _encode_cases()[name]
+    bits = compile_general(spec, encoding).encode_route(walks)
+    text = "".join(map(str, bits))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_ENCODES[name]
+
+
 # --- penalised exports pinned byte for byte ---------------------------------------
 
 def _export_hash(compiled, pen) -> str:
