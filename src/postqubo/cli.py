@@ -57,7 +57,7 @@ from .serialization import (
     route_from_json,
     route_to_json,
 )
-from .solvers import CompiledInstance, SOLVER_NAMES, make_sampler, solve_with_retune
+from .solvers import _BETA_RANGE, CompiledInstance, SOLVER_NAMES, make_sampler, solve_with_retune
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -165,8 +165,9 @@ def _check_args(args: argparse.Namespace) -> None:
                 raise InputError(f"--{name} must be >= 1")
         if args.max_retunes < 0:
             raise InputError("--max-retunes must be >= 0")
-        if not 0 < args.beta_min < args.beta_max < math.inf:
-            raise InputError("need finite betas with 0 < --beta-min < --beta-max")
+        lo, hi = _BETA_RANGE
+        if not lo <= args.beta_min < args.beta_max <= hi:
+            raise InputError(f"need betas with {lo:.4g} <= --beta-min < --beta-max <= {hi:.4g}")
     if getattr(args, "node_limit", 1) < 1:
         raise InputError("--node-limit must be >= 1")
 
@@ -340,27 +341,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if not paths:
         print("no instances found", file=sys.stderr)
         return EXIT_INPUT
-    infeasible = limited = False
+    codes = []  # one per file that gets no answer
     for path in paths:
-        instance = load_instance(path)
         out_dir = args.out if args.out is not None else path.parent
-        out_dir.mkdir(parents=True, exist_ok=True)
         try:
+            instance = load_instance(path)
+            out_dir.mkdir(parents=True, exist_ok=True)
             solution, doc, pipeline = _oracle_route(instance, args.node_limit)
-        except NoValidSolution as exc:
+        except PostquboError as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
-            infeasible = True
-            continue
-        except (TooLarge, TooManyOddVertices, SearchBudgetExceeded) as exc:
-            print(f"{path.name}: {exc}", file=sys.stderr)
-            limited = True
+            codes.append(_failure(exc)[0])
             continue
         route = route_to_json(solution, doc, pipeline, "oracle", 0, None, 0)
         dump_json(route, out_dir / (path.stem + ".oracle.json"))
         print(f"{path.name}: optimum weight {solution.objective_weight!r}")
-    if infeasible:
-        return EXIT_NO_SOLUTION
-    return EXIT_ORACLE_LIMIT if limited else EXIT_OK
+    return min(codes, default=EXIT_OK)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -442,6 +437,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if successes else EXIT_INPUT
 
 
+def _failure(exc: PostquboError) -> tuple[int, str]:
+    """An error's exit code and the kind of failure it reports."""
+    if isinstance(exc, NoValidSolution):
+        return EXIT_NO_SOLUTION, "no valid solution"
+    if isinstance(exc, (TooLarge, TooManyOddVertices, SearchBudgetExceeded)):
+        return EXIT_ORACLE_LIMIT, "oracle limit"
+    if isinstance(exc, (InputError, SpecError, UnsupportedCombination, InfeasibleEndpoints,
+                        NoOddVertices)):
+        return EXIT_INPUT, "input error"
+    return EXIT_INPUT, "error"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -455,18 +462,10 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return handlers[args.command](args)
-    except NoValidSolution as exc:
-        print(f"no valid solution: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    except (TooLarge, TooManyOddVertices, SearchBudgetExceeded) as exc:
-        print(f"oracle limit: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_LIMIT
-    except (InputError, SpecError, UnsupportedCombination, InfeasibleEndpoints, NoOddVertices) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except PostquboError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, kind = _failure(exc)
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -12,15 +12,18 @@ encodings are supported for a single postman:
 Multiple postmen (or capacities / collision bans) use per-postman rest
 variables: the rest bit plays the terminal role for that postman's walk.
 
-The layout is built from integer columns.  The arcs are tail, head, kind
-and required-edge columns; step pruning is one boolean (step x arc)
-reachability sweep over them each way, and a postman's slots are the (step,
-arc, mode) columns of the allowed entries.  `compile_general` sizes both
-single-postman encodings by their slot counts and builds the registry,
-tables and forms only for the smaller one.  Each postman's edge variables
-form one step table (`STEP_ROW` rows in step, arc-index and mode order,
-registry indices from one lexsort in label order) that the forms, `decode`
-and `encode_route` all read.  Adjacency, rest, the repeat discount and turns
+The layout is kept only as integer columns.  The arcs are tail, head, kind
+and required-edge columns, an arc's index being its position in
+`Graph.arcs()` (the terminal encoding's arcs follow); step pruning is one
+boolean (step x arc) reachability sweep over them each way, and a
+postman's slots are the (step, arc, mode) columns of the allowed entries.
+`compile_general` sizes both single-postman encodings by their slot counts
+and builds the registry, tables and forms only for the smaller one.  Each
+postman's edge variables form one step table (`STEP_ROW` rows in step,
+arc-index and mode order, registry indices from one lexsort in label
+order); the rest, required-slack and capacity-slack variables are int64
+(owner, postman, bit, index) register rows.  The forms, `decode` and
+`encode_route` read only these.  Adjacency, rest, the repeat discount and turns
 are masks over one join of every row with every row of the next step; the
 required family is one grouped square over the rows' required-edge column.
 Every weight comes from one `ProblemSpec.weight` call per (arc, mode) and
@@ -29,7 +32,6 @@ postman, kept in the table; terminal arcs cost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -73,34 +75,9 @@ STEP_ROW = np.dtype([
 ])
 
 
-@dataclass(frozen=True)
-class CompArc:
-    index: int
-    tail: int
-    head: int
-    kind: str
-    ref: EdgeRef | None
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind == KIND_TERMINAL
-
-
 def _slack_bit_count(limit: int) -> int:
     """Bits 2^0 .. 2^ceil(log2(limit)), exact integer arithmetic."""
     return (max(limit, 1) - 1).bit_length() + 1
-
-
-def _build_arcs(spec: ProblemSpec, with_terminal: bool) -> list[CompArc]:
-    arcs: list[CompArc] = []
-    for a in spec.graph.arcs():
-        arcs.append(CompArc(len(arcs), a.tail, a.head, a.ref.kind, a.ref))
-    if with_terminal:
-        ends = [spec.stop] if spec.stop is not None else sorted(spec.graph.vertices)
-        for v in ends:
-            arcs.append(CompArc(len(arcs), v, TERMINAL, KIND_TERMINAL, None))
-        arcs.append(CompArc(len(arcs), TERMINAL, TERMINAL, KIND_TERMINAL, None))
-    return arcs
 
 
 def _prune_steps(
@@ -181,15 +158,18 @@ class CompiledGeneral(CompiledProblem):
         self.service_mode = spec.service is not None
 
         with_terminal = encoding == ENC_TERMINAL
-        self.arcs = _build_arcs(spec, with_terminal)
-        self._arc_lookup = {(a.tail, a.head, a.kind): a.index for a in self.arcs}
         # arc columns: tail, head, kind code and required edge (position in
-        # `required`, or -1)
+        # `required`, or -1); an arc's index is its position in graph.arcs(),
+        # and the terminal encoding appends one arc into the terminal per
+        # possible end, then the terminal loop
         required = {ref: g for g, ref in enumerate(self.required)}
+        arcs = [(a.tail, a.head, KINDS.index(a.ref.kind), required.get(a.ref, -1))
+                for a in spec.graph.arcs()]
+        if with_terminal:
+            ends = [spec.stop] if spec.stop is not None else sorted(spec.graph.vertices)
+            arcs += [(v, TERMINAL, KINDS.index(KIND_TERMINAL), -1) for v in [*ends, TERMINAL]]
         self._tail, self._head, self._kind, self._group = np.array(
-            [(a.tail, a.head, KINDS.index(a.kind), required.get(a.ref, -1)) for a in self.arcs],
-            dtype=np.int64,
-        ).reshape(-1, 4).T
+            arcs, dtype=np.int64).reshape(-1, 4).T
         terminal = self._kind == KINDS.index(KIND_TERMINAL)
         gate = len(self.required) if with_terminal else None
         self.allowed = _prune_steps(
@@ -211,9 +191,13 @@ class CompiledGeneral(CompiledProblem):
         `_tables[p]` holds postman p's edge variables as STEP_ROW rows, one
         per slot, in step, arc-index and mode order, and `_cover` the
         required edge each slot covers (-1 for none; in service mode only a
-        service step covers its edge); `_rest[p]` the rest bits (none
-        outside the rest encoding); `_req_slack[(ref, p)]` and
-        `_cap_slack[p]` the (bit, index) slack registers.
+        service step covers its edge).  The other variables are registers of
+        int64 (owner, postman, bit, index) rows, the owner being the group
+        the register joins in its penalty: `_rest` has one row per step
+        (owner) and postman, bit 0 (no rows outside the rest encoding);
+        `_req_slack` the slack bits of each required edge (owner: its
+        position in `required`) and postman; `_cap_slack` each postman's
+        capacity slack bits (owner: the postman).
         """
         spec, postmen, steps = self.spec, range(self.postmen), range(self.i_max)
         step, arc, mode = self._slots
@@ -230,25 +214,23 @@ class CompiledGeneral(CompiledProblem):
             EdgeStep(i, t, h, MODES[m], p, KINDS[k])
             for i, t, h, k, m, p in zip(*(c[order].tolist() for c in (*cols, owner)))
         ]
-        rest_labels = [
-            [RestVar(i, p) for i in steps] if self.encoding == ENC_REST else [] for p in postmen
-        ]
+        rest = [(i, p, 0) for p in postmen for i in steps] if self.encoding == ENC_REST else []
         nbits = 0 if self.service_mode else _slack_bit_count(self.i_max)
-        req_labels = {
-            (ref, p): [RequiredSlack(bit, ref.a, ref.b, p, ref.kind) for bit in range(nbits)]
-            for ref in self.required
-            for p in postmen
-        }
-        cap_labels = [
-            [CapacitySlack(bit, p) for bit in range(_slack_bit_count(int(cap)))]
-            for p, cap in enumerate(spec.postmen.capacities or ())
-        ]
-        self.registry = VariableRegistry(
-            edge_labels
-            + [lab for labs in rest_labels for lab in labs]
-            + [lab for labs in req_labels.values() for lab in labs]
-            + [lab for labs in cap_labels for lab in labs]
+        req = [(g, p, bit) for g in range(len(self.required)) for p in postmen
+               for bit in range(nbits)]
+        cap = [(p, p, bit) for p, c in enumerate(spec.postmen.capacities or ())
+               for bit in range(_slack_bit_count(int(c)))]
+        refs = self.required
+        labels = (
+            [RestVar(i, p) for i, p, _ in rest]
+            + [RequiredSlack(bit, refs[g].a, refs[g].b, p, refs[g].kind) for g, p, bit in req]
+            + [CapacitySlack(bit, p) for _, p, bit in cap]
         )
+        self.registry = VariableRegistry(edge_labels + labels)
+        rows = np.array([(*row, self.registry.index_of(lab))
+                         for row, lab in zip(rest + req + cap, labels)], dtype=np.int64)
+        self._rest, self._req_slack, self._cap_slack = np.split(
+            rows.reshape(-1, 4), [len(rest), len(rest) + len(req)])
 
         # an arc may repeat at the next step to pad the walk in these modes
         repeat_modes = (MODE_PLAIN, MODE_TRAVERSE) if self.encoding == ENC_REPETITION else ()
@@ -261,26 +243,16 @@ class CompiledGeneral(CompiledProblem):
             cover = np.where(mode == MODES.index(MODE_SERVICE), cover, -1)
         self._tables, self._cover = [], cover  # every postman has the same slots
         for p in postmen:
-            # one weight per (arc, mode) in play; terminal arcs cost nothing
-            weight = np.zeros((len(self.arcs), len(MODES)))
-            for a in self.arcs:
-                for m in () if a.is_terminal else spec.modes:
-                    weight[a.index, MODES.index(m)] = spec.weight(p, (a.tail, a.head, a.kind), m)
+            # one weight per (arc, mode) in play; the terminal arcs follow
+            # the graph's and cost nothing
+            weight = np.zeros((len(self._tail), len(MODES)))
+            for a, edge in enumerate(spec.graph.arcs()):
+                for m in spec.modes:
+                    key = (edge.tail, edge.head, edge.ref.kind)
+                    weight[a, MODES.index(m)] = spec.weight(p, key, m)
             table = template.copy()
             table["index"], table["weight"] = index[p * size : (p + 1) * size], weight[arc, mode]
             self._tables.append(table)
-        index_of = self.registry.index_of
-        self._rest = [[index_of(lab) for lab in labs] for labs in rest_labels]
-        self._req_slack = {
-            key: [(lab.bit, index_of(lab)) for lab in labs] for key, labs in req_labels.items()
-        }
-        self._cap_slack = [[(lab.bit, index_of(lab)) for lab in labs] for labs in cap_labels]
-
-    def _find_arc(self, tail: int, head: int, kind: str) -> int:
-        try:
-            return self._arc_lookup[(tail, head, kind)]
-        except KeyError:
-            raise SpecError(f"no arc {tail}->{head} kind {kind}") from None
 
     # ---- QUBO assembly ----------------------------------------------------
 
@@ -309,8 +281,8 @@ class CompiledGeneral(CompiledProblem):
         jump = (tail[b] != head[a]) & ~repeat
         later = step > 0
 
-        for t, rest in zip(tables, self._rest):
-            index, rest = t["index"], np.array(rest, dtype=np.int64)
+        for p, t in enumerate(tables):
+            index, rest = t["index"], self._rest[self._rest[:, 1] == p, 3]  # in step order
             objective.add_quadratic_terms(index, index, t["weight"])
             # exactly one move (or rest) per step
             one_edge.add_square_penalty(np.append(index, rest), -1.0, [1.0] * self.i_max,
@@ -323,16 +295,13 @@ class CompiledGeneral(CompiledProblem):
                                           -t["weight"][b[repeat]])
 
         # coverage of required edges: one service, or visits less the slack
-        slack = np.array([
-            (g, idx, 2**bit) for g, ref in enumerate(self.required)
-            for p in range(self.postmen) for bit, idx in self._req_slack[(ref, p)]
-        ], dtype=np.int64).reshape(-1, 3).T
+        slack, _, bit, slack_index = self._req_slack.T
         covering = np.flatnonzero(cover >= 0)
         required_c.add_square_penalty(
-            np.concatenate([*(t["index"][covering] for t in tables), slack[1]]),
-            np.append(np.full(len(covering) * len(tables), -1.0), slack[2]),
+            np.concatenate([*(t["index"][covering] for t in tables), slack_index]),
+            np.append(np.full(len(covering) * len(tables), -1.0), 2.0**bit),
             [1.0] * len(self.required),
-            np.append(np.tile(cover[covering], len(tables)), slack[0]),
+            np.append(np.tile(cover[covering], len(tables)), slack),
         )
 
         if spec.turn_penalties:
@@ -373,16 +342,15 @@ class CompiledGeneral(CompiledProblem):
 
         if spec.postmen.capacities is not None:
             # per postman, the used weight plus the slack fills the capacity
-            terms = [
-                (p, idx, -w) for p, t in enumerate(self._tables)
-                for idx, w in t[["index", "weight"]][t["weight"] != 0].tolist()
-            ] + [
-                (p, idx, -float(2**bit)) for p, slots in enumerate(self._cap_slack)
-                for bit, idx in slots
-            ]
-            group, idx, coef = zip(*terms)
+            used = [t[t["weight"] != 0] for t in tables]
+            owner, _, bit, slack_index = self._cap_slack.T
             cap = Qubo(n)
-            cap.add_square_penalty(idx, coef, [float(c) for c in spec.postmen.capacities], group)
+            cap.add_square_penalty(
+                np.concatenate([*(t["index"] for t in used), slack_index]),
+                np.concatenate([*(-t["weight"] for t in used), -(2.0**bit)]),
+                [float(c) for c in spec.postmen.capacities],
+                np.concatenate([*(np.full(len(t), p) for p, t in enumerate(used)), owner]),
+            )
             constraints["capacity"] = cap
 
         for form in (objective, *constraints.values()):
@@ -412,9 +380,10 @@ class CompiledGeneral(CompiledProblem):
         walks = [self._walk(t[bits[t["index"]] != 0]) for t in self._tables]
         problems, weights, turn_extra = spec.check_walks(walks)
         # the rest encoding strips nothing, so a walk weight is the bits' used weight
+        slack = self._cap_slack[bits[self._cap_slack[:, 3]] != 0].tolist()
         capacity_ok = spec.postmen.capacities is None or all(
-            float(c) - used - _register_value(slots, x) == 0.0
-            for c, used, slots in zip(spec.postmen.capacities, weights, self._cap_slack)
+            float(c) - used - sum(1 << bit for owner, _, bit, _ in slack if owner == p) == 0.0
+            for p, (c, used) in enumerate(zip(spec.postmen.capacities, weights))
         )
         flags = {
             "one_edge_per_step": self.constraints["one_edge"].energy(bits) == 0.0,
@@ -436,7 +405,7 @@ class CompiledGeneral(CompiledProblem):
         steps: list[WalkStep] = []
         prev = None
         for i, _, tail, head, arc, mode, repeat, _ in rows.tolist():
-            kind = self.arcs[arc].kind
+            kind = KINDS[self._kind[arc]]
             if kind == KIND_TERMINAL:
                 continue
             if not (repeat and prev == (i - 1, arc, mode)):
@@ -451,18 +420,17 @@ class CompiledGeneral(CompiledProblem):
         tail, head = int(step[0]), int(step[1])
         mode = str(step[2]) if len(step) > 2 and step[2] is not None else None
         kind = str(step[3]) if len(step) > 3 and step[3] is not None else None
-        candidates = [
-            self._arc_lookup[(tail, head, k)]
-            for k in ((kind,) if kind is not None else ("u", "d"))
-            if k != KIND_TERMINAL and (tail, head, k) in self._arc_lookup
-        ]
+        kinds = [KINDS.index(k) for k in ((kind,) if kind is not None else ("u", "d"))
+                 if k in ("d", "u")]
+        candidates = np.flatnonzero(
+            (self._tail == tail) & (self._head == head) & np.isin(self._kind, kinds))
         if len(candidates) != 1:
             raise SpecError(
                 f"arc {tail}->{head} (kind={kind}) matches {len(candidates)} arcs"
             )
         if mode is None:
             mode = self.spec.modes[-1]
-        return candidates[0], mode
+        return int(candidates[0]), mode
 
     def encode_route(self, walks: Sequence[Sequence[Sequence]]) -> list[int]:
         """Bits for per-postman walks given as (tail, head[, mode[, kind]]) steps.
@@ -473,7 +441,8 @@ class CompiledGeneral(CompiledProblem):
         """
         if len(walks) != self.postmen:
             raise SpecError(f"need {self.postmen} walks, got {len(walks)}")
-        x = [0] * len(self.registry)
+        x = np.zeros(len(self.registry), dtype=np.int64)
+        used = [0.0] * self.postmen
         for p, (walk, table) in enumerate(zip(walks, self._tables)):
             seq = [self._resolve_step(s) for s in walk]
             if len(seq) > self.i_max:
@@ -485,52 +454,46 @@ class CompiledGeneral(CompiledProblem):
             moves = len(seq)
             if self.encoding == ENC_TERMINAL and moves < self.i_max:
                 if seq:
-                    end_vertex = self.arcs[seq[-1][0]].head
+                    end_vertex = int(self._head[seq[-1][0]])
                 elif self.spec.start is not None:
                     end_vertex = self.spec.start
                 else:
                     end_vertex = min(self.spec.graph.vertices)
                 pad = self.spec.modes[-1]
-                seq.append((self._find_arc(end_vertex, TERMINAL, KIND_TERMINAL), pad))
-                loop = self._find_arc(TERMINAL, TERMINAL, KIND_TERMINAL)
-                seq += [(loop, pad)] * (self.i_max - len(seq))
-            used = 0.0
+                end = np.flatnonzero((self._tail == end_vertex) & (self._head == TERMINAL))
+                if not len(end):
+                    raise SpecError(f"no arc {end_vertex}->{TERMINAL} kind {KIND_TERMINAL}")
+                # the terminal loop is the last arc
+                seq.append((int(end[0]), pad))
+                seq += [(len(self._tail) - 1, pad)] * (self.i_max - len(seq))
             for i, (ai, mode) in enumerate(seq):
                 row = table[(table["step"] == i) & (table["arc"] == ai)
                             & (table["mode"] == MODES.index(mode))]
                 if not len(row):
-                    arc = self.arcs[ai]
                     raise SpecError(
-                        f"step {i}: arc {arc.tail}->{arc.head} was pruned for this spec"
+                        f"step {i}: arc {self._tail[ai]}->{self._head[ai]} was pruned for this spec"
                     )
-                x[int(row["index"][0])] = 1
-                used += float(row["weight"][0])
-            for idx in self._rest[p][moves:]:
-                x[idx] = 1
-            if self.spec.postmen.capacities is not None:
-                value = int(max(float(self.spec.postmen.capacities[p]) - used, 0))
-                _fill_register(self._cap_slack[p], value, x)
+                x[row["index"][0]] = 1
+                used[p] += float(row["weight"][0])
+            rest = self._rest[self._rest[:, 1] == p]
+            x[rest[rest[:, 0] >= moves, 3]] = 1
 
-        if not self.service_mode:
-            bits, covering = np.array(x), self._cover >= 0
-            visits = sum(np.bincount(self._cover[covering], bits[t["index"][covering]],
-                                     len(self.required)) for t in self._tables)
-            for ref, count in zip(self.required, visits.tolist()):
-                _fill_register(self._req_slack[(ref, 0)], max(int(count) - 1, 0), x)
-        return x
-
-
-def _register_value(slots: list[tuple[int, int]], x: Sequence[int]) -> int:
-    """Value of a slack register: (bit, index) slots read from x."""
-    return sum(2**bit for bit, idx in slots if x[idx])
-
-
-def _fill_register(slots: list[tuple[int, int]], value: int, x: list[int]) -> None:
-    """Set a slack register's bits in x to `value`, clamped to its range."""
-    value = min(value, sum(2**bit for bit, _ in slots))
-    for bit, idx in slots:
-        if value & (1 << bit):
-            x[idx] = 1
+        # each register holds its owner's value, clamped to its range: extra
+        # visits of a required edge on postman 0's, unused capacity
+        covering = self._cover >= 0
+        visits = sum(np.bincount(self._cover[covering], x[t["index"][covering]],
+                                 len(self.required)) for t in self._tables)
+        registers = [(self._req_slack[self._req_slack[:, 1] == 0],
+                      [max(int(count) - 1, 0) for count in visits.tolist()])]
+        if self.spec.postmen.capacities is not None:
+            registers.append((self._cap_slack, [
+                int(max(float(c) - u, 0)) for c, u in zip(self.spec.postmen.capacities, used)]))
+        for rows, values in registers:
+            width = np.bincount(rows[:, 0], minlength=len(values)).tolist()
+            for owner, _, bit, idx in rows.tolist():
+                if min(values[owner], (1 << width[owner]) - 1) >> bit & 1:
+                    x[idx] = 1
+        return x.tolist()
 
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:

@@ -246,16 +246,14 @@ class Qubo:
             raise QuboError("coefficients must be finite")
         self._append(np.minimum(i, j) * self.n + np.maximum(i, j), c)
 
-    def add_square_penalty(self, idx, coef, constant, group=0, scale: float = 1.0) -> None:
-        """Expand scale * (constant[g] + sum_{group[k] == g} coef[k] x_idx[k])^2
+    def add_square_penalty(self, idx, coef, constant, group=0) -> None:
+        """Expand (constant[g] + sum_{group[k] == g} coef[k] x_idx[k])^2
         into the form for every group g, in group order.
 
         `constant` holds one number per group; `group` (one id per term) and
         `coef` may be single numbers.  Duplicate indices within a group are
         merged first, summed in order; x^2 == x is applied.
         """
-        if not 0 < scale < math.inf:
-            raise QuboError("penalty scale must be positive and finite")
         constant = np.atleast_1d(np.asarray(constant, dtype=np.float64))
         if not np.isfinite(constant).all():
             raise QuboError("penalty constants must be finite")
@@ -282,9 +280,9 @@ class Qubo:
         b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
         c = constant[group]
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.concatenate([scale * (2.0 * c * m + m * m), scale * 2.0 * m[a] * m[b]])
+            vals = np.concatenate([2.0 * c * m + m * m, 2.0 * m[a] * m[b]])
             offset = self.offset
-            for t in (scale * constant * constant).tolist():
+            for t in (constant * constant).tolist():
                 offset += t
         if not (np.isfinite(vals).all() and math.isfinite(offset)):
             raise QuboError("penalty expansion overflows")

@@ -390,9 +390,10 @@ def revalidate_route(
     found, weights, turn_extra = spec.check_walks(walks)
     problems.extend(message for _, message in found)
     total = sum(weights, 0.0)
-    if abs(total - solution.objective_weight) > 1e-9:
+    # `not <=` so that a stated NaN, which JSON readers accept, fails too
+    if not abs(total - solution.objective_weight) <= 1e-9:
         problems.append(f"stated weight {solution.objective_weight} != recomputed {total}")
-    if abs(turn_extra - solution.turn_extra) > 1e-9:
+    if not abs(turn_extra - solution.turn_extra) <= 1e-9:
         problems.append(f"stated turn_extra {solution.turn_extra} != recomputed {turn_extra}")
     return problems
 

@@ -242,6 +242,10 @@ def greedy_post(q: Qubo, report: SolveReport) -> SolveReport:
 
 _SWEEP_BLOCK = 16  # sweeps of acceptance thresholds held in memory at once
 
+# the betas float32 holds with every threshold finite: a threshold is at most
+# 23 ln 2 / beta, just under 16 / beta
+_BETA_RANGE = (16 / float(np.finfo(np.float32).max), float(np.finfo(np.float32).max))
+
 
 def _acceptance_thresholds(bits: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Turn uint32 random bits, shaped (sweeps, reads, n) with one beta per
@@ -275,8 +279,9 @@ def simulated_annealing(
     proposal; the skipped proposals count as evaluated rejections.
     """
     beta_min, beta_max = beta_schedule
-    if not 0 < beta_min < beta_max < np.inf:
-        raise ValueError("need finite betas with 0 < beta_min < beta_max")
+    lo, hi = _BETA_RANGE
+    if not lo <= beta_min < beta_max <= hi:
+        raise ValueError(f"need betas with {lo:.4g} <= beta_min < beta_max <= {hi:.4g}")
     if reads < 1 or sweeps < 1:
         raise ValueError("reads and sweeps must be >= 1")
     t0 = time.perf_counter()

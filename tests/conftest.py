@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -145,26 +146,26 @@ class DictQubo:
         for a, b, v in zip(i, j, np.broadcast_to(c, np.shape(i)).tolist()):
             self._add(a, b, v)
 
-    def add_square_penalty(self, idx, coef, constant, group=0, scale: float = 1.0) -> None:
+    def add_square_penalty(self, idx, coef, constant, group=0) -> None:
         """Qubo.add_square_penalty as one single-group square per group, in order."""
         constants = list(np.atleast_1d(constant).tolist())
         groups = np.broadcast_to(group, np.shape(idx)).tolist()
         coefs = np.broadcast_to(coef, np.shape(idx)).tolist()
         for g, c in enumerate(constants):
             terms = [(i, m) for i, m, h in zip(list(idx), coefs, groups) if h == g]
-            self._add_square(terms, c, scale)
+            self._add_square(terms, c)
 
-    def _add_square(self, terms, constant: float, scale: float) -> None:
+    def _add_square(self, terms, constant: float) -> None:
         merged: dict[int, float] = {}
         for i, c in terms:
             merged[i] = merged.get(i, 0.0) + c
-        self.offset += scale * constant * constant
+        self.offset += constant * constant
         idxs = sorted(merged)
         for i in idxs:
-            self._add(i, i, scale * (2.0 * constant * merged[i] + merged[i] * merged[i]))
+            self._add(i, i, 2.0 * constant * merged[i] + merged[i] * merged[i])
         for a, i in enumerate(idxs):
             for j in idxs[a + 1:]:
-                self._add(i, j, scale * 2.0 * merged[i] * merged[j])
+                self._add(i, j, 2.0 * merged[i] * merged[j])
 
     def add_scaled(self, other: "DictQubo", scale: float = 1.0) -> None:
         self.offset += scale * other.offset
@@ -180,14 +181,22 @@ class DictQubo:
         return "\n".join(lines) + "\n"
 
 
-def reference_prune_steps(spec, arcs, i_max: int, repetition: bool, terminal_gate):
+def reference_prune_steps(spec, i_max: int, repetition: bool, terminal_gate):
     """Reference model of the general compiler's step pruning, one set of arc
     indices per step: forward from the start, backward from the stop.
 
-    `arcs` are the compiler's arcs (`general._build_arcs`); a terminal arc is
-    usable from `terminal_gate` on (never without one), the terminal loop
-    never at step 0.  Raises InfeasibleEndpoints at the first empty step.
+    The arcs are the graph's in `Graph.arcs()` order, then, given a
+    `terminal_gate`, one arc into the terminal per possible end and the
+    terminal loop.  A terminal arc is usable from `terminal_gate` on, the
+    terminal loop never at step 0.  Raises InfeasibleEndpoints at the first
+    empty step.
     """
+    Arc = collections.namedtuple("Arc", "index tail head is_terminal")
+    arcs = [(a.tail, a.head, False) for a in spec.graph.arcs()]
+    if terminal_gate is not None:
+        ends = [spec.stop] if spec.stop is not None else sorted(spec.graph.vertices)
+        arcs += [(v, TERMINAL, True) for v in [*ends, TERMINAL]]
+    arcs = [Arc(i, *a) for i, a in enumerate(arcs)]
 
     def mask(i: int, arc) -> bool:
         if arc.is_terminal:

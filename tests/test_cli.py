@@ -212,6 +212,20 @@ def test_oracle_suite_skips_an_infeasible_spec(tmp_path, capsys):
     assert run("oracle", tmp_path / "b.json") == 0
 
 
+def test_oracle_suite_names_each_file_it_cannot_read_or_model(tmp_path, capsys):
+    path_graph = {"vertices": [0, 1, 2, 3], "undirected": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
+    team = {"graph": path_graph, "postmen": {"count": 2}}
+    (tmp_path / "a_team.json").write_text(json.dumps(team))
+    (tmp_path / "b_malformed.json").write_text("{not json")
+    (tmp_path / "c_path.json").write_text(json.dumps({"graph": path_graph}))
+    assert run("oracle", tmp_path) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+        "a_team.json", "b_malformed.json"]
+    assert "c_path.json: optimum weight 3.0" in captured.out
+    assert [p.name for p in sorted(tmp_path.glob("*.oracle.json"))] == ["c_path.oracle.json"]
+
+
 def test_validate_roundtrip(fig_graph_file, tmp_path):
     out = tmp_path / "out"
     assert run("solve", fig_graph_file, "--pipeline", "pairing", "--solver", "brute",
@@ -415,6 +429,9 @@ TRIANGLE_SPEC = {
         (("solve", "--solver", "tabu+greedy", "--iterations", "-3"), "--iterations"),
         (("oracle", "--node-limit", "0"), "--node-limit"),
         (("oracle", "--node-limit", "-5"), "--node-limit"),
+        # float32 annealing overflows past these
+        (("solve", "--beta-min", "1e-50"), "--beta-min"),
+        (("solve", "--beta-max", "1e39"), "--beta-max"),
     ],
 )
 def test_bad_numeric_arguments_are_input_errors(tmp_path, capsys, flags, message):
@@ -459,6 +476,22 @@ def test_validate_checks_the_turn_bonus(tmp_path, capsys):
     capsys.readouterr()
     assert run("validate", tampered, "--instance", tmp_path / "spec.json") == 2
     assert "turn_extra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["weight", "turn_extra"])
+def test_validate_rejects_a_stated_nan(tmp_path, capsys, field):
+    spec = {
+        "graph": {"vertices": [0, 1, 2], "directed": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]},
+        "turn_penalties": [[[0, 1], [1, 2], 3.0]], "start": 0, "i_max": 3,
+    }
+    route, code = solve_and_validate(tmp_path, spec)
+    assert code == 0
+    route[field] = float("nan")
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(route))
+    capsys.readouterr()
+    assert run("validate", tampered, "--instance", tmp_path / "spec.json") == 2
+    assert f"stated {field} nan" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -29,11 +29,11 @@ from postqubo.general import (
     ENC_REPETITION,
     ENC_REST,
     ENC_TERMINAL,
+    KINDS,
     MODES,
     TERMINAL,
     VALIDITY_FAMILIES,
     CompiledGeneral,
-    _build_arcs,
 )
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
@@ -152,11 +152,9 @@ def pruning_cases(draw):
 @given(pruning_cases())
 def test_pruning_matches_the_set_reference_model(case):
     spec, encoding = case
-    terminal = encoding == ENC_TERMINAL
-    arcs = _build_arcs(spec, terminal)
-    gate = len(spec.resolved_required()) if terminal else None
+    gate = len(spec.resolved_required()) if encoding == ENC_TERMINAL else None
     try:
-        allowed = reference_prune_steps(spec, arcs, spec.effective_i_max,
+        allowed = reference_prune_steps(spec, spec.effective_i_max,
                                         encoding == ENC_REPETITION, gate)
         expected = {(i, a) for i, step in enumerate(allowed) for a in step}
     except InfeasibleEndpoints as exc:
@@ -241,7 +239,7 @@ def test_step_tables_agree_with_the_registry():
         rows = 0
         for p, table in enumerate(compiled._tables):
             for step, idx, tail, head, arc, mode, _, _ in table.tolist():
-                kind = compiled.arcs[arc].kind
+                kind = KINDS[compiled._kind[arc]]
                 assert compiled.registry.label_of(idx) == EdgeStep(
                     step, tail, head, MODES[mode], p, kind)
                 rows += 1
@@ -254,7 +252,7 @@ def test_lexsorted_indices_are_the_registry_indices(name):
     compiled = compile_general(spec, encoding)
     (table,) = compiled._tables
     for step, idx, tail, head, arc, mode, _, _ in table.tolist():
-        label = EdgeStep(step, tail, head, MODES[mode], 0, compiled.arcs[arc].kind)
+        label = EdgeStep(step, tail, head, MODES[mode], 0, KINDS[compiled._kind[arc]])
         assert idx == compiled.registry.index_of(label)
     # within a step, arc-index order and label order differ
     assert (np.diff(table["index"])[np.diff(table["step"]) == 0] < 0).any()

@@ -24,7 +24,6 @@ from conftest import (
     add_linear,
     add_offset,
     add_quadratic,
-    bits_from_index,
     naive_energy,
 )
 
@@ -33,7 +32,9 @@ def paper_single_variable_qubo() -> Qubo:
     """9x + 10(1-x)^2, whose assignment energies are 10 and 9."""
     q = Qubo(1)
     add_linear(q, 0, 9.0)
-    q.add_square_penalty([0], [-1.0], 1.0, scale=10.0)
+    square = Qubo(1)
+    square.add_square_penalty([0], [-1.0], 1.0)
+    q.add_scaled(square, 10.0)
     return q
 
 
@@ -63,14 +64,16 @@ def test_square_penalty_expansion_matches_worked_example():
 
 def test_square_penalty_plain_square():
     q = Qubo(1)
-    q.add_square_penalty([0], [1.0], 0.0, scale=1.0)
+    q.add_square_penalty([0], [1.0], 0.0)
     assert q.linear.tolist() == [(0, 1.0)]
     assert q.offset == 0.0
 
 
 def test_square_penalty_two_variable_expansion():
+    square = Qubo(2)
+    square.add_square_penalty([0, 1], [-1.0, -1.0], 1.0)
     q = Qubo(2)
-    q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0, scale=2.0)
+    q.add_scaled(square, 2.0)
     assert q.offset == 2.0
     assert q.linear.tolist() == [(0, -2.0), (1, -2.0)]
     assert q.quadratic.tolist() == [(0, 1, 4.0)]
@@ -81,30 +84,9 @@ def test_square_penalty_two_variable_expansion():
 
 def test_square_penalty_merges_duplicate_terms():
     q = Qubo(1)
-    q.add_square_penalty([0, 0], [-1.0, -1.0], 1.0, scale=1.0)
+    q.add_square_penalty([0, 0], [-1.0, -1.0], 1.0)
     for x in ((0,), (1,)):
         assert q.energy(list(x)) == pytest.approx((1 - 2 * x[0]) ** 2)
-
-
-def test_square_penalty_rejects_nonpositive_scale():
-    q = Qubo(1)
-    with pytest.raises(QuboError):
-        q.add_square_penalty([0], [1.0], 0.0, scale=0.0)
-
-
-def test_square_penalty_scale_linearity(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        coef = [float(rng.integers(-3, 4)) for i in range(n)]
-        constant = float(rng.integers(-2, 3))
-        scale = float(rng.integers(1, 7))
-        q1 = Qubo(n)
-        q1.add_square_penalty(range(n), coef, constant, scale=1.0)
-        qs = Qubo(n)
-        qs.add_square_penalty(range(n), coef, constant, scale=scale)
-        for idx in range(1 << n):
-            x = bits_from_index(idx, n)
-            assert qs.energy(x) == pytest.approx(scale * q1.energy(x))
 
 
 # --- energy ------------------------------------------------------------------
@@ -118,7 +100,9 @@ def test_energy_all_zero_on_penalty_only_qubo():
     q = Qubo(4)
     m = 3
     for i in range(m):
-        q.add_square_penalty([i, i + 1], [-1.0, -1.0], 1.0, scale=p)
+        square = Qubo(4)
+        square.add_square_penalty([i, i + 1], [-1.0, -1.0], 1.0)
+        q.add_scaled(square, p)
     assert q.energy([0, 0, 0, 0]) == m * p
 
 
@@ -298,7 +282,9 @@ def test_energy_follows_merges_made_after_an_evaluation():
     add_quadratic(other, 0, 1, -4.0)
     q.add_scaled(other, 3.0)
     assert q.energy([1, 1]) == 1.0 + 1.5 + 6.0 - 12.0
-    q.add_square_penalty([0, 1], [1.0, 1.0], -1.0, scale=2.0)
+    square = Qubo(2)
+    square.add_square_penalty([0, 1], [1.0, 1.0], -1.0)
+    q.add_scaled(square, 2.0)
     assert q.energy([1, 1]) == -3.5 + 2.0
     assert q.energy([0, 0]) == 1.5 + 2.0
 
@@ -308,8 +294,8 @@ def test_energy_follows_merges_made_after_an_evaluation():
     lambda q: add_linear(q, 0, float("inf")),
     lambda q: add_quadratic(q, 0, 1, -float("inf")),
     lambda q: q.add_quadratic_terms([0, 0], [1, 1], [1.0, float("nan")]),
-    lambda q: q.add_square_penalty([0], [1.0], 1.0, scale=float("nan")),
-    lambda q: q.add_square_penalty([0], [1.0], 1.0, scale=float("inf")),
+    lambda q: q.add_square_penalty([0], [float("nan")], 1.0),
+    lambda q: q.add_square_penalty([0], [1.0], [1.0, float("inf")], [0]),
     lambda q: q.add_square_penalty([0], [1.0], float("nan")),
     lambda q: q.add_square_penalty([0, 1], [1.0, float("-inf")], 1.0),
     lambda q: q.add_scaled(Qubo(2), float("nan")),
@@ -336,7 +322,7 @@ def _big_offset() -> Qubo:
     lambda q: q.add_square_penalty([0, 1], [1e160, 1e160], 0.0),
     lambda q: q.add_square_penalty([0], [1.0], 1e200),
     lambda q: q.add_square_penalty([0], [1.0], [1.0, 1e200], [0]),
-    lambda q: q.add_square_penalty([0, 1], [-1.0, -1.0], 1.0, scale=1e308),
+    lambda q: q.add_square_penalty([0], [1e154], 1e154),
     lambda q: q.add_scaled(q.copy(), 1e308),
     lambda q: q.add_scaled(_big_offset(), 1e308),
 ])
@@ -368,7 +354,6 @@ def test_a_coefficient_sum_that_overflows_is_rejected_when_read():
 # --- accumulation against the dict reference model -------------------------------
 
 VALUES = (0.1, 0.2, -0.3, 0.3, 1e-13, -1e-13, 1.0, -1.0, 7.25, 2.0**-40, 2.0**30, -2.0**30)
-SCALES = (1.0, 0.1, 0.5, 3.0, 2.0**-3)
 
 
 @st.composite
@@ -377,7 +362,7 @@ def op_streams(draw):
     with reads mixed in."""
     n = draw(st.integers(1, 5))
     idx, val, target = st.integers(0, n - 1), st.sampled_from(VALUES), st.integers(0, 1)
-    group, scale = st.integers(0, 2), st.sampled_from(SCALES)
+    group = st.integers(0, 2)
     ops = st.one_of(
         st.tuples(st.just("linear"), target, idx, val),
         st.tuples(st.just("quadratic"), target, idx, idx, val),
@@ -385,7 +370,7 @@ def op_streams(draw):
                                                                max_size=6)),
         st.tuples(st.just("square_penalty"), target, st.lists(st.tuples(group, idx, val),
                                                              max_size=8),
-                  st.lists(val, min_size=3, max_size=3), scale),
+                  st.lists(val, min_size=3, max_size=3)),
         st.tuples(st.just("scaled"), target, val),
         st.tuples(st.just("offset"), target, val),
         st.tuples(st.just("read"), target),
@@ -422,10 +407,10 @@ def test_assembly_matches_the_dict_reference_model(stream):
             for i, j, c in terms:
                 add_quadratic(model, i, j, c)
         elif op == "square_penalty":
-            terms, constants, scale = args
+            terms, constants = args
             for form in (q, model):
                 form.add_square_penalty([i for _, i, _ in terms], [c for _, _, c in terms],
-                                        constants, [g for g, _, _ in terms], scale=scale)
+                                        constants, [g for g, _, _ in terms])
         else:
             add = {"linear": add_linear, "quadratic": add_quadratic, "offset": add_offset}[op]
             add(q, *args)
@@ -438,7 +423,7 @@ def test_assembly_matches_the_dict_reference_model(stream):
 def square_families(draw):
     """A variable count and a few penalty families: per family, (group, index,
     coefficient) terms with repeats within and across groups, one constant
-    per group and a scale."""
+    per group."""
     n = draw(st.integers(1, 6))
     families = []
     for _ in range(draw(st.integers(1, 3))):
@@ -447,8 +432,7 @@ def square_families(draw):
                          st.sampled_from((0.1, 0.2, -0.3, 1.0, -1.0, 2.5)))
         families.append((draw(st.lists(term, max_size=16)),
                          draw(st.lists(st.sampled_from(VALUES), min_size=groups,
-                                       max_size=groups)),
-                         draw(st.sampled_from(SCALES))))
+                                       max_size=groups))))
     return n, families
 
 
@@ -457,10 +441,10 @@ def square_families(draw):
 def test_grouped_squares_match_one_square_per_group(case):
     n, families = case
     q, model = Qubo(n), DictQubo(n)
-    for terms, constants, scale in families:
+    for terms, constants in families:
         for form in (q, model):
             form.add_square_penalty([i for _, i, _ in terms], [c for _, _, c in terms],
-                                    constants, [g for g, _, _ in terms], scale=scale)
+                                    constants, [g for g, _, _ in terms])
     assert format_qubo_text(q) == model.text()
     assert repr(q.offset) == repr(model.offset)
 

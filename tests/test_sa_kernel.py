@@ -328,6 +328,24 @@ def test_no_word_draws_a_threshold_above_the_all_ones_word(beta):
     assert _acceptance_thresholds(bits, betas).max() == ceiling
 
 
+@pytest.mark.parametrize("schedule", [(1e-50, 1.0), (0.1, 1e39)])
+def test_sa_rejects_betas_that_float32_cannot_hold(schedule):
+    """Below about 4.7e-38 the largest threshold, 23 ln 2 / beta, overflows
+    float32; above about 3.4e38 the beta itself does."""
+    q = odd_delta_qubo(np.random.default_rng(3), 6, 1.0)
+    with pytest.raises(ValueError, match="beta_min"):
+        simulated_annealing(q, sweeps=4, beta_schedule=schedule, reads=2)
+
+
+@pytest.mark.parametrize("schedule", [(5e-38, 1.0), (0.1, 3.4e38)])
+def test_sa_runs_at_the_ends_of_the_float32_beta_range(schedule):
+    q = odd_delta_qubo(np.random.default_rng(3), 6, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulated_annealing(q, sweeps=40, beta_schedule=schedule, reads=3, seed=1)
+    assert np.isfinite(report.best_energy)
+
+
 def odd_delta_qubo(rng, n, unit):
     """Odd multiples of `unit` as linear terms and even ones as couplings:
     every flip energy change is an odd multiple of `unit`, never zero, so a

@@ -277,6 +277,18 @@ def test_revalidate_flags_modes_outside_the_spec():
     assert any("'plain'" in p for p in problems)
 
 
+def test_revalidate_flags_a_stated_nan():
+    sd = parse_spec({"graph": {"vertices": [0, 1], "undirected": [[0, 1, 2]]}})
+    walk = RouteWalk((WalkStep(0, 1), WalkStep(1, 0)), 4.0)
+    assert revalidate_route(sd, RouteSolution(walks=(walk,), objective_weight=4.0)) == []
+    nan = float("nan")
+    problems = revalidate_route(sd, RouteSolution(walks=(walk,), objective_weight=nan))
+    assert problems == ["stated weight nan != recomputed 4.0"]
+    problems = revalidate_route(
+        sd, RouteSolution(walks=(walk,), objective_weight=4.0, turn_extra=nan))
+    assert problems == ["stated turn_extra nan != recomputed 0.0"]
+
+
 def test_revalidate_spec_route_checks_capacity_and_required():
     obj = {
         "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 2], [1, 2, 3]]},

@@ -36,7 +36,9 @@ from conftest import (
 def paper_instance() -> Qubo:
     q = Qubo(1)
     add_linear(q, 0, 9.0)
-    q.add_square_penalty([0], [-1.0], 1.0, scale=10.0)
+    square = Qubo(1)
+    square.add_square_penalty([0], [-1.0], 1.0)
+    q.add_scaled(square, 10.0)
     return q
 
 
