@@ -22,10 +22,10 @@ and builds the registry, tables and forms only for the smaller one.  Each
 postman's edge variables form one step table (`STEP_ROW` rows in step,
 arc-index and mode order, registry indices from one lexsort in label
 order); the rest, required-slack and capacity-slack variables are int64
-(owner, postman, bit, index) register rows.  The forms, `decode` and
-`encode_route` read only these.  Adjacency, rest, the repeat discount and turns
-are masks over one join of every row with every row of the next step; the
-required family is one grouped square over the rows' required-edge column.
+(owner, postman, bit, index) register rows.  The forms and `decode` read
+only these.  Adjacency, rest, the repeat discount and turns are masks over
+one join of every row with every row of the next step; the required family
+is one grouped square over the rows' required-edge column.
 Every weight comes from one `ProblemSpec.weight` call per (arc, mode) and
 postman, kept in the table; terminal arcs cost nothing.
 """
@@ -61,9 +61,6 @@ KINDS = ("d", KIND_TERMINAL, "u")  # arc kind codes, in label order
 ENC_REPETITION = "repetition"
 ENC_TERMINAL = "terminal"
 ENC_REST = "rest"
-
-# constraint families that decide validity; turn bonuses are objective-like
-VALIDITY_FAMILIES = ("one_edge", "adjacency", "required", "hierarchy", "collision", "capacity")
 
 MODES = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)  # a step table's mode codes
 
@@ -412,88 +409,6 @@ class CompiledGeneral(CompiledProblem):
                 steps.append(WalkStep(tail, head, MODES[mode], kind))
             prev = (i, arc, mode)
         return steps
-
-    # ---- encoding a walk back into bits ------------------------------------
-
-    def _resolve_step(self, step: Sequence) -> tuple[int, str]:
-        """(arc index, mode) from (tail, head[, mode[, kind]])."""
-        tail, head = int(step[0]), int(step[1])
-        mode = str(step[2]) if len(step) > 2 and step[2] is not None else None
-        kind = str(step[3]) if len(step) > 3 and step[3] is not None else None
-        kinds = [KINDS.index(k) for k in ((kind,) if kind is not None else ("u", "d"))
-                 if k in ("d", "u")]
-        candidates = np.flatnonzero(
-            (self._tail == tail) & (self._head == head) & np.isin(self._kind, kinds))
-        if len(candidates) != 1:
-            raise SpecError(
-                f"arc {tail}->{head} (kind={kind}) matches {len(candidates)} arcs"
-            )
-        if mode is None:
-            mode = self.spec.modes[-1]
-        return int(candidates[0]), mode
-
-    def encode_route(self, walks: Sequence[Sequence[Sequence]]) -> list[int]:
-        """Bits for per-postman walks given as (tail, head[, mode[, kind]]) steps.
-
-        Pads with edge repetition, terminal arcs, or rest bits depending on
-        the encoding, and fills slack registers to match (clamped to their
-        range, so deliberately violating walks stay encodable for tests).
-        """
-        if len(walks) != self.postmen:
-            raise SpecError(f"need {self.postmen} walks, got {len(walks)}")
-        x = np.zeros(len(self.registry), dtype=np.int64)
-        used = [0.0] * self.postmen
-        for p, (walk, table) in enumerate(zip(walks, self._tables)):
-            seq = [self._resolve_step(s) for s in walk]
-            if len(seq) > self.i_max:
-                raise SpecError(f"walk of {len(seq)} steps exceeds i_max={self.i_max}")
-            if self.encoding == ENC_REPETITION:
-                if not seq:
-                    raise SpecError("repetition encoding cannot express empty walks")
-                seq = seq + [seq[-1]] * (self.i_max - len(seq))
-            moves = len(seq)
-            if self.encoding == ENC_TERMINAL and moves < self.i_max:
-                if seq:
-                    end_vertex = int(self._head[seq[-1][0]])
-                elif self.spec.start is not None:
-                    end_vertex = self.spec.start
-                else:
-                    end_vertex = min(self.spec.graph.vertices)
-                pad = self.spec.modes[-1]
-                end = np.flatnonzero((self._tail == end_vertex) & (self._head == TERMINAL))
-                if not len(end):
-                    raise SpecError(f"no arc {end_vertex}->{TERMINAL} kind {KIND_TERMINAL}")
-                # the terminal loop is the last arc
-                seq.append((int(end[0]), pad))
-                seq += [(len(self._tail) - 1, pad)] * (self.i_max - len(seq))
-            for i, (ai, mode) in enumerate(seq):
-                row = table[(table["step"] == i) & (table["arc"] == ai)
-                            & (table["mode"] == MODES.index(mode))]
-                if not len(row):
-                    raise SpecError(
-                        f"step {i}: arc {self._tail[ai]}->{self._head[ai]} was pruned for this spec"
-                    )
-                x[row["index"][0]] = 1
-                used[p] += float(row["weight"][0])
-            rest = self._rest[self._rest[:, 1] == p]
-            x[rest[rest[:, 0] >= moves, 3]] = 1
-
-        # each register holds its owner's value, clamped to its range: extra
-        # visits of a required edge on postman 0's, unused capacity
-        covering = self._cover >= 0
-        visits = sum(np.bincount(self._cover[covering], x[t["index"][covering]],
-                                 len(self.required)) for t in self._tables)
-        registers = [(self._req_slack[self._req_slack[:, 1] == 0],
-                      [max(int(count) - 1, 0) for count in visits.tolist()])]
-        if self.spec.postmen.capacities is not None:
-            registers.append((self._cap_slack, [
-                int(max(float(c) - u, 0)) for c, u in zip(self.spec.postmen.capacities, used)]))
-        for rows, values in registers:
-            width = np.bincount(rows[:, 0], minlength=len(values)).tolist()
-            for owner, _, bit, idx in rows.tolist():
-                if min(values[owner], (1 << width[owner]) - 1) >> bit & 1:
-                    x[idx] = 1
-        return x.tolist()
 
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:

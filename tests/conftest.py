@@ -14,12 +14,24 @@ from postqubo import (
     Graph,
     InfeasibleEndpoints,
     ProblemSpec,
+    SpecError,
     is_strongly_connected,
     odd_degree_vertices,
 )
 from postqubo.errors import QuboError
-from postqubo.general import TERMINAL
-from postqubo.qubo import PRUNE_EPS, PairVar
+from postqubo.general import ENC_REPETITION, ENC_TERMINAL, KIND_TERMINAL, TERMINAL
+from postqubo.qubo import (
+    MODE_SERVICE,
+    PRUNE_EPS,
+    CapacitySlack,
+    EdgeStep,
+    PairVar,
+    RequiredSlack,
+    RestVar,
+)
+
+# constraint families that decide validity; turn bonuses are objective-like
+VALIDITY_FAMILIES = ("one_edge", "adjacency", "required", "hierarchy", "collision", "capacity")
 from postqubo.solvers import _energy_blocks
 
 
@@ -290,6 +302,87 @@ def encode_pairing(pairing, reg) -> list[int]:
     x = [0] * len(reg)
     for a, b in pairing.pairs:
         x[reg.index_of(PairVar(a, b))] = 1
+    return x
+
+
+def encode_route(compiled, walks) -> list[int]:
+    """Bits for per-postman walks given as (tail, head[, mode[, kind]]) steps.
+
+    A reference encoder that reads only a compiled general problem's spec,
+    encoding, step budget and registry labels.  An omitted mode is the
+    spec's last, an omitted kind the one graph arc between the two vertices.
+    Walks are padded with repeats of the last step, terminal arcs or rest
+    bits as the encoding asks; a step whose label is not in the registry was
+    pruned and raises SpecError.  The slack registers are filled to match,
+    each clamped to its range so that violating walks stay encodable: a
+    required edge's extra visits go to postman 0's register, a postman's
+    unused capacity to theirs.
+    """
+    spec, reg, i_max = compiled.spec, compiled.registry, compiled.i_max
+    count, pad = spec.postmen.count, spec.modes[-1]
+    if len(walks) != count:
+        raise SpecError(f"need {count} walks, got {len(walks)}")
+
+    def arc(step) -> tuple[int, int, str, str]:
+        tail, head = int(step[0]), int(step[1])
+        mode = str(step[2]) if len(step) > 2 and step[2] is not None else pad
+        kind = str(step[3]) if len(step) > 3 and step[3] is not None else None
+        kinds = [k for k in ((kind,) if kind is not None else ("u", "d"))
+                 if k in ("u", "d") and (tail, head, k) in spec.graph.arc_weights]
+        if len(kinds) != 1:
+            raise SpecError(f"arc {tail}->{head} (kind={kind}) matches {len(kinds)} arcs")
+        return tail, head, kinds[0], mode
+
+    x = [0] * len(reg)
+
+    def set_bit(label) -> None:
+        if label not in reg:
+            raise SpecError(f"{label} was pruned for this spec")
+        x[reg.index_of(label)] = 1
+
+    visits: collections.Counter = collections.Counter()
+    used = [0.0] * count
+    for p, walk in enumerate(walks):
+        seq = [arc(step) for step in walk]
+        if len(seq) > i_max:
+            raise SpecError(f"walk of {len(seq)} steps exceeds i_max={i_max}")
+        if compiled.encoding == ENC_REPETITION:
+            if not seq:
+                raise SpecError("repetition encoding cannot express empty walks")
+            seq += [seq[-1]] * (i_max - len(seq))
+        moves = len(seq)
+        if compiled.encoding == ENC_TERMINAL and moves < i_max:
+            if seq:
+                end = seq[-1][1]
+            else:
+                end = spec.start if spec.start is not None else min(spec.graph.vertices)
+            seq.append((end, TERMINAL, KIND_TERMINAL, pad))
+            seq += [(TERMINAL, TERMINAL, KIND_TERMINAL, pad)] * (i_max - len(seq))
+        for i, (tail, head, kind, mode) in enumerate(seq):
+            set_bit(EdgeStep(i, tail, head, mode, p, kind))
+            if kind != KIND_TERMINAL:
+                used[p] += spec.weight(p, (tail, head, kind), mode)
+                # in service mode only a service step covers its edge
+                if spec.service is None or mode == MODE_SERVICE:
+                    visits[EdgeRef(kind, tail, head)] += 1
+        for i in range(moves, i_max):
+            if RestVar(i, p) in reg:
+                set_bit(RestVar(i, p))
+
+    def fill(label_of_bit, value: int) -> int:
+        """Write `value`, clamped to the register's range; return what is left."""
+        width = sum(1 for _ in itertools.takewhile(
+            lambda bit: label_of_bit(bit) in reg, itertools.count()))
+        held = min(value, (1 << width) - 1)
+        for bit in range(width):
+            if held >> bit & 1:
+                set_bit(label_of_bit(bit))
+        return value - held
+
+    for ref in spec.resolved_required():
+        fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, 0, ref.kind), max(visits[ref] - 1, 0))
+    for p, c in enumerate(spec.postmen.capacities or ()):
+        fill(lambda bit: CapacitySlack(bit, p), int(max(float(c) - used[p], 0)))
     return x
 
 

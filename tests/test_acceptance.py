@@ -42,7 +42,6 @@ from postqubo.general import (
     ENC_REPETITION,
     ENC_TERMINAL,
     TERMINAL,
-    VALIDITY_FAMILIES,
     CompiledGeneral,
     compile_general,
 )
@@ -50,9 +49,11 @@ from postqubo.pairing import compile_pairing
 from postqubo.qubo import MODE_PLAIN, MODE_TRAVERSE, Qubo
 from postqubo.solvers import CompiledInstance
 from conftest import (
+    VALIDITY_FAMILIES,
     add_linear,
     add_offset,
     add_quadratic,
+    encode_route,
     enumerate_all_energies,
     random_graph_with_odd_count,
     random_mixed_graph,
@@ -387,10 +388,10 @@ def test_criterion_05_extension_constraint_suites():
         [(1, 2)],
     ]
     for walk in violating:
-        assert _family_value(compiled, "turn", compiled.encode_route([walk])) > 0.0
+        assert _family_value(compiled, "turn", encode_route(compiled, [walk])) > 0.0
         cases += 1
     for walk in satisfying:
-        assert _family_value(compiled, "turn", compiled.encode_route([walk])) == 0.0
+        assert _family_value(compiled, "turn", encode_route(compiled, [walk])) == 0.0
         cases += 1
 
     # service/traversal: required edges serviced exactly once
@@ -412,10 +413,10 @@ def test_criterion_05_extension_constraint_suites():
         [(1, 2, "service"), (2, 1, "traverse"), (1, 0, "service")],
     ]
     for walk in violating_s:
-        assert _family_value(compiled, "required", compiled.encode_route([walk])) > 0.0
+        assert _family_value(compiled, "required", encode_route(compiled, [walk])) > 0.0
         cases += 1
     for walk in satisfying_s:
-        assert _family_value(compiled, "required", compiled.encode_route([walk])) == 0.0
+        assert _family_value(compiled, "required", encode_route(compiled, [walk])) == 0.0
         cases += 1
 
     # hierarchy: the first edge must be serviced before the second
@@ -439,10 +440,10 @@ def test_criterion_05_extension_constraint_suites():
         [(2, 0, sv), (0, 1, "traverse")],
     ]
     for walk in violating_h:
-        assert _family_value(compiled, "hierarchy", compiled.encode_route([walk])) > 0.0
+        assert _family_value(compiled, "hierarchy", encode_route(compiled, [walk])) > 0.0
         cases += 1
     for walk in satisfying_h:
-        assert _family_value(compiled, "hierarchy", compiled.encode_route([walk])) == 0.0
+        assert _family_value(compiled, "hierarchy", encode_route(compiled, [walk])) == 0.0
         cases += 1
 
     # k-postman rest: rest is absorbing, one action per step
@@ -451,7 +452,7 @@ def test_criterion_05_extension_constraint_suites():
     compiled = compile_general(spec)
 
     def rest_bits(walks, tamper=None):
-        x = compiled.encode_route(walks)
+        x = encode_route(compiled, walks)
         if tamper:
             for label, value in tamper:
                 x[compiled.registry.index_of(label)] = value
@@ -474,11 +475,11 @@ def test_criterion_05_extension_constraint_suites():
         rest_bits([[(0, 1), (1, 2)], [(1, 0)]], tamper=[(RestVar(1, 0), 1)]),
     ]
     satisfying_r = [
-        compiled.encode_route([[(0, 1), (1, 2)], [(1, 0)]]),
-        compiled.encode_route([[(0, 1)], [(1, 2), (2, 1)]]),
-        compiled.encode_route([[], [(1, 0), (0, 1)]]),
-        compiled.encode_route([[(1, 0)], [(1, 2)]]),
-        compiled.encode_route([[], []]),
+        encode_route(compiled, [[(0, 1), (1, 2)], [(1, 0)]]),
+        encode_route(compiled, [[(0, 1)], [(1, 2), (2, 1)]]),
+        encode_route(compiled, [[], [(1, 0), (0, 1)]]),
+        encode_route(compiled, [[(1, 0)], [(1, 2)]]),
+        encode_route(compiled, [[], []]),
     ]
     for x in violating_r:
         assert rest_sum(x) > 0.0
@@ -508,10 +509,10 @@ def test_criterion_05_extension_constraint_suites():
         [[(1, 0), (0, 1)], [(1, 2), (2, 1)]],
     ]
     for walks in violating_c:
-        assert _family_value(compiled, "collision", compiled.encode_route(walks)) > 0.0
+        assert _family_value(compiled, "collision", encode_route(compiled, walks)) > 0.0
         cases += 1
     for walks in satisfying_c:
-        assert _family_value(compiled, "collision", compiled.encode_route(walks)) == 0.0
+        assert _family_value(compiled, "collision", encode_route(compiled, walks)) == 0.0
         cases += 1
 
     # capacity: walk weight must fit under the cap, slack makes up the rest
@@ -533,10 +534,10 @@ def test_criterion_05_extension_constraint_suites():
         [[(2, 1)]],
     ]
     for walks in violating_k:
-        assert _family_value(compiled, "capacity", compiled.encode_route(walks)) > 0.0
+        assert _family_value(compiled, "capacity", encode_route(compiled, walks)) > 0.0
         cases += 1
     for walks in satisfying_k:
-        assert _family_value(compiled, "capacity", compiled.encode_route(walks)) == 0.0
+        assert _family_value(compiled, "capacity", encode_route(compiled, walks)) == 0.0
         cases += 1
 
     assert cases >= 60
@@ -595,7 +596,7 @@ def test_criterion_07_penalty_monotonicity(general_suite):
             if not steps and compiled.encoding == ENC_REPETITION:
                 triples += 1
                 continue
-            x = compiled.encode_route([steps])
+            x = encode_route(compiled, [steps])
         else:
             x = [int(b) for b in rng.integers(0, 2, n)]
         pen = inst.pen

@@ -32,13 +32,14 @@ from postqubo.general import (
     KINDS,
     MODES,
     TERMINAL,
-    VALIDITY_FAMILIES,
     CompiledGeneral,
 )
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
 from conftest import (
+    VALIDITY_FAMILIES,
     bits_from_index,
+    encode_route,
     enumerate_all_energies,
     figure_example_graph,
     random_mixed_graph,
@@ -285,7 +286,7 @@ def test_triangle_ground_state_is_the_tour():
 def test_legal_assignment_has_zero_penalty_and_energy_equals_weight():
     spec = small_path_spec(start=0, stop=0, i_max=4)
     compiled = compile_general(spec, encoding=ENC_REPETITION)
-    x = compiled.encode_route([[(0, 1), (1, 2), (2, 1), (1, 0)]])
+    x = encode_route(compiled, [[(0, 1), (1, 2), (2, 1), (1, 0)]])
     values = compiled.constraint_values(x)
     assert all(v == 0.0 for v in values.values())
     pen = default_penalties(spec)
@@ -308,7 +309,7 @@ def test_slack_absorbs_extra_visits():
     # must account for the second visit exactly
     spec = small_path_spec(start=0, stop=0, i_max=4)
     compiled = compile_general(spec, encoding=ENC_REPETITION)
-    x = compiled.encode_route([[(0, 1), (1, 2), (2, 1), (1, 0)]])
+    x = encode_route(compiled, [[(0, 1), (1, 2), (2, 1), (1, 0)]])
     slack_idx = compiled.registry.index_of(RequiredSlack(0, 0, 1, 0, "u"))
     assert x[slack_idx] == 1
     assert compiled.constraint_values(x)["required"] == 0.0
@@ -357,7 +358,7 @@ def test_encode_decode_roundtrip():
     for encoding in (ENC_REPETITION, ENC_TERMINAL):
         compiled = compile_general(spec, encoding=encoding)
         walk = [(0, 1), (1, 2), (2, 1)]
-        x = compiled.encode_route([walk])
+        x = encode_route(compiled, [walk])
         solution = compiled.decode(x)
         assert solution.is_valid
         assert [(s.frm, s.to) for s in solution.single_walk().steps] == walk
@@ -494,7 +495,7 @@ def test_turn_bonus_added_to_energy():
     g = Graph.build(range(3), directed=[(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     spec = ProblemSpec(graph=g, turn_penalties=(TurnPenalty(0, 1, 2, 5.0),), i_max=3)
     compiled = compile_general(spec, encoding=ENC_REPETITION)
-    x = compiled.encode_route([[(0, 1), (1, 2), (2, 0)]])
+    x = encode_route(compiled, [[(0, 1), (1, 2), (2, 0)]])
     solution = compiled.decode(x)
     assert solution.is_valid
     assert solution.turn_extra == 5.0
@@ -511,11 +512,11 @@ def test_hierarchy_orders_service_steps():
         graph=g, service=ServiceMode(), hierarchy=((first, second),), i_max=3
     )
     compiled = compile_general(spec, encoding=ENC_REPETITION)
-    ordered = compiled.encode_route(
+    ordered = encode_route(compiled, 
         [[(1, 2, "service"), (2, 0, "service"), (0, 1, "service")]]
     )
     assert compiled.constraint_values(ordered)["hierarchy"] == 0.0
-    reversed_x = compiled.encode_route(
+    reversed_x = encode_route(compiled, 
         [[(0, 1, "service"), (1, 2, "service"), (2, 0, "service")]]
     )
     assert compiled.constraint_values(reversed_x)["hierarchy"] > 0.0
@@ -528,9 +529,9 @@ def test_collision_constraint_counts_shared_arcs():
         graph=g, start=1, postmen=Postmen(count=2), forbid_edge_collisions=True, i_max=2
     )
     compiled = compile_general(spec)
-    apart = compiled.encode_route([[(1, 0)], [(1, 2)]])
+    apart = encode_route(compiled, [[(1, 0)], [(1, 2)]])
     assert compiled.constraint_values(apart)["collision"] == 0.0
-    together = compiled.encode_route([[(1, 0)], [(1, 0)]])
+    together = encode_route(compiled, [[(1, 0)], [(1, 0)]])
     assert compiled.constraint_values(together)["collision"] > 0.0
     assert not compiled.decode(together).validity.collisions_ok
 
@@ -539,7 +540,7 @@ def test_two_postman_decode_weighs_an_empty_walk_as_float_zero():
     g = Graph.build(range(2), undirected=[(0, 1, 2)])
     spec = ProblemSpec(graph=g, start=0, postmen=Postmen(count=2), i_max=2)
     compiled = compile_general(spec)
-    solution = compiled.decode(compiled.encode_route([[(0, 1), (1, 0)], []]))
+    solution = compiled.decode(encode_route(compiled, [[(0, 1), (1, 0)], []]))
     assert solution.is_valid
     weights = [walk.weight for walk in solution.walks]
     assert weights == [4.0, 0.0]
@@ -550,7 +551,7 @@ def test_capacity_constraint_and_slack():
     g = Graph.build(range(3), undirected=[(0, 1, 2), (1, 2, 3)])
     spec = ProblemSpec(graph=g, postmen=Postmen(count=1, capacities=(6,)), i_max=2)
     compiled = compile_general(spec)
-    x = compiled.encode_route([[(0, 1), (1, 2)]])
+    x = encode_route(compiled, [[(0, 1), (1, 2)]])
     assert compiled.constraint_values(x)["capacity"] == 0.0
     solution = compiled.decode(x)
     assert solution.validity.capacity_ok
@@ -560,9 +561,9 @@ def test_service_required_exactly_once():
     g = Graph.build(range(3), undirected=[(0, 1, 2), (1, 2, 3)])
     spec = ProblemSpec(graph=g, service=ServiceMode(), i_max=3)
     compiled = compile_general(spec, encoding=ENC_TERMINAL)
-    once = compiled.encode_route([[(0, 1, "service"), (1, 2, "service")]])
+    once = encode_route(compiled, [[(0, 1, "service"), (1, 2, "service")]])
     assert compiled.constraint_values(once)["required"] == 0.0
-    twice = compiled.encode_route(
+    twice = encode_route(compiled, 
         [[(0, 1, "service"), (1, 0, "service"), (0, 1, "service")]]
     )
     assert compiled.constraint_values(twice)["required"] > 0.0
@@ -746,7 +747,7 @@ def _decode_hash(name: str) -> str:
         for density in (0.05, 0.2, 0.5)
         for _ in range(30)
     ]
-    valid = compiled.encode_route(_pinned_route(name, spec))
+    valid = encode_route(compiled, _pinned_route(name, spec))
     assert compiled.decode(valid).is_valid
     states.append(valid)
     for j in range(n):
@@ -808,7 +809,7 @@ PINNED_ENCODES = {
 @pytest.mark.parametrize("name", sorted(PINNED_ENCODES))
 def test_encoded_routes_are_pinned(name):
     spec, encoding, walks = _encode_cases()[name]
-    bits = compile_general(spec, encoding).encode_route(walks)
+    bits = encode_route(compile_general(spec, encoding), walks)
     text = "".join(map(str, bits))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_ENCODES[name]
 
