@@ -315,8 +315,8 @@ def encode_route(compiled, walks) -> list[int]:
     bits as the encoding asks; a step whose label is not in the registry was
     pruned and raises SpecError.  The slack registers are filled to match,
     each clamped to its range so that violating walks stay encodable: a
-    required edge's extra visits go to postman 0's register, a postman's
-    unused capacity to theirs.
+    required edge's extra visits fill the postmen's registers in postman
+    order, a postman's unused capacity goes to theirs.
     """
     spec, reg, i_max = compiled.spec, compiled.registry, compiled.i_max
     count, pad = spec.postmen.count, spec.modes[-1]
@@ -380,7 +380,9 @@ def encode_route(compiled, walks) -> list[int]:
         return value - held
 
     for ref in spec.resolved_required():
-        fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, 0, ref.kind), max(visits[ref] - 1, 0))
+        extra = max(visits[ref] - 1, 0)
+        for p in range(count):
+            extra = fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, p, ref.kind), extra)
     for p, c in enumerate(spec.postmen.capacities or ()):
         fill(lambda bit: CapacitySlack(bit, p), int(max(float(c) - used[p], 0)))
     return x

@@ -778,13 +778,14 @@ def test_decodes_are_pinned(name):
 
 
 def _encode_cases() -> dict[str, tuple[ProblemSpec, str, list]]:
-    """Each pinned spec's valid route, plus two walks that hit a register clamp."""
+    """Each pinned spec's valid route, plus two walks that overflow a register."""
     specs = _pinned_specs()
     cases = {name: (spec, enc, _pinned_route(name, spec)) for name, (spec, enc) in specs.items()}
     # postman 0 walks weight 9 over its capacity of 7: its capacity register reads 0
     team, _ = specs["team"]
     cases["team_over_capacity"] = (team, "auto", [[(0, 1), (1, 2), (2, 3), (3, 2)], [(0, 3)]])
-    # three postmen cross the one edge twelve times: 11 extra visits, a 3-bit register
+    # three postmen cross the one edge twelve times: 11 extra visits, more than
+    # postman 0's 3-bit register holds, so postman 1's takes the rest
     trio = ProblemSpec(graph=Graph.build(range(2), undirected=[(0, 1, 1)]), start=0, i_max=4,
                        postmen=Postmen(3))
     cases["slack_overflow"] = (trio, "auto", [[(0, 1), (1, 0), (0, 1), (1, 0)]] * 3)
@@ -802,7 +803,7 @@ PINNED_ENCODES = {
     "coexisting_repetition": "c6c89cc03219db37",
     "coexisting_terminal": "79ad00ed4a845d69",
     "team_over_capacity": "404e8113c6e14227",
-    "slack_overflow": "2261d3026cc1bd1a",
+    "slack_overflow": "dc1a6438c41af643",
 }
 
 
@@ -812,6 +813,14 @@ def test_encoded_routes_are_pinned(name):
     bits = encode_route(compile_general(spec, encoding), walks)
     text = "".join(map(str, bits))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_ENCODES[name]
+
+
+def test_extra_visits_fill_the_postmen_slack_registers_in_order():
+    spec, encoding, walks = _encode_cases()["slack_overflow"]
+    compiled = compile_general(spec, encoding)
+    bits = encode_route(compiled, walks)
+    assert compiled.constraint_values(bits)["required"] == 0.0
+    assert compiled.decode(bits).is_valid
 
 
 # --- penalised exports pinned byte for byte ---------------------------------------
