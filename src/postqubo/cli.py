@@ -367,6 +367,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read route: {exc}") from exc
     solution = route_from_json(route_obj, doc)
+    if route_obj["pipeline"] == "general" and isinstance(instance, GraphDocument):
+        # what `solve --pipeline general` compiled: every edge required, any walk
+        instance = SpecDocument(ProblemSpec(graph=instance.graph), instance)
     problems = revalidate_route(instance, solution)
     if problems:
         for p in problems:

@@ -233,6 +233,25 @@ def test_validate_roundtrip(fig_graph_file, tmp_path):
     assert run("validate", out / "fig.route.json", "--instance", fig_graph_file) == 0
 
 
+def test_validate_checks_a_general_route_on_a_graph_file_as_solve_did(tmp_path, capsys):
+    # the general pipeline may end an open walk; a pairing route must be closed
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps({"vertices": [0, 1, 2, 3],
+                                 "undirected": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}))
+    out = tmp_path / "out"
+    assert run("solve", graph, "--pipeline", "general", "--reads", 50, "--sweeps", 100,
+               "--out", out) == 0
+    route = json.loads((out / "path.route.json").read_text())
+    assert route["valid"] is True and route["pipeline"] == "general"
+    assert route["walks"][0][0]["from"] != route["walks"][0][-1]["to"]
+    assert run("validate", out / "path.route.json", "--instance", graph) == 0
+    route["pipeline"] = "pairing"
+    (out / "pairing.json").write_text(json.dumps(route))
+    capsys.readouterr()
+    assert run("validate", out / "pairing.json", "--instance", graph) == 2
+    assert "walk is not closed" in capsys.readouterr().err
+
+
 def test_validate_detects_tampering(fig_graph_file, tmp_path, capsys):
     out = tmp_path / "out"
     run("solve", fig_graph_file, "--pipeline", "pairing", "--solver", "brute", "--out", out)
