@@ -29,10 +29,10 @@ from postqubo.qubo import (
     RequiredSlack,
     RestVar,
 )
+from postqubo.solvers import _energy_blocks
 
 # constraint families that decide validity; turn bonuses are objective-like
 VALIDITY_FAMILIES = ("one_edge", "adjacency", "required", "hierarchy", "collision", "capacity")
-from postqubo.solvers import _energy_blocks
 
 
 def figure_example_graph() -> Graph:
@@ -328,7 +328,7 @@ def encode_route(compiled, walks) -> list[int]:
         mode = str(step[2]) if len(step) > 2 and step[2] is not None else pad
         kind = str(step[3]) if len(step) > 3 and step[3] is not None else None
         kinds = [k for k in ((kind,) if kind is not None else ("u", "d"))
-                 if k in ("u", "d") and (tail, head, k) in spec.graph.arc_weights]
+                 if (tail, head, k) in spec.graph.arc_weights]
         if len(kinds) != 1:
             raise SpecError(f"arc {tail}->{head} (kind={kind}) matches {len(kinds)} arcs")
         return tail, head, kinds[0], mode
@@ -371,8 +371,9 @@ def encode_route(compiled, walks) -> list[int]:
 
     def fill(label_of_bit, value: int) -> int:
         """Write `value`, clamped to the register's range; return what is left."""
-        width = sum(1 for _ in itertools.takewhile(
-            lambda bit: label_of_bit(bit) in reg, itertools.count()))
+        width = 0
+        while label_of_bit(width) in reg:
+            width += 1
         held = min(value, (1 << width) - 1)
         for bit in range(width):
             if held >> bit & 1:
