@@ -1,6 +1,7 @@
 """The streamed simulated-annealing kernel and the shared flip update against
 the earlier straightforward implementations, kept here as references."""
 
+import hashlib
 import time
 import tracemalloc
 import warnings
@@ -9,11 +10,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postqubo import Qubo, greedy_descent, greedy_post, simulated_annealing, tabu_search
+from postqubo import (
+    ProblemSpec,
+    Qubo,
+    default_penalties,
+    greedy_descent,
+    greedy_post,
+    make_sampler,
+    simulated_annealing,
+    tabu_search,
+)
 from postqubo import solvers
+from postqubo.general import compile_general
 from postqubo.pairing import compile_pairing, default_pairing_penalty
 from postqubo.solvers import _EPS, _acceptance_thresholds, _finish, _row_energies
-from conftest import add_linear, add_offset, add_quadratic, random_graph_with_odd_count
+from conftest import (
+    add_linear,
+    add_offset,
+    add_quadratic,
+    random_graph_with_odd_count,
+    random_mixed_graph,
+)
 
 
 def reference_simulated_annealing(q, sweeps=1000, beta_schedule=(0.1, 10.0), reads=1000, seed=0):
@@ -437,3 +454,49 @@ def test_pairing_reports_at_the_defaults_are_pinned(case, threshold_fills):
     assert "".join(map(str, report.best_assignment)) == bits
     assert report.samples_evaluated == 1000 * 1000 * q.n  # skipped proposals count
     assert blocks_run(threshold_fills) < 63  # frozen before the last block
+
+
+def general_pin_qubo(seed: int, vertices: int, edges: int, windy: bool, endpoints: str,
+                     i_max) -> Qubo:
+    """A mixed spec from `random_mixed_graph` at this seed, compiled under
+    `auto` at the default penalties."""
+    g = random_mixed_graph(np.random.default_rng(seed), vertices, edges,
+                           windy=windy, directed_frac=0.3)
+    first, last = min(g.vertices), max(g.vertices)
+    start, stop = {"closed": (first, first), "start": (first, None), "stop": (None, last),
+                   "open": (None, None)}[endpoints]
+    kwargs = {} if i_max is None else {"i_max": i_max}
+    spec = ProblemSpec(graph=g, start=start, stop=stop, **kwargs)
+    return compile_general(spec).qubo(default_penalties(spec))
+
+
+# equal penalties give these QUBOs zero-delta plateaus, which the random
+# QUBOs above rarely reach; the last two are the 115- and 203-variable specs
+# of `random_mixed_graph` seeds 1 and 2 at their default step budget.
+# (seed, vertices, edges, windy, endpoints, i_max) -> sha256 prefixes of the
+# `sa+greedy` report at 100 reads x 200 sweeps and the default `tabu+greedy`
+# report: energy, bits and samples evaluated
+GENERAL_REPORTS = {
+    (3, 3, 3, True, "closed", 3): ("ae39fbb255e43061", "0e223d625fa1d8bd"),
+    (4, 4, 5, False, "closed", 4): ("f93826a54758749f", "ee08150e507635bf"),
+    (4, 5, 6, False, "start", 5): ("19c9e99064f5990f", "133fba3d45cacd5e"),
+    (5, 4, 5, True, "open", 4): ("d30e1a8180daef8f", "085084389b548e1b"),
+    (6, 4, 5, False, "stop", 4): ("143810ea80a4e91f", "abffc796cd10a85f"),
+    (7, 3, 3, True, "open", 5): ("d932f5143710330d", "61eacb38d00525ad"),
+    (1, 4, 5, True, "open", None): ("326c1e724cbc73b3", "473c346e4a41d6e0"),
+    (2, 5, 7, True, "open", None): ("87cd4e1d4ac9898d", "88a5908addf2add7"),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERAL_REPORTS))
+def test_general_reports_of_sa_and_tabu_are_pinned(case):
+    q = general_pin_qubo(*case)
+    seed = case[0]
+    digests = []
+    for sampler in (make_sampler("sa+greedy", seed=seed, reads=100, sweeps=200),
+                    make_sampler("tabu+greedy", seed=seed)):
+        report = sampler(q)
+        bits = "".join(map(str, report.best_assignment))
+        line = f"{report.best_energy!r} {bits} {report.samples_evaluated}"
+        digests.append(hashlib.sha256(line.encode()).hexdigest()[:16])
+    assert tuple(digests) == GENERAL_REPORTS[case]
