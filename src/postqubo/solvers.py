@@ -2,8 +2,9 @@
 
 All stochastic solvers are bit-reproducible for a fixed (seed, parameters)
 pair.  Greedy descent and annealing share one batch flip update (`_flip`);
-tabu search keeps the local field lin + x @ sym and rebuilds its flip energy
-changes from it with one product per move, the same values bit for bit.
+tabu search keeps the local field lin + x @ sym, adds or subtracts one
+coupling row in place per move, and rebuilds its flip energy changes from it
+with one product, the same values bit for bit.
 An annealing call draws from one stream, default_rng(seed mod 2^64): every
 read's initial state, then raw 32-bit words in (sweep, read, variable)
 order, `_SWEEP_BLOCK` sweeps at a time, whose top 23 bits become acceptance
@@ -11,7 +12,12 @@ thresholds in place.  Only one block is alive at a time, so memory is
 O(reads * n * _SWEEP_BLOCK).  All reads run together and each sweep is
 event-driven: one comparison tests every read's n proposals, and work is
 done only where a proposal is accepted, so each read follows exactly the
-chain of a one-variable-at-a-time sweep.  Before each block, if no read has
+chain of a one-variable-at-a-time sweep.  One event step flips every live
+read at its next accepted variable: the flipped entries are read and written
+at flat positions, each read's signed coupling row s_c * sym[c] is one gather
+from the stacked table [sym; -sym], and the rows just updated are re-tested
+against the sweep's thresholds at their later variables only.  A sweep with
+no accepted proposal costs one comparison.  Before each block, if no read has
 a flip energy change below the largest threshold any remaining sweep can
 draw, every later proposal is a rejection fixed in advance and the call
 ends there; `samples_evaluated` still counts reads * sweeps * n.  The result
@@ -171,24 +177,34 @@ def _row_energies(q: Qubo, states: np.ndarray) -> np.ndarray:
 
 
 def _flip(
-    spins: np.ndarray, deltas: np.ndarray, sym: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
+    spins: np.ndarray, deltas: np.ndarray, signed: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Flip spins[rows, cols] of s = 1 - 2x, one variable in each of distinct
-    rows of a batch, keeping `deltas` the single-flip energy changes; return
-    the change each flip made.  Every product is +-1 times a coupling, so the
-    update is exact."""
-    old = deltas[rows, cols]
-    sign = spins[rows, cols]
-    spins[rows, cols] = -sign
-    deltas[rows] += spins[rows] * sym[cols] * sign[:, None]
-    deltas[rows, cols] = -old
-    return old
+    rows of a batch, keeping `deltas` the single-flip energy changes.
+    `signed` stacks the couplings over their negation, [sym; -sym], so row
+    c + n * (s_c < 0) is s_c * sym[c].  Return the change each flip made and
+    the rows' new deltas as an array of their own, exact after each flipped
+    column; at that column it still holds the change the flip made.  Every
+    product is +-1 times a coupling, so the update is exact."""
+    n = spins.shape[1]
+    at = rows * n + cols
+    old = deltas.take(at)
+    sign = spins.take(at)
+    spins.put(at, -sign)
+    coupling = signed.take(cols + n * (sign < 0), axis=0)
+    coupling *= spins.take(rows, axis=0)
+    block = deltas.take(rows, axis=0)
+    block += coupling
+    deltas[rows] = block
+    deltas.put(at, -old)
+    return old, block
 
 
 def _descend(q: Qubo, states: np.ndarray) -> tuple[np.ndarray, int]:
     """Steepest single-flip descent on each row until no move improves."""
     lin, _, _, _ = q.as_arrays()
     sym = q.dense_symmetric()
+    signed = np.concatenate([sym, -sym])
     x = states.astype(np.float64)
     spins = 1.0 - 2.0 * x
     deltas = spins * (lin + x @ sym)
@@ -197,7 +213,7 @@ def _descend(q: Qubo, states: np.ndarray) -> tuple[np.ndarray, int]:
         rows = np.flatnonzero(deltas.min(axis=1) < -_EPS)
         if not len(rows):
             return (1.0 - spins) / 2.0, flips
-        _flip(spins, deltas, sym, rows, np.argmin(deltas[rows], axis=1))
+        _flip(spins, deltas, signed, rows, np.argmin(deltas[rows], axis=1))
         flips += len(rows)
 
 
@@ -310,6 +326,9 @@ def simulated_annealing(
     best_key = (float(current[best_row]), -1, 0, best_row)
     best_spins = spins[best_row].copy()
 
+    signed = np.concatenate([sym, -sym])
+    later = np.triu(np.ones((n, n), dtype=bool), 1)  # later[c, k]: k follows c in a sweep
+    starts = np.arange(reads) * n  # flat position of each row's first entry
     size = reads * n
     for first in range(0, sweeps, _SWEEP_BLOCK):
         if not (deltas < ceilings[first]).any():
@@ -325,25 +344,35 @@ def simulated_annealing(
             # first accepted variable, then re-tests only the later ones
             thr = thresholds[s]
             hits = np.flatnonzero(deltas < thr)
-            rows = hits // n
+            if not len(hits):
+                continue
+            rows, cols = np.divmod(hits, n)
             lead = np.ones(len(hits), dtype=bool)
             np.not_equal(rows[1:], rows[:-1], out=lead[1:])
-            rows = rows[lead]
-            cols = hits[lead] - rows * n
-            while len(rows):
-                current[rows] += _flip(spins, deltas, sym, rows, cols)
-                energies = current[rows]
+            rows, cols = rows[lead], cols[lead]
+            sweep = first + s
+            while True:
+                old, block = _flip(spins, deltas, signed, rows, cols)
+                energies = current.take(rows)
+                energies += old
+                current.put(rows, energies)
                 low = energies.min()
-                if low <= best_key[0]:
+                # a tie met in a sweep after the best key's can never win
+                if low < best_key[0] or low == best_key[0] and sweep <= best_key[1]:
                     ties = np.flatnonzero(energies == low)
                     k = ties[np.lexsort((rows[ties], cols[ties]))[0]]
-                    key = (float(low), first + s, int(cols[k]), int(rows[k]))
+                    key = (float(low), sweep, int(cols[k]), int(rows[k]))
                     if key < best_key:
                         best_key = key
                         best_spins = spins[rows[k]].copy()
-                accept = (deltas[rows] < thr[rows]) & (np.arange(n) > cols[:, None])
-                more = accept.any(axis=1)
-                rows, cols = rows[more], accept[more].argmax(axis=1)
+                accept = block < thr.take(rows, axis=0)
+                accept &= later.take(cols, axis=0)
+                cols = accept.argmax(axis=1)
+                more = accept.take(starts[: len(rows)] + cols)
+                rows = rows[more]
+                if not len(rows):
+                    break
+                cols = cols[more]
         del words, bits, thresholds, thr
     return _finish(q, (1.0 - best_spins) / 2.0, reads * sweeps * n, t0, "sa", seed)
 
@@ -378,8 +407,10 @@ def tabu_search(
     rng = np.random.default_rng(seed)
     x = (rng.random(n) < 0.5).astype(np.float64)
     spins = 1.0 - 2.0 * x
-    # the local field: deltas = spins * field, and a flip of j moves the field
-    # by +-sym[j] (zero diagonal); s * (h + c) = s * h + s * c exactly for
+    signs = spins.tolist()  # a list mirror of spins: each move reads its old spin here
+    # the local field: deltas = spins * field, and a flip of j adds sym[j] to
+    # the field in place when its spin was +1 and subtracts it when -1 (zero
+    # diagonal); h - c = h + (-c) and s * (h + c) = s * h + s * c exactly for
     # s = +-1, so this is the batch `_flip` update bit for bit
     field = lin + x @ sym
     deltas = spins * field
@@ -403,9 +434,9 @@ def tabu_search(
             k = int((deltas + barrier).argmin())
             if tabu_until[k] <= it:
                 j, old = k, deltas.item(k)
-        sign = spins.item(j)
-        field += sign * sym[j]
-        spins[j] = -sign
+        sign = signs[j]
+        (np.add if sign > 0 else np.subtract)(field, sym[j], out=field)
+        spins[j] = signs[j] = -sign
         np.multiply(spins, field, out=deltas)
         deltas[j] = -old
         current += old

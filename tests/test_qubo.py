@@ -140,7 +140,8 @@ def flip_state(q: Qubo, x):
 
 def flip_one(spins, deltas, sym, col):
     """Flip variable `col` of the one-row batch; the energy change it made."""
-    return float(_flip(spins, deltas, sym, np.array([0]), np.array([col]))[0])
+    signed = np.concatenate([sym, -sym])
+    return float(_flip(spins, deltas, signed, np.array([0]), np.array([col]))[0][0])
 
 
 def test_energy_delta_paper_instance():

@@ -33,12 +33,16 @@ from conftest import (
 )
 
 
-def reference_simulated_annealing(q, sweeps=1000, beta_schedule=(0.1, 10.0), reads=1000, seed=0):
+def reference_simulated_annealing(
+    q, sweeps=1000, beta_schedule=(0.1, 10.0), reads=1000, seed=0, events=None
+):
     """Annealing one variable at a time, with every draw taken up front from
     one default_rng(seed mod 2^64) stream: the (reads, n) initial uniforms,
     then raw 64-bit words, each split low half first into two 32-bit draws in
     (sweep, read, variable) order.  A draw's top 23 bits k give
-    v = 1 - k / 2^23 in (0, 1] and the float32 threshold -log(v)/beta."""
+    v = 1 - k / 2^23 in (0, 1] and the float32 threshold -log(v)/beta.
+    A list passed as `events` receives (sweep, variable, read, energy, state)
+    for every accepted flip."""
     beta_min, beta_max = beta_schedule
     t0 = time.perf_counter()
     n = q.n
@@ -69,6 +73,8 @@ def reference_simulated_annealing(q, sweeps=1000, beta_schedule=(0.1, 10.0), rea
             deltas[rows, :] += (1.0 - 2.0 * x[rows, :]) * sym[i, :] * sign[:, None]
             deltas[rows, i] = -old
             current[rows] += old
+            if events is not None:
+                events += [(s, i, int(r), float(current[r]), x[r].astype(np.uint8)) for r in rows]
             floor = float(current[rows].min())
             if floor < best_energy:
                 best_energy = floor
@@ -197,6 +203,52 @@ def test_sa_breaks_best_state_ties_like_the_reference():
         args = dict(sweeps=int(rng.integers(1, 6)), beta_schedule=(0.1, 1.0),
                     reads=int(rng.integers(20, 200)), seed=case)
         assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
+
+
+def test_sa_matches_reference_with_hundreds_of_live_reads(monkeypatch):
+    """A 28-variable pairing QUBO at 250 reads and the default beta range:
+    the hot sweeps flip and re-test hundreds of reads at once, which the
+    few-read cases above never reach."""
+    g = random_graph_with_odd_count(np.random.default_rng(5), 8)
+    q = compile_pairing(g, default_pairing_penalty(g)).qubo()
+    assert q.n == 28
+    live = []
+
+    def counted(spins, deltas, signed, rows, cols):
+        live.append(len(rows))
+        return flip(spins, deltas, signed, rows, cols)
+
+    flip = solvers._flip
+    monkeypatch.setattr(solvers, "_flip", counted)
+    args = dict(sweeps=300, reads=250, seed=7)
+    assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
+    assert max(live) >= 200
+
+
+def test_sa_keeps_the_first_state_to_reach_the_lowest_energy():
+    """x = 0 and x = (1, 0, 0, 0) both have the lowest energy, 0, and no
+    initial state has it.  Some read first reaches it in sweep 0; later
+    sweeps reach it again, at positions earlier in (variable, read) order and
+    in another state.  Those ties come from a later sweep, so the first state
+    stays the report."""
+    q = Qubo(4)
+    for i, c in enumerate([0.0, 2.0, 1.0, 2.0]):
+        add_linear(q, i, c)
+    add_quadratic(q, 0, 2, 2.0)
+    add_quadratic(q, 0, 3, 2.0)
+    args = dict(sweeps=9, beta_schedule=(0.5, 3.0), reads=5, seed=1)
+    events = []
+    ref = reference_simulated_annealing(q, **args, events=events)
+    lowest = [e for e in events if e[3] == ref.best_energy]
+    sweep, var, read, _, state = lowest[0]
+    assert sweep == 0 and ref.best_energy == 0.0
+    assert any(
+        s > sweep and (v, r) < (var, read) and not np.array_equal(x, state)
+        for s, v, r, _, x in lowest
+    )
+    report = simulated_annealing(q, **args)
+    assert same_report(report, ref)
+    assert np.array_equal(report.best_assignment, state)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
