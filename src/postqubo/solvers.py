@@ -183,9 +183,9 @@ def _flip(
     rows of a batch, keeping `deltas` the single-flip energy changes.
     `signed` stacks the couplings over their negation, [sym; -sym], so row
     c + n * (s_c < 0) is s_c * sym[c].  Return the change each flip made and
-    the rows' new deltas as an array of their own, exact after each flipped
-    column; at that column it still holds the change the flip made.  Every
-    product is +-1 times a coupling, so the update is exact."""
+    a copy of the rows' new deltas, except that at each flipped column the
+    copy still holds the change the flip made.  Every product is +-1 times a
+    coupling, so the update is exact."""
     n = spins.shape[1]
     at = rows * n + cols
     old = deltas.take(at)
@@ -328,7 +328,7 @@ def simulated_annealing(
 
     signed = np.concatenate([sym, -sym])
     later = np.triu(np.ones((n, n), dtype=bool), 1)  # later[c, k]: k follows c in a sweep
-    starts = np.arange(reads) * n  # flat position of each row's first entry
+    starts = np.arange(reads) * n  # where row i starts in a flattened (rows, n) array
     size = reads * n
     for first in range(0, sweeps, _SWEEP_BLOCK):
         if not (deltas < ceilings[first]).any():

@@ -213,12 +213,12 @@ def test_sa_matches_reference_with_hundreds_of_live_reads(monkeypatch):
     q = compile_pairing(g, default_pairing_penalty(g)).qubo()
     assert q.n == 28
     live = []
+    flip = solvers._flip
 
     def counted(spins, deltas, signed, rows, cols):
         live.append(len(rows))
         return flip(spins, deltas, signed, rows, cols)
 
-    flip = solvers._flip
     monkeypatch.setattr(solvers, "_flip", counted)
     args = dict(sweeps=300, reads=250, seed=7)
     assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
