@@ -14,6 +14,7 @@ from postqubo import (
     ServiceMode,
     TurnPenalty,
     UnsupportedCombination,
+    WalkStep,
     euler_shortcut,
     exact_walk_oracle,
 )
@@ -266,3 +267,148 @@ def test_shortcut_routes_are_pinned():
     lines = [repr(euler_shortcut(spec)) for spec in _shortcut_specs()]
     assert sum(line != "None" for line in lines) >= 30
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "3551ce1669695a68"
+
+
+# --- pinned oracle answers ----------------------------------------------------------
+
+def _variant_spec(rng, variant: int, n: int, n_edges: int, i_max_slack: tuple[int, int]):
+    """One seeded spec of the given variant, or None if the graph draw fails.
+
+    Variants: 0 endpoints, 1 rural, 2 windy with turns, 3 capacity, 4 service
+    with hierarchy (and sometimes service/traverse overrides), 5 rural with
+    turns, a capacity and a start.
+    """
+    g = random_mixed_graph(rng, n, n_edges, windy=variant in (2, 5) or bool(rng.integers(0, 2)),
+                           directed_frac=0.3)
+    if g is None:
+        return None
+    refs = sorted(g.edge_refs())
+    arcs = list(g.arcs())
+    kwargs: dict = {}
+    if variant in (0, 1, 2, 4):
+        r = rng.random()
+        if r < 0.3:
+            kwargs["start"] = kwargs["stop"] = int(rng.integers(0, n))
+        elif r < 0.45:
+            kwargs["start"] = int(rng.integers(0, n))
+        elif r < 0.6:
+            kwargs["stop"] = int(rng.integers(0, n))
+        elif r < 0.75:
+            kwargs["start"], kwargs["stop"] = (int(v) for v in rng.choice(n, 2, replace=False))
+    if variant in (1, 5):
+        keep = rng.random(len(refs)) < 0.6
+        keep[int(rng.integers(0, len(refs)))] = True
+        kwargs["required_edges"] = frozenset(ref for ref, k in zip(refs, keep) if k)
+    if variant in (2, 5):
+        turns = [(a, b) for a in arcs for b in arcs if a.head == b.tail]
+        picks = rng.choice(len(turns), size=min(len(turns), int(rng.integers(1, 4))), replace=False)
+        kwargs["turn_penalties"] = tuple(
+            TurnPenalty(turns[i][0].tail, turns[i][0].head, turns[i][1].head,
+                        float(rng.integers(1, 5)))
+            for i in sorted(picks)
+        )
+    if variant in (3, 5):
+        total = int(sum(a.weight for a in arcs)) // 2
+        kwargs["postmen"] = Postmen(count=1, capacities=(int(rng.integers(total // 2, 2 * total)),))
+        if variant == 3 and rng.random() < 0.5:
+            kwargs["start"] = int(rng.integers(0, n))
+        if variant == 5:
+            kwargs["start"] = int(rng.integers(0, n))
+    if variant == 4:
+        overrides = ()
+        if rng.random() < 0.5:
+            a = arcs[int(rng.integers(0, len(arcs)))]
+            overrides = ((a.tail, a.head, a.ref.kind, float(rng.integers(1, 12))),)
+        kwargs["service"] = ServiceMode(service_overrides=overrides)
+        if len(refs) >= 2:
+            i, j = (int(k) for k in rng.choice(len(refs), 2, replace=False))
+            kwargs["hierarchy"] = ((refs[i], refs[j]),)
+    lo, hi = i_max_slack
+    kwargs["i_max"] = max(1, g.edge_count + int(rng.integers(lo, hi + 1)))
+    return ProblemSpec(graph=g, **kwargs)
+
+
+def _oracle_specs(seed: int, count: int, sizes, i_max_slack):
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n = int(rng.choice(sizes))
+        spec = _variant_spec(rng, made % 6, n, int(rng.integers(n - 1, n + 2)), i_max_slack)
+        if spec is not None:
+            made += 1
+            yield spec
+
+
+def _oracle_line(spec) -> str:
+    try:
+        solution = exact_walk_oracle(spec)
+    except NoValidSolution:
+        return "NoValidSolution"
+    steps = [(s.frm, s.to, s.mode, s.kind) for s in solution.single_walk().steps]
+    return f"{solution.objective_weight!r} {solution.turn_extra!r} {steps}"
+
+
+def test_oracle_answers_are_pinned():
+    lines = [_oracle_line(spec) for spec in _oracle_specs(2111, 300, (3, 4, 5), (-1, 3))]
+    assert 20 <= lines.count("NoValidSolution") <= 150
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "166b1c85fe0735bd"
+
+
+def _contiguous_walks(spec):
+    """Every contiguous walk of 1..i_max (arc, mode) steps honouring the start."""
+    out: dict[int, list[WalkStep]] = {v: [] for v in spec.graph.vertices}
+    for arc in spec.graph.arcs():
+        for mode in spec.modes:
+            out[arc.tail].append(WalkStep(arc.tail, arc.head, mode, arc.ref.kind))
+    roots = [spec.start] if spec.start is not None else sorted(spec.graph.vertices)
+    stack = [[s] for v in roots for s in out[v]]
+    while stack:
+        walk = stack.pop()
+        yield walk
+        if len(walk) < spec.effective_i_max:
+            stack.extend(walk + [s] for s in out[walk[-1].to])
+
+
+def test_oracle_matches_exhaustive_walk_enumeration():
+    found = 0
+    for spec in _oracle_specs(7, 60, (3, 4), (-1, 1)):
+        best = float("inf")
+        for walk in _contiguous_walks(spec):
+            problems, weights, turn_extra = spec.check_walks([walk])
+            if not problems:
+                best = min(best, weights[0] + turn_extra)
+        if best == float("inf"):
+            with pytest.raises(NoValidSolution):
+                exact_walk_oracle(spec)
+            continue
+        found += 1
+        solution = exact_walk_oracle(spec)
+        assert solution.objective_weight + solution.turn_extra == best
+        problems, _, _ = spec.check_walks([solution.single_walk().steps])
+        assert problems == []
+    assert found >= 30
+
+
+def test_oracle_ties_break_to_the_lowest_root():
+    g = Graph.build(range(3), directed=[(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    walk = exact_walk_oracle(ProblemSpec(graph=g, i_max=3)).single_walk()
+    assert [(s.frm, s.to) for s in walk.steps] == [(0, 1), (1, 2), (2, 0)]
+
+
+def _hub_and_spokes() -> Graph:
+    """Arcs 0 -> spoke -> 6 for five spokes, then the return path 6-7-8-9-10-0."""
+    spokes = range(1, 6)
+    arcs = [(0, s, 1) for s in spokes] + [(s, 6, 1) for s in spokes]
+    arcs += [(6, 7, 1), (7, 8, 1), (8, 9, 1), (9, 10, 1), (10, 0, 1)]
+    return Graph.build(range(11), directed=arcs)
+
+
+def test_default_step_budget_can_exclude_every_covering_walk():
+    # each spoke needs its own pass round the 5-arc return: 5 x 7 = 35 steps,
+    # more than the default budget of 2 |E| = 30
+    g = _hub_and_spokes()
+    assert g.edge_count == 15
+    with pytest.raises(NoValidSolution):
+        exact_walk_oracle(ProblemSpec(graph=g, start=0, stop=0))
+    solution = exact_walk_oracle(ProblemSpec(graph=g, start=0, stop=0, i_max=35))
+    assert solution.objective_weight == 35.0

@@ -310,3 +310,22 @@ def _route_hash() -> str:
 
 def test_routes_are_pinned():
     assert _route_hash() == "0ce7c37bd94eb643"
+
+
+def test_oracle_answers_are_pinned():
+    # weights up to 2 on every other graph, so many pairings tie
+    rng = np.random.default_rng(2112)
+    lines = []
+    for d, count in ((2, 10), (4, 10), (6, 10), (8, 8), (10, 6), (12, 4)):
+        for k in range(count):
+            g = random_graph_with_odd_count(rng, d, max_weight=2 if k % 2 else 9)
+            pairing, added = exact_pairing_oracle(g)
+            lines.append(f"{pairing.sorted_pairs()} {added!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "1e7798cff6036844"
+
+
+def test_oracle_ties_break_to_the_lexicographically_smallest_pairing():
+    k4 = Graph.build(range(4), undirected=[(a, b, 1) for a, b in itertools.combinations(range(4), 2)])
+    pairing, added = exact_pairing_oracle(k4)
+    assert pairing.pairs == frozenset({(0, 1), (2, 3)})
+    assert added == 2.0
