@@ -30,7 +30,7 @@ from .errors import (
 )
 from .general import compile_general, default_penalties
 from .graphs import Graph, odd_degree_vertices
-from .oracle import euler_shortcut, exact_walk_oracle
+from .oracle import DEFAULT_NODE_LIMIT, euler_shortcut, exact_walk_oracle
 from .pairing import (
     _augment_and_route,
     compile_pairing,
@@ -115,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact ground truth for small instances")
     p_oracle.add_argument("input", type=Path, help="instance file or suite directory")
     p_oracle.add_argument("--out", type=Path, default=None, help="output directory")
-    p_oracle.add_argument("--node-limit", type=int, default=2_000_000, dest="node_limit")
+    p_oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT, dest="node_limit",
+                          help="most search states the walk oracle expands")
 
     p_validate = sub.add_parser("validate", help="re-check a route file")
     p_validate.add_argument("input", type=Path, help="route JSON file")

@@ -98,7 +98,7 @@ class NoValidSolution(SolveError):
 
 
 class SearchBudgetExceeded(SolveError):
-    """Branch-and-bound oracle ran past its node limit."""
+    """The walk oracle expanded more search states than its node limit."""
 
 
 class InputError(PostquboError):

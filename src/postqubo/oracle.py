@@ -1,12 +1,14 @@
 """Exact ground truth for small instances.
 
-exact_walk_oracle runs a depth-first branch-and-bound over all walks within
-the step budget; euler_shortcut returns the direct Euler-circuit answer for
+exact_walk_oracle runs a best-first search over all walks within the step
+budget; euler_shortcut returns the direct Euler-circuit answer for
 specs where it is provably optimal.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,19 +31,25 @@ class _Move:
     tail: int
     head: int
     kind: str
-    ref: EdgeRef | None
     mode: str
     cost: float
+    bit: int  # the required edge it covers (in service mode, service moves only)
+    need: int  # the required edges that must be serviced before it
 
 
-def _moves_for(spec: ProblemSpec) -> dict[int, list[_Move]]:
+def _moves_for(
+    spec: ProblemSpec, req_index: dict[EdgeRef, int], preds: dict[EdgeRef, int]
+) -> dict[int, list[_Move]]:
     by_tail: dict[int, list[_Move]] = {v: [] for v in spec.graph.vertices}
     for arc in spec.graph.arcs():
         key = (arc.tail, arc.head, arc.ref.kind)
+        i = req_index.get(arc.ref)
         for mode in spec.modes:
-            by_tail[arc.tail].append(
-                _Move(arc.tail, arc.head, arc.ref.kind, arc.ref, mode, spec.weight(0, key, mode))
-            )
+            covers = i is not None and (spec.service is None or mode == MODE_SERVICE)
+            by_tail[arc.tail].append(_Move(
+                arc.tail, arc.head, arc.ref.kind, mode, spec.weight(0, key, mode),
+                1 << i if covers else 0, preds.get(arc.ref, 0) if covers else 0,
+            ))
     for moves in by_tail.values():
         moves.sort(key=lambda m: (m.head, m.kind, m.mode))
     return by_tail
@@ -68,124 +76,104 @@ def exact_walk_oracle(
 ) -> RouteSolution:
     """Minimum-weight walk (plus turn bonuses) covering the required edges.
 
-    Single postman only; exhaustive over walks of length <= i_max honoring
-    the endpoints.  Raises SearchBudgetExceeded past `node_limit` expansions
-    and NoValidSolution when no covering walk fits the step budget.
+    Single postman only; exact over walks of length <= i_max honoring the
+    endpoints.  A best-first search (A*) over the states (vertex, covered
+    mask, steps, last arc), plus the walk weight under a capacity: a capacity
+    bounds the weight alone, so a lighter walk that pays a larger turn bonus
+    stays open.  States pop by total so far plus the cheapest covering move of
+    each uncovered required edge; weights and turn bonuses are non-negative,
+    so that bound is consistent and the first covering walk popped is optimal.
+    Ties pop in depth-first order: roots ascending, moves by (head, kind,
+    mode), a walk before its extensions.  Raises SearchBudgetExceeded past
+    `node_limit` expanded states and NoValidSolution when no covering walk
+    fits the step budget.
     """
     if spec.postmen.count != 1:
         raise UnsupportedCombination("the walk oracle handles a single postman")
-    required = list(spec.resolved_required())
+    required = spec.resolved_required()
     req_index = {ref: i for i, ref in enumerate(required)}
     full_mask = (1 << len(required)) - 1
-    moves = _moves_for(spec)
     i_max = spec.effective_i_max
-    capacity = (
-        float(spec.postmen.capacities[0])
-        if spec.postmen.capacities is not None
-        else None
-    )
-    closure = spec.hierarchy_closure()
+    caps = spec.postmen.capacities
+    capacity = None if caps is None else float(caps[0])
     preds: dict[EdgeRef, int] = {}
-    for first, second in closure:
+    for first, second in spec.hierarchy_closure():
         preds[second] = preds.get(second, 0) | (1 << req_index[first])
-
-    # admissible bound: every uncovered edge costs at least its cheapest move
-    cheapest = {}
-    for ref in required:
-        costs = []
-        for lst in moves.values():
-            for m in lst:
-                if m.ref == ref and (spec.service is None or m.mode == MODE_SERVICE):
-                    costs.append(m.cost)
-        cheapest[ref] = min(costs)
-    hop_to_stop = _hop_distance_to(spec, spec.stop) if spec.stop is not None else None
-
-    turn_bonus: dict[tuple[int, int, int], float] = {}
+    moves = _moves_for(spec, req_index, preds)
+    cheapest: dict[int, float] = {}  # required-edge bit -> its cheapest covering move
+    for m in itertools.chain.from_iterable(moves.values()):
+        if m.bit:
+            cheapest[m.bit] = min(cheapest.get(m.bit, m.cost), m.cost)
+    hops = (dict.fromkeys(spec.graph.vertices, 0) if spec.stop is None
+            else _hop_distance_to(spec, spec.stop))
+    turn_bonus: dict[tuple[tuple[int, int], int], float] = {}
     for t in spec.turn_penalties:
-        key = (t.in_tail, t.in_head, t.out_head)
+        key = (t.arc_in, t.out_head)
         turn_bonus[key] = turn_bonus.get(key, 0.0) + t.bonus
 
-    best_total = float("inf")
-    best_path: list[_Move] | None = None
-    nodes = 0
-    # dominance memo: (vertex, mask, steps, last arc) -> lowest total seen.
-    # Under a capacity only the weight decides which moves stay open, so a
-    # state dominates another only at equal weight: the weight joins the key.
-    memo: dict[tuple, float] = {}
-
+    # a walk's rank holds its choices as digits, root first: rank order is
+    # depth-first order, and the walk is read back off its rank
     roots = [spec.start] if spec.start is not None else sorted(spec.graph.vertices)
-
-    def remaining_bound(mask: int) -> float:
-        acc = 0.0
-        for ref, i in req_index.items():
-            if not mask & (1 << i):
-                acc += cheapest[ref]
-        return acc
-
-    def uncovered_count(mask: int) -> int:
-        return len(required) - bin(mask).count("1")
-
-    def dfs(v: int, mask: int, steps: int, wsum: float, bonus: float,
-            last: tuple[int, int] | None, path: list[_Move]) -> None:
-        nonlocal best_total, best_path, nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise SearchBudgetExceeded(f"oracle exceeded {node_limit} nodes")
-        total = wsum + bonus
-        if mask == full_mask and (spec.stop is None or v == spec.stop):
-            if total < best_total:
-                best_total = total
-                best_path = list(path)
-        if steps == i_max:
-            return
-        key = (v, mask, steps, last) if capacity is None else (v, mask, steps, last, wsum)
-        prev = memo.get(key)
-        if prev is not None and prev <= total:
-            return
-        memo[key] = total
-        if total + remaining_bound(mask) >= best_total:
-            return
-        if steps + uncovered_count(mask) > i_max:
-            return
-        if hop_to_stop is not None:
-            hops = hop_to_stop.get(v)
-            if hops is None or steps + max(hops, uncovered_count(mask)) > i_max:
-                return
-        for m in moves[v]:
-            new_mask = mask
-            if m.ref in req_index:
-                bit = 1 << req_index[m.ref]
+    base = 1 + max(len(roots), *map(len, moves.values()))
+    place = [base ** (i_max - k) for k in range(i_max + 1)]
+    bound = sum(cheapest.values())
+    # entries: (total + bound, rank, state, weight, bonus, bound); a state is
+    # (vertex, mask, steps, last arc, weight under a capacity or None)
+    heap = []
+    best: dict[tuple, tuple[float, int]] = {}
+    for r, root in enumerate(roots):
+        state = (root, 0, 0, None, None if capacity is None else 0.0)
+        best[state] = (bound, (r + 1) * place[0])
+        heap.append((*best[state], state, 0.0, 0.0, bound))
+    expanded = 0
+    while heap:
+        key, rank, state, wsum, bonus, bound = heapq.heappop(heap)
+        if best[state] != (key, rank):
+            continue  # a better walk reached this state first
+        v, mask, steps, last, _ = state
+        if mask == full_mask and spec.stop in (None, v):
+            break
+        expanded += 1
+        if expanded > node_limit:
+            raise SearchBudgetExceeded(f"oracle exceeded {node_limit} expanded states")
+        for j, m in enumerate(moves[v]):
+            bit = m.bit
+            if mask & bit:
                 if spec.service is not None:
-                    if m.mode == MODE_SERVICE:
-                        if new_mask & bit:
-                            continue  # required edges are serviced exactly once
-                        if preds.get(m.ref, 0) & ~new_mask:
-                            continue  # a must-precede edge is still unserviced
-                        new_mask |= bit
-                else:
-                    new_mask |= bit
+                    continue  # required edges are serviced exactly once
+                bit = 0
+            elif m.need & ~mask:
+                continue  # a must-precede edge is still unserviced
             new_wsum = wsum + m.cost
             if capacity is not None and new_wsum > capacity:
                 continue
-            extra = 0.0
-            if last is not None:
-                extra = turn_bonus.get((last[0], last[1], m.head), 0.0)
-            path.append(m)
-            dfs(m.head, new_mask, steps + 1, new_wsum, bonus + extra, (m.tail, m.head), path)
-            path.pop()
-
-    for root in roots:
-        dfs(root, 0, 0, 0.0, 0.0, None, [])
-
-    if best_path is None and best_total == float("inf"):
+            # the uncovered edges and the way to the stop must fit the budget
+            left = len(required) - (mask | bit).bit_count()
+            if steps + 1 + max(left, hops.get(m.head, i_max)) > i_max:
+                continue
+            new_bonus = bonus + turn_bonus.get((last, m.head), 0.0)
+            new_bound = bound - cheapest[bit] if bit else bound
+            child = (m.head, mask | bit, steps + 1, (m.tail, m.head),
+                     None if capacity is None else new_wsum)
+            entry = (new_wsum + new_bonus + new_bound, rank + (j + 1) * place[steps + 1])
+            seen = best.get(child)
+            if seen is None or entry < seen:
+                best[child] = entry
+                heapq.heappush(heap, (*entry, child, new_wsum, new_bonus, new_bound))
+    else:
         raise NoValidSolution("no covering walk fits within i_max steps")
-    steps = tuple(WalkStep(m.tail, m.head, m.mode, m.kind) for m in (best_path or []))
-    weight = sum(m.cost for m in (best_path or []))
+
+    path, v = [], roots[rank // place[0] - 1]
+    for k in range(1, steps + 1):
+        m = moves[v][rank // place[k] % base - 1]
+        path.append(m)
+        v = m.head
+    weight = sum(m.cost for m in path)
     return RouteSolution(
-        walks=(RouteWalk(steps, weight),),
+        walks=(RouteWalk(tuple(WalkStep(m.tail, m.head, m.mode, m.kind) for m in path), weight),),
         objective_weight=weight,
         validity=ValidityReport(),
-        turn_extra=best_total - weight,
+        turn_extra=wsum + bonus - weight,
     )
 
 

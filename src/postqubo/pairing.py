@@ -8,6 +8,7 @@ each duplicate back into its shortest path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -192,39 +193,33 @@ def _augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
 
 
 def exact_pairing_oracle(g: Graph) -> tuple[Pairing, float]:
-    """Minimum-added-weight perfect pairing by exhaustive enumeration.
+    """Minimum-added-weight perfect pairing, solving each remaining set once.
 
-    Enumerates all (d-1)!! pairings; ties break to the lexicographically
-    smallest pairing.  Capped at 12 odd vertices (10395 pairings).
+    The lowest remaining vertex is paired with each later one in turn, and the
+    rest is solved recursively (memoized), so a strict improvement keeps the
+    lexicographically smallest of tied pairings.  Returns the pairing and its
+    weight summed in pair order.  Capped at 12 odd vertices.
     """
     odd = _checked_odd_vertices(g)
     if len(odd) > ORACLE_MAX_ODD:
         raise TooManyOddVertices(f"{len(odd)} odd vertices > cap {ORACLE_MAX_ODD}")
     sp = g.paths
 
-    best_pairs: list[tuple[int, int]] | None = None
-    best_weight = float("inf")
-
-    def recurse(remaining: list[int], acc: list[tuple[int, int]], weight: float) -> None:
-        nonlocal best_pairs, best_weight
+    @functools.cache
+    def best(remaining: tuple[int, ...]) -> tuple[float, tuple[tuple[int, int], ...]]:
         if not remaining:
-            # enumeration emits pairings in lexicographic order, so a strict
-            # improvement test keeps the lexicographically smallest tie
-            if weight < best_weight:
-                best_weight = weight
-                best_pairs = list(acc)
-            return
+            return 0.0, ()
         first = remaining[0]
+        choice = (float("inf"), ())
         for k in range(1, len(remaining)):
-            partner = remaining[k]
-            acc.append((first, partner))
-            rest = remaining[1:k] + remaining[k + 1 :]
-            recurse(rest, acc, weight + sp.distance(first, partner))
-            acc.pop()
+            weight, pairs = best(remaining[1:k] + remaining[k + 1 :])
+            weight += sp.distance(first, remaining[k])
+            if weight < choice[0]:
+                choice = (weight, ((first, remaining[k]),) + pairs)
+        return choice
 
-    recurse(odd, [], 0.0)
-    assert best_pairs is not None
-    return Pairing(frozenset(best_pairs)), best_weight
+    _, pairs = best(tuple(odd))
+    return Pairing(frozenset(pairs)), sum((sp.distance(a, b) for a, b in pairs), 0.0)
 
 
 def euler_route(g: Graph) -> RouteSolution:

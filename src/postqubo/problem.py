@@ -89,7 +89,10 @@ class ProblemSpec:
     """One postman-problem instance for the general compiler.
 
     required_edges=None means every edge is required (the proper-subset case
-    is the rural variant).  i_max=None defaults to twice the edge count.
+    is the rural variant).  i_max=None defaults to twice the edge count.  That
+    budget holds an optimal walk on undirected graphs, where it uses each edge
+    at most twice (Edmonds & Johnson 1973), but not always with directed arcs:
+    a covering walk may have to repeat a directed return path more often.
     """
 
     graph: Graph
@@ -133,7 +136,17 @@ class ProblemSpec:
         if self.hierarchy and self.service is None:
             raise SpecError("hierarchy ordering requires service mode")
         # closure must stay acyclic (partial order)
-        closure = self.hierarchy_closure()
+        closure = set(self.hierarchy)
+        changed = True
+        while changed:
+            changed = False
+            for a, b in list(closure):
+                for c, d in list(closure):
+                    if b == c and (a, d) not in closure:
+                        closure.add((a, d))
+                        changed = True
+        closure = frozenset(closure)
+        object.__setattr__(self, "_hierarchy_closure", closure)
         for a, b in closure:
             if a == b:
                 raise SpecError(f"hierarchy relation is cyclic through {a}")
@@ -198,17 +211,8 @@ class ProblemSpec:
         )
 
     def hierarchy_closure(self) -> frozenset[tuple[EdgeRef, EdgeRef]]:
-        """Transitive closure of the must-precede pairs."""
-        closure = set(self.hierarchy)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closure):
-                for c, d in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        return frozenset(closure)
+        """Transitive closure of the must-precede pairs, computed once."""
+        return self._hierarchy_closure
 
     @property
     def modes(self) -> tuple[str, ...]:
