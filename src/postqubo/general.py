@@ -52,7 +52,7 @@ from .qubo import (
     RestVar,
     VariableRegistry,
 )
-from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
+from .routes import RouteSolution, WalkStep
 
 TERMINAL = -1
 KIND_TERMINAL = "t"
@@ -365,36 +365,28 @@ class CompiledGeneral(CompiledProblem):
         have small integer coefficients, so their energies are exact.  The
         capacity-slack identity is checked linearly: the capacity form's
         offset, the capacity squared, is inexact past 2^53.  The walks, with
-        terminal arcs and repeats stripped, go through
-        `ProblemSpec.check_walks` for the route rules, the walk weights and
-        the turn bonus.
+        terminal arcs and repeats stripped, go through `ProblemSpec.route` for
+        the route rules, the walk weights and the turn bonus.
         """
         if len(x) != len(self.registry):
             raise LengthMismatch(f"assignment length {len(x)} != {len(self.registry)}")
         spec = self.spec
         bits = np.asarray(x, dtype=np.float64)  # once, for the masks and the three forms
         # per postman, the table rows whose bits are set, in step order
-        walks = [self._walk(t[bits[t["index"]] != 0]) for t in self._tables]
-        problems, weights, turn_extra = spec.check_walks(walks)
-        # the rest encoding strips nothing, so a walk weight is the bits' used weight
+        rows = [t[bits[t["index"]] != 0] for t in self._tables]
+        # the set rows' weights plus the set slack bits must fill each capacity
         slack = self._cap_slack[bits[self._cap_slack[:, 3]] != 0].tolist()
         capacity_ok = spec.postmen.capacities is None or all(
-            float(c) - used - sum(1 << bit for owner, _, bit, _ in slack if owner == p) == 0.0
-            for p, (c, used) in enumerate(zip(spec.postmen.capacities, weights))
+            float(c) - float(r["weight"].sum())
+            - sum(1 << bit for owner, _, bit, _ in slack if owner == p) == 0.0
+            for p, (c, r) in enumerate(zip(spec.postmen.capacities, rows))
         )
-        flags = {
-            "one_edge_per_step": self.constraints["one_edge"].energy(bits) == 0.0,
-            "contiguous": self.constraints["adjacency"].energy(bits) == 0.0,
-            "required_covered": self.constraints["required"].energy(bits) == 0.0,
-            "capacity_ok": capacity_ok,
-        }
-        for name, _ in problems:
-            flags[name] = False
-        return RouteSolution(
-            walks=tuple(RouteWalk(tuple(w), weight) for w, weight in zip(walks, weights)),
-            objective_weight=sum(weights, 0.0),
-            validity=ValidityReport(**flags),
-            turn_extra=turn_extra,
+        return spec.route(
+            [self._walk(r) for r in rows],
+            one_edge_per_step=self.constraints["one_edge"].energy(bits) == 0.0,
+            contiguous=self.constraints["adjacency"].energy(bits) == 0.0,
+            required_covered=self.constraints["required"].energy(bits) == 0.0,
+            capacity_ok=capacity_ok,
         )
 
     def _walk(self, rows: np.ndarray) -> list[WalkStep]:

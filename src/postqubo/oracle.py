@@ -21,7 +21,7 @@ from .errors import (
 from .graphs import EdgeRef, _euler_edge_sequence
 from .problem import ProblemSpec
 from .qubo import MODE_SERVICE
-from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
+from .routes import RouteSolution, WalkStep
 
 DEFAULT_NODE_LIMIT = 2_000_000
 
@@ -86,7 +86,7 @@ def exact_walk_oracle(
     Ties pop in depth-first order: roots ascending, moves by (head, kind,
     mode), a walk before its extensions.  Raises SearchBudgetExceeded past
     `node_limit` expanded states and NoValidSolution when no covering walk
-    fits the step budget.
+    fits the step budget.  The validity comes from `ProblemSpec.check_walks`.
     """
     if spec.postmen.count != 1:
         raise UnsupportedCombination("the walk oracle handles a single postman")
@@ -168,13 +168,7 @@ def exact_walk_oracle(
         m = moves[v][rank // place[k] % base - 1]
         path.append(m)
         v = m.head
-    weight = sum(m.cost for m in path)
-    return RouteSolution(
-        walks=(RouteWalk(tuple(WalkStep(m.tail, m.head, m.mode, m.kind) for m in path), weight),),
-        objective_weight=weight,
-        validity=ValidityReport(),
-        turn_extra=wsum + bonus - weight,
-    )
+    return spec.route([[WalkStep(m.tail, m.head, m.mode, m.kind) for m in path]])
 
 
 def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
@@ -201,13 +195,8 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
 
     # the circuit services every required edge once (plain without service mode)
     mode = spec.modes[0]
-
-    def weight_of(tail: int, head: int, kind: str) -> float:
-        return spec.weight(0, (tail, head, kind), mode)
-
-    if not directed and any(
-        weight_of(ref.a, ref.b, kind) != weight_of(ref.b, ref.a, kind) for ref in required
-    ):
+    if not directed and any(spec.weight(0, (r.a, r.b, kind), mode)
+                            != spec.weight(0, (r.b, r.a, kind), mode) for r in required):
         return None  # windy edge: circuit orientation changes the cost
     try:
         sequence = _euler_edge_sequence([(ref.a, ref.b) for ref in required], directed)
@@ -231,6 +220,4 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
         k = tails.index(anchor)
         steps = steps[k:] + steps[:k]
 
-    weight = sum(weight_of(a, b, kind) for a, b in steps)
-    walk = RouteWalk(tuple(WalkStep(a, b, mode, kind) for a, b in steps), weight)
-    return RouteSolution(walks=(walk,), objective_weight=weight)
+    return spec.route([[WalkStep(a, b, mode, kind) for a, b in steps]])

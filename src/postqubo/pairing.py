@@ -24,7 +24,8 @@ from .errors import (
 )
 from .graphs import Graph, _euler_edge_sequence, is_strongly_connected, odd_degree_vertices
 from .qubo import CompiledProblem, PairVar, PenaltyConfig, Qubo, VariableRegistry
-from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
+from .problem import ProblemSpec
+from .routes import RouteSolution, ValidityReport, WalkStep
 
 ORACLE_MAX_ODD = 12
 
@@ -163,8 +164,8 @@ def decode_pairing(x: Sequence[int], reg: VariableRegistry) -> Pairing:
 def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
     """Duplicate one edge per pair, take the Euler circuit, expand duplicates.
 
-    Total weight is exactly (sum of original edge weights) plus the pairing's
-    added shortest-path weight.
+    The weight, summed in walk order as `validate` sums it, is the edge weights
+    plus the pairing's added shortest-path weight up to summation order.
     """
     _check_pairing_input(g)
     return _augment_and_route(g, pairing)
@@ -177,19 +178,15 @@ def _augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
         raise NotPerfectPairing(
             f"pairing covers {sorted(pairing.vertices())}, odd vertices are {sorted(odd)}"
         )
-    pairs = pairing.sorted_pairs()
     # g.paths is read only for pairs, so an empty pairing computes no shortest paths
-    added = [g.paths.distance(a, b) for a, b in pairs]
-    edges = [(e.a, e.b) for e in g.undirected] + pairs
+    edges = [(e.a, e.b) for e in g.undirected] + pairing.sorted_pairs()
     steps: list[tuple[int, int]] = []
     for tail, head, idx in _euler_edge_sequence(edges):
         if idx >= len(g.undirected):  # a pair: expand into its shortest path
             steps.extend(g.paths.path_steps(tail, head))
         else:
             steps.append((tail, head))
-    weight = sum(itertools.chain((e.w_ab for e in g.undirected), added))
-    walk = RouteWalk(tuple(WalkStep(a, b, kind="u") for a, b in steps), weight)
-    return RouteSolution(walks=(walk,), objective_weight=weight)
+    return ProblemSpec(graph=g).route([[WalkStep(a, b, kind="u") for a, b in steps]])
 
 
 def exact_pairing_oracle(g: Graph) -> tuple[Pairing, float]:

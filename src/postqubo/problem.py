@@ -10,8 +10,8 @@ traverse override, a plain step the postman's override, and any arc without
 an override costs its graph weight.  `ProblemSpec.modes` is the matching mode
 rule: service and traverse in service mode, plain otherwise.
 
-The route rules live in one place, `ProblemSpec.check_walks`: the decoder and
-the route validator both call it on per-postman walks.
+The route rules live in one place, `ProblemSpec.check_walks`: the route
+validator calls it, and every route is built by its wrapper `ProblemSpec.route`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import SpecError, UnsupportedCombination
 from .graphs import EdgeRef, Graph
 from .qubo import MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
-from .routes import WalkStep
+from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
 ArcKey = tuple[int, int, str]  # (tail, head, kind)
 
@@ -303,6 +303,23 @@ class ProblemSpec:
                             )
                         seen[key] = p
         return problems, weights, turn_extra
+
+    def route(self, walks: Sequence[Sequence[WalkStep]], **flags: bool) -> RouteSolution:
+        """The walks as a route, its weights, turn bonus and validity from `check_walks`.
+
+        `flags` are ValidityReport fields the caller knows from elsewhere (the
+        decoder's bit-level forms); a field is valid when its flag holds and
+        `check_walks` finds no problem of its kind.
+        """
+        problems, weights, turn_extra = self.check_walks(walks)
+        for name, _ in problems:
+            flags[name] = False
+        return RouteSolution(
+            walks=tuple(RouteWalk(tuple(w), weight) for w, weight in zip(walks, weights)),
+            objective_weight=sum(weights, 0.0),
+            validity=ValidityReport(**flags),
+            turn_extra=turn_extra,
+        )
 
 
 def _override_table(

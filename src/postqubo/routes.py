@@ -61,9 +61,8 @@ class RouteWalk:
 class RouteSolution:
     """Per-postman walks plus the objective value and a validity report.
 
-    objective_weight counts a maximal run of the same repeated edge once,
-    mirroring the objective's repeat discount; turn_extra collects matched
-    turn bonus weights separately.
+    objective_weight sums the walk weights; turn_extra collects matched turn
+    bonus weights separately.  `ProblemSpec.route` builds both from the walks.
     """
 
     walks: tuple[RouteWalk, ...]

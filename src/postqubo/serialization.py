@@ -274,7 +274,10 @@ def load_instance(path) -> GraphDocument | SpecDocument:
         raise InputError(f"{path}: expected a JSON object")
     if "graph" in obj:
         return parse_spec(obj)
-    return parse_graph(obj)
+    doc = parse_graph(obj)
+    if not doc.graph.edge_count:  # a graph file asks for a closed walk over its edges
+        raise InputError("the graph has no edges to walk")
+    return doc
 
 
 # --- route files -------------------------------------------------------------

@@ -71,6 +71,18 @@ def test_edgeless_spec_is_an_input_error(command, tmp_path, capsys):
     assert err.startswith("input error:") and "i_max is 0" in err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--force-qubo"], ["oracle"],
+                                     ["export-qubo"], ["export-qubo", "--force-qubo"]])
+def test_edgeless_graph_file_is_an_input_error(command, tmp_path, capsys):
+    # a graph file asks for a closed walk over its edges; the empty walk fails validate
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": ["a"]}))
+    code = run(command[0], path, *command[1:], "--out", tmp_path / "out")
+    assert code == 1
+    assert "the graph has no edges to walk" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_unknown_spec_key_exits_one(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"graph": FIG_GRAPH, "wat": 1}))
@@ -250,6 +262,31 @@ def test_validate_checks_a_general_route_on_a_graph_file_as_solve_did(tmp_path, 
     capsys.readouterr()
     assert run("validate", out / "pairing.json", "--instance", graph) == 2
     assert "walk is not closed" in capsys.readouterr().err
+
+
+def test_pairing_route_with_fractional_weights_validates(tmp_path):
+    # the stated weight is the steps summed in walk order, as validate sums them
+    # (the edges plus the added path weight came out 8163852.9692 != 8163852.969199998)
+    graph = tmp_path / "g9.json"
+    graph.write_text(json.dumps({"vertices": list(range(9)), "undirected": [
+        [1, 6, 972449.3444], [2, 5, 651994.1385], [5, 8, 139834.5696], [2, 6, 103649.6297],
+        [6, 7, 220575.2743], [3, 5, 946902.0443], [0, 4, 372574.5058], [6, 8, 429531.0415],
+        [0, 5, 908376.6201], [3, 8, 382927.4245], [0, 7, 594083.9656], [3, 7, 492427.8619]]}))
+    out = tmp_path / "out"
+    assert run("solve", graph, "--solver", "brute", "--out", out) == 0
+    assert run("validate", out / "g9.route.json", "--instance", graph) == 0
+
+
+def test_oracle_turn_bonus_is_the_stated_bonus(tmp_path):
+    # weight + bonus - weight gave 0.2999999523162842 at these weights
+    spec = tmp_path / "turn.json"
+    spec.write_text(json.dumps({
+        "graph": {"vertices": [0, 1, 2],
+                  "directed": [[0, 1, 123456789.1], [1, 2, 234567891.2], [2, 0, 345678912.3]]},
+        "turn_penalties": [[[0, 1], [1, 2], 0.3]], "start": 0, "i_max": 3}))
+    assert run("oracle", spec) == 0
+    assert json.loads((tmp_path / "turn.oracle.json").read_text())["turn_extra"] == 0.3
+    assert run("validate", tmp_path / "turn.oracle.json", "--instance", spec) == 0
 
 
 def test_validate_detects_tampering(fig_graph_file, tmp_path, capsys):

@@ -1,20 +1,25 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from postqubo import (
     EdgeRef,
+    Graph,
     InputError,
     Postmen,
     PostquboError,
     ProblemSpec,
     ServiceMode,
+    TurnPenalty,
     brute_force,
     compile_general,
     default_penalties,
+    euler_shortcut,
+    exact_walk_oracle,
 )
-from postqubo.pairing import euler_route
+from postqubo.pairing import augment_and_route, compile_pairing, euler_route, exact_pairing_oracle
 from postqubo.routes import RouteSolution, RouteWalk, WalkStep
 from postqubo.serialization import (
     GraphDocument,
@@ -27,6 +32,7 @@ from postqubo.serialization import (
     route_from_json,
     route_to_json,
 )
+from conftest import encode_pairing, encode_route, random_graph_with_odd_count, random_mixed_graph
 
 
 FIG_GRAPH = {
@@ -315,3 +321,95 @@ def test_render_dot_contains_route_overlay():
                         "undirected": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]})
     text = render_dot(doc2, solution)
     assert "color=red" in text
+
+
+# --- every route producer round-trips through validate -----------------------------
+
+def _fractional(rng, g):
+    """`g` with every weight drawn again as a four-decimal float."""
+    def w():
+        return round(float(rng.uniform(1e5, 1e6)), 4)
+    return Graph.build(
+        sorted(g.vertices),
+        undirected=[(e.a, e.b, w()) if e.symmetric else (e.a, e.b, w(), w())
+                    for e in g.undirected],
+        directed=[(d.tail, d.head, w()) for d in g.directed],
+    )
+
+
+def _even_cycle(rng, n):
+    """An n-cycle with fractional weights: no odd vertex, one Euler circuit."""
+    return _fractional(rng, Graph.build(range(n), undirected=[(i, (i + 1) % n, 1)
+                                                                for i in range(n)]))
+
+
+def _round_trip(doc, solution, pipeline):
+    """The route as `validate` reads it back: problems, weight, turn_extra, recomputed."""
+    graph_doc = doc if isinstance(doc, GraphDocument) else doc.graph_doc
+    obj = json.loads(json.dumps(route_to_json(solution, graph_doc, pipeline, "test", 0, None)))
+    back = route_from_json(obj, graph_doc)
+    spec = doc.spec if isinstance(doc, SpecDocument) else ProblemSpec(graph=doc.graph)
+    _, weights, turn_extra = spec.check_walks([w.steps for w in back.walks])
+    assert (back.objective_weight, back.turn_extra) == (sum(weights, 0.0), turn_extra)
+    return revalidate_route(doc, back)
+
+
+def _mixed_specs(rng, count):
+    """Windy mixed specs with fractional weights; some have a fractional turn
+    bonus, a rural subset, endpoints or service mode."""
+    made = 0
+    while made < count:
+        g = random_mixed_graph(rng, int(rng.integers(3, 5)), int(rng.integers(3, 5)),
+                               windy=True, directed_frac=0.3)
+        if g is None:
+            continue
+        g = _fractional(rng, g)
+        refs, arcs = sorted(g.edge_refs()), list(g.arcs())
+        kwargs = {"i_max": g.edge_count + 2}
+        if made % 2 == 0:
+            turns = [(a, b) for a in arcs for b in arcs if a.head == b.tail]
+            a, b = turns[int(rng.integers(0, len(turns)))]
+            kwargs["turn_penalties"] = (TurnPenalty(a.tail, a.head, b.head,
+                                                    round(float(rng.uniform(0.1, 1e5)), 4)),)
+        if made % 3 == 1:
+            kwargs["required_edges"] = frozenset(refs[: max(1, len(refs) - 1)])
+        if made % 4 == 2:
+            kwargs["start"] = int(rng.integers(0, len(g.vertices)))
+        if made % 5 == 3:
+            kwargs["service"] = ServiceMode()
+        made += 1
+        yield ProblemSpec(graph=g, **kwargs)
+
+
+def test_every_producer_states_the_weight_and_bonus_validate_recomputes():
+    # fractional weights make the summation order show: each producer's
+    # route must carry exactly what `check_walks` recomputes, and validate
+    rng = np.random.default_rng(2203)
+    for _ in range(12):
+        g = _fractional(rng, random_graph_with_odd_count(rng, int(rng.choice([2, 4, 6]))))
+        doc = GraphDocument(g, tuple(sorted(g.vertices)))
+        compiled = compile_pairing(g)
+        pairing, _ = exact_pairing_oracle(g)
+        decoded = compiled.decode(encode_pairing(pairing, compiled.registry))
+        assert decoded.is_valid
+        for solution in (decoded, augment_and_route(g, pairing)):
+            assert _round_trip(doc, solution, "pairing") == []
+        even = _even_cycle(rng, int(rng.integers(3, 7)))
+        even_doc = GraphDocument(even, tuple(sorted(even.vertices)))
+        assert _round_trip(even_doc, euler_route(even), "pairing") == []
+
+    for spec in _mixed_specs(rng, 24):  # 12 with a turn bonus, 4 of whose walks pay it
+        doc = SpecDocument(spec, GraphDocument(spec.graph, tuple(sorted(spec.graph.vertices))))
+        oracle = exact_walk_oracle(spec)
+        assert oracle.is_valid and _round_trip(doc, oracle, "general") == []
+        # the repetition encoding pads with repeats, and a service step never repeats
+        compiled = compile_general(spec, "terminal" if spec.service else "auto")
+        steps = [(s.frm, s.to, s.mode, s.kind) for s in oracle.single_walk().steps]
+        decoded = compiled.decode(encode_route(compiled, [steps]))
+        assert decoded.is_valid and _round_trip(doc, decoded, "general") == []
+    for n in (3, 4, 5):
+        cycle = _even_cycle(rng, n)
+        spec = ProblemSpec(graph=cycle, start=n - 1)
+        doc = SpecDocument(spec, GraphDocument(cycle, tuple(range(n))))
+        shortcut = euler_shortcut(spec)
+        assert shortcut is not None and _round_trip(doc, shortcut, "general") == []
