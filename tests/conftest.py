@@ -305,7 +305,7 @@ def encode_pairing(pairing, reg) -> list[int]:
     return x
 
 
-def encode_route(compiled, walks) -> list[int]:
+def encode_route(compiled, walks, strict: bool = False) -> list[int]:
     """Bits for per-postman walks given as (tail, head[, mode[, kind]]) steps.
 
     A reference encoder that reads only a compiled general problem's spec,
@@ -316,7 +316,8 @@ def encode_route(compiled, walks) -> list[int]:
     pruned and raises SpecError.  The slack registers are filled to match,
     each clamped to its range so that violating walks stay encodable: a
     required edge's extra visits fill the postmen's registers in postman
-    order, a postman's unused capacity goes to theirs.
+    order, a postman's unused capacity goes to theirs.  With `strict`, a
+    value that would be clamped raises SpecError instead.
     """
     spec, reg, i_max = compiled.spec, compiled.registry, compiled.i_max
     count, pad = spec.postmen.count, spec.modes[-1]
@@ -381,11 +382,16 @@ def encode_route(compiled, walks) -> list[int]:
         return value - held
 
     for ref in spec.resolved_required():
-        extra = max(visits[ref] - 1, 0)
+        extra = left = visits[ref] - 1
         for p in range(count):
-            extra = fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, p, ref.kind), extra)
+            left = fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, p, ref.kind), max(left, 0))
+        if strict and (extra < 0 or left):
+            raise SpecError(f"{extra} extra visits of {ref} do not fit its slack registers")
     for p, c in enumerate(spec.postmen.capacities or ()):
-        fill(lambda bit: CapacitySlack(bit, p), int(max(float(c) - used[p], 0)))
+        spare = float(c) - used[p]
+        left = fill(lambda bit: CapacitySlack(bit, p), int(max(spare, 0)))
+        if strict and (spare < 0 or left):
+            raise SpecError(f"postman {p}'s spare capacity {spare} does not fit its register")
     return x
 
 

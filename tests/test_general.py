@@ -318,6 +318,45 @@ def test_slack_absorbs_extra_visits():
     assert not compiled.decode(x).validity.required_covered
 
 
+def _path_spec(edges: int, postmen: int, i_max: int) -> ProblemSpec:
+    g = Graph.build(range(edges + 1), undirected=[(v, v + 1, 1) for v in range(edges)])
+    return ProblemSpec(graph=g, postmen=Postmen(postmen), i_max=i_max)
+
+
+# every step of every postman covers at most one required edge, so a valid
+# walk has at most P * i_max - |R| extra visits, all on one edge at worst
+@pytest.mark.parametrize("encoding, postmen", [
+    (ENC_REPETITION, 1), (ENC_TERMINAL, 1), (ENC_REST, 2), (ENC_REST, 3),
+])
+@pytest.mark.parametrize("i_max", range(2, 9))
+def test_every_spare_step_on_one_required_edge_encodes_at_zero_penalty(encoding, postmen, i_max):
+    # path 0-1-2: postman 0 walks it, then every postman bounces on (1, 2)
+    spec = _path_spec(2, postmen, i_max)
+    bounce = [(1, 2), (2, 1)] * i_max
+    walks = [[(0, 1), *bounce[: i_max - 1]]] + [bounce[:i_max]] * (postmen - 1)
+    compiled = compile_general(spec, encoding if postmen == 1 else "auto")
+    assert compiled.encoding == encoding
+    bits = encode_route(compiled, walks, strict=True)
+    assert compiled.constraint_values(bits)["required"] == 0.0
+    assert compiled.decode(bits).is_valid
+
+
+@pytest.mark.parametrize("encoding, postmen", [
+    (ENC_REPETITION, 1), (ENC_TERMINAL, 1), (ENC_REST, 2), (ENC_REST, 3),
+])
+@pytest.mark.parametrize("i_max", [1, 2, 3])
+def test_walks_that_cover_each_edge_once_at_the_step_budget_are_accepted(
+    encoding, postmen, i_max
+):
+    # P * i_max == |R|: the postmen split a path, each step on a new edge
+    spec = _path_spec(postmen * i_max, postmen, i_max)
+    walks = [[(v, v + 1) for v in range(p * i_max, (p + 1) * i_max)] for p in range(postmen)]
+    compiled = compile_general(spec, encoding if postmen == 1 else "auto")
+    bits = encode_route(compiled, walks, strict=True)
+    assert compiled.constraint_values(bits)["required"] == 0.0
+    assert compiled.decode(bits).is_valid
+
+
 # --- decoding ----------------------------------------------------------------------
 
 def test_decode_collapses_repeated_edges():

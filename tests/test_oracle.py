@@ -6,6 +6,7 @@ import pytest
 from postqubo import (
     EdgeRef,
     Graph,
+    InfeasibleEndpoints,
     NoValidSolution,
     Postmen,
     ProblemSpec,
@@ -17,8 +18,8 @@ from postqubo import (
     euler_shortcut,
     exact_walk_oracle,
 )
-from postqubo.general import compile_general
-from conftest import figure_example_graph, random_mixed_graph
+from postqubo.general import ENC_REPETITION, ENC_TERMINAL, compile_general
+from conftest import encode_route, figure_example_graph, random_mixed_graph
 
 
 def test_closed_tour_on_example_graph_matches_pairing_optimum():
@@ -381,6 +382,31 @@ def test_oracle_matches_exhaustive_walk_enumeration():
         problems, _, _ = spec.check_walks([solution.single_walk().steps])
         assert problems == []
     assert found >= 30
+
+
+def test_every_valid_walk_encodes_with_zero_required_energy():
+    # service mode has no slack register: each required edge is serviced once
+    checked = 0
+    for spec in _oracle_specs(7, 60, (3, 4), (-1, 1)):
+        if spec.service is not None:
+            continue
+        compiled = []
+        for enc in ["auto"] if spec.uses_rest_encoding else [ENC_REPETITION, ENC_TERMINAL]:
+            try:
+                compiled.append(compile_general(spec, enc))
+            except InfeasibleEndpoints:  # no walk of i_max steps meets the endpoints
+                pass
+        for walk in _contiguous_walks(spec):
+            problems, _, _ = spec.check_walks([walk])
+            if problems:
+                continue
+            steps = [[(s.frm, s.to, s.mode, s.kind) for s in walk]]
+            for c in compiled:
+                bits = encode_route(c, steps, strict=True)
+                assert c.constraint_values(bits)["required"] == 0.0
+                assert c.decode(bits).is_valid
+                checked += 1
+    assert checked >= 300
 
 
 def test_oracle_ties_break_to_the_lowest_root():
