@@ -72,11 +72,6 @@ STEP_ROW = np.dtype([
 ])
 
 
-def _slack_bit_count(limit: int) -> int:
-    """Bits 2^0 .. 2^ceil(log2(limit)), exact integer arithmetic."""
-    return (max(limit, 1) - 1).bit_length() + 1
-
-
 def _prune_steps(
     spec: ProblemSpec,
     tail: np.ndarray,
@@ -193,8 +188,14 @@ class CompiledGeneral(CompiledProblem):
         the register joins in its penalty: `_rest` has one row per step
         (owner) and postman, bit 0 (no rows outside the rest encoding);
         `_req_slack` the slack bits of each required edge (owner: its
-        position in `required`) and postman; `_cap_slack` each postman's
-        capacity slack bits (owner: the postman).
+        position in `required`; postman -1, as all postmen share it);
+        `_cap_slack` each postman's capacity slack bits (owner: the postman).
+
+        A register has the bits of the largest value it must hold.  Every
+        step of every postman covers at most one required edge and a valid
+        walk covers each at least once, so one edge's extra visits are at
+        most P * i_max - |R| (no register in service mode, where each is
+        serviced exactly once); a capacity's unused part is at most c.
         """
         spec, postmen, steps = self.spec, range(self.postmen), range(self.i_max)
         step, arc, mode = self._slots
@@ -212,15 +213,15 @@ class CompiledGeneral(CompiledProblem):
             for i, t, h, k, m, p in zip(*(c[order].tolist() for c in (*cols, owner)))
         ]
         rest = [(i, p, 0) for p in postmen for i in steps] if self.encoding == ENC_REST else []
-        nbits = 0 if self.service_mode else _slack_bit_count(self.i_max)
-        req = [(g, p, bit) for g in range(len(self.required)) for p in postmen
-               for bit in range(nbits)]
+        extra = 0 if self.service_mode else self.postmen * self.i_max - len(self.required)
+        req = [(g, -1, bit) for g in range(len(self.required))
+               for bit in range(max(extra, 0).bit_length())]
         cap = [(p, p, bit) for p, c in enumerate(spec.postmen.capacities or ())
-               for bit in range(_slack_bit_count(int(c)))]
+               for bit in range(int(c).bit_length())]
         refs = self.required
         labels = (
             [RestVar(i, p) for i, p, _ in rest]
-            + [RequiredSlack(bit, refs[g].a, refs[g].b, p, refs[g].kind) for g, p, bit in req]
+            + [RequiredSlack(bit, refs[g].a, refs[g].b, refs[g].kind) for g, _, bit in req]
             + [CapacitySlack(bit, p) for _, p, bit in cap]
         )
         self.registry = VariableRegistry(edge_labels + labels)
@@ -291,7 +292,8 @@ class CompiledGeneral(CompiledProblem):
             objective.add_quadratic_terms(index[a[repeat]], index[b[repeat]],
                                           -t["weight"][b[repeat]])
 
-        # coverage of required edges: one service, or visits less the slack
+        # coverage of required edges: one service, or all postmen's visits
+        # less the edge's one slack register
         slack, _, bit, slack_index = self._req_slack.T
         covering = np.flatnonzero(cover >= 0)
         required_c.add_square_penalty(

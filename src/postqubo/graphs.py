@@ -109,8 +109,8 @@ def _check_weight(w: float, what: str) -> float:
 class Graph:
     """Mixed windy weighted graph; no parallel edges, no self-loops.
 
-    `arcs()` and the `arc_weights` table, (tail, head, kind) -> weight, are
-    built once at construction and are read-only.
+    `edge_refs()`, `arcs()` and the `arc_weights` table, (tail, head, kind)
+    -> weight, are built once at construction and are read-only.
     """
 
     vertices: frozenset[int]
@@ -149,12 +149,14 @@ class Graph:
                 raise InvalidGraph(f"duplicate directed edge ({d.tail},{d.head})")
             seen_d.add((d.tail, d.head))
             _check_weight(d.w, f"({d.tail},{d.head})")
+        refs = tuple(e.ref for e in und) + tuple(d.ref for d in dire)
         arcs: list[Arc] = []
-        for e in und:
-            arcs.append(Arc(e.a, e.b, e.w_ab, e.ref))
-            arcs.append(Arc(e.b, e.a, e.w_ba, e.ref))
-        for d in dire:
-            arcs.append(Arc(d.tail, d.head, d.w, d.ref))
+        for e, ref in zip(und, refs):
+            arcs.append(Arc(e.a, e.b, e.w_ab, ref))
+            arcs.append(Arc(e.b, e.a, e.w_ba, ref))
+        for d, ref in zip(dire, refs[len(und):]):
+            arcs.append(Arc(d.tail, d.head, d.w, ref))
+        object.__setattr__(self, "_edge_refs", refs)
         object.__setattr__(self, "_arcs", tuple(arcs))
         object.__setattr__(
             self, "arc_weights", {(a.tail, a.head, a.ref.kind): a.weight for a in arcs}
@@ -197,7 +199,8 @@ class Graph:
         return max(weights) if weights else 0.0
 
     def edge_refs(self) -> tuple[EdgeRef, ...]:
-        return tuple(e.ref for e in self.undirected) + tuple(d.ref for d in self.directed)
+        """Every edge's identity: the undirected edges, then the directed."""
+        return self._edge_refs
 
     def arcs(self) -> tuple[Arc, ...]:
         """Every directed traversal: two per undirected edge, one per directed."""

@@ -113,11 +113,12 @@ class ProblemSpec:
         if self.stop is not None and self.stop not in g.vertices:
             raise SpecError(f"stop vertex {self.stop} not in graph")
 
-        all_refs = set(g.edge_refs())
         if self.required_edges is not None:
-            extra = set(self.required_edges) - all_refs
+            extra = set(self.required_edges) - set(g.edge_refs())
             if extra:
                 raise SpecError(f"required edges not in graph: {sorted(map(str, extra))}")
+        required = self.required_edges if self.required_edges is not None else g.edge_refs()
+        object.__setattr__(self, "_required", tuple(sorted(required)))
 
         if self.i_max is not None and self.i_max < 1:
             raise SpecError("i_max must be a positive integer")
@@ -127,7 +128,7 @@ class ProblemSpec:
             if t.arc_in not in arc_keys or t.arc_out not in arc_keys:
                 raise SpecError(f"turn tuple references missing arcs: {t}")
 
-        required = set(self.resolved_required())
+        required = set(self._required)
         for first, second in self.hierarchy:
             if first not in required or second not in required:
                 raise SpecError("hierarchy pairs must reference required edges")
@@ -194,9 +195,8 @@ class ProblemSpec:
     # -- derived views ----------------------------------------------------
 
     def resolved_required(self) -> tuple[EdgeRef, ...]:
-        if self.required_edges is None:
-            return tuple(sorted(self.graph.edge_refs()))
-        return tuple(sorted(self.required_edges))
+        """The required edges in sorted order, every edge when none are named."""
+        return self._required
 
     @property
     def effective_i_max(self) -> int:

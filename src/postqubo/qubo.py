@@ -72,19 +72,21 @@ class EdgeStep:
 
 @dataclass(frozen=True)
 class RequiredSlack:
-    """Slack bit with weight 2**bit absorbing extra visits of a required edge."""
+    """Slack bit with weight 2**bit absorbing extra visits of a required edge.
+
+    One register per required edge counts the extra visits of every postman.
+    """
 
     bit: int
     frm: int
     to: int
-    postman: int = 0
     kind: str = "u"
 
     def sort_key(self):
-        return (2, self.postman, self.frm, self.to, self.kind, self.bit)
+        return (2, self.frm, self.to, self.kind, self.bit)
 
     def __str__(self) -> str:
-        return f"s[2^{self.bit},{self.frm}->{self.to},p{self.postman},{self.kind}]"
+        return f"s[2^{self.bit},{self.frm}->{self.to},{self.kind}]"
 
 
 @dataclass(frozen=True)

@@ -315,8 +315,8 @@ def encode_route(compiled, walks, strict: bool = False) -> list[int]:
     bits as the encoding asks; a step whose label is not in the registry was
     pruned and raises SpecError.  The slack registers are filled to match,
     each clamped to its range so that violating walks stay encodable: a
-    required edge's extra visits fill the postmen's registers in postman
-    order, a postman's unused capacity goes to theirs.  With `strict`, a
+    required edge's register holds the extra visits of all postmen, a
+    postman's capacity register their unused capacity.  With `strict`, a
     value that would be clamped raises SpecError instead.
     """
     spec, reg, i_max = compiled.spec, compiled.registry, compiled.i_max
@@ -370,28 +370,22 @@ def encode_route(compiled, walks, strict: bool = False) -> list[int]:
             if RestVar(i, p) in reg:
                 set_bit(RestVar(i, p))
 
-    def fill(label_of_bit, value: int) -> int:
-        """Write `value`, clamped to the register's range; return what is left."""
+    def fill(label_of_bit, value: int) -> None:
+        """Write `value`, clamped to the register's range."""
         width = 0
         while label_of_bit(width) in reg:
             width += 1
-        held = min(value, (1 << width) - 1)
+        held = min(max(value, 0), (1 << width) - 1)
+        if strict and held != value:
+            raise SpecError(f"{value} does not fit the {width}-bit register of {label_of_bit(0)}")
         for bit in range(width):
             if held >> bit & 1:
                 set_bit(label_of_bit(bit))
-        return value - held
 
     for ref in spec.resolved_required():
-        extra = left = visits[ref] - 1
-        for p in range(count):
-            left = fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, p, ref.kind), max(left, 0))
-        if strict and (extra < 0 or left):
-            raise SpecError(f"{extra} extra visits of {ref} do not fit its slack registers")
+        fill(lambda bit: RequiredSlack(bit, ref.a, ref.b, ref.kind), visits[ref] - 1)
     for p, c in enumerate(spec.postmen.capacities or ()):
-        spare = float(c) - used[p]
-        left = fill(lambda bit: CapacitySlack(bit, p), int(max(spare, 0)))
-        if strict and (spare < 0 or left):
-            raise SpecError(f"postman {p}'s spare capacity {spare} does not fit its register")
+        fill(lambda bit: CapacitySlack(bit, p), int(float(c) - used[p]))
     return x
 
 

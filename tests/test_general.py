@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postqubo import (
+    CapacitySlack,
     EdgeRef,
     EdgeStep,
     Graph,
@@ -77,7 +79,7 @@ def test_unpruned_variable_count_formula():
     spec = ProblemSpec(graph=g, i_max=i_max)
     compiled = compile_general(spec, encoding=ENC_REPETITION)
     arcs = 2 * len(g.undirected) + len(g.directed)
-    slack_bits = ((i_max - 1).bit_length() + 1) * g.edge_count
+    slack_bits = (i_max - g.edge_count).bit_length() * g.edge_count
     assert len(compiled.registry) == arcs * i_max + slack_bits
 
 
@@ -310,7 +312,7 @@ def test_slack_absorbs_extra_visits():
     spec = small_path_spec(start=0, stop=0, i_max=4)
     compiled = compile_general(spec, encoding=ENC_REPETITION)
     x = encode_route(compiled, [[(0, 1), (1, 2), (2, 1), (1, 0)]])
-    slack_idx = compiled.registry.index_of(RequiredSlack(0, 0, 1, 0, "u"))
+    slack_idx = compiled.registry.index_of(RequiredSlack(0, 0, 1, "u"))
     assert x[slack_idx] == 1
     assert compiled.constraint_values(x)["required"] == 0.0
     x[slack_idx] = 0
@@ -339,6 +341,27 @@ def test_every_spare_step_on_one_required_edge_encodes_at_zero_penalty(encoding,
     bits = encode_route(compiled, walks, strict=True)
     assert compiled.constraint_values(bits)["required"] == 0.0
     assert compiled.decode(bits).is_valid
+
+
+@pytest.mark.parametrize("edges, postmen, i_max, capacities, bits", [
+    (2, 1, 2, None, 0),  # i_max == |R|: every step covers a new edge
+    (4, 1, 2, None, 0),  # no walk covers four edges in two steps
+    (2, 1, 6, None, 3),  # 4 extra visits
+    (1, 3, 4, None, 4),  # 11 extra visits
+    (2, 2, 3, (7, 8), 3),  # 4 extra visits; capacities of 3 and 4 bits
+])
+def test_slack_registers_have_the_bits_of_their_largest_value(
+    edges, postmen, i_max, capacities, bits
+):
+    g = Graph.build(range(edges + 1), undirected=[(v, v + 1, 1) for v in range(edges)])
+    spec = ProblemSpec(graph=g, i_max=i_max, postmen=Postmen(postmen, capacities))
+    labels = compile_general(spec).registry.labels
+    per_edge = collections.Counter((lab.frm, lab.to) for lab in labels
+                                   if isinstance(lab, RequiredSlack))
+    assert [per_edge[(v, v + 1)] for v in range(edges)] == [bits] * edges
+    per_postman = collections.Counter(lab.postman for lab in labels
+                                      if isinstance(lab, CapacitySlack))
+    assert per_postman == {p: int(c).bit_length() for p, c in enumerate(capacities or ())}
 
 
 @pytest.mark.parametrize("encoding, postmen", [
@@ -732,25 +755,25 @@ def _form_hashes(compiled) -> dict[str, str]:
 
 # sha256 prefixes of the registry, objective and family texts of each spec above
 PINNED_FORMS = {
-    "repetition": {"registry": "836e0465d32e94cb", "objective": "003426bc51d58a14",
-                   "one_edge": "09fdb5b88d409c9f", "adjacency": "4fa38bfbb78e2082",
-                   "required": "1cfc6ecded86ff65"},
-    "terminal": {"registry": "e4b9af406c7b5938", "objective": "0ea357828b246a7e",
-                 "one_edge": "dc225492d09c38f1", "adjacency": "4fb9d6e066861140",
-                 "required": "81f20f866cc001ad"},
-    "rest": {"registry": "306beb4dbc0945dc", "objective": "3a16d071c68051b7",
-             "one_edge": "97d97f432276a0e8", "adjacency": "f876948ef20bad20",
-             "required": "89bf3d89b0bdd7ba", "capacity": "42b755dfca750e60"},
+    "repetition": {"registry": "4038135bc0cc14d4", "objective": "34ff7228a0098e3b",
+                   "one_edge": "bb657ae46c76bbe3", "adjacency": "7d118be853cc2945",
+                   "required": "9e20f0c814aa2ad9"},
+    "terminal": {"registry": "120b9d06f176b5c9", "objective": "e804b7246b1bc3c7",
+                 "one_edge": "63a117ca4223e4b5", "adjacency": "ec29ed487dd8b3c6",
+                 "required": "9eb4fbf2b0f50bd4"},
+    "rest": {"registry": "d213edb2c9a1d582", "objective": "45992780476f3151",
+             "one_edge": "fdc5e31dfe7367d5", "adjacency": "e2bff746afafa2b1",
+             "required": "12df6e6f75f4c081", "capacity": "59c550a4c92b8f3d"},
     "service_hierarchy": {"registry": "dec00cf3a91f2515", "objective": "a277a92a517a806f",
                           "one_edge": "8c4970014b02e266", "adjacency": "78b0f02110eb9861",
                           "required": "a54d216bb93310a8", "hierarchy": "fd599668a3457920"},
-    "turns": {"registry": "b8152771941a2001", "objective": "d6771737958d3c4a",
-              "one_edge": "ab4a80d31d615de8", "adjacency": "9376ad551c7760a8",
-              "required": "3d1265fb59386da4", "turn": "99ccbc7b0da3e3ba"},
-    "team": {"registry": "10c8d7c304240645", "objective": "2d40523b360e68f1",
-             "one_edge": "91c2bd015d395597", "adjacency": "02c0ad3dc038c356",
-             "required": "04a44db75a082a36", "collision": "dcf5ff03d159fa9c",
-             "capacity": "8b79952782d212cb"},
+    "turns": {"registry": "ac88e15e3bd825bf", "objective": "3a51abdaac0b8ffc",
+              "one_edge": "815fdc14db70dc9c", "adjacency": "480125469e3f945b",
+              "required": "10581d54925adc1c", "turn": "3d777b9775f8f096"},
+    "team": {"registry": "2f9cfb034b8d06e5", "objective": "c0cd1c8a6ce962f6",
+             "one_edge": "a0b84e6e18ab65c8", "adjacency": "9819b1298bc10a68",
+             "required": "e5837642810ceebb", "collision": "61d62f34fa05dbcc",
+             "capacity": "0bb8882d86362f63"},
     "coexisting_repetition": {"registry": "9564372591b8a59e", "objective": "b124a637d73cf8ca",
                               "one_edge": "156e93da69eaa008", "adjacency": "1acc5816fdbc54f2",
                               "required": "f6be1d6b7d5b5745", "turn": "616d7700422ceb20",
@@ -800,12 +823,12 @@ def _decode_hash(name: str) -> str:
 # sha256 prefixes of repr(decode(x)) over seeded random states, one valid
 # route's bits and every single-bit flip of them, per spec above
 PINNED_DECODES = {
-    "repetition": "0cae979307dfc3a7",
-    "terminal": "3e2711822b4f225e",
-    "rest": "cb105f820ca58eef",
+    "repetition": "732f0c715390262a",
+    "terminal": "b4cd336b941e628c",
+    "rest": "84ff30297e131e6a",
     "service_hierarchy": "1c2c7cf902008782",
-    "turns": "5412e1fdd2ffeb82",
-    "team": "95e1a157d5aa5b2e",
+    "turns": "9916e3665134a796",
+    "team": "f4a098e856721f8e",
     "coexisting_repetition": "738e2c375638058c",
     "coexisting_terminal": "9f10bf2114815f27",
 }
@@ -823,8 +846,8 @@ def _encode_cases() -> dict[str, tuple[ProblemSpec, str, list]]:
     # postman 0 walks weight 9 over its capacity of 7: its capacity register reads 0
     team, _ = specs["team"]
     cases["team_over_capacity"] = (team, "auto", [[(0, 1), (1, 2), (2, 3), (3, 2)], [(0, 3)]])
-    # three postmen cross the one edge twelve times: 11 extra visits, more than
-    # postman 0's 3-bit register holds, so postman 1's takes the rest
+    # three postmen cross the one edge twelve times: 11 extra visits, the most
+    # that the edge's shared register (3 * 4 - 1 = 11, four bits) must hold
     trio = ProblemSpec(graph=Graph.build(range(2), undirected=[(0, 1, 1)]), start=0, i_max=4,
                        postmen=Postmen(3))
     cases["slack_overflow"] = (trio, "auto", [[(0, 1), (1, 0), (0, 1), (1, 0)]] * 3)
@@ -833,16 +856,16 @@ def _encode_cases() -> dict[str, tuple[ProblemSpec, str, list]]:
 
 # sha256 prefixes of encode_route's bits for each case above
 PINNED_ENCODES = {
-    "repetition": "8633c708ab671213",
-    "terminal": "906971fd78b92c13",
-    "rest": "501a11fbd87ded2b",
+    "repetition": "b028d7d98fcbbc09",
+    "terminal": "901e36453d529d67",
+    "rest": "f8256b2c99745e5e",
     "service_hierarchy": "50f5c337ff0f933f",
-    "turns": "bce5eaf37a8b3359",
-    "team": "27b1eec02e39bf16",
+    "turns": "81a51d7006790736",
+    "team": "ba4a7ada85c177de",
     "coexisting_repetition": "c6c89cc03219db37",
     "coexisting_terminal": "79ad00ed4a845d69",
-    "team_over_capacity": "404e8113c6e14227",
-    "slack_overflow": "dc1a6438c41af643",
+    "team_over_capacity": "7ea2eae1fad72239",
+    "slack_overflow": "294e90b1be1ef7f4",
 }
 
 
@@ -884,16 +907,16 @@ def _pinned_pairing():
 # PenaltyConfig.uniform(3.0).scaled(["required", "capacity", "pairing"], 2.5)
 # .scaled(["adjacency"], 0.7)
 PINNED_EXPORTS = {
-    "repetition": ("dfcf7c4cc716146f", "21bd2f7d670be29e"),
-    "terminal": ("76c69a0e47234af0", "d2233addd5015e66"),
-    "rest": ("bcf3828479385456", "9c2dc1c50ec14ca8"),
+    "repetition": ("0f265462f671296c", "21bbc293bb258306"),
+    "terminal": ("e6c1ad89d75c3ed6", "bcbea47a03f415e2"),
+    "rest": ("c57e49a8714e1af1", "f80f03508471f1e0"),
     "service_hierarchy": ("73330c195bf66231", "5113877c4aa152ce"),
-    "turns": ("45e392b3b26f4e9d", "6c15103e6cd7d43d"),
-    "team": ("64c175eecedbc680", "152a742c8bb9b9ae"),
+    "turns": ("6c5b8072accceafc", "79922ac555c77b55"),
+    "team": ("f531009e68ea6241", "20a737fee67323eb"),
     "coexisting_repetition": ("14a4825d223ccc84", "f582fa23c2474eaa"),
     "coexisting_terminal": ("71f22683e6345129", "1641d370e3696a6e"),
     "pairing": ("90738074f83cdc14", "e7e27256aa4246bd"),
-    "mixed_10_16": ("d511e798cf368921", "30c368ab38b23539"),
+    "mixed_10_16": ("27984375805895e6", "a6485688b21d852b"),
 }
 
 

@@ -183,7 +183,7 @@ def test_energy_delta_composes_over_flips(rng):
 # --- registry -------------------------------------------------------------------
 
 def test_registry_is_bijective_and_ordered():
-    labels = [PairVar(3, 5), PairVar(1, 2), RequiredSlack(0, 0, 1), RestVar(2, 0),
+    labels = [PairVar(3, 5), PairVar(1, 2), RequiredSlack(0, 0, 1, "u"), RestVar(2, 0),
               EdgeStep(1, 0, 1), EdgeStep(0, 2, 3)]
     reg = VariableRegistry(labels)
     assert len(reg) == len(labels)

@@ -523,20 +523,20 @@ def general_pin_qubo(seed: int, vertices: int, edges: int, windy: bool, endpoint
 
 
 # equal penalties give these QUBOs zero-delta plateaus, which the random
-# QUBOs above rarely reach; the last two are the 115- and 203-variable specs
+# QUBOs above rarely reach; the last two are the 105- and 189-variable specs
 # of `random_mixed_graph` seeds 1 and 2 at their default step budget.
 # (seed, vertices, edges, windy, endpoints, i_max) -> sha256 prefixes of the
 # `sa+greedy` report at 100 reads x 200 sweeps and the default `tabu+greedy`
 # report: energy, bits and samples evaluated
 GENERAL_REPORTS = {
-    (3, 3, 3, True, "closed", 3): ("ae39fbb255e43061", "0e223d625fa1d8bd"),
-    (4, 4, 5, False, "closed", 4): ("f93826a54758749f", "ee08150e507635bf"),
-    (4, 5, 6, False, "start", 5): ("19c9e99064f5990f", "133fba3d45cacd5e"),
-    (5, 4, 5, True, "open", 4): ("d30e1a8180daef8f", "085084389b548e1b"),
-    (6, 4, 5, False, "stop", 4): ("143810ea80a4e91f", "abffc796cd10a85f"),
-    (7, 3, 3, True, "open", 5): ("d932f5143710330d", "61eacb38d00525ad"),
-    (1, 4, 5, True, "open", None): ("326c1e724cbc73b3", "473c346e4a41d6e0"),
-    (2, 5, 7, True, "open", None): ("87cd4e1d4ac9898d", "88a5908addf2add7"),
+    (3, 3, 3, True, "closed", 3): ("d0f8400371240bbe", "83f8f9d7d6fb8739"),
+    (4, 4, 5, False, "closed", 4): ("7120a6a786f80c4e", "d1521683143379b6"),
+    (4, 5, 6, False, "start", 5): ("5ecd139d1a524a83", "6b625697d40cc59a"),
+    (5, 4, 5, True, "open", 4): ("1c1c2d6116f09bda", "520e5024cd9139d9"),
+    (6, 4, 5, False, "stop", 4): ("4b0403811742f94c", "a9dc33915c87da58"),
+    (7, 3, 3, True, "open", 5): ("d5239ccfbe99fb7e", "2abed9dff5a5c6f0"),
+    (1, 4, 5, True, "open", None): ("e88af126c42478f7", "d874fc65c899f4d2"),
+    (2, 5, 7, True, "open", None): ("a476de2f1e9219fa", "acab49bc3aecf823"),
 }
 
 
