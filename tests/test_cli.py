@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -289,6 +290,41 @@ def test_oracle_turn_bonus_is_the_stated_bonus(tmp_path):
     assert run("validate", tmp_path / "turn.oracle.json", "--instance", spec) == 0
 
 
+def test_solve_finds_the_service_optimum_of_service_steps_only(tmp_path):
+    # the optimum 2-0-1-3-0 services every edge in four of the six steps
+    spec = tmp_path / "svc.json"
+    spec.write_text(json.dumps({
+        "graph": {"vertices": [0, 1, 2, 3], "undirected": [[0, 1, 4], [0, 2, 9, 8], [0, 3, 2]],
+                  "directed": [[1, 3, 4]]},
+        "service": {}, "i_max": 6}))
+    out = tmp_path / "out"
+    assert run("solve", spec, "--out", out) == 0
+    assert json.loads((out / "svc.route.json").read_text())["weight"] == 18.0
+    assert run("oracle", spec, "--out", out) == 0
+    assert json.loads((out / "svc.oracle.json").read_text())["weight"] == 18.0
+
+
+OVERFLOW_GRAPH = {"vertices": [0, 1, 2, 3],
+                  "undirected": [[0, 1, 1e308], [1, 2, 1e308], [2, 3, 1], [3, 0, 1], [0, 2, 1]]}
+OVERFLOW_SPEC = {"graph": {"vertices": [0, 1, 2], "directed": [[0, 1, 1e308], [1, 2, 1e308],
+                                                               [2, 0, 1]]}}
+
+
+@pytest.mark.parametrize("doc, command", [
+    (OVERFLOW_GRAPH, ("oracle",)),
+    (OVERFLOW_GRAPH, ("solve", "--solver", "brute")),
+    (OVERFLOW_SPEC, ("oracle",)),
+])
+def test_a_route_whose_weight_overflows_is_an_input_error(tmp_path, capsys, doc, command):
+    # two weights of 1e308 sum to inf: no route may call that weight valid
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(*command[:1], path, *command[1:], "--out", out) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.glob("*.json"))
+
+
 def test_validate_detects_tampering(fig_graph_file, tmp_path, capsys):
     out = tmp_path / "out"
     run("solve", fig_graph_file, "--pipeline", "pairing", "--solver", "brute", "--out", out)
@@ -349,6 +385,20 @@ def test_solve_writes_dot_overlay(fig_graph_file, tmp_path):
     dot = (out / "fig.route.dot").read_text()
     assert dot.startswith("digraph route {")
     assert "color=red" in dot
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"vertices": ['a"b', "c\\", "d"],
+                                "undirected": [['a"b', "c\\", 1], ["c\\", "d", 1],
+                                               ["d", 'a"b', 1]]}))
+    out = tmp_path / "out"
+    assert run("solve", path, "--out", out, "--dot") == 0
+    dot = (out / "odd.route.dot").read_text()
+    # every quoted string is a DOT string: quotes and backslashes escaped
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)
+    assert len(labels) == dot.count("label=")
+    assert {'a\\"b', "c\\\\", "d"} <= set(labels)
 
 
 def test_solve_general_spec_with_solver_flags(tmp_path):

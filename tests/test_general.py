@@ -13,6 +13,7 @@ from postqubo import (
     Graph,
     InfeasibleEndpoints,
     LengthMismatch,
+    NoValidSolution,
     PenaltyConfig,
     Postmen,
     ProblemSpec,
@@ -37,7 +38,7 @@ from postqubo.general import (
     CompiledGeneral,
 )
 from postqubo.pairing import compile_pairing
-from postqubo.qubo import Qubo, format_qubo_text, format_registry_text
+from postqubo.qubo import PENALTY_FAMILIES, Qubo, format_qubo_text, format_registry_text
 from conftest import (
     VALIDITY_FAMILIES,
     bits_from_index,
@@ -549,6 +550,86 @@ def test_encodings_agree_on_optimal_legal_energy():
         else:
             assert energies[ENC_REPETITION] == energies[ENC_TERMINAL]
             checked += 1
+
+
+# --- the ground state is the route optimum ---------------------------------------------
+
+def _turn_specs() -> list[tuple[ProblemSpec, object]]:
+    """60 seeded 3-vertex specs with turn bonuses, each with a covering walk
+    and at most 22 variables, paired with the walk oracle's route.  The last
+    30 draw their bonuses from 10-59, above every arc weight (1-9)."""
+    rng = np.random.default_rng(31)
+    cases = []
+    while len(cases) < 60:
+        g = random_mixed_graph(rng, 3, int(rng.integers(2, 4)), windy=True, directed_frac=0.3)
+        if g is None:
+            continue
+        arcs = g.arcs()
+        turns = sorted({(a.tail, a.head, b.head) for a in arcs for b in arcs if a.head == b.tail})
+        low, high = (10, 60) if len(cases) >= 30 else (1, 4)
+        picks = rng.choice(len(turns), size=min(len(turns), int(rng.integers(1, 4))),
+                           replace=False)
+        spec = ProblemSpec(
+            graph=g, start=int(rng.integers(0, 3)) if rng.random() < 0.5 else None,
+            i_max=int(rng.integers(3, 5)),
+            turn_penalties=tuple(TurnPenalty(*turns[i], float(rng.integers(low, high)))
+                                 for i in sorted(picks)),
+        )
+        try:
+            if len(compile_general(spec).registry) <= 22:
+                cases.append((spec, exact_walk_oracle(spec)))
+        except (InfeasibleEndpoints, NoValidSolution):
+            continue
+    return cases
+
+
+def test_ground_state_with_turn_bonuses_is_the_walk_optimum():
+    # a turn bonus costs the same in the QUBO as in the route: once, unscaled
+    for k, (spec, oracle) in enumerate(_turn_specs()):
+        compiled = compile_general(spec)
+        report = brute_force(compiled.qubo(default_penalties(spec)))
+        solution = compiled.decode(report.best_assignment)
+        assert solution.is_valid, f"spec {k}: the ground state decodes invalid"
+        optimum = oracle.objective_weight + oracle.turn_extra
+        assert solution.objective_weight + solution.turn_extra == optimum, f"spec {k}"
+        assert report.best_energy == optimum, f"spec {k}"
+
+
+def _service_only_spec() -> ProblemSpec:
+    """Service mode, where the optimum 2-0-1-3-0 is four service steps of six."""
+    g = Graph.build(range(4), undirected=[(0, 1, 4), (0, 2, 9, 8), (0, 3, 2)],
+                    directed=[(1, 3, 4)])
+    return ProblemSpec(graph=g, service=ServiceMode(), i_max=6)
+
+
+def test_service_mode_compiles_the_terminal_encoding():
+    spec = _service_only_spec()
+    compiled = compile_general(spec)
+    assert compiled.encoding == ENC_TERMINAL
+    with pytest.raises(SpecError):
+        compile_general(spec, ENC_REPETITION)
+    oracle = exact_walk_oracle(spec)
+    assert oracle.objective_weight == 18.0
+    walk = [(s.frm, s.to, s.mode, s.kind) for s in oracle.walks[0].steps]
+    solution = compiled.decode(encode_route(compiled, [walk]))
+    assert solution.is_valid and solution.objective_weight == 18.0
+
+
+def test_penalty_families_are_the_families_the_compilers_emit():
+    # every --p-* flag scales a constraint that a compiled problem can carry
+    cycle = Graph.build(range(3), directed=[(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    path = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1)])
+    specs = [
+        ProblemSpec(graph=cycle, service=ServiceMode(), i_max=3,
+                    hierarchy=((EdgeRef("d", 1, 2), EdgeRef("d", 0, 1)),),
+                    turn_penalties=(TurnPenalty(0, 1, 2, 3.0),)),
+        ProblemSpec(graph=path, start=1, postmen=Postmen(2, (4, 4)),
+                    forbid_edge_collisions=True, i_max=2),
+    ]
+    emitted = set(compile_pairing(figure_example_graph()).constraints)
+    for spec in specs:
+        emitted |= set(compile_general(spec).constraints)
+    assert emitted == set(PENALTY_FAMILIES)
 
 
 # --- extension constraints (smoke; the acceptance suite sweeps these) ------------------
