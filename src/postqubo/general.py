@@ -5,9 +5,10 @@ service/traverse split when service mode is on).  Two over-estimation
 encodings are supported for a single postman:
 
 * repetition -- an arc variable may repeat at consecutive steps to pad the
-  walk out to the preset step budget; the objective discounts repeats;
+  walk out to the preset step budget; the objective discounts repeats.
+  Plain mode only: repeats cannot pad a walk of service steps;
 * terminal -- a synthetic absorbing vertex marks the end of the walk; no
-  repetition, objective is a plain sum.
+  repetition, objective is a plain sum.  Service mode always uses it.
 
 Multiple postmen (or capacities / collision bans) use per-postman rest
 variables: the rest bit plays the terminal role for that postman's walk.
@@ -27,7 +28,8 @@ only these.  Adjacency, rest, the repeat discount and turns are masks over
 one join of every row with every row of the next step; the required family
 is one grouped square over the rows' required-edge column.
 Every weight comes from one `ProblemSpec.weight` call per (arc, mode) and
-postman, kept in the table; terminal arcs cost nothing.
+postman, kept in the table; terminal arcs cost nothing.  Turn bonuses are
+objective terms, so a valid state's energy is its route's weight plus bonus.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ ENC_REST = "rest"
 MODES = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)  # a step table's mode codes
 
 # one edge variable: its step, registry index, arc endpoints and index, mode
-# code, whether it may repeat at the next step, and the step weight
+# code and the step weight
 STEP_ROW = np.dtype([
     ("step", np.int64), ("index", np.int64), ("tail", np.int64), ("head", np.int64),
-    ("arc", np.int64), ("mode", np.int64), ("repeat", np.bool_), ("weight", np.float64),
+    ("arc", np.int64), ("mode", np.int64), ("weight", np.float64),
 ])
 
 
@@ -140,6 +142,8 @@ class CompiledGeneral(CompiledProblem):
             raise SpecError("this spec requires the rest encoding")
         if not spec.uses_rest_encoding and encoding == ENC_REST:
             raise SpecError("rest encoding is only for capacitated/multi-postman specs")
+        if spec.service is not None and encoding == ENC_REPETITION:
+            raise SpecError("service mode uses the terminal encoding, not repetition")
         self.spec = spec
         self.encoding = encoding
         self.i_max = spec.effective_i_max
@@ -230,12 +234,9 @@ class CompiledGeneral(CompiledProblem):
         self._rest, self._req_slack, self._cap_slack = np.split(
             rows.reshape(-1, 4), [len(rest), len(rest) + len(req)])
 
-        # an arc may repeat at the next step to pad the walk in these modes
-        repeat_modes = (MODE_PLAIN, MODE_TRAVERSE) if self.encoding == ENC_REPETITION else ()
         template = np.empty(size, dtype=STEP_ROW)
         template["step"], template["tail"], template["head"] = step, tail, head
         template["arc"], template["mode"] = arc, mode
-        template["repeat"] = np.array([m in repeat_modes for m in MODES])[mode]
         cover = self._group[arc]
         if self.service_mode:
             cover = np.where(mode == MODES.index(MODE_SERVICE), cover, -1)
@@ -268,14 +269,13 @@ class CompiledGeneral(CompiledProblem):
         }
         # (row a at step s, row b at step s + 1) for every s, step-major, then
         # a-major; every postman has the same slots, so one join serves all
-        step, tail, head, arc, mode, repeat = (
-            tables[0][f] for f in ("step", "tail", "head", "arc", "mode", "repeat"))
+        step, tail, head, arc = (tables[0][f] for f in ("step", "tail", "head", "arc"))
         bounds = np.searchsorted(step, np.arange(self.i_max + 2))
         a, b = _pairs(bounds[step + 1], bounds[step + 2])
         # no jumping between consecutive steps: a move starts where the last
-        # one ended, or repeats it in a repeat mode; a repeat is discounted in
-        # the objective (service steps are never repeats)
-        repeat = repeat[a] & (arc[b] == arc[a]) & (mode[b] == mode[a])
+        # one ended, or repeats it in the repetition encoding; a repeat is
+        # discounted in the objective
+        repeat = (arc[b] == arc[a]) & (self.encoding == ENC_REPETITION)
         jump = (tail[b] != head[a]) & ~repeat
         later = step > 0
 
@@ -303,14 +303,12 @@ class CompiledGeneral(CompiledProblem):
             np.append(np.tile(cover[covering], len(tables)), slack),
         )
 
-        if spec.turn_penalties:
-            turn = Qubo(n)
-            for tp in spec.turn_penalties:
-                into = (tail == tp.in_tail) & (head == tp.in_head)
-                hit = into[a] & (tail[b] == tp.in_head) & (head[b] == tp.out_head)
-                for t in tables:
-                    turn.add_quadratic_terms(t["index"][a[hit]], t["index"][b[hit]], tp.bonus)
-            constraints["turn"] = turn
+        # a turn bonus is part of the objective, paid once per matched pair of moves
+        for tp in spec.turn_penalties:
+            into = (tail == tp.in_tail) & (head == tp.in_head)
+            hit = into[a] & (tail[b] == tp.in_head) & (head[b] == tp.out_head)
+            for t in tables:
+                objective.add_quadratic_terms(t["index"][a[hit]], t["index"][b[hit]], tp.bonus)
 
         hierarchy = spec.hierarchy_closure()
         if hierarchy:
@@ -394,20 +392,21 @@ class CompiledGeneral(CompiledProblem):
     def _walk(self, rows: np.ndarray) -> list[WalkStep]:
         """One postman's set rows as a walk, terminal arcs and repeats stripped."""
         steps: list[WalkStep] = []
-        prev = None
-        for i, _, tail, head, arc, mode, repeat, _ in rows.tolist():
+        repetition, prev = self.encoding == ENC_REPETITION, None
+        for i, _, tail, head, arc, mode, _ in rows.tolist():
             kind = KINDS[self._kind[arc]]
             if kind == KIND_TERMINAL:
                 continue
-            if not (repeat and prev == (i - 1, arc, mode)):
+            if not (repetition and prev == (i - 1, arc)):
                 steps.append(WalkStep(tail, head, MODES[mode], kind))
-            prev = (i, arc, mode)
+            prev = (i, arc)
         return steps
 
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:
     """Compile a spec, choosing the smaller of the two single-postman encodings
-    when `encoding` is 'auto' (ties go to repetition).
+    when `encoding` is 'auto' (ties go to repetition); service mode always
+    compiles the terminal encoding.
 
     The two differ only in their pruned (arc, mode) slots, so they are sized
     by counting those; only the returned encoding builds its registry, step
@@ -420,7 +419,8 @@ def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGenera
     else:
         candidates: list[CompiledGeneral] = []
         errors: list[Exception] = []
-        for enc in (ENC_REPETITION, ENC_TERMINAL):
+        encodings = (ENC_TERMINAL,) if spec.service is not None else (ENC_REPETITION, ENC_TERMINAL)
+        for enc in encodings:
             try:
                 candidates.append(CompiledGeneral(spec, enc))
             except InfeasibleEndpoints as exc:
@@ -436,7 +436,7 @@ def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGenera
 
 
 def default_penalties(spec: ProblemSpec) -> PenaltyConfig:
-    """Uniform multipliers at PENALTY_FACTOR times the largest arc weight in play."""
+    """Uniform multipliers at PENALTY_FACTOR times the largest arc weight or turn bonus."""
     # plain weights count in service mode too: postman overrides may be set
     weights = [
         spec.weight(p, key, mode)
@@ -444,4 +444,5 @@ def default_penalties(spec: ProblemSpec) -> PenaltyConfig:
         for key in spec.graph.arc_weights
         for mode in (MODE_PLAIN, *spec.modes)
     ]
+    weights += [tp.bonus for tp in spec.turn_penalties]
     return PenaltyConfig.for_max_weight(max(weights) if weights else 1.0)

@@ -309,14 +309,18 @@ class ProblemSpec:
 
         `flags` are ValidityReport fields the caller knows from elsewhere (the
         decoder's bit-level forms); a field is valid when its flag holds and
-        `check_walks` finds no problem of its kind.
+        `check_walks` finds no problem of its kind.  A total weight or turn
+        bonus that is not finite raises SpecError.
         """
         problems, weights, turn_extra = self.check_walks(walks)
+        objective = sum(weights, 0.0)
+        if not (math.isfinite(objective) and math.isfinite(turn_extra)):
+            raise SpecError(f"route weight {objective} or turn bonus {turn_extra} is not finite")
         for name, _ in problems:
             flags[name] = False
         return RouteSolution(
             walks=tuple(RouteWalk(tuple(w), weight) for w, weight in zip(walks, weights)),
-            objective_weight=sum(weights, 0.0),
+            objective_weight=objective,
             validity=ValidityReport(**flags),
             turn_extra=turn_extra,
         )

@@ -383,7 +383,6 @@ PENALTY_FAMILIES = (
     "one_edge",
     "adjacency",
     "required",
-    "turn",
     "hierarchy",
     "collision",
     "capacity",
@@ -396,12 +395,11 @@ PENALTY_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """One positive, finite multiplier per constraint family."""
+    """One positive, finite multiplier per validity rule; turn bonuses are objective terms."""
 
     p_one_edge: float
     p_adjacency: float
     p_required: float
-    p_turn: float
     p_hierarchy: float
     p_collision: float
     p_capacity: float
@@ -414,11 +412,11 @@ class PenaltyConfig:
 
     @classmethod
     def uniform(cls, p: float) -> "PenaltyConfig":
-        return cls(p, p, p, p, p, p, p, p)
+        return cls(p, p, p, p, p, p, p)
 
     @classmethod
     def for_max_weight(cls, max_weight: float) -> "PenaltyConfig":
-        """Default multipliers: PENALTY_FACTOR times the largest edge weight."""
+        """Default multipliers: PENALTY_FACTOR times the largest objective term."""
         base = PENALTY_FACTOR * max_weight if max_weight > 0 else PENALTY_FACTOR
         return cls.uniform(base)
 

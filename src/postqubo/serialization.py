@@ -408,7 +408,8 @@ def render_dot(doc: GraphDocument, solution: RouteSolution | None = None) -> str
     g = doc.graph
     lines = ["digraph route {", "  rankdir=LR;"]
     for vid in sorted(g.vertices):
-        lines.append(f'  v{vid} [label="{doc.label_of(vid)}"];')
+        label = str(doc.label_of(vid)).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{vid} [label="{label}"];')
     for e in g.undirected:
         lines.append(
             f'  v{e.a} -> v{e.b} [dir=none, color=gray, label="{e.w_ab:g}"'

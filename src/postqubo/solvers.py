@@ -470,11 +470,7 @@ def solve_with_retune(
     max_retunes: int = 5,
 ) -> tuple[SolveReport, RouteSolution]:
     """Solve, decode, validate; double the violated penalty families and
-    retry until the decode is valid or the retune budget runs out.
-
-    Turn bonuses are objective terms, not validity constraints, so they are
-    never retuned.
-    """
+    retry until the decode is valid or the retune budget runs out."""
     if max_retunes < 0:
         raise ValueError("max_retunes must be >= 0")
     retunes = 0
@@ -485,9 +481,7 @@ def solve_with_retune(
         if solution.is_valid:
             return replace(report, retunes=retunes), solution
         values = instance.constraint_values(report.best_assignment)
-        violated = sorted(
-            fam for fam, v in values.items() if fam != "turn" and v > 1e-9
-        )
+        violated = sorted(fam for fam, v in values.items() if v > 1e-9)
         if retunes >= max_retunes or not violated:
             raise NoValidSolution(
                 f"no valid decode after {retunes} retunes; "

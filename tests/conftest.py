@@ -31,10 +31,6 @@ from postqubo.qubo import (
 )
 from postqubo.solvers import _energy_blocks
 
-# constraint families that decide validity; turn bonuses are objective-like
-VALIDITY_FAMILIES = ("one_edge", "adjacency", "required", "hierarchy", "collision", "capacity")
-
-
 def figure_example_graph() -> Graph:
     """Six-vertex undirected example used across the golden tests."""
     return Graph.build(

@@ -49,7 +49,6 @@ from postqubo.pairing import compile_pairing
 from postqubo.qubo import MODE_PLAIN, MODE_TRAVERSE, Qubo
 from postqubo.solvers import CompiledInstance
 from conftest import (
-    VALIDITY_FAMILIES,
     add_linear,
     add_offset,
     add_quadratic,
@@ -331,9 +330,8 @@ def test_criterion_04_zero_penalty_iff_validity(general_suite):
         compiled = inst.compiled
         n = len(compiled.registry)
         hard = Qubo(n)
-        for fam, c in compiled.constraints.items():
-            if fam in VALIDITY_FAMILIES:
-                hard.add_scaled(c, 1.0)
+        for c in compiled.constraints.values():
+            hard.add_scaled(c, 1.0)
         sums = enumerate_all_energies(hard)
         valid_table = _independent_validity_table(compiled)
         agree = (np.abs(sums) < 1e-9) == valid_table
@@ -369,7 +367,8 @@ def _family_value(compiled: CompiledGeneral, family: str, x) -> float:
 def test_criterion_05_extension_constraint_suites():
     cases = 0
 
-    # turning: bonus counts exactly when the taxed pair is consecutive
+    # turning: the objective exceeds the route weight exactly when the taxed
+    # pair is consecutive
     g = Graph.build(range(3), directed=[(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     spec = ProblemSpec(graph=g, i_max=4, turn_penalties=(TurnPenalty(0, 1, 2, 3.0),))
     compiled = compile_general(spec, encoding=ENC_REPETITION)
@@ -387,11 +386,16 @@ def test_criterion_05_extension_constraint_suites():
         [(0, 1)],
         [(1, 2)],
     ]
+
+    def turn_cost(walk) -> float:
+        x = encode_route(compiled, [walk])
+        return compiled.objective.energy(x) - compiled.decode(x).objective_weight
+
     for walk in violating:
-        assert _family_value(compiled, "turn", encode_route(compiled, [walk])) > 0.0
+        assert turn_cost(walk) > 0.0
         cases += 1
     for walk in satisfying:
-        assert _family_value(compiled, "turn", encode_route(compiled, [walk])) == 0.0
+        assert turn_cost(walk) == 0.0
         cases += 1
 
     # service/traversal: required edges serviced exactly once
@@ -423,11 +427,12 @@ def test_criterion_05_extension_constraint_suites():
     g = Graph.build(range(3), directed=[(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     first, second = EdgeRef("d", 1, 2), EdgeRef("d", 0, 1)
     spec = ProblemSpec(graph=g, service=ServiceMode(), hierarchy=((first, second),), i_max=4)
-    compiled = compile_general(spec, encoding=ENC_REPETITION)
+    compiled = compile_general(spec, encoding=ENC_TERMINAL)
     sv = "service"
+    # the terminal encoding ends a walk no earlier than step 3, one per required edge
     violating_h = [
         [(0, 1, sv), (1, 2, sv), (2, 0, sv)],
-        [(0, 1, sv), (1, 2, sv)],
+        [(0, 1, sv), (1, 2, sv), (2, 0, "traverse")],
         [(2, 0, sv), (0, 1, sv), (1, 2, sv)],
         [(0, 1, sv), (1, 2, sv), (2, 0, "traverse"), (0, 1, "traverse")],
         [(2, 0, "traverse"), (0, 1, sv), (1, 2, sv), (2, 0, sv)],
@@ -435,9 +440,9 @@ def test_criterion_05_extension_constraint_suites():
     satisfying_h = [
         [(1, 2, sv), (2, 0, sv), (0, 1, sv)],
         [(1, 2, sv), (2, 0, "traverse"), (0, 1, sv)],
-        [(1, 2, sv), (2, 0, sv)],
+        [(1, 2, sv), (2, 0, sv), (0, 1, "traverse")],
         [(0, 1, "traverse"), (1, 2, sv), (2, 0, sv), (0, 1, sv)],
-        [(2, 0, sv), (0, 1, "traverse")],
+        [(2, 0, sv), (0, 1, "traverse"), (1, 2, "traverse")],
     ]
     for walk in violating_h:
         assert _family_value(compiled, "hierarchy", encode_route(compiled, [walk])) > 0.0

@@ -40,7 +40,6 @@ from postqubo.general import (
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import PENALTY_FAMILIES, Qubo, format_qubo_text, format_registry_text
 from conftest import (
-    VALIDITY_FAMILIES,
     bits_from_index,
     encode_route,
     enumerate_all_energies,
@@ -57,9 +56,8 @@ def small_path_spec(**kwargs) -> ProblemSpec:
 
 def hard_constraint_sum(compiled) -> Qubo:
     total = Qubo(len(compiled.registry))
-    for fam, c in compiled.constraints.items():
-        if fam in VALIDITY_FAMILIES:
-            total.add_scaled(c, 1.0)
+    for c in compiled.constraints.values():
+        total.add_scaled(c, 1.0)
     return total
 
 
@@ -211,7 +209,8 @@ def test_auto_encoding_builds_forms_once(monkeypatch):
 
 
 def _table_specs():
-    """Seeded mixed-graph specs for every encoding, with and without service mode."""
+    """Seeded mixed-graph specs for every encoding, with and without service
+    mode (which compiles only the terminal encoding)."""
     from conftest import random_mixed_graph
 
     rng = np.random.default_rng(23)
@@ -228,7 +227,8 @@ def _table_specs():
         else:
             spec = ProblemSpec(graph=g, start=start, i_max=i_max,
                                service=ServiceMode() if k % 3 else None)
-            cases += [(spec, ENC_REPETITION), (spec, ENC_TERMINAL)]
+            encodings = (ENC_TERMINAL,) if k % 3 else (ENC_REPETITION, ENC_TERMINAL)
+            cases += [(spec, enc) for enc in encodings]
     return cases
 
 
@@ -242,7 +242,7 @@ def test_step_tables_agree_with_the_registry():
         assert encoding in ("auto", compiled.encoding)
         rows = 0
         for p, table in enumerate(compiled._tables):
-            for step, idx, tail, head, arc, mode, _, _ in table.tolist():
+            for step, idx, tail, head, arc, mode, _ in table.tolist():
                 kind = KINDS[compiled._kind[arc]]
                 assert compiled.registry.label_of(idx) == EdgeStep(
                     step, tail, head, MODES[mode], p, kind)
@@ -255,7 +255,7 @@ def test_lexsorted_indices_are_the_registry_indices(name):
     spec, encoding = _pinned_specs()[name]
     compiled = compile_general(spec, encoding)
     (table,) = compiled._tables
-    for step, idx, tail, head, arc, mode, _, _ in table.tolist():
+    for step, idx, tail, head, arc, mode, _ in table.tolist():
         label = EdgeStep(step, tail, head, MODES[mode], 0, KINDS[compiled._kind[arc]])
         assert idx == compiled.registry.index_of(label)
     # within a step, arc-index order and label order differ
@@ -643,9 +643,7 @@ def test_turn_bonus_added_to_energy():
     assert solution.is_valid
     assert solution.turn_extra == 5.0
     pen = default_penalties(spec)
-    assert compiled.qubo(pen).energy(x) == pytest.approx(
-        solution.objective_weight + pen.p_turn * solution.turn_extra
-    )
+    assert compiled.qubo(pen).energy(x) == solution.objective_weight + solution.turn_extra
 
 
 def test_hierarchy_orders_service_steps():
@@ -654,7 +652,7 @@ def test_hierarchy_orders_service_steps():
     spec = ProblemSpec(
         graph=g, service=ServiceMode(), hierarchy=((first, second),), i_max=3
     )
-    compiled = compile_general(spec, encoding=ENC_REPETITION)
+    compiled = compile_general(spec, encoding=ENC_TERMINAL)
     ordered = encode_route(compiled, 
         [[(1, 2, "service"), (2, 0, "service"), (0, 1, "service")]]
     )
@@ -780,14 +778,12 @@ def _pinned_specs() -> dict[str, tuple[ProblemSpec, str]]:
     twins = Graph.build(range(3), undirected=[(0, 1, 2, 1.5), (1, 2, 1)],
                         directed=[(1, 0, 3), (2, 0, 1)])
 
-    def coexisting(i_max: int) -> ProblemSpec:
+    def coexisting(i_max: int, **service) -> ProblemSpec:
         return ProblemSpec(
             graph=twins, start=0, i_max=i_max, turn_penalties=(TurnPenalty(0, 1, 0, 1.25),),
-            hierarchy=((EdgeRef("u", 0, 1), EdgeRef("d", 2, 0)),),
             required_edges=frozenset([EdgeRef("u", 0, 1), EdgeRef("d", 1, 0),
                                       EdgeRef("d", 2, 0)]),
-            service=ServiceMode(service_overrides=((1, 0, "d", 2.5),),
-                                traverse_overrides=((0, 1, "u", 0.5),)),
+            **service,
         )
 
     return {
@@ -819,7 +815,11 @@ def _pinned_specs() -> dict[str, tuple[ProblemSpec, str]]:
             "auto",
         ),
         "coexisting_repetition": (coexisting(5), ENC_REPETITION),
-        "coexisting_terminal": (coexisting(6), ENC_TERMINAL),
+        "coexisting_terminal": (coexisting(
+            6, hierarchy=((EdgeRef("u", 0, 1), EdgeRef("d", 2, 0)),),
+            service=ServiceMode(service_overrides=((1, 0, "d", 2.5),),
+                                traverse_overrides=((0, 1, "u", 0.5),)),
+        ), ENC_TERMINAL),
     }
 
 
@@ -848,21 +848,19 @@ PINNED_FORMS = {
     "service_hierarchy": {"registry": "dec00cf3a91f2515", "objective": "a277a92a517a806f",
                           "one_edge": "8c4970014b02e266", "adjacency": "78b0f02110eb9861",
                           "required": "a54d216bb93310a8", "hierarchy": "fd599668a3457920"},
-    "turns": {"registry": "ac88e15e3bd825bf", "objective": "3a51abdaac0b8ffc",
+    "turns": {"registry": "ac88e15e3bd825bf", "objective": "5bb3e6962bb29a68",
               "one_edge": "815fdc14db70dc9c", "adjacency": "480125469e3f945b",
-              "required": "10581d54925adc1c", "turn": "3d777b9775f8f096"},
+              "required": "10581d54925adc1c"},
     "team": {"registry": "2f9cfb034b8d06e5", "objective": "c0cd1c8a6ce962f6",
              "one_edge": "a0b84e6e18ab65c8", "adjacency": "9819b1298bc10a68",
              "required": "e5837642810ceebb", "collision": "61d62f34fa05dbcc",
              "capacity": "0bb8882d86362f63"},
-    "coexisting_repetition": {"registry": "9564372591b8a59e", "objective": "b124a637d73cf8ca",
-                              "one_edge": "156e93da69eaa008", "adjacency": "1acc5816fdbc54f2",
-                              "required": "f6be1d6b7d5b5745", "turn": "616d7700422ceb20",
-                              "hierarchy": "0ee6db563818cc20"},
-    "coexisting_terminal": {"registry": "0067b578672f8732", "objective": "5e5b3c557de523b6",
+    "coexisting_repetition": {"registry": "5f24e89489aaa760", "objective": "5abe602c33078fe5",
+                              "one_edge": "527b965cf74b9850", "adjacency": "3170e9b32a02712c",
+                              "required": "c7befd9e0ef1557f"},
+    "coexisting_terminal": {"registry": "0067b578672f8732", "objective": "b203a96ff4c1ba36",
                             "one_edge": "e72634878b00ed0f", "adjacency": "d26020acc8c0a3d3",
-                            "required": "c63c0f8d27f8877c", "turn": "8c1874e5c1f90c51",
-                            "hierarchy": "fb13dcb6bc961f46"},
+                            "required": "c63c0f8d27f8877c", "hierarchy": "fb13dcb6bc961f46"},
 }
 
 
@@ -910,7 +908,7 @@ PINNED_DECODES = {
     "service_hierarchy": "1c2c7cf902008782",
     "turns": "9916e3665134a796",
     "team": "f4a098e856721f8e",
-    "coexisting_repetition": "738e2c375638058c",
+    "coexisting_repetition": "d60f2665a7389c88",
     "coexisting_terminal": "9f10bf2114815f27",
 }
 
@@ -943,7 +941,7 @@ PINNED_ENCODES = {
     "service_hierarchy": "50f5c337ff0f933f",
     "turns": "81a51d7006790736",
     "team": "ba4a7ada85c177de",
-    "coexisting_repetition": "c6c89cc03219db37",
+    "coexisting_repetition": "19272fd2241a9f45",
     "coexisting_terminal": "79ad00ed4a845d69",
     "team_over_capacity": "7ea2eae1fad72239",
     "slack_overflow": "294e90b1be1ef7f4",
@@ -992,10 +990,10 @@ PINNED_EXPORTS = {
     "terminal": ("e6c1ad89d75c3ed6", "bcbea47a03f415e2"),
     "rest": ("c57e49a8714e1af1", "f80f03508471f1e0"),
     "service_hierarchy": ("73330c195bf66231", "5113877c4aa152ce"),
-    "turns": ("6c5b8072accceafc", "79922ac555c77b55"),
+    "turns": ("2542fa6c039efab6", "7ef2943d3c54d360"),
     "team": ("f531009e68ea6241", "20a737fee67323eb"),
-    "coexisting_repetition": ("14a4825d223ccc84", "f582fa23c2474eaa"),
-    "coexisting_terminal": ("71f22683e6345129", "1641d370e3696a6e"),
+    "coexisting_repetition": ("f99cbba7f60f6a82", "ea063af21ee08895"),
+    "coexisting_terminal": ("00e551a2a1eb3e90", "7b70356277d17995"),
     "pairing": ("90738074f83cdc14", "e7e27256aa4246bd"),
     "mixed_10_16": ("27984375805895e6", "a6485688b21d852b"),
 }

@@ -230,16 +230,16 @@ def test_penalty_config_requires_positive_values():
         with pytest.raises(QuboError):
             PenaltyConfig.uniform(bad)
         with pytest.raises(QuboError):
-            PenaltyConfig.uniform(1.0).scaled(["turn"], bad)
+            PenaltyConfig.uniform(1.0).scaled(["hierarchy"], bad)
     cfg = PenaltyConfig.for_max_weight(4.0)
     assert cfg.p_required == 20.0
     assert cfg.value("one_edge") == 20.0
 
 
 def test_penalty_scaling_selected_families():
-    cfg = PenaltyConfig.uniform(3.0).scaled(["required", "turn"], 2.0)
+    cfg = PenaltyConfig.uniform(3.0).scaled(["required", "hierarchy"], 2.0)
     assert cfg.p_required == 6.0
-    assert cfg.p_turn == 6.0
+    assert cfg.p_hierarchy == 6.0
     assert cfg.p_one_edge == 3.0
 
 
