@@ -347,12 +347,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         out_dir = args.out if args.out is not None else path.parent
         try:
             instance = load_instance(path)
-            out_dir.mkdir(parents=True, exist_ok=True)
             solution, doc, pipeline = _oracle_route(instance, args.node_limit)
         except PostquboError as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
             codes.append(_failure(exc)[0])
             continue
+        out_dir.mkdir(parents=True, exist_ok=True)
         route = route_to_json(solution, doc, pipeline, "oracle", 0, None, 0)
         dump_json(route, out_dir / (path.stem + ".oracle.json"))
         print(f"{path.name}: optimum weight {solution.objective_weight!r}")

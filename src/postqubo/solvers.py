@@ -7,23 +7,30 @@ coupling row in place per move, and rebuilds its flip energy changes from it
 with one product, the same values bit for bit.
 An annealing call draws from one stream, default_rng(seed mod 2^64): every
 read's initial state, then raw 32-bit words in (sweep, read, variable)
-order, `_SWEEP_BLOCK` sweeps at a time, whose top 23 bits become acceptance
-thresholds in place.  Only one block is alive at a time, so memory is
-O(reads * n * _SWEEP_BLOCK).  All reads run together and each sweep is
-event-driven: one comparison tests every read's n proposals, and work is
-done only where a proposal is accepted, so each read follows exactly the
-chain of a one-variable-at-a-time sweep.  One event step flips every live
-read at its next accepted variable: the flipped entries are read and written
-at flat positions, each read's signed coupling row s_c * sym[c] is one gather
-from the stacked table [sym; -sym], and the rows just updated are re-tested
-against the sweep's thresholds at their later variables only.  A sweep with
-no accepted proposal costs one comparison.  Before each block, if no read has
-a flip energy change below the largest threshold any remaining sweep can
-draw, every later proposal is a rejection fixed in advance and the call
-ends there; `samples_evaluated` still counts reads * sweeps * n.  The result
-is the first state in (sweep, variable, read) order that reaches the lowest
-energy seen.  A `make_sampler` closure moves to a new seed on each call, so
-a retune does not replay the stream of the attempt it follows.
+order, one block of floor(_WORD_BUDGET / (reads * n)) sweeps at a time, at
+least 1 and at most `_SWEEP_BLOCK`; their top 23 bits become acceptance
+thresholds in place.  Only one block is alive at a time, so its words take
+O(max(reads * n, _WORD_BUDGET)) memory.  Let low be the smallest flip energy
+change at a block's start.  When low > 0, until the block's first accepted
+flip each sweep compares its raw words with a floor below which no word's
+threshold exceeds low; only the words at or above it are converted, and a
+sweep where none passes is never converted.  From the first sweep with an
+accepted proposal the rest of the block is converted.  All reads run
+together and each sweep is event-driven: one comparison tests every read's
+n proposals, and work is done only where a proposal is accepted, so each
+read follows exactly the chain of a one-variable-at-a-time sweep.  One event
+step flips every live read at its next accepted variable: the flipped
+entries are read and written at flat positions, each read's signed coupling
+row s_c * sym[c] is one gather from the stacked table [sym; -sym], and the
+rows just updated are re-tested against the sweep's thresholds at their
+later variables only.  A sweep with no accepted proposal costs one
+comparison.  Before each block, if no read has a flip energy change below
+the largest threshold any remaining sweep can draw, every later proposal is
+a rejection fixed in advance and the call ends there; `samples_evaluated`
+still counts reads * sweeps * n.  The result is the first state in (sweep,
+variable, read) order that reaches the lowest energy seen.  A `make_sampler`
+closure moves to a new seed on each call, so a retune does not replay the
+stream of the attempt it follows.
 """
 
 from __future__ import annotations
@@ -256,7 +263,8 @@ def greedy_post(q: Qubo, report: SolveReport) -> SolveReport:
     )
 
 
-_SWEEP_BLOCK = 16  # sweeps of acceptance thresholds held in memory at once
+_SWEEP_BLOCK = 16  # the most sweeps of acceptance thresholds held in memory at once
+_WORD_BUDGET = 1 << 18  # random words per block (1 MB): fewer sweeps at large reads * n
 
 # the betas float32 holds with every threshold finite: a threshold is at most
 # 23 ln 2 / beta, just under 16 / beta
@@ -278,6 +286,20 @@ def _acceptance_thresholds(bits: np.ndarray, betas: np.ndarray) -> np.ndarray:
     np.log(v, out=v)
     np.divide(v, -betas[:, None, None], out=v)
     return v
+
+
+def _word_floors(low: float, betas: np.ndarray) -> np.ndarray:
+    """For low > 0, the smallest uint32 word per beta whose threshold can
+    exceed low; every word below it draws a threshold <= low.
+
+    A word with top 23 bits k has the threshold -log(1 - k / 2^23) / beta,
+    above low only when k > 2^23 * -expm1(-beta * low).  float32's log and
+    division are off by a few ulps, and by up to half the least subnormal
+    below 2^-126, so the bound is taken at (low - 2^-149) * (1 - 2^-12) in
+    float64 and rounded down."""
+    bound = max((float(low) - 2**-149) * (1 - 2**-12), 0.0)
+    k = np.floor(-np.expm1(betas.astype(np.float64) * -bound) * 2**23)
+    return np.minimum(k.astype(np.uint64) << 9, 0xFFFFFFFF).astype(np.uint32)
 
 
 def simulated_annealing(
@@ -330,38 +352,56 @@ def simulated_annealing(
     later = np.triu(np.ones((n, n), dtype=bool), 1)  # later[c, k]: k follows c in a sweep
     starts = np.arange(reads) * n  # where row i starts in a flattened (rows, n) array
     size = reads * n
-    for first in range(0, sweeps, _SWEEP_BLOCK):
-        if not (deltas < ceilings[first]).any():
+    per_block = max(1, min(_SWEEP_BLOCK, _WORD_BUDGET // size))
+    for first in range(0, sweeps, per_block):
+        # the smallest flip energy change; fmin skips NaN, as `<` does below
+        low = np.fmin.reduce(deltas, axis=None)
+        if not low < ceilings[first]:
             break  # frozen: no later proposal can pass, so the rest are rejections
-        count = min(_SWEEP_BLOCK, sweeps - first)
+        count = min(per_block, sweeps - first)
         # one block of raw bits in (sweep, read, variable) order; the block
         # before it is no longer referenced, so only one is alive at a time
         words = gen.bit_generator.random_raw((count * size + 1) // 2)
         bits = words.view(np.uint32)[: count * size].reshape(count, reads, n)
-        thresholds = _acceptance_thresholds(bits, betas[first : first + count])
+        thresholds = bits.view(np.float32)  # each sweep's rows once converted
+        quiet = low > 0  # until a flip, only a word at or above its floor can pass
+        if quiet:
+            floors = _word_floors(low, betas[first : first + count])
+        else:
+            _acceptance_thresholds(bits, betas[first : first + count])
         for s in range(count):
-            # test the whole sweep at once; each accepting read flips at its
-            # first accepted variable, then re-tests only the later ones
+            sweep = first + s
+            if quiet:
+                hits = np.flatnonzero(bits[s] >= floors[s])
+                if len(hits):  # test the words at or above the floor exactly
+                    exact = _acceptance_thresholds(bits[s].take(hits)[None, None], betas[[sweep]])
+                    hits = hits[deltas.take(hits) < exact[0, 0]]
+                if not len(hits):
+                    continue  # a quiet sweep stays raw words
+                quiet = False
+                _acceptance_thresholds(bits[s:], betas[sweep : first + count])
+            else:
+                hits = np.flatnonzero(deltas < thresholds[s])
+                if not len(hits):
+                    continue
+            # each accepting read flips at its first accepted variable, then
+            # re-tests only the later ones
             thr = thresholds[s]
-            hits = np.flatnonzero(deltas < thr)
-            if not len(hits):
-                continue
             rows, cols = np.divmod(hits, n)
             lead = np.ones(len(hits), dtype=bool)
             np.not_equal(rows[1:], rows[:-1], out=lead[1:])
             rows, cols = rows[lead], cols[lead]
-            sweep = first + s
             while True:
                 old, block = _flip(spins, deltas, signed, rows, cols)
                 energies = current.take(rows)
                 energies += old
                 current.put(rows, energies)
-                low = energies.min()
+                least = energies.min()
                 # a tie met in a sweep after the best key's can never win
-                if low < best_key[0] or low == best_key[0] and sweep <= best_key[1]:
-                    ties = np.flatnonzero(energies == low)
+                if least < best_key[0] or least == best_key[0] and sweep <= best_key[1]:
+                    ties = np.flatnonzero(energies == least)
                     k = ties[np.lexsort((rows[ties], cols[ties]))[0]]
-                    key = (float(low), sweep, int(cols[k]), int(rows[k]))
+                    key = (float(least), sweep, int(cols[k]), int(rows[k]))
                     if key < best_key:
                         best_key = key
                         best_spins = spins[rows[k]].copy()
@@ -373,7 +413,7 @@ def simulated_annealing(
                 if not len(rows):
                     break
                 cols = cols[more]
-        del words, bits, thresholds, thr
+        words = bits = thresholds = thr = None
     return _finish(q, (1.0 - best_spins) / 2.0, reads * sweeps * n, t0, "sa", seed)
 
 

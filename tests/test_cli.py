@@ -325,6 +325,19 @@ def test_a_route_whose_weight_overflows_is_an_input_error(tmp_path, capsys, doc,
     assert not out.exists() or not any(out.glob("*.json"))
 
 
+def test_oracle_makes_no_output_directory_for_instances_it_rejects(tmp_path, capsys):
+    # like solve and export-qubo: a rejected instance leaves no empty --out behind
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "graph.json").write_text(json.dumps(OVERFLOW_GRAPH))
+    (suite / "spec.json").write_text(json.dumps(OVERFLOW_SPEC))
+    for target in (suite / "graph.json", suite):
+        out = tmp_path / "out"
+        assert run("oracle", target, "--out", out) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_validate_detects_tampering(fig_graph_file, tmp_path, capsys):
     out = tmp_path / "out"
     run("solve", fig_graph_file, "--pipeline", "pairing", "--solver", "brute", "--out", out)

@@ -23,7 +23,13 @@ from postqubo import (
 from postqubo import solvers
 from postqubo.general import compile_general
 from postqubo.pairing import compile_pairing, default_pairing_penalty
-from postqubo.solvers import _EPS, _acceptance_thresholds, _finish, _row_energies
+from postqubo.solvers import (
+    _EPS,
+    _acceptance_thresholds,
+    _finish,
+    _row_energies,
+    _word_floors,
+)
 from conftest import (
     add_linear,
     add_offset,
@@ -339,10 +345,11 @@ def test_extreme_bits_give_finite_thresholds_without_warning():
     assert np.allclose(thresholds[0, 0, 2:], [np.log(2) / 0.5, 23 * np.log(2) / 0.5], rtol=1e-6)
 
 
-@pytest.mark.parametrize("block", [2, 16, 1000])
+@pytest.mark.parametrize("block", [1, 2, 16, 1000])
 def test_sa_reports_do_not_depend_on_the_sweep_block(monkeypatch, block):
-    """Odd reads * n and sweep counts that leave a partial last block; a block
-    of 1000 holds every sweep at once."""
+    """Odd reads * n and sweep counts that leave a partial last block; the
+    word budget is set to `block` sweeps, or below one sweep for block 1,
+    and a block of 1000 holds every sweep at once."""
     rng = np.random.default_rng(17)
     cases = []
     for n, reads, sweeps in ((7, 5, 37), (9, 3, 5), (12, 4, 33)):
@@ -352,8 +359,10 @@ def test_sa_reports_do_not_depend_on_the_sweep_block(monkeypatch, block):
             for j in range(i + 1, n):
                 add_quadratic(q, i, j, float(rng.integers(-4, 5)))
         cases.append((q, dict(sweeps=sweeps, beta_schedule=(0.2, 3.0), reads=reads, seed=n)))
-    monkeypatch.setattr(solvers, "_SWEEP_BLOCK", block)
+    monkeypatch.setattr(solvers, "_SWEEP_BLOCK", max(block, 16))
     for q, args in cases:
+        size = args["reads"] * q.n
+        monkeypatch.setattr(solvers, "_WORD_BUDGET", block * size if block > 1 else size - 1)
         assert same_report(simulated_annealing(q, **args), reference_simulated_annealing(q, **args))
 
 
@@ -369,6 +378,24 @@ def test_sa_default_memory_is_bounded_by_the_sweep_block():
         tracemalloc.stop()
     # drawing every threshold up front peaked above 300 MB here
     assert peak < 40e6
+
+
+def test_sa_memory_at_a_million_proposals_per_sweep_is_bounded_by_the_word_budget():
+    """At reads * n = 2^20 a block is one sweep of 4 MB of words; sixteen
+    sweeps held at once took 64 MB.  Every flip costs 10 at a beta near 1,
+    so about 50 proposals a sweep pass and the sweeps stay cheap."""
+    n, reads = 64, 1 << 14
+    q = Qubo(n)
+    for i in range(n):
+        add_linear(q, i, 10.0)
+    tracemalloc.start()
+    try:
+        report = simulated_annealing(q, sweeps=20, beta_schedule=(1.0, 1.1), reads=reads, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.best_energy == 0.0
+    assert peak < 48e6
 
 
 @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
@@ -395,6 +422,33 @@ def test_no_word_draws_a_threshold_above_the_all_ones_word(beta):
     bits <<= 9
     ceiling = _acceptance_thresholds(np.full((1, 1, 1), 0xFFFFFFFF, np.uint32), betas).item()
     assert _acceptance_thresholds(bits, betas).max() == ceiling
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [*solvers._BETA_RANGE, 0.1, 1.0, 10.0,
+     *np.exp(np.random.default_rng(29).uniform(-7.0, 7.0, 3)).tolist()],
+)
+def test_no_word_below_its_floor_draws_a_threshold_above_low(beta):
+    """A sweep before the block's first flip converts only the words at or
+    above its floor, which is exact only if no word below the floor draws a
+    threshold above the smallest flip energy change; all 2^23 top-23-bit
+    values are checked at changes equal to, just below and just above
+    threshold values, and between them."""
+    betas = np.array([beta], dtype=np.float32)
+    words = np.arange(1 << 23, dtype=np.uint32) << 9
+    thresholds = _acceptance_thresholds(words.reshape(1, 1, -1).copy(), betas).ravel()
+    highest = np.maximum.accumulate(thresholds)  # highest[k]: the largest of words 0..k
+    lows = [np.float32(1e-45), np.float32(1e-30), np.float32(0.5), np.float32(7.0)]
+    for k in (1, 2, 3, 1000, 1 << 20, 1 << 21, 2_000_000, 1 << 22, (1 << 23) - 2):
+        t = thresholds[k]
+        lows += [np.nextafter(t, np.float32(0)), t, np.nextafter(t, np.float32(np.inf)),
+                 (t + thresholds[k + 1]) / np.float32(2)]
+    for low in (low for low in lows if low > 0):
+        below = int(np.searchsorted(words, _word_floors(low, betas)[0]))  # words under the floor
+        assert below == 0 or highest[below - 1] <= low
+        # and the floor lets through at most a few hundred words that cannot pass
+        assert words.size - below - np.count_nonzero(thresholds > low) <= 1 << 10
 
 
 @pytest.mark.parametrize("schedule", [(1e-50, 1.0), (0.1, 1e39)])
@@ -428,26 +482,32 @@ def odd_delta_qubo(rng, n, unit):
     return q
 
 
+class CountedStream:
+    """A default_rng stand-in that records the size of every raw-word draw
+    (annealing draws once per block it runs) and passes the rest through."""
+
+    def __init__(self, seed, draws):
+        self.gen = np.random.Generator(np.random.PCG64(seed))
+        self.bit_generator = self
+        self.draws = draws
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def random_raw(self, size):
+        self.draws.append(size)
+        return self.gen.bit_generator.random_raw(size)
+
+
 @pytest.fixture
-def threshold_fills(monkeypatch):
-    """Sweep counts of the `_acceptance_thresholds` calls annealing makes.
-    With more sweeps than a block, the one call longer than a block is the
-    per-sweep ceilings, and the others are the blocks that ran."""
-    fills = []
-
-    def counted(bits, betas):
-        fills.append(len(betas))
-        return _acceptance_thresholds(bits, betas)
-
-    monkeypatch.setattr(solvers, "_acceptance_thresholds", counted)
-    return fills
+def blocks_drawn(monkeypatch):
+    """The 64-bit words drawn by each block an annealing call runs."""
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountedStream(seed, draws))
+    return draws
 
 
-def blocks_run(fills):
-    return sum(count <= solvers._SWEEP_BLOCK for count in fills)
-
-
-def test_sa_stops_at_the_first_frozen_block_with_the_reference_report(threshold_fills):
+def test_sa_stops_at_the_first_frozen_block_with_the_reference_report(blocks_drawn):
     """With changes of at least 200, above the 159 that any sweep at beta >=
     0.1 can accept, a read is frozen as soon as it reaches a local minimum:
     the run ends after one block.  Smaller units freeze in later blocks.
@@ -457,11 +517,12 @@ def test_sa_stops_at_the_first_frozen_block_with_the_reference_report(threshold_
         unit = (200.0, 137.5, 23.7, 6.0)[case % 4]
         q = odd_delta_qubo(rng, int(rng.integers(2, 21)), unit)
         args = dict(sweeps=int(rng.integers(200, 400)), reads=int(rng.integers(1, 60)), seed=case)
-        threshold_fills.clear()
+        blocks_drawn.clear()
         report = simulated_annealing(q, **args)
+        run = len(blocks_drawn)
+        per_block = 2 * blocks_drawn[0] // (args["reads"] * q.n)  # sweeps in a full block
         assert same_report(report, reference_simulated_annealing(q, **args))
-        run = blocks_run(threshold_fills)
-        assert run < -(-args["sweeps"] // solvers._SWEEP_BLOCK)
+        assert run < -(-args["sweeps"] // per_block)
         if unit == 200.0:
             assert run <= 1
 
@@ -496,7 +557,7 @@ PAIRING_REPORTS_AT_THE_DEFAULTS = {
 
 
 @pytest.mark.parametrize("case", list(PAIRING_REPORTS_AT_THE_DEFAULTS))
-def test_pairing_reports_at_the_defaults_are_pinned(case, threshold_fills):
+def test_pairing_reports_at_the_defaults_are_pinned(case, blocks_drawn):
     odd, graph_seed, seed = case
     g = random_graph_with_odd_count(np.random.default_rng(graph_seed), odd)
     q = compile_pairing(g, default_pairing_penalty(g)).qubo()
@@ -505,7 +566,7 @@ def test_pairing_reports_at_the_defaults_are_pinned(case, threshold_fills):
     assert report.best_energy == energy
     assert "".join(map(str, report.best_assignment)) == bits
     assert report.samples_evaluated == 1000 * 1000 * q.n  # skipped proposals count
-    assert blocks_run(threshold_fills) < 63  # frozen before the last block
+    assert len(blocks_drawn) < 63  # blocks hold at most 16 sweeps: frozen before the last
 
 
 def general_pin_qubo(seed: int, vertices: int, edges: int, windy: bool, endpoints: str,
