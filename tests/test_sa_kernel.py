@@ -443,7 +443,7 @@ def test_no_word_below_its_floor_draws_a_threshold_above_low(beta):
     for k in (1, 2, 3, 1000, 1 << 20, 1 << 21, 2_000_000, 1 << 22, (1 << 23) - 2):
         t = thresholds[k]
         lows += [np.nextafter(t, np.float32(0)), t, np.nextafter(t, np.float32(np.inf)),
-                 (t + thresholds[k + 1]) / np.float32(2)]
+                 np.float32((np.float64(t) + np.float64(thresholds[k + 1])) / 2)]
     for low in (low for low in lows if low > 0):
         below = int(np.searchsorted(words, _word_floors(low, betas)[0]))  # words under the floor
         assert below == 0 or highest[below - 1] <= low
