@@ -208,6 +208,18 @@ def _compile(problem, args: argparse.Namespace) -> tuple[CompiledProblem, Penalt
     return compiled, replace(pen, **args.penalties)
 
 
+def _shortcut(problem) -> RouteSolution | None:
+    """The Euler circuit that answers a graph or spec without a QUBO, or None.
+
+    A graph with no odd vertex is its own circuit; `euler_route` first checks
+    it as the pairing pipeline does, so a disconnected, windy or directed
+    graph is an input error here too.
+    """
+    if isinstance(problem, Graph):
+        return None if odd_degree_vertices(problem) else euler_route(problem)
+    return euler_shortcut(problem)
+
+
 def _solve_one(
     instance, args: argparse.Namespace, solver: str, seed: int
 ) -> tuple[RouteSolution, dict, GraphDocument]:
@@ -223,15 +235,11 @@ def _solve_one(
         tenure=args.tenure,
         iterations=args.iterations,
     )
-    if not args.force_qubo:
-        if isinstance(problem, Graph):
-            shortcut = None if odd_degree_vertices(problem) else euler_route(problem)
-        else:
-            shortcut = euler_shortcut(problem)
-        if shortcut is not None:
-            meta = {"pipeline": pipeline, "solver": "euler-shortcut", "seed": seed,
-                    "energy": None, "retunes": 0, "report": None}
-            return shortcut, meta, doc
+    shortcut = None if args.force_qubo else _shortcut(problem)
+    if shortcut is not None:
+        meta = {"pipeline": pipeline, "solver": "euler-shortcut", "seed": seed,
+                "energy": None, "retunes": 0, "report": None}
+        return shortcut, meta, doc
     compiled, pen = _compile(problem, args)
 
     def builder(p: PenaltyConfig) -> CompiledInstance:
@@ -291,21 +299,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_export_qubo(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     _, problem, _ = _problem_of(instance, args)
-    if isinstance(problem, Graph):
-        # forced, an even graph reaches compile_pairing's NoOddVertices (exit 1)
-        if not args.force_qubo and not odd_degree_vertices(problem):
-            print(
-                "ShortcutApplies: graph is already Eulerian; there is no pairing "
-                "QUBO to export",
-                file=sys.stderr,
-            )
-            return EXIT_NO_SOLUTION
-    elif not args.force_qubo and euler_shortcut(problem) is not None:
-        print(
-            "ShortcutApplies: the required edges admit a direct Euler circuit; "
-            "re-run with --force-qubo to export anyway",
-            file=sys.stderr,
-        )
+    # forced, an even graph reaches compile_pairing's NoOddVertices (exit 1)
+    if not args.force_qubo and _shortcut(problem) is not None:
+        if isinstance(problem, Graph):
+            reason = "graph is already Eulerian; there is no pairing QUBO to export"
+        else:
+            reason = ("the required edges admit a direct Euler circuit; "
+                      "re-run with --force-qubo to export anyway")
+        print(f"ShortcutApplies: {reason}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     compiled, pen = _compile(problem, args)
     qubo = compiled.qubo(pen)
@@ -329,10 +330,11 @@ def _suite(directory: Path) -> list[Path]:
 def _oracle_route(instance, node_limit: int) -> tuple[RouteSolution, GraphDocument, str]:
     if isinstance(instance, GraphDocument):
         g = instance.graph
-        if not odd_degree_vertices(g):  # already Eulerian: its circuit is the optimum
-            return euler_route(g), instance, "pairing"
-        pairing, _added = exact_pairing_oracle(g)  # checks the graph
-        return _augment_and_route(g, pairing), instance, "pairing"
+        solution = _shortcut(g)  # already Eulerian: its circuit is the optimum
+        if solution is None:
+            pairing, _added = exact_pairing_oracle(g)  # checks the graph
+            solution = _augment_and_route(g, pairing)
+        return solution, instance, "pairing"
     solution = exact_walk_oracle(instance.spec, node_limit=node_limit)
     return solution, instance.graph_doc, "general"
 

@@ -13,23 +13,26 @@ encodings are supported for a single postman:
 Multiple postmen (or capacities / collision bans) use per-postman rest
 variables: the rest bit plays the terminal role for that postman's walk.
 
-The layout is kept only as integer columns.  The arcs are tail, head, kind
-and required-edge columns, an arc's index being its position in
-`Graph.arcs()` (the terminal encoding's arcs follow); step pruning is one
-boolean (step x arc) reachability sweep over them each way, and a
-postman's slots are the (step, arc, mode) columns of the allowed entries.
-`compile_general` sizes both single-postman encodings by their slot counts
-and builds the registry, tables and forms only for the smaller one.  Each
-postman's edge variables form one step table (`STEP_ROW` rows in step,
-arc-index and mode order, registry indices from one lexsort in label
-order); the rest, required-slack and capacity-slack variables are int64
-(owner, postman, bit, index) register rows.  The forms and `decode` read
-only these.  Adjacency, rest, the repeat discount and turns are masks over
-one join of every row with every row of the next step; the required family
-is one grouped square over the rows' required-edge column.
-Every weight comes from one `ProblemSpec.weight` call per (arc, mode) and
-postman, kept in the table; terminal arcs cost nothing.  Turn bonuses are
-objective terms, so a valid state's energy is its route's weight plus bonus.
+`CompiledGeneral(spec, encoding)` builds the whole compiled problem in its
+constructor; `compile_general` is that call.  The layout is kept only as
+integer columns.  The arcs are tail, head, kind and required-edge columns,
+laid out once, an arc's index being its position in `Graph.arcs()` (the
+terminal arcs follow; only the terminal encoding lets them in).  Step
+pruning is one boolean (step x arc) reachability sweep over them each way,
+run once per encoding in play, and a postman's slots are the (step, arc,
+mode) columns of the allowed entries.  Under "auto" both single-postman
+encodings are pruned and the one with fewer slots is kept, so only it gets a
+registry, tables and forms.  Each postman's edge variables form one step
+table (`STEP_ROW` rows in step, arc-index and mode order, registry indices
+from one lexsort in label order); the rest, required-slack and
+capacity-slack variables are int64 (owner, postman, bit, index) register
+rows.  The forms and `decode` read only these.  Adjacency, rest, the repeat
+discount and turns are masks over one join of every row with every row of
+the next step; the required family is one grouped square over the rows'
+required-edge column.  Every weight comes from one `ProblemSpec.weight` call
+per (arc, mode) and postman, kept in the table; terminal arcs cost nothing.
+Turn bonuses are objective terms, so a valid state's energy is its route's
+weight plus bonus.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .qubo import (
     RequiredSlack,
     RestVar,
     VariableRegistry,
+    _pairs,
 )
 from .routes import RouteSolution, WalkStep
 
@@ -120,32 +124,30 @@ def _prune_steps(
     return allowed
 
 
-def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) for every row a and every b in [lo[a], hi[a]), a-major, then b."""
-    count = hi - lo
-    a = np.repeat(np.arange(len(lo)), count)
-    return a, np.arange(len(a)) - np.repeat(np.cumsum(count) - count - lo, count)
-
-
 class CompiledGeneral(CompiledProblem):
     """Spec compiled to a registry, objective and per-family constraints.
 
-    Construction lays out arcs and step pruning; `compile_general` then
-    builds the registry, the step tables and the forms for the encoding it
-    returns.
+    The constructor builds the whole compiled problem: it lays out the arc
+    columns once, prunes steps for each encoding in play (the one `encoding`
+    names, or under "auto" every encoding the spec admits), keeps the one
+    with the fewest (step, arc, mode) slots, repetition on a tie, and builds
+    its registry, step tables and forms.  A rest spec admits only rest, a
+    service spec only terminal; any other encoding is a `SpecError`.
     """
 
-    def __init__(self, spec: ProblemSpec, encoding: str):
-        if encoding not in (ENC_REPETITION, ENC_TERMINAL, ENC_REST):
+    def __init__(self, spec: ProblemSpec, encoding: str = "auto"):
+        if spec.uses_rest_encoding:
+            admitted: tuple[str, ...] = (ENC_REST,)
+        elif spec.service is not None:
+            admitted = (ENC_TERMINAL,)
+        else:
+            admitted = (ENC_REPETITION, ENC_TERMINAL)
+        if encoding not in ("auto", ENC_REPETITION, ENC_TERMINAL, ENC_REST):
             raise SpecError(f"unknown encoding {encoding!r}")
-        if spec.uses_rest_encoding and encoding != ENC_REST:
-            raise SpecError("this spec requires the rest encoding")
-        if not spec.uses_rest_encoding and encoding == ENC_REST:
-            raise SpecError("rest encoding is only for capacitated/multi-postman specs")
-        if spec.service is not None and encoding == ENC_REPETITION:
-            raise SpecError("service mode uses the terminal encoding, not repetition")
+        if encoding not in ("auto", *admitted):
+            raise SpecError(f"this spec compiles the {' or '.join(admitted)} encoding, "
+                            f"not {encoding}")
         self.spec = spec
-        self.encoding = encoding
         self.i_max = spec.effective_i_max
         if self.i_max < 1:
             raise SpecError("the step budget i_max is 0: the graph has no edges to walk")
@@ -153,31 +155,41 @@ class CompiledGeneral(CompiledProblem):
         self.required: tuple[EdgeRef, ...] = spec.resolved_required()
         self.service_mode = spec.service is not None
 
-        with_terminal = encoding == ENC_TERMINAL
         # arc columns: tail, head, kind code and required edge (position in
         # `required`, or -1); an arc's index is its position in graph.arcs(),
-        # and the terminal encoding appends one arc into the terminal per
-        # possible end, then the terminal loop
+        # then one arc into the terminal per possible end and the terminal
+        # loop, which only the terminal encoding lets in
         required = {ref: g for g, ref in enumerate(self.required)}
         arcs = [(a.tail, a.head, KINDS.index(a.ref.kind), required.get(a.ref, -1))
                 for a in spec.graph.arcs()]
-        if with_terminal:
-            ends = [spec.stop] if spec.stop is not None else sorted(spec.graph.vertices)
-            arcs += [(v, TERMINAL, KINDS.index(KIND_TERMINAL), -1) for v in [*ends, TERMINAL]]
+        ends = [spec.stop] if spec.stop is not None else sorted(spec.graph.vertices)
+        arcs += [(v, TERMINAL, KINDS.index(KIND_TERMINAL), -1) for v in [*ends, TERMINAL]]
         self._tail, self._head, self._kind, self._group = np.array(
             arcs, dtype=np.int64).reshape(-1, 4).T
         terminal = self._kind == KINDS.index(KIND_TERMINAL)
-        gate = len(self.required) if with_terminal else None
-        self.allowed = _prune_steps(
-            spec, self._tail, self._head, terminal, self.i_max, encoding == ENC_REPETITION, gate
-        )
-        # the (step, arc, mode) slots of one postman, in that order; a
-        # terminal arc is padding in the last mode, never service
+        # a slot's usable modes; a terminal arc is padding in the last mode, never service
         modes = np.array([m in spec.modes for m in MODES])
         last = np.array([m == spec.modes[-1] for m in MODES])
-        self._slots = np.nonzero(
-            self.allowed[:, :, None] & np.where(terminal[:, None], last, modes)
-        )
+        usable = np.where(terminal[:, None], last, modes)
+        fits, errors = {}, []
+        for enc in admitted if encoding == "auto" else (encoding,):
+            gate = len(self.required) if enc == ENC_TERMINAL else None
+            try:
+                allowed = _prune_steps(spec, self._tail, self._head, terminal, self.i_max,
+                                       enc == ENC_REPETITION, gate)
+            except InfeasibleEndpoints as exc:
+                errors.append(exc)
+                continue
+            # the (step, arc, mode) slots of one postman, in that order
+            fits[enc] = allowed, np.nonzero(allowed[:, :, None] & usable)
+        if not fits:
+            raise errors[0]
+        # the fewest slots; repetition, listed first, wins a tie
+        self.encoding = min(fits, key=lambda enc: len(fits[enc][1][0]))
+        self.allowed, self._slots = fits[self.encoding]
+        del fits, errors  # the other encoding's arrays go before the build
+        self._build_registry()
+        self._build_forms()
 
     # ---- variables -------------------------------------------------------
 
@@ -404,35 +416,8 @@ class CompiledGeneral(CompiledProblem):
 
 
 def compile_general(spec: ProblemSpec, encoding: str = "auto") -> CompiledGeneral:
-    """Compile a spec, choosing the smaller of the two single-postman encodings
-    when `encoding` is 'auto' (ties go to repetition); service mode always
-    compiles the terminal encoding.
-
-    The two differ only in their pruned (arc, mode) slots, so they are sized
-    by counting those; only the returned encoding builds its registry, step
-    table and forms.
-    """
-    if spec.uses_rest_encoding:
-        compiled = CompiledGeneral(spec, ENC_REST)
-    elif encoding != "auto":
-        compiled = CompiledGeneral(spec, encoding)
-    else:
-        candidates: list[CompiledGeneral] = []
-        errors: list[Exception] = []
-        encodings = (ENC_TERMINAL,) if spec.service is not None else (ENC_REPETITION, ENC_TERMINAL)
-        for enc in encodings:
-            try:
-                candidates.append(CompiledGeneral(spec, enc))
-            except InfeasibleEndpoints as exc:
-                errors.append(exc)
-        if not candidates:
-            raise errors[0]
-        compiled = min(
-            candidates, key=lambda c: (len(c._slots[0]), c.encoding != ENC_REPETITION)
-        )
-    compiled._build_registry()
-    compiled._build_forms()
-    return compiled
+    """Compile a spec: `CompiledGeneral(spec, encoding)`."""
+    return CompiledGeneral(spec, encoding)
 
 
 def default_penalties(spec: ProblemSpec) -> PenaltyConfig:

@@ -186,6 +186,13 @@ def _reduce(keys: np.ndarray, vals: np.ndarray, eps: float) -> tuple[np.ndarray,
     return keys[start[keep]], acc[keep]
 
 
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) for every row a and every b in [lo[a], hi[a]), a-major, then b."""
+    count = hi - lo
+    a = np.repeat(np.arange(len(lo)), count)
+    return a, np.arange(len(a)) - np.repeat(np.cumsum(count) - count - lo, count)
+
+
 class Qubo:
     """offset + sum_i linear[i] x_i + sum_{i<j} quadratic[i,j] x_i x_j over bits.
 
@@ -277,9 +284,7 @@ class Qubo:
         group, idx = np.divmod(key, max(n, 1))
         # every pair a < b within a group, a-major: a term's later partners
         # are the rest of its group's run
-        later = np.searchsorted(group, group, side="right") - np.arange(len(group)) - 1
-        a = np.repeat(np.arange(len(group)), later)
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+        a, b = _pairs(np.arange(1, len(group) + 1), np.searchsorted(group, group, side="right"))
         c = constant[group]
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.concatenate([2.0 * c * m + m * m, 2.0 * m[a] * m[b]])

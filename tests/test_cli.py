@@ -862,3 +862,87 @@ def test_a_qubo_that_overflows_is_an_error_and_writes_nothing(tmp_path, capsys, 
         assert run(command, path, "--force-qubo", *flags, "--out", out) == 1
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
+
+
+TWO_TRIANGLES = {"vertices": [0, 1, 2, 3, 4, 5],
+                 "undirected": [[0, 1, 1], [1, 2, 1], [2, 0, 1], [3, 4, 1], [4, 5, 1], [5, 3, 1]]}
+WINDY_TRIANGLE = {"vertices": [0, 1, 2], "undirected": [[0, 1, 1, 2], [1, 2, 1], [2, 0, 1]]}
+
+
+@pytest.mark.parametrize("graph, message", [
+    (TWO_TRIANGLES, "pairing pipeline needs a connected graph"),
+    (WINDY_TRIANGLE, "edge [0,1] has w_ab=1.0 != w_ba=2.0"),
+], ids=["two-triangles", "windy-triangle"])
+def test_an_even_graph_the_pairing_pipeline_rejects_has_no_shortcut(
+        tmp_path, capsys, graph, message):
+    # every degree is even, but no Euler circuit answers the graph file: each
+    # command rejects it as the pairing pipeline does, and export-qubo says no
+    # "already Eulerian"
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps(graph))
+    for command in ("export-qubo", "solve", "oracle"):
+        out = tmp_path / f"{command}-out"
+        assert run(command, path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert message in err and "ShortcutApplies" not in err
+        assert not out.exists()
+
+
+PATH_SPEC = {"graph": {"vertices": [0, 1, 2, 3],
+                       "undirected": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]},
+             "start": 0}
+
+
+def test_export_qubo_i_max_flag_sets_a_specs_step_budget(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(PATH_SPEC))
+    assert run("export-qubo", path, "--out", tmp_path / "default") == 0
+    assert run("export-qubo", path, "--i-max", "3", "--out", tmp_path / "three") == 0
+    assert capsys.readouterr().out == "wrote 29-variable QUBO\nwrote 6-variable QUBO\n"
+    for name, n in (("default", 29), ("three", 6)):
+        text = (tmp_path / name / "path.qubo.txt").read_text()
+        assert text.startswith(f"n {n} ")
+
+
+def test_pairing_pipeline_on_a_spec_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(PATH_SPEC))
+    assert run("solve", path, "--pipeline", "pairing", "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "input error: the pairing pipeline takes a graph file, not a spec\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_on_a_directory_without_instances_exits_one(tmp_path, capsys):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    assert run("oracle", empty) == 1
+    assert capsys.readouterr().err == "no instances found\n"
+
+
+def test_validate_a_route_that_is_not_json_exits_one(fig_graph_file, tmp_path, capsys):
+    route = tmp_path / "route.json"
+    route.write_text("{ not a route")
+    assert run("validate", route, "--instance", fig_graph_file) == 1
+    assert capsys.readouterr().err.startswith("input error: cannot read route:")
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_bench_keeps_a_row_for_an_instance_it_rejects(tmp_path, capsys, timings):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "path.json").write_text(json.dumps(PATH_SPEC))
+    # one step cannot get from 0 to 2
+    (suite / "infeasible.json").write_text(json.dumps({
+        "graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1]]},
+        "start": 0, "stop": 2, "i_max": 1,
+    }))
+    flags = ["--timings"] if timings else []
+    out = tmp_path / "bench.csv"
+    assert run("bench", suite, "--reads", "20", "--sweeps", "50", *flags, "--out", out) == 0
+    assert capsys.readouterr().err == (
+        "infeasible.json [sa+greedy seed 0]: no arc can appear at step 0 given start=0, stop=2\n")
+    header, rejected, solved = out.read_text().splitlines()
+    assert header.endswith(",wall_time") == timings
+    assert rejected == "infeasible,sa+greedy,0,false,,," + ("," if timings else "")
+    assert solved.startswith("path,sa+greedy,0,true,3.0,3.0,")

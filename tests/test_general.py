@@ -208,6 +208,40 @@ def test_auto_encoding_builds_forms_once(monkeypatch):
     assert q.n == len(compiled.registry) == min(sizes.values())
 
 
+def test_auto_encoding_constructs_one_compiled_problem(monkeypatch):
+    import postqubo.general as general
+
+    inits, pruned = [], []
+    init, prune = CompiledGeneral.__init__, general._prune_steps
+
+    def counting_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    def counting_prune(*args):
+        pruned.append(args[5])  # repetition or not
+        return prune(*args)
+
+    monkeypatch.setattr(CompiledGeneral, "__init__", counting_init)
+    monkeypatch.setattr(general, "_prune_steps", counting_prune)
+    compiled = compile_general(small_path_spec(i_max=2))
+    assert len(inits) == 1 and pruned == [True, False]  # repetition, then terminal
+    assert compiled.encoding == ENC_REPETITION
+
+
+@pytest.mark.parametrize("build", [CompiledGeneral, compile_general])
+def test_an_encoding_the_spec_does_not_admit_is_a_spec_error(build):
+    team = ProblemSpec(graph=small_path_spec().graph, start=0, postmen=Postmen(2))
+    with pytest.raises(SpecError, match="unknown encoding 'bogus'"):
+        build(small_path_spec(), "bogus")
+    with pytest.raises(SpecError, match="compiles the rest encoding, not terminal"):
+        build(team, ENC_TERMINAL)
+    with pytest.raises(SpecError, match="compiles the repetition or terminal encoding, not rest"):
+        build(small_path_spec(), ENC_REST)
+    with pytest.raises(SpecError, match="compiles the terminal encoding, not repetition"):
+        build(small_path_spec(service=ServiceMode()), ENC_REPETITION)
+
+
 def _table_specs():
     """Seeded mixed-graph specs for every encoding, with and without service
     mode (which compiles only the terminal encoding)."""
@@ -868,6 +902,33 @@ PINNED_FORMS = {
 def test_compiled_forms_are_pinned(name):
     spec, encoding = _pinned_specs()[name]
     assert _form_hashes(compile_general(spec, encoding)) == PINNED_FORMS[name]
+
+
+def _build_outcome(build, spec: ProblemSpec, encoding: str):
+    """Everything one build exposes: its encoding, registry and form texts,
+    the default-penalty QUBO text and its decodes of seeded states; or the
+    error it raises."""
+    try:
+        compiled = build(spec, encoding)
+    except (SpecError, InfeasibleEndpoints) as exc:
+        return type(exc), str(exc)
+    rng = np.random.default_rng(31)
+    states = [(rng.random(len(compiled.registry)) < density).astype(int).tolist()
+              for density in (0.1, 0.3, 0.6) for _ in range(5)]
+    return (compiled.encoding, format_registry_text(compiled.registry), _form_hashes(compiled),
+            format_qubo_text(compiled.qubo(default_penalties(spec))),
+            [repr(compiled.decode(x)) for x in states])
+
+
+def test_the_constructor_builds_what_compile_general_returns():
+    built = 0
+    specs = [spec for spec, _ in [*_table_specs(), *_pinned_specs().values()]]
+    for spec in specs:
+        for encoding in ("auto", ENC_REPETITION, ENC_TERMINAL, ENC_REST):
+            outcome = _build_outcome(CompiledGeneral, spec, encoding)
+            assert outcome == _build_outcome(compile_general, spec, encoding)
+            built += isinstance(outcome[0], str)
+    assert built >= 2 * len(specs)  # auto and at least one explicit encoding each
 
 
 def _pinned_route(name: str, spec: ProblemSpec) -> list[list[tuple]]:

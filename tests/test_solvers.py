@@ -446,6 +446,18 @@ def test_make_sampler_names():
         make_sampler("quantum")
 
 
+@pytest.mark.parametrize("sample", [
+    brute_force, greedy_descent, simulated_annealing, tabu_search,
+    lambda q: greedy_post(q, simulated_annealing(q)),
+], ids=["brute", "greedy", "sa", "tabu", "greedy_post"])
+def test_a_qubo_without_variables_is_solved_at_its_offset(sample):
+    q = Qubo(0)
+    add_offset(q, 2.5)
+    report = sample(q)
+    assert report.best_assignment.shape == (0,)
+    assert report.best_energy == 2.5
+
+
 def test_each_sampler_call_runs_its_own_stream():
     g = random_graph_with_odd_count(np.random.default_rng(8), 6)
     q = compile_pairing(g, default_pairing_penalty(g)).qubo()
