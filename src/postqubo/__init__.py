@@ -1,5 +1,13 @@
 """Postman-problem variants as QUBOs: compile, sample, decode, certify."""
 
+import os
+
+# one BLAS thread unless the user chose otherwise: the products here are
+# small, and a thread pool on them is slower; set before numpy is imported,
+# as it is read only then
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     AsymmetricUndirectedWeights,
     DirectedEdgesPresent,

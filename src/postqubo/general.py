@@ -24,9 +24,9 @@ mode) columns of the allowed entries.  Under "auto" both single-postman
 encodings are pruned and the one with fewer slots is kept, so only it gets a
 registry, tables and forms.  Each postman's edge variables form one step
 table (`STEP_ROW` rows in step, arc-index and mode order, registry indices
-from one lexsort in label order); the rest, required-slack and
-capacity-slack variables are int64 (owner, postman, bit, index) register
-rows.  The forms and `decode` read only these.  Adjacency, rest, the repeat
+from one lexsort in label order, whose sorted columns are the registry's
+edge labels); the rest, required-slack and capacity-slack variables are
+int64 (owner, postman, bit, index) register rows.  The forms and `decode` read only these.  Adjacency, rest, the repeat
 discount and turns are masks over one join of every row with every row of
 the next step; the required family is one grouped square over the rows'
 required-edge column.  Every weight comes from one `ProblemSpec.weight` call
@@ -45,12 +45,12 @@ from .errors import InfeasibleEndpoints, LengthMismatch, SpecError
 from .graphs import EdgeRef
 from .problem import ProblemSpec
 from .qubo import (
+    EDGE_KINDS,
+    EDGE_MODES,
     MODE_PLAIN,
     MODE_SERVICE,
-    MODE_TRAVERSE,
     CapacitySlack,
     CompiledProblem,
-    EdgeStep,
     PenaltyConfig,
     Qubo,
     RequiredSlack,
@@ -62,13 +62,13 @@ from .routes import RouteSolution, WalkStep
 
 TERMINAL = -1
 KIND_TERMINAL = "t"
-KINDS = ("d", KIND_TERMINAL, "u")  # arc kind codes, in label order
+KINDS = EDGE_KINDS  # arc kind codes, in label order
 
 ENC_REPETITION = "repetition"
 ENC_TERMINAL = "terminal"
 ENC_REST = "rest"
 
-MODES = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)  # a step table's mode codes
+MODES = EDGE_MODES  # a step table's mode codes
 
 # one edge variable: its step, registry index, arc endpoints and index, mode
 # code and the step weight
@@ -219,15 +219,11 @@ class CompiledGeneral(CompiledProblem):
         tail, head = self._tail[arc], self._head[arc]
         # edge labels lead the registry, in EdgeStep.sort_key order: step,
         # postman, tail, head, kind (d < t < u), mode (MODES order)
-        cols = [np.tile(c, self.postmen) for c in (step, tail, head, self._kind[arc], mode)]
-        owner = np.repeat(np.arange(self.postmen), size)
-        order = np.lexsort((cols[4], cols[3], cols[2], cols[1], owner, cols[0]))
+        cols = np.stack([np.tile(step, self.postmen), np.repeat(postmen, size),
+                         *(np.tile(c, self.postmen) for c in (tail, head, self._kind[arc], mode))])
+        order = np.lexsort(cols[::-1])
         index = np.empty(len(order), dtype=np.int64)
         index[order] = np.arange(len(order))
-        edge_labels = [
-            EdgeStep(i, t, h, MODES[m], p, KINDS[k])
-            for i, t, h, k, m, p in zip(*(c[order].tolist() for c in (*cols, owner)))
-        ]
         rest = [(i, p, 0) for p in postmen for i in steps] if self.encoding == ENC_REST else []
         extra = 0 if self.service_mode else self.postmen * self.i_max - len(self.required)
         req = [(g, -1, bit) for g in range(len(self.required))
@@ -240,11 +236,14 @@ class CompiledGeneral(CompiledProblem):
             + [RequiredSlack(bit, refs[g].a, refs[g].b, refs[g].kind) for g, _, bit in req]
             + [CapacitySlack(bit, p) for _, p, bit in cap]
         )
-        self.registry = VariableRegistry(edge_labels + labels)
-        rows = np.array([(*row, self.registry.index_of(lab))
-                         for row, lab in zip(rest + req + cap, labels)], dtype=np.int64)
+        self.registry = VariableRegistry(labels, cols[:, order])
+        # the other labels follow the edge block, in sort-key order
+        rank = sorted(range(len(labels)), key=lambda r: labels[r].sort_key())
+        rows = np.zeros((len(labels), 4), dtype=np.int64)
+        rows[:, :3] = np.reshape(rest + req + cap, (-1, 3))
+        rows[rank, 3] = len(order) + np.arange(len(rank))
         self._rest, self._req_slack, self._cap_slack = np.split(
-            rows.reshape(-1, 4), [len(rest), len(rest) + len(req)])
+            rows, [len(rest), len(rest) + len(req)])
 
         template = np.empty(size, dtype=STEP_ROW)
         template["step"], template["tail"], template["head"] = step, tail, head

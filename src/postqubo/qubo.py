@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -119,22 +120,40 @@ class CapacitySlack:
 
 VarLabel = Union[PairVar, EdgeStep, RequiredSlack, RestVar, CapacitySlack]
 
+EDGE_KINDS = ("d", "t", "u")  # an EdgeStep's kind codes, in label order
+EDGE_MODES = (MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE)  # its mode codes, in label order
+
 
 class VariableRegistry:
-    """Bijection between labels and indices, in deterministic label order."""
+    """Bijection between labels and indices, in deterministic label order.
 
-    def __init__(self, labels: Iterable[VarLabel]):
-        ordered = sorted(labels, key=lambda lab: lab.sort_key())
-        self._labels: tuple[VarLabel, ...] = tuple(ordered)
-        self._index: dict[VarLabel, int] = {lab: i for i, lab in enumerate(ordered)}
-        if len(self._index) != len(self._labels):
+    `edges`, when given, holds a leading block of EdgeStep labels as six
+    int64 columns: step, postman, tail, head, kind code (into EDGE_KINDS)
+    and mode code (into EDGE_MODES), already in sort-key order.  The
+    explicit `labels` are sorted and follow it.  The label objects and the
+    index dict are built on first read, so a registry that is only sized
+    and written as text never makes them.
+    """
+
+    def __init__(self, labels: Iterable[VarLabel] = (), edges: np.ndarray | None = None):
+        self._explicit: tuple[VarLabel, ...] = tuple(sorted(labels, key=lambda lab: lab.sort_key()))
+        if len(set(self._explicit)) != len(self._explicit):
             raise QuboError("duplicate variable labels")
+        edges = np.zeros((6, 0), dtype=np.int64) if edges is None else np.asarray(edges, np.int64)
+        # sorted and distinct: each row exceeds the last in its first differing column
+        diff = np.diff(edges, axis=1)
+        first = (diff != 0).argmax(axis=0)
+        if not (diff[first, np.arange(diff.shape[1])] > 0).all():
+            raise QuboError("duplicate variable labels, or edge labels out of label order")
+        if edges.shape[1] and self._explicit and self._explicit[0].sort_key() < (2,):
+            raise QuboError("explicit labels must sort after the edge labels")
+        self._edges = edges
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return self._edges.shape[1] + len(self._explicit)
 
     def __iter__(self):
-        return iter(self._labels)
+        return iter(self.labels)
 
     def __contains__(self, label: VarLabel) -> bool:
         return label in self._index
@@ -143,11 +162,18 @@ class VariableRegistry:
         return self._index[label]
 
     def label_of(self, index: int) -> VarLabel:
-        return self._labels[index]
+        return self.labels[index]
 
-    @property
+    @cached_property
     def labels(self) -> tuple[VarLabel, ...]:
-        return self._labels
+        return tuple(
+            EdgeStep(i, t, h, EDGE_MODES[m], p, EDGE_KINDS[k])
+            for i, p, t, h, k, m in zip(*self._edges.tolist())
+        ) + self._explicit
+
+    @cached_property
+    def _index(self) -> dict[VarLabel, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 # --- quadratic form -------------------------------------------------------
@@ -485,5 +511,25 @@ def format_qubo_text(q: Qubo) -> str:
 
 
 def format_registry_text(reg: VariableRegistry) -> str:
-    lines = [f"{i} {lab}" for i, lab in enumerate(reg.labels)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """`index label` lines in index order, each label as its `str`.
+
+    The edge block is written from its columns as one fixed-width byte table,
+    as in `format_qubo_text`: a name per distinct integer, one byte string
+    per kind and mode, NUL padding dropped.
+    """
+    edges = reg._edges
+    size = edges.shape[1]
+    values, codes = np.unique(np.concatenate([np.arange(size), edges[:4].ravel()]),
+                              return_inverse=True)
+    names = np.array([str(v) for v in values.tolist()], dtype=bytes)
+    index, step, postman, tail, head = names[codes.reshape(5, size)]
+    kind = np.array(EDGE_KINDS, dtype=bytes)[edges[4]]
+    mode = np.array(EDGE_MODES, dtype=bytes)[edges[5]]
+    parts = [index, b" e[step=", step, b",", tail, b"->", head, b",", mode, b",p", postman,
+             b",", kind, b"]\n"]
+    fields = [(f"f{k}", np.asarray(part).dtype) for k, part in enumerate(parts)]
+    table = np.empty(size, dtype=fields)
+    for k, part in enumerate(parts):
+        table[f"f{k}"] = part
+    body = table.tobytes().translate(None, b"\0").decode()
+    return body + "".join(f"{i} {lab}\n" for i, lab in enumerate(reg._explicit, size))

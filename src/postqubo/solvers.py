@@ -427,7 +427,8 @@ def tabu_search(
 
     Recently flipped variables stay tabu for `tenure` iterations unless the
     move would beat the incumbent best; when every move is tabu, the best
-    one is taken.
+    one is taken.  The run is deterministic, so it stops at its first exact
+    cycle: the rest would replay moves that found nothing better.
     """
     if iterations is not None and iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -444,6 +445,7 @@ def tabu_search(
     tenure = min(tenure, iterations)  # a longer tabu ends after the run either way
     lin, _, _, _ = q.as_arrays()
     sym = q.dense_symmetric()
+    rows = list(sym)  # one view per row, so a move does not index sym
     rng = np.random.default_rng(seed)
     x = (rng.random(n) < 0.5).astype(np.float64)
     spins = 1.0 - 2.0 * x
@@ -454,12 +456,19 @@ def tabu_search(
     # s = +-1, so this is the batch `_flip` update bit for bit
     field = lin + x @ sym
     deltas = spins * field
+    free = np.empty(n)  # deltas + barrier
     current = float(q.energy(x))
     best_spins = spins.copy()
     best_energy = current
     tabu_until = [0] * n
     barrier = np.zeros(n)  # inf exactly while a variable is tabu
     recent: deque[int] = deque(maxlen=tenure + 1)  # the variables flipped last
+    # Brent's cycle check.  The next move depends only on spins, field,
+    # current, best_energy and `recent` (the tabu timers and barrier follow
+    # from it), so when that state recurs the run has entered a cycle; as
+    # best_energy did not fall in between, no later move can improve on it.
+    saved: tuple = (None, None)
+    power = lam = 1
     for it in range(iterations):
         if it > tenure:
             v = recent[0]  # flipped at iteration it - 1 - tenure
@@ -471,11 +480,11 @@ def tabu_search(
         # and misses aspiration, every tabu move misses it, so take the best
         # move that is not tabu, or the best move when all are tabu
         if tabu_until[j] > it and not current + old < best_energy - _EPS:
-            k = int((deltas + barrier).argmin())
+            k = int(np.add(deltas, barrier, out=free).argmin())
             if tabu_until[k] <= it:
                 j, old = k, deltas.item(k)
         sign = signs[j]
-        (np.add if sign > 0 else np.subtract)(field, sym[j], out=field)
+        (np.add if sign > 0 else np.subtract)(field, rows[j], out=field)
         spins[j] = signs[j] = -sign
         np.multiply(spins, field, out=deltas)
         deltas[j] = -old
@@ -486,6 +495,13 @@ def tabu_search(
         if current < best_energy:
             best_energy = current
             best_spins = spins.copy()
+        if ((current, best_energy) == saved[:2] and recent == saved[2]
+                and np.array_equal(spins, saved[3]) and field.tobytes() == saved[4]):
+            break
+        if lam == power:
+            saved = (current, best_energy, recent.copy(), spins.copy(), field.tobytes())
+            power, lam = 2 * power, 0
+        lam += 1
     return _finish(q, (1.0 - best_spins) / 2.0, iterations * n, t0, "tabu", seed)
 
 

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -946,3 +950,15 @@ def test_bench_keeps_a_row_for_an_instance_it_rejects(tmp_path, capsys, timings)
     assert header.endswith(",wall_time") == timings
     assert rejected == "infeasible,sa+greedy,0,false,,," + ("," if timings else "")
     assert solved.startswith("path,sa+greedy,0,true,3.0,3.0,")
+
+
+def test_the_package_defaults_to_one_blas_thread_unless_one_is_chosen():
+    code = ("import os, postqubo; print(*(os.environ[v] for v in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    for chosen, expected in [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")]:
+        done = subprocess.run([sys.executable, "-c", code], env={**env, **chosen},
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == expected.split()

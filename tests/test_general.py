@@ -18,10 +18,12 @@ from postqubo import (
     Postmen,
     ProblemSpec,
     RequiredSlack,
+    RestVar,
     ServiceMode,
     SpecError,
     TurnPenalty,
     UnsupportedCombination,
+    VariableRegistry,
     brute_force,
     compile_general,
     default_penalties,
@@ -294,6 +296,97 @@ def test_lexsorted_indices_are_the_registry_indices(name):
         assert idx == compiled.registry.index_of(label)
     # within a step, arc-index order and label order differ
     assert (np.diff(table["index"])[np.diff(table["step"]) == 0] < 0).any()
+
+
+def _registry_specs():
+    """The table and pinned specs, plus seeded ones with terminal arcs, teams
+    of 2-3 postmen, capacities and service mode, each under every encoding
+    it admits."""
+    cases = [*_table_specs(), *_pinned_specs().values()]
+    rng = np.random.default_rng(41)
+    for k in range(16):
+        g = None
+        while g is None:
+            g = random_mixed_graph(rng, int(rng.integers(3, 6)), int(rng.integers(3, 7)),
+                                   windy=True, directed_frac=0.3)
+        start, i_max = int(rng.integers(0, 3)), int(rng.integers(3, 7))
+        count = 2 + k % 2
+        specs = [
+            (ProblemSpec(graph=g, start=start, stop=int(rng.integers(0, 3)), i_max=i_max),
+             (ENC_REPETITION, ENC_TERMINAL)),
+            (ProblemSpec(graph=g, start=start, i_max=i_max, postmen=Postmen(count)), (ENC_REST,)),
+            (ProblemSpec(graph=g, i_max=i_max, postmen=Postmen(
+                count, tuple(float(c) for c in rng.integers(1, 40, count)))), (ENC_REST,)),
+            (ProblemSpec(graph=g, start=start, i_max=i_max, service=ServiceMode()),
+             (ENC_TERMINAL,)),
+        ]
+        cases += [(spec, enc) for spec, encodings in specs for enc in encodings]
+    return cases
+
+
+def _labelled_indices(compiled):
+    """(label object, index) for every variable, read off the step tables and
+    the register rows."""
+    refs = compiled.required
+    return (
+        [(EdgeStep(step, tail, head, MODES[mode], p, KINDS[compiled._kind[arc]]), idx)
+         for p, table in enumerate(compiled._tables)
+         for step, idx, tail, head, arc, mode, _ in table.tolist()]
+        + [(RestVar(i, p), idx) for i, p, _, idx in compiled._rest.tolist()]
+        + [(RequiredSlack(bit, refs[g].a, refs[g].b, refs[g].kind), idx)
+           for g, _, bit, idx in compiled._req_slack.tolist()]
+        + [(CapacitySlack(bit, p), idx) for p, _, bit, idx in compiled._cap_slack.tolist()]
+    )
+
+
+def test_the_compiled_registry_is_the_registry_of_its_label_objects():
+    """The column-built registry against one built from EdgeStep and register
+    label objects: size, order, both lookups, absent labels and the text."""
+    seen = collections.Counter()
+    for spec, encoding in _registry_specs():
+        try:
+            compiled = compile_general(spec, encoding)
+        except InfeasibleEndpoints:
+            continue
+        reg = compiled.registry
+        text = format_registry_text(reg)  # before any label object is read
+        pairs = _labelled_indices(compiled)
+        ref = VariableRegistry([lab for lab, _ in pairs])
+        assert text == format_registry_text(ref)
+        assert len(reg) == len(ref) == len(pairs)
+        assert reg.labels == ref.labels and list(reg) == list(ref)
+        for i, lab in enumerate(ref.labels):
+            assert reg.label_of(i) == lab and reg.index_of(lab) == i and lab in reg
+        assert all(ref.index_of(lab) == idx for lab, idx in pairs)
+        absent = [EdgeStep(compiled.i_max, 0, 1), RestVar(compiled.i_max),
+                  CapacitySlack(0, compiled.postmen), RequiredSlack(9, 0, 1)]
+        assert not any(lab in reg for lab in absent)
+        seen[compiled.encoding] += 1
+        seen["terminal arcs"] += any(
+            isinstance(lab, EdgeStep) and TERMINAL in (lab.frm, lab.to) for lab in reg)
+        seen["3 postmen"] += compiled.postmen == 3
+        seen["capacities"] += len(compiled._cap_slack) > 0
+    assert min(seen[k] for k in (ENC_REPETITION, ENC_TERMINAL, ENC_REST, "terminal arcs",
+                                 "3 postmen", "capacities")) >= 3
+
+
+def test_compile_and_registry_text_construct_no_edge_step(monkeypatch):
+    made = []
+    init = EdgeStep.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeStep, "__init__", counting_init)
+    for spec, encoding in [*_table_specs(), *_pinned_specs().values()]:
+        compiled = compile_general(spec, encoding)
+        compiled.qubo(default_penalties(spec))
+        assert format_registry_text(compiled.registry)
+    assert made == []
+    # the first read of the labels builds them, once
+    assert compiled.registry.label_of(0) == compiled.registry.labels[0]
+    assert len(made) == len(compiled._tables) * len(compiled._tables[0])
 
 
 def test_terminal_arcs_gated_by_required_count():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postqubo import (
+    CapacitySlack,
     EdgeStep,
     IndexOutOfRange,
     LengthMismatch,
@@ -18,6 +19,7 @@ from postqubo import (
     format_registry_text,
 )
 from postqubo.errors import QuboError
+from postqubo.qubo import EDGE_KINDS, EDGE_MODES, MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
 from postqubo.solvers import _flip
 from conftest import (
     DictQubo,
@@ -199,6 +201,43 @@ def test_registry_is_bijective_and_ordered():
 def test_registry_rejects_duplicates():
     with pytest.raises(QuboError):
         VariableRegistry([PairVar(1, 2), PairVar(2, 1)])
+
+
+def _edge_columns(labels):
+    """The (step, postman, tail, head, kind, mode) columns of EdgeStep labels."""
+    return np.array([(e.step, e.postman, e.frm, e.to, EDGE_KINDS.index(e.kind),
+                      EDGE_MODES.index(e.mode)) for e in labels], dtype=np.int64).reshape(-1, 6).T
+
+
+def test_edge_columns_read_and_write_as_their_labels():
+    # terminal arcs, a vertex id past every index, every kind and mode
+    edges = sorted([EdgeStep(0, 0, 1), EdgeStep(0, 0, 1, kind="d"), EdgeStep(0, 1, -1, kind="t"),
+                    EdgeStep(1, -1, -1, MODE_TRAVERSE, 1, "t"),
+                    EdgeStep(1, 10**12, 3, MODE_SERVICE, 0, "d"),
+                    EdgeStep(2, 3, 10**12, MODE_PLAIN, 2)], key=EdgeStep.sort_key)
+    others = [RestVar(1, 2), CapacitySlack(0, 1), RequiredSlack(1, 3, 10**12, "u")]
+    ref = VariableRegistry(edges + others)
+    for reg in (VariableRegistry(others, _edge_columns(edges)),
+                VariableRegistry(others[::-1], _edge_columns(edges))):
+        assert format_registry_text(reg) == format_registry_text(ref)
+        assert len(reg) == len(ref) == 9
+        assert reg.labels == tuple(reg) == ref.labels
+        for i, lab in enumerate(ref):
+            assert reg.label_of(i) == lab and reg.index_of(lab) == i and lab in reg
+        assert EdgeStep(0, 1, 0) not in reg and RestVar(0) not in reg
+    empty = VariableRegistry(edges=np.zeros((6, 0), dtype=np.int64))
+    assert len(empty) == 0 and empty.labels == () and format_registry_text(empty) == ""
+
+
+def test_registry_rejects_equal_or_unordered_edge_columns():
+    edges = [EdgeStep(0, 0, 1), EdgeStep(0, 1, 2), EdgeStep(1, 2, 0)]
+    VariableRegistry(edges=_edge_columns(edges))
+    with pytest.raises(QuboError, match="duplicate variable labels"):
+        VariableRegistry(edges=_edge_columns([*edges[:2], edges[1], edges[2]]))
+    with pytest.raises(QuboError, match="out of label order"):
+        VariableRegistry(edges=_edge_columns([edges[1], edges[0], edges[2]]))
+    with pytest.raises(QuboError, match="sort after"):
+        VariableRegistry([EdgeStep(2, 0, 1)], _edge_columns(edges))
 
 
 def test_pair_var_canonicalizes_orientation():

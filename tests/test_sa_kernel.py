@@ -1,6 +1,7 @@
 """The streamed simulated-annealing kernel and the shared flip update against
 the earlier straightforward implementations, kept here as references."""
 
+import collections
 import hashlib
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postqubo import (
+    InfeasibleEndpoints,
     ProblemSpec,
     Qubo,
     default_penalties,
@@ -273,6 +275,40 @@ def test_greedy_and_tabu_match_references_bit_for_bit(q, seed):
 
     tabu = tabu_search(q, seed=seed)
     assert np.array_equal(tabu.best_assignment, reference_tabu(q, seed).astype(np.uint8))
+
+
+def test_tabu_matches_reference_on_compiled_general_qubos(monkeypatch):
+    """Compiled general QUBOs revisit states, so tabu's cycle stop ends some
+    runs early; the reports stay those of the full run.  Moves are counted
+    on the recency deque."""
+    moves = []
+
+    class CountingDeque(collections.deque):
+        def append(self, v):
+            moves[-1] += 1
+            super().append(v)
+
+    monkeypatch.setattr(solvers, "deque", CountingDeque)
+    rng = np.random.default_rng(5)
+    full = []
+    while len(moves) < 24:
+        g = random_mixed_graph(rng, int(rng.integers(3, 6)), int(rng.integers(3, 7)),
+                               windy=bool(rng.integers(2)), directed_frac=0.3)
+        if g is None:
+            continue
+        spec = ProblemSpec(graph=g, start=int(rng.integers(0, 3)), i_max=int(rng.integers(3, 7)))
+        try:
+            q = compile_general(spec).qubo(default_penalties(spec))
+        except InfeasibleEndpoints:
+            continue
+        seed = int(rng.integers(2**32))
+        moves.append(0)
+        report = tabu_search(q, seed=seed)
+        iterations = 1000 + 10 * q.n
+        best = reference_tabu(q, seed)
+        assert same_report(report, _finish(q, best, iterations * q.n, 0.0, "tabu", seed))
+        full.append(iterations)
+    assert 0 < sum(m < f for m, f in zip(moves, full)) < len(moves)
 
 
 def small_integer_or_real_qubo(rng, n):
