@@ -145,6 +145,16 @@ def test_oracle_node_budget():
         exact_walk_oracle(spec, node_limit=5)
 
 
+def test_oracle_node_limit_boundary_is_pinned():
+    # the smallest node limit that succeeds is the search's expansion count;
+    # one spec of each variant, so a changed expansion order shows here
+    specs = list(_oracle_specs(4, 12, (5, 6), (1, 3)))
+    for k, limit in ((0, 186), (3, 125), (4, 608), (7, 43), (8, 256), (11, 131)):
+        exact_walk_oracle(specs[k], node_limit=limit)
+        with pytest.raises(SearchBudgetExceeded):
+            exact_walk_oracle(specs[k], node_limit=limit - 1)
+
+
 def test_oracle_no_walk_within_budget():
     g = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1)])
     with pytest.raises(NoValidSolution):

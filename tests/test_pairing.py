@@ -245,6 +245,24 @@ def test_oracle_beats_every_alternative(rng):
             assert added <= sum(sp.distance(a, b) for a, b in option) + 1e-9
 
 
+def test_oracle_is_the_smallest_minimum_weight_pairing_of_an_enumeration():
+    # integer weights of 1 or 1-2 tie often and sum exactly, so the oracle must
+    # name the very pairing an exhaustive scan keeps: least weight, then the
+    # lexicographically smallest sorted pair list
+    rng = np.random.default_rng(2113)
+    for d in (4, 6, 8, 10):
+        for max_weight in (1, 2, 1, 2):
+            g = random_graph_with_odd_count(rng, d, max_weight=max_weight)
+            sp = shortest_paths(g)
+            scored = []
+            for option in all_pairings(sorted(odd_degree_vertices(g))):
+                pairs = sorted(option)
+                scored.append((sum((sp.distance(a, b) for a, b in pairs), 0.0), pairs))
+            weight, pairs = min(scored)
+            pairing, added = exact_pairing_oracle(g)
+            assert (added, pairing.sorted_pairs()) == (weight, pairs)
+
+
 def test_oracle_caps_odd_count(rng):
     g = random_graph_with_odd_count(rng, 14)
     with pytest.raises(TooManyOddVertices):
