@@ -3,7 +3,8 @@
 A graph is a set of integer vertices plus undirected edges (one weight per
 traversal direction) and directed edges.  Everything is immutable after
 construction and safe to share across threads; a graph's all-pairs shortest
-paths are computed on first use and then kept.
+paths are computed on first use and then kept, as plain Python lists that the
+exact layers read without numpy scalars.
 
 Euler circuits are taken over a plain list of (tail, head) pairs, so a
 caller can duplicate or select edges without building another graph and
@@ -18,8 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import (
     InvalidGraph,
@@ -256,25 +255,30 @@ def is_strongly_connected(g: Graph) -> bool:
 
 
 class ShortestPaths:
-    """All-pairs distances plus predecessors over direction-dependent weights."""
+    """All-pairs distances plus predecessors over direction-dependent weights.
 
-    def __init__(self, order: list[int], dist: np.ndarray, pred: np.ndarray):
+    Kept as plain lists, one row per source in ascending vertex order, so a
+    lookup reads Python floats and ints with no array scalar in between.
+    """
+
+    def __init__(self, order: list[int], dist: list[list[float]], pred: list[list[int]]):
         self._order = order
         self._index = {v: i for i, v in enumerate(order)}
         self._dist = dist
         self._pred = pred
 
     def distance(self, u: int, v: int) -> float:
-        return float(self._dist[self._index[u], self._index[v]])
+        return self._dist[self._index[u]][self._index[v]]
 
     def path(self, u: int, v: int) -> list[int]:
         """One realizing vertex sequence from u to v (inclusive)."""
         iu, iv = self._index[u], self._index[v]
         if iu == iv:
             return [u]
+        pred = self._pred[iu]
         rev = [iv]
         while rev[-1] != iu:
-            prev = int(self._pred[iu, rev[-1]])
+            prev = pred[rev[-1]]
             if prev < 0:
                 raise NotStronglyConnected(f"no path from {u} to {v}")
             rev.append(prev)
@@ -293,11 +297,14 @@ def shortest_paths(g: Graph) -> ShortestPaths:
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
     adj = _adjacency(g)
-    dist = np.full((n, n), np.inf)
-    pred = np.full((n, n), -1, dtype=np.int64)
-    for src in order:
-        si = index[src]
-        dist[si, si] = 0.0
+    # out-arcs as (head index, weight), heads ascending as in _adjacency
+    out = [[(index[head], w) for head, w in adj[v]] for v in order]
+    dist_rows: list[list[float]] = []
+    pred_rows: list[list[int]] = []
+    for si in range(n):
+        dist = [math.inf] * n
+        pred = [-1] * n
+        dist[si] = 0.0
         heap = [(0.0, si)]
         done = [False] * n
         while heap:
@@ -305,17 +312,18 @@ def shortest_paths(g: Graph) -> ShortestPaths:
             if done[ui]:
                 continue
             done[ui] = True
-            for head, w in adj[order[ui]]:
-                vi = index[head]
+            for vi, w in out[ui]:
                 nd = d + w
-                if nd < dist[si, vi]:
-                    dist[si, vi] = nd
-                    pred[si, vi] = ui
+                if nd < dist[vi]:
+                    dist[vi] = nd
+                    pred[vi] = ui
                     heapq.heappush(heap, (nd, vi))
         if not all(done):
             missing = order[done.index(False)]
-            raise NotStronglyConnected(f"vertex {missing} unreachable from {src}")
-    return ShortestPaths(order, dist, pred)
+            raise NotStronglyConnected(f"vertex {missing} unreachable from {order[si]}")
+        dist_rows.append(dist)
+        pred_rows.append(pred)
+    return ShortestPaths(order, dist_rows, pred_rows)
 
 
 def _euler_edge_sequence(

@@ -1,8 +1,8 @@
 """Exact ground truth for small instances.
 
 exact_walk_oracle runs a best-first search over all walks within the step
-budget; euler_shortcut returns the direct Euler-circuit answer for
-specs where it is provably optimal.
+budget, expanding each state from plain per-vertex move tuples; euler_shortcut
+returns the direct Euler-circuit answer for specs where it is provably optimal.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     NoEulerianCircuit,
@@ -26,32 +25,27 @@ from .routes import RouteSolution, WalkStep
 DEFAULT_NODE_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class _Move:
-    tail: int
-    head: int
-    kind: str
-    mode: str
-    cost: float
-    bit: int  # the required edge it covers (in service mode, service moves only)
-    need: int  # the required edges that must be serviced before it
-
-
 def _moves_for(
     spec: ProblemSpec, req_index: dict[EdgeRef, int], preds: dict[EdgeRef, int]
-) -> dict[int, list[_Move]]:
-    by_tail: dict[int, list[_Move]] = {v: [] for v in spec.graph.vertices}
+) -> dict[int, list[tuple]]:
+    """Each vertex's moves as (head, kind, mode, tail, cost, bit, need), sorted.
+
+    `bit` is the required edge the move covers (in service mode, service moves
+    only) and `need` the required edges that must be serviced before it.
+    (head, kind, mode) is unique per tail, so the tuples sort by it alone.
+    """
+    by_tail: dict[int, list[tuple]] = {v: [] for v in spec.graph.vertices}
     for arc in spec.graph.arcs():
         key = (arc.tail, arc.head, arc.ref.kind)
         i = req_index.get(arc.ref)
         for mode in spec.modes:
             covers = i is not None and (spec.service is None or mode == MODE_SERVICE)
-            by_tail[arc.tail].append(_Move(
-                arc.tail, arc.head, arc.ref.kind, mode, spec.weight(0, key, mode),
+            by_tail[arc.tail].append((
+                arc.head, arc.ref.kind, mode, arc.tail, spec.weight(0, key, mode),
                 1 << i if covers else 0, preds.get(arc.ref, 0) if covers else 0,
             ))
     for moves in by_tail.values():
-        moves.sort(key=lambda m: (m.head, m.kind, m.mode))
+        moves.sort()
     return by_tail
 
 
@@ -84,32 +78,46 @@ def exact_walk_oracle(
     each uncovered required edge; weights and turn bonuses are non-negative,
     so that bound is consistent and the first covering walk popped is optimal.
     Ties pop in depth-first order: roots ascending, moves by (head, kind,
-    mode), a walk before its extensions.  Raises SearchBudgetExceeded past
-    `node_limit` expanded states and NoValidSolution when no covering walk
-    fits the step budget.  The validity comes from `ProblemSpec.check_walks`.
+    mode), a walk before its extensions.  Each move is expanded from one
+    precomputed tuple that already holds its hop distance to the stop and the
+    cheapest cover of its bit.  Raises SearchBudgetExceeded past `node_limit`
+    expanded states and NoValidSolution when no covering walk fits the step
+    budget.  The validity comes from `ProblemSpec.check_walks`.
     """
     if spec.postmen.count != 1:
         raise UnsupportedCombination("the walk oracle handles a single postman")
     required = spec.resolved_required()
+    n_required = len(required)
     req_index = {ref: i for i, ref in enumerate(required)}
-    full_mask = (1 << len(required)) - 1
+    full_mask = (1 << n_required) - 1
     i_max = spec.effective_i_max
     caps = spec.postmen.capacities
     capacity = None if caps is None else float(caps[0])
     preds: dict[EdgeRef, int] = {}
     for first, second in spec.hierarchy_closure():
         preds[second] = preds.get(second, 0) | (1 << req_index[first])
-    moves = _moves_for(spec, req_index, preds)
+    by_tail = _moves_for(spec, req_index, preds)
     cheapest: dict[int, float] = {}  # required-edge bit -> its cheapest covering move
-    for m in itertools.chain.from_iterable(moves.values()):
-        if m.bit:
-            cheapest[m.bit] = min(cheapest.get(m.bit, m.cost), m.cost)
+    for _, _, _, _, cost, bit, _ in itertools.chain.from_iterable(by_tail.values()):
+        if bit:
+            cheapest[bit] = min(cheapest.get(bit, cost), cost)
     hops = (dict.fromkeys(spec.graph.vertices, 0) if spec.stop is None
             else _hop_distance_to(spec, spec.stop))
-    turn_bonus: dict[tuple[tuple[int, int], int], float] = {}
+    # expanded moves: (digit, head, cost, bit, need, arc, hops from head to
+    # the stop, cheapest cover of bit); a digit is the move's place + 1
+    moves = {
+        v: [(j + 1, head, cost, bit, need, (tail, head), hops.get(head, i_max),
+             cheapest[bit] if bit else 0.0)
+            for j, (head, _, _, tail, cost, bit, need) in enumerate(tail_moves)]
+        for v, tail_moves in by_tail.items()
+    }
+    # last arc -> next head -> the summed bonus of that turn
+    turn_bonus: dict[tuple[int, int], dict[int, float]] = {}
     for t in spec.turn_penalties:
-        key = (t.arc_in, t.out_head)
-        turn_bonus[key] = turn_bonus.get(key, 0.0) + t.bonus
+        heads = turn_bonus.setdefault(t.arc_in, {})
+        heads[t.out_head] = heads.get(t.out_head, 0.0) + t.bonus
+    serviced_once = spec.service is not None
+    stop = spec.stop
 
     # a walk's rank holds its choices as digits, root first: rank order is
     # depth-first order, and the walk is read back off its rank
@@ -118,57 +126,63 @@ def exact_walk_oracle(
     place = [base ** (i_max - k) for k in range(i_max + 1)]
     bound = sum(cheapest.values())
     # entries: (total + bound, rank, state, weight, bonus, bound); a state is
-    # (vertex, mask, steps, last arc, weight under a capacity or None)
+    # (vertex, mask, steps, last arc, weight under a capacity or None), and
+    # best[state] is the entry that last improved it.  A rank names one walk,
+    # so two entries of one state compare on (total, rank) alone.
     heap = []
-    best: dict[tuple, tuple[float, int]] = {}
+    best: dict[tuple, tuple] = {}
     for r, root in enumerate(roots):
         state = (root, 0, 0, None, None if capacity is None else 0.0)
-        best[state] = (bound, (r + 1) * place[0])
-        heap.append((*best[state], state, 0.0, 0.0, bound))
+        best[state] = (bound, (r + 1) * place[0], state, 0.0, 0.0, bound)
+        heap.append(best[state])
     expanded = 0
     while heap:
-        key, rank, state, wsum, bonus, bound = heapq.heappop(heap)
-        if best[state] != (key, rank):
+        entry = heapq.heappop(heap)
+        _, rank, state, wsum, bonus, bound = entry
+        if best[state] is not entry:
             continue  # a better walk reached this state first
         v, mask, steps, last, _ = state
-        if mask == full_mask and spec.stop in (None, v):
+        if mask == full_mask and (stop is None or stop == v):
             break
         expanded += 1
         if expanded > node_limit:
             raise SearchBudgetExceeded(f"oracle exceeded {node_limit} expanded states")
-        for j, m in enumerate(moves[v]):
-            bit = m.bit
+        step = steps + 1
+        step_place = place[step]
+        turns = turn_bonus.get(last)
+        uncovered = n_required - mask.bit_count()
+        for digit, head, cost, bit, need, arc, hop, cover in moves[v]:
             if mask & bit:
-                if spec.service is not None:
+                if serviced_once:
                     continue  # required edges are serviced exactly once
                 bit = 0
-            elif m.need & ~mask:
+            elif need & ~mask:
                 continue  # a must-precede edge is still unserviced
-            new_wsum = wsum + m.cost
+            new_wsum = wsum + cost
             if capacity is not None and new_wsum > capacity:
                 continue
             # the uncovered edges and the way to the stop must fit the budget
-            left = len(required) - (mask | bit).bit_count()
-            if steps + 1 + max(left, hops.get(m.head, i_max)) > i_max:
+            left = uncovered - 1 if bit else uncovered
+            if step + (left if left > hop else hop) > i_max:
                 continue
-            new_bonus = bonus + turn_bonus.get((last, m.head), 0.0)
-            new_bound = bound - cheapest[bit] if bit else bound
-            child = (m.head, mask | bit, steps + 1, (m.tail, m.head),
-                     None if capacity is None else new_wsum)
-            entry = (new_wsum + new_bonus + new_bound, rank + (j + 1) * place[steps + 1])
+            new_bonus = bonus + turns[head] if turns and head in turns else bonus
+            new_bound = bound - cover if bit else bound
+            child = (head, mask | bit, step, arc, None if capacity is None else new_wsum)
+            item = (new_wsum + new_bonus + new_bound, rank + digit * step_place, child,
+                    new_wsum, new_bonus, new_bound)
             seen = best.get(child)
-            if seen is None or entry < seen:
-                best[child] = entry
-                heapq.heappush(heap, (*entry, child, new_wsum, new_bonus, new_bound))
+            if seen is None or item < seen:
+                best[child] = item
+                heapq.heappush(heap, item)
     else:
         raise NoValidSolution("no covering walk fits within i_max steps")
 
     path, v = [], roots[rank // place[0] - 1]
     for k in range(1, steps + 1):
-        m = moves[v][rank // place[k] % base - 1]
-        path.append(m)
-        v = m.head
-    return spec.route([[WalkStep(m.tail, m.head, m.mode, m.kind) for m in path]])
+        head, kind, mode, tail, *_ = by_tail[v][rank // place[k] % base - 1]
+        path.append(WalkStep(tail, head, mode, kind))
+        v = head
+    return spec.route([path])
 
 
 def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:

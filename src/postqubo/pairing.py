@@ -3,12 +3,13 @@
 Workflow: find odd-degree vertices, build the pairing QUBO over shortest-path
 distances, sample it, decode the bits into a perfect pairing, duplicate one
 edge per pair, take the Euler circuit of the augmented multigraph, and expand
-each duplicate back into its shortest path.
+each duplicate back into its shortest path.  `exact_pairing_oracle` is the
+exact reference: a subset DP memoized on a bitmask of the remaining odd
+vertices.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -192,30 +193,46 @@ def _augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
 def exact_pairing_oracle(g: Graph) -> tuple[Pairing, float]:
     """Minimum-added-weight perfect pairing, solving each remaining set once.
 
-    The lowest remaining vertex is paired with each later one in turn, and the
-    rest is solved recursively (memoized), so a strict improvement keeps the
-    lexicographically smallest of tied pairings.  Returns the pairing and its
-    weight summed in pair order.  Capped at 12 odd vertices.
+    The remaining odd vertices are a bitmask over their sorted list.  The
+    lowest remaining vertex is paired with each later one in turn, reading its
+    one row of the odd-pair distance table, and the rest is solved recursively
+    (memoized on the mask), so a strict improvement keeps the lexicographically
+    smallest of tied pairings.  Returns the pairing and its weight summed in
+    pair order.  Capped at 12 odd vertices.
     """
     odd = _checked_odd_vertices(g)
     if len(odd) > ORACLE_MAX_ODD:
         raise TooManyOddVertices(f"{len(odd)} odd vertices > cap {ORACLE_MAX_ODD}")
     sp = g.paths
+    table = [[sp.distance(a, b) for b in odd] for a in odd]
+    weight_of = {0: 0.0}  # remaining mask -> its least added weight
+    partner_of: dict[int, int] = {}  # remaining mask -> its lowest vertex's partner
 
-    @functools.cache
-    def best(remaining: tuple[int, ...]) -> tuple[float, tuple[tuple[int, int], ...]]:
-        if not remaining:
-            return 0.0, ()
-        first = remaining[0]
-        choice = (float("inf"), ())
-        for k in range(1, len(remaining)):
-            weight, pairs = best(remaining[1:k] + remaining[k + 1 :])
-            weight += sp.distance(first, remaining[k])
-            if weight < choice[0]:
-                choice = (weight, ((first, remaining[k]),) + pairs)
+    def best(mask: int) -> float:
+        weight = weight_of.get(mask)
+        if weight is not None:
+            return weight
+        low = mask & -mask
+        row = table[low.bit_length() - 1]
+        rest = mask ^ low
+        choice, partner = float("inf"), -1
+        later = rest
+        while later:
+            bit = later & -later
+            later ^= bit
+            weight = best(rest ^ bit) + row[bit.bit_length() - 1]
+            if weight < choice:
+                choice, partner = weight, bit.bit_length() - 1
+        weight_of[mask], partner_of[mask] = choice, partner
         return choice
 
-    _, pairs = best(tuple(odd))
+    mask = (1 << len(odd)) - 1
+    best(mask)
+    pairs = []
+    while mask:
+        first, second = (mask & -mask).bit_length() - 1, partner_of[mask]
+        pairs.append((odd[first], odd[second]))
+        mask ^= (1 << first) | (1 << second)
     return Pairing(frozenset(pairs)), sum((sp.distance(a, b) for a, b in pairs), 0.0)
 
 

@@ -345,9 +345,9 @@ def route_from_json(obj: Mapping, doc: GraphDocument) -> RouteSolution:
 
 
 def dump_json(obj: dict, path) -> None:
+    """Write `obj` as indented, key-sorted JSON plus a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # --- walk-level revalidation (no bits involved) --------------------------------
