@@ -3,7 +3,7 @@
 A graph is a set of integer vertices plus undirected edges (one weight per
 traversal direction) and directed edges.  Everything is immutable after
 construction and safe to share across threads; a graph's all-pairs shortest
-paths are computed on first use and then kept, as plain Python lists that the
+paths are computed on first use and then kept, as stdlib `array` rows that the
 exact layers read without numpy scalars.
 
 Euler circuits are taken over a plain list of (tail, head) pairs, so a
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -257,11 +258,13 @@ def is_strongly_connected(g: Graph) -> bool:
 class ShortestPaths:
     """All-pairs distances plus predecessors over direction-dependent weights.
 
-    Kept as plain lists, one row per source in ascending vertex order, so a
-    lookup reads Python floats and ints with no array scalar in between.
+    One stdlib `array` row of distances (doubles) and one of predecessor
+    indices (int64) per source, in ascending vertex order: a lookup reads a
+    Python float or int with no numpy scalar in between, and a row holds 8
+    bytes an entry, not a list's pointer plus a float object.
     """
 
-    def __init__(self, order: list[int], dist: list[list[float]], pred: list[list[int]]):
+    def __init__(self, order: list[int], dist: list[array], pred: list[array]):
         self._order = order
         self._index = {v: i for i, v in enumerate(order)}
         self._dist = dist
@@ -299,8 +302,8 @@ def shortest_paths(g: Graph) -> ShortestPaths:
     adj = _adjacency(g)
     # out-arcs as (head index, weight), heads ascending as in _adjacency
     out = [[(index[head], w) for head, w in adj[v]] for v in order]
-    dist_rows: list[list[float]] = []
-    pred_rows: list[list[int]] = []
+    dist_rows: list[array] = []
+    pred_rows: list[array] = []
     for si in range(n):
         dist = [math.inf] * n
         pred = [-1] * n
@@ -321,8 +324,8 @@ def shortest_paths(g: Graph) -> ShortestPaths:
         if not all(done):
             missing = order[done.index(False)]
             raise NotStronglyConnected(f"vertex {missing} unreachable from {order[si]}")
-        dist_rows.append(dist)
-        pred_rows.append(pred)
+        dist_rows.append(array("d", dist))
+        pred_rows.append(array("q", pred))
     return ShortestPaths(order, dist_rows, pred_rows)
 
 

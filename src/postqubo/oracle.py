@@ -8,7 +8,6 @@ returns the direct Euler-circuit answer for specs where it is provably optimal.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 
 from .errors import (
@@ -26,27 +25,43 @@ DEFAULT_NODE_LIMIT = 2_000_000
 
 
 def _moves_for(
-    spec: ProblemSpec, req_index: dict[EdgeRef, int], preds: dict[EdgeRef, int]
-) -> dict[int, list[tuple]]:
-    """Each vertex's moves as (head, kind, mode, tail, cost, bit, need), sorted.
+    spec: ProblemSpec, req_index: dict[EdgeRef, int], preds: dict[EdgeRef, int],
+    hops: dict[int, int],
+) -> tuple[dict[int, list[tuple]], dict[int, float]]:
+    """Each vertex's moves, sorted by (head, kind, mode), and the cheapest
+    covering move of each required-edge bit.
 
-    `bit` is the required edge the move covers (in service mode, service moves
-    only) and `need` the required edges that must be serviced before it.
-    (head, kind, mode) is unique per tail, so the tuples sort by it alone.
+    A move is (digit, head, cost, bit, need, arc, hop, cover, step): `digit`
+    is its place in its vertex's list + 1, `bit` the required edge it covers
+    (in service mode, service moves only), `need` the required edges that
+    must be serviced before it, `hop` the arcs from its head to the stop,
+    `cover` the cheapest covering move of its bit and `step` its WalkStep.
     """
+    i_max = spec.effective_i_max
     by_tail: dict[int, list[tuple]] = {v: [] for v in spec.graph.vertices}
+    cheapest: dict[int, float] = {}
     for arc in spec.graph.arcs():
         key = (arc.tail, arc.head, arc.ref.kind)
         i = req_index.get(arc.ref)
         for mode in spec.modes:
             covers = i is not None and (spec.service is None or mode == MODE_SERVICE)
+            cost, bit = spec.weight(0, key, mode), 1 << i if covers else 0
+            if bit:
+                cheapest[bit] = min(cheapest.get(bit, cost), cost)
+            # (head, kind, mode) is unique per tail, so the rows sort by it alone
             by_tail[arc.tail].append((
-                arc.head, arc.ref.kind, mode, arc.tail, spec.weight(0, key, mode),
-                1 << i if covers else 0, preds.get(arc.ref, 0) if covers else 0,
+                (arc.head, arc.ref.kind, mode), cost, bit,
+                preds.get(arc.ref, 0) if covers else 0,
             ))
-    for moves in by_tail.values():
-        moves.sort()
-    return by_tail
+    moves = {}
+    for v, rows in by_tail.items():
+        rows.sort()
+        moves[v] = [
+            (j + 1, head, cost, bit, need, (v, head), hops.get(head, i_max),
+             cheapest[bit] if bit else 0.0, WalkStep(v, head, mode, kind))
+            for j, ((head, kind, mode), cost, bit, need) in enumerate(rows)
+        ]
+    return moves, cheapest
 
 
 def _hop_distance_to(spec: ProblemSpec, target: int) -> dict[int, int]:
@@ -96,21 +111,9 @@ def exact_walk_oracle(
     preds: dict[EdgeRef, int] = {}
     for first, second in spec.hierarchy_closure():
         preds[second] = preds.get(second, 0) | (1 << req_index[first])
-    by_tail = _moves_for(spec, req_index, preds)
-    cheapest: dict[int, float] = {}  # required-edge bit -> its cheapest covering move
-    for _, _, _, _, cost, bit, _ in itertools.chain.from_iterable(by_tail.values()):
-        if bit:
-            cheapest[bit] = min(cheapest.get(bit, cost), cost)
     hops = (dict.fromkeys(spec.graph.vertices, 0) if spec.stop is None
             else _hop_distance_to(spec, spec.stop))
-    # expanded moves: (digit, head, cost, bit, need, arc, hops from head to
-    # the stop, cheapest cover of bit); a digit is the move's place + 1
-    moves = {
-        v: [(j + 1, head, cost, bit, need, (tail, head), hops.get(head, i_max),
-             cheapest[bit] if bit else 0.0)
-            for j, (head, _, _, tail, cost, bit, need) in enumerate(tail_moves)]
-        for v, tail_moves in by_tail.items()
-    }
+    moves, cheapest = _moves_for(spec, req_index, preds, hops)
     # last arc -> next head -> the summed bonus of that turn
     turn_bonus: dict[tuple[int, int], dict[int, float]] = {}
     for t in spec.turn_penalties:
@@ -147,11 +150,13 @@ def exact_walk_oracle(
         expanded += 1
         if expanded > node_limit:
             raise SearchBudgetExceeded(f"oracle exceeded {node_limit} expanded states")
+        if steps == i_max:
+            continue  # no move fits the step budget
         step = steps + 1
         step_place = place[step]
         turns = turn_bonus.get(last)
         uncovered = n_required - mask.bit_count()
-        for digit, head, cost, bit, need, arc, hop, cover in moves[v]:
+        for digit, head, cost, bit, need, arc, hop, cover, _ in moves[v]:
             if mask & bit:
                 if serviced_once:
                     continue  # required edges are serviced exactly once
@@ -179,9 +184,9 @@ def exact_walk_oracle(
 
     path, v = [], roots[rank // place[0] - 1]
     for k in range(1, steps + 1):
-        head, kind, mode, tail, *_ = by_tail[v][rank // place[k] % base - 1]
-        path.append(WalkStep(tail, head, mode, kind))
-        v = head
+        walk_step = moves[v][rank // place[k] % base - 1][-1]
+        path.append(walk_step)
+        v = walk_step.to
     return spec.route([path])
 
 

@@ -157,6 +157,18 @@ def test_oracle_single_directed_cycle(tmp_path):
     assert sorted(moves) == [(0, 1), (1, 2), (2, 0)]
 
 
+def test_oracle_on_edgeless_spec_answers_or_finds_no_walk(tmp_path, capsys):
+    # the default step budget is 0: the empty walk ends at the stop only
+    # when no start pins the walk elsewhere
+    graph = {"vertices": [0, 1], "undirected": []}
+    (tmp_path / "free.json").write_text(json.dumps({"graph": graph, "stop": 1}))
+    (tmp_path / "pinned.json").write_text(json.dumps({"graph": graph, "start": 0, "stop": 1}))
+    assert run("oracle", tmp_path / "free.json") == 0
+    assert json.loads((tmp_path / "free.oracle.json").read_text())["walks"] == [[]]
+    assert run("oracle", tmp_path / "pinned.json") == 2
+    assert "no covering walk fits" in capsys.readouterr().err
+
+
 def test_oracle_eulerian_graph_is_its_euler_circuit(tmp_path, capsys):
     path = tmp_path / "even.json"
     path.write_text(json.dumps(TRIANGLE))

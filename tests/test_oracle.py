@@ -155,6 +155,15 @@ def test_oracle_node_limit_boundary_is_pinned():
             exact_walk_oracle(specs[k], node_limit=limit - 1)
 
 
+def test_oracle_on_edgeless_graph_expands_states_at_the_step_budget():
+    # i_max is 0, so every expanded root already sits at the step budget
+    g = Graph.build([0, 1], undirected=[])
+    solution = exact_walk_oracle(ProblemSpec(graph=g, stop=1))
+    assert solution.single_walk().steps == () and solution.objective_weight == 0.0
+    with pytest.raises(NoValidSolution):
+        exact_walk_oracle(ProblemSpec(graph=g, start=0, stop=1))
+
+
 def test_oracle_no_walk_within_budget():
     g = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1)])
     with pytest.raises(NoValidSolution):
