@@ -37,7 +37,6 @@ def _moves_for(
     must be serviced before it, `hop` the arcs from its head to the stop,
     `cover` the cheapest covering move of its bit and `step` its WalkStep.
     """
-    i_max = spec.effective_i_max
     by_tail: dict[int, list[tuple]] = {v: [] for v in spec.graph.vertices}
     cheapest: dict[int, float] = {}
     for arc in spec.graph.arcs():
@@ -57,7 +56,7 @@ def _moves_for(
     for v, rows in by_tail.items():
         rows.sort()
         moves[v] = [
-            (j + 1, head, cost, bit, need, (v, head), hops.get(head, i_max),
+            (j + 1, head, cost, bit, need, (v, head), hops.get(head, spec.effective_i_max),
              cheapest[bit] if bit else 0.0, WalkStep(v, head, mode, kind))
             for j, ((head, kind, mode), cost, bit, need) in enumerate(rows)
         ]
@@ -93,18 +92,15 @@ def exact_walk_oracle(
     each uncovered required edge; weights and turn bonuses are non-negative,
     so that bound is consistent and the first covering walk popped is optimal.
     Ties pop in depth-first order: roots ascending, moves by (head, kind,
-    mode), a walk before its extensions.  Each move is expanded from one
-    precomputed tuple that already holds its hop distance to the stop and the
-    cheapest cover of its bit.  Raises SearchBudgetExceeded past `node_limit`
-    expanded states and NoValidSolution when no covering walk fits the step
-    budget.  The validity comes from `ProblemSpec.check_walks`.
+    mode), a walk before its extensions.  Raises SearchBudgetExceeded past
+    `node_limit` expanded states and NoValidSolution when no covering walk
+    fits the step budget.  The validity comes from `ProblemSpec.check_walks`.
     """
     if spec.postmen.count != 1:
         raise UnsupportedCombination("the walk oracle handles a single postman")
     required = spec.resolved_required()
-    n_required = len(required)
     req_index = {ref: i for i, ref in enumerate(required)}
-    full_mask = (1 << n_required) - 1
+    full_mask = (1 << len(required)) - 1
     i_max = spec.effective_i_max
     caps = spec.postmen.capacities
     capacity = None if caps is None else float(caps[0])
@@ -119,8 +115,6 @@ def exact_walk_oracle(
     for t in spec.turn_penalties:
         heads = turn_bonus.setdefault(t.arc_in, {})
         heads[t.out_head] = heads.get(t.out_head, 0.0) + t.bonus
-    serviced_once = spec.service is not None
-    stop = spec.stop
 
     # a walk's rank holds its choices as digits, root first: rank order is
     # depth-first order, and the walk is read back off its rank
@@ -145,7 +139,7 @@ def exact_walk_oracle(
         if best[state] is not entry:
             continue  # a better walk reached this state first
         v, mask, steps, last, _ = state
-        if mask == full_mask and (stop is None or stop == v):
+        if mask == full_mask and spec.stop in (None, v):
             break
         expanded += 1
         if expanded > node_limit:
@@ -155,10 +149,10 @@ def exact_walk_oracle(
         step = steps + 1
         step_place = place[step]
         turns = turn_bonus.get(last)
-        uncovered = n_required - mask.bit_count()
+        uncovered = len(required) - mask.bit_count()
         for digit, head, cost, bit, need, arc, hop, cover, _ in moves[v]:
             if mask & bit:
-                if serviced_once:
+                if spec.service is not None:
                     continue  # required edges are serviced exactly once
                 bit = 0
             elif need & ~mask:
