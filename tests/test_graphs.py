@@ -39,6 +39,52 @@ def test_rejects_unknown_endpoint_and_bad_weight():
         Graph.build([0, 1], directed=[(0, 1, float("inf"))])
 
 
+NAN, INF = float("nan"), float("inf")
+GRAPH_ERRORS = {
+    "undirected-self-loop": (lambda: Graph.build([0, 1], undirected=[(1, 1, 1)]), "self-loop"),
+    "directed-self-loop": (lambda: Graph.build([0, 1], directed=[(0, 0, 1)]), "self-loop"),
+    "undirected-unknown-endpoint": (
+        lambda: Graph.build([0, 1], undirected=[(2, 0, 1)]), "endpoint not in vertex set"),
+    "directed-unknown-endpoint": (
+        lambda: Graph.build([0, 1], directed=[(0, 5, 1)]), "endpoint not in vertex set"),
+    "duplicate-undirected": (
+        lambda: Graph.build([0, 1], undirected=[(0, 1, 1), (0, 1, 2)]), "duplicate"),
+    "duplicate-undirected-reversed": (
+        lambda: Graph.build([0, 1], undirected=[(0, 1, 1), (1, 0, 2)]), "duplicate"),
+    "duplicate-directed": (
+        lambda: Graph.build([0, 1], directed=[(1, 0, 1), (1, 0, 1)]), "duplicate"),
+    "negative-w_ab": (lambda: Graph.build([0, 1], undirected=[(0, 1, -1, 1)]),
+                      "weight must be finite and non-negative"),
+    "infinite-w_ab": (lambda: Graph.build([0, 1], undirected=[(1, 0, 1, INF)]),
+                      "weight must be finite and non-negative"),
+    "negative-w_ba": (lambda: Graph.build([0, 1], undirected=[(0, 1, 1, -0.5)]),
+                      "weight must be finite and non-negative"),
+    "nan-w_ba": (lambda: Graph.build([0, 1], undirected=[(0, 1, 1, NAN)]),
+                 "weight must be finite and non-negative"),
+    "negative-directed": (lambda: Graph.build([0, 1], directed=[(0, 1, -2)]),
+                          "weight must be finite and non-negative"),
+    "nan-directed": (lambda: Graph.build([0, 1], directed=[(1, 0, NAN)]),
+                     "weight must be finite and non-negative"),
+    "no-vertices": (lambda: Graph.build([]), "at least one vertex"),
+    "negative-vertex": (lambda: Graph.build([0, -1]), "non-negative ints"),
+    "non-int-vertex": (lambda: Graph(frozenset({0, 1.5})), "non-negative ints"),
+    "undirected-row-too-short": (lambda: Graph.build([0, 1], undirected=[(0, 1)]),
+                                 "3 or 4 fields"),
+    "undirected-row-too-long": (lambda: Graph.build([0, 1], undirected=[(0, 1, 1, 1, 1)]),
+                                "3 or 4 fields"),
+    "directed-row-too-short": (lambda: Graph.build([0, 1], directed=[(0, 1)]), "3 fields"),
+    "directed-row-too-long": (lambda: Graph.build([0, 1], directed=[(0, 1, 1, 1)]), "3 fields"),
+    "edge-ref-kind": (lambda: EdgeRef("x", 0, 1), "edge kind"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAPH_ERRORS))
+def test_graph_construction_errors_are_invalid_graph(case):
+    build, fragment = GRAPH_ERRORS[case]
+    with pytest.raises(InvalidGraph, match=fragment):
+        build()
+
+
 def test_opposite_directed_arcs_coexist():
     g = Graph.build([0, 1], directed=[(0, 1, 1), (1, 0, 2)])
     assert g.edge_count == 2
@@ -184,6 +230,15 @@ def test_strongly_connected_example():
 
 def test_isolated_vertices_not_connected():
     assert not is_strongly_connected(Graph.build([0, 1]))
+
+
+@pytest.mark.parametrize("graph, connected", [
+    (Graph.build([4]), True),
+    (Graph.build([0, 1], directed=[(0, 1, 1)]), False),
+    (Graph.build([0, 1], directed=[(1, 0, 1)]), False),
+])
+def test_strong_connectivity_of_a_single_vertex_and_a_one_way_path(graph, connected):
+    assert is_strongly_connected(graph) is connected
 
 
 def test_directed_cycle_minus_arc_not_connected():
