@@ -326,7 +326,7 @@ class CompiledGeneral(CompiledProblem):
             # a service of `second` before one of `first`; service mode has one postman
             hier = Qubo(n)
             (table,) = tables
-            for first, second in sorted(hierarchy):
+            for first, second in hierarchy:
                 ra = table[cover == self.required.index(first)]
                 rb = table[cover == self.required.index(second)]
                 a, b = np.nonzero(rb["step"] < ra["step"][:, None])

@@ -6,6 +6,10 @@ construction and safe to share across threads; a graph's all-pairs shortest
 paths are computed on first use and then kept, as stdlib `array` rows that the
 exact layers read without numpy scalars.
 
+Every reachability question (strong connectivity, the walk oracle's hops to
+its stop, the closure of the service order) is answered by one breadth-first
+search, `reach`, along (tail, head) pairs.
+
 Euler circuits are taken over a plain list of (tail, head) pairs, so a
 caller can duplicate or select edges without building another graph and
 map each traversed index back to its own edge.
@@ -16,10 +20,10 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidGraph,
@@ -98,13 +102,6 @@ class Arc(NamedTuple):
     ref: EdgeRef
 
 
-def _check_weight(w: float, what: str) -> float:
-    w = float(w)
-    if not math.isfinite(w) or w < 0:
-        raise InvalidGraph(f"{what} weight must be finite and non-negative, got {w}")
-    return w
-
-
 @dataclass(frozen=True)
 class Graph:
     """Mixed windy weighted graph; no parallel edges, no self-loops.
@@ -128,34 +125,29 @@ class Graph:
         for v in self.vertices:
             if not isinstance(v, int) or v < 0:
                 raise InvalidGraph(f"vertex ids must be non-negative ints, got {v!r}")
-        seen_u: set[tuple[int, int]] = set()
-        for e in und:
-            if e.a == e.b:
-                raise InvalidGraph(f"self-loop on vertex {e.a}")
-            if e.a not in self.vertices or e.b not in self.vertices:
-                raise InvalidGraph(f"edge [{e.a},{e.b}] endpoint not in vertex set")
-            if (e.a, e.b) in seen_u:
-                raise InvalidGraph(f"duplicate undirected edge [{e.a},{e.b}]")
-            seen_u.add((e.a, e.b))
-            _check_weight(e.w_ab, f"[{e.a},{e.b}]")
-            _check_weight(e.w_ba, f"[{e.b},{e.a}]")
-        seen_d: set[tuple[int, int]] = set()
-        for d in dire:
-            if d.tail == d.head:
-                raise InvalidGraph(f"self-loop on vertex {d.tail}")
-            if d.tail not in self.vertices or d.head not in self.vertices:
-                raise InvalidGraph(f"arc ({d.tail},{d.head}) endpoint not in vertex set")
-            if (d.tail, d.head) in seen_d:
-                raise InvalidGraph(f"duplicate directed edge ({d.tail},{d.head})")
-            seen_d.add((d.tail, d.head))
-            _check_weight(d.w, f"({d.tail},{d.head})")
         refs = tuple(e.ref for e in und) + tuple(d.ref for d in dire)
+        seen: set[tuple[str, int, int]] = set()
+        for ref in refs:
+            key = (ref.kind, ref.a, ref.b)
+            if ref.a == ref.b:
+                raise InvalidGraph(f"self-loop on vertex {ref.a}")
+            if ref.a not in self.vertices or ref.b not in self.vertices:
+                raise InvalidGraph(f"edge {ref} endpoint not in vertex set")
+            if key in seen:
+                raise InvalidGraph(f"duplicate edge {ref}")
+            seen.add(key)
         arcs: list[Arc] = []
         for e, ref in zip(und, refs):
             arcs.append(Arc(e.a, e.b, e.w_ab, ref))
             arcs.append(Arc(e.b, e.a, e.w_ba, ref))
         for d, ref in zip(dire, refs[len(und):]):
             arcs.append(Arc(d.tail, d.head, d.w, ref))
+        for tail, head, w, _ in arcs:
+            w = float(w)
+            if not math.isfinite(w) or w < 0:
+                raise InvalidGraph(
+                    f"arc ({tail},{head}) weight must be finite and non-negative, got {w}"
+                )
         object.__setattr__(self, "_edge_refs", refs)
         object.__setattr__(self, "_arcs", tuple(arcs))
         object.__setattr__(
@@ -222,37 +214,34 @@ def odd_degree_vertices(g: Graph) -> frozenset[int]:
     return frozenset(odd)
 
 
-def _adjacency(g: Graph) -> dict[int, list[tuple[int, float]]]:
-    adj: dict[int, list[tuple[int, float]]] = {v: [] for v in g.vertices}
-    for arc in g.arcs():
-        adj[arc.tail].append((arc.head, arc.weight))
-    for lst in adj.values():
-        lst.sort()
-    return adj
+def reach(
+    edges: Iterable[tuple[Hashable, Hashable]], roots: Iterable[Hashable]
+) -> dict[Hashable, int]:
+    """Breadth-first search along directed (tail, head) `edges` from `roots`.
+
+    Maps every node reached to the fewest edges from a root to it; roots map
+    to 0.  This is the one reachability search of the package.
+    """
+    out: defaultdict[Hashable, list[Hashable]] = defaultdict(list)
+    for tail, head in edges:
+        out[tail].append(head)
+    hops = dict.fromkeys(roots, 0)
+    queue = deque(hops)
+    while queue:
+        v = queue.popleft()
+        for u in out[v]:
+            if u not in hops:
+                hops[u] = hops[v] + 1
+                queue.append(u)
+    return hops
 
 
 def is_strongly_connected(g: Graph) -> bool:
     """True iff every ordered pair is joined by a walk (undirected = both ways)."""
-    if len(g.vertices) == 1:
-        return True
-    fwd: dict[int, list[int]] = {v: [] for v in g.vertices}
-    rev: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for arc in g.arcs():
-        fwd[arc.tail].append(arc.head)
-        rev[arc.head].append(arc.tail)
-
-    def reaches_all(adj: dict[int, list[int]], root: int) -> bool:
-        seen = {root}
-        stack = [root]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(g.vertices)
-
-    root = min(g.vertices)
-    return reaches_all(fwd, root) and reaches_all(rev, root)
+    pairs = [(arc.tail, arc.head) for arc in g.arcs()]
+    root = [min(g.vertices)]
+    back = [(head, tail) for tail, head in pairs]
+    return len(reach(pairs, root)) == len(reach(back, root)) == len(g.vertices)
 
 
 class ShortestPaths:
@@ -281,10 +270,7 @@ class ShortestPaths:
         pred = self._pred[iu]
         rev = [iv]
         while rev[-1] != iu:
-            prev = pred[rev[-1]]
-            if prev < 0:
-                raise NotStronglyConnected(f"no path from {u} to {v}")
-            rev.append(prev)
+            rev.append(pred[rev[-1]])
         return [self._order[i] for i in reversed(rev)]
 
     def path_steps(self, u: int, v: int) -> list[tuple[int, int]]:
@@ -299,9 +285,11 @@ def shortest_paths(g: Graph) -> ShortestPaths:
     order = sorted(g.vertices)
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
-    adj = _adjacency(g)
-    # out-arcs as (head index, weight), heads ascending as in _adjacency
-    out = [[(index[head], w) for head, w in adj[v]] for v in order]
+    out: list[list[tuple[int, float]]] = [[] for _ in order]
+    for arc in g.arcs():
+        out[index[arc.tail]].append((index[arc.head], arc.weight))
+    for arcs in out:
+        arcs.sort()  # heads ascending, then weights
     dist_rows: list[array] = []
     pred_rows: list[array] = []
     for si in range(n):

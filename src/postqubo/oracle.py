@@ -8,7 +8,6 @@ returns the direct Euler-circuit answer for specs where it is provably optimal.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from .errors import (
     NoEulerianCircuit,
@@ -16,7 +15,7 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedCombination,
 )
-from .graphs import EdgeRef, _euler_edge_sequence
+from .graphs import EdgeRef, _euler_edge_sequence, reach
 from .problem import ProblemSpec
 from .qubo import MODE_SERVICE
 from .routes import RouteSolution, WalkStep
@@ -63,22 +62,6 @@ def _moves_for(
     return moves, cheapest
 
 
-def _hop_distance_to(spec: ProblemSpec, target: int) -> dict[int, int]:
-    """Unweighted reverse BFS: minimum number of arcs to reach `target`."""
-    into: dict[int, list[int]] = {v: [] for v in spec.graph.vertices}
-    for arc in spec.graph.arcs():
-        into[arc.head].append(arc.tail)
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for u in into[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 def exact_walk_oracle(
     spec: ProblemSpec, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> RouteSolution:
@@ -107,8 +90,9 @@ def exact_walk_oracle(
     preds: dict[EdgeRef, int] = {}
     for first, second in spec.hierarchy_closure():
         preds[second] = preds.get(second, 0) | (1 << req_index[first])
+    # the fewest arcs from each vertex to the stop: a search from it, arcs reversed
     hops = (dict.fromkeys(spec.graph.vertices, 0) if spec.stop is None
-            else _hop_distance_to(spec, spec.stop))
+            else reach([(a.head, a.tail) for a in spec.graph.arcs()], [spec.stop]))
     moves, cheapest = _moves_for(spec, req_index, preds, hops)
     # last arc -> next head -> the summed bonus of that turn
     turn_bonus: dict[tuple[int, int], dict[int, float]] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import SpecError, UnsupportedCombination
-from .graphs import EdgeRef, Graph
+from .graphs import EdgeRef, Graph, reach
 from .qubo import MODE_PLAIN, MODE_SERVICE, MODE_TRAVERSE
 from .routes import RouteSolution, RouteWalk, ValidityReport, WalkStep
 
@@ -93,6 +93,11 @@ class ProblemSpec:
     budget holds an optimal walk on undirected graphs, where it uses each edge
     at most twice (Edmonds & Johnson 1973), but not always with directed arcs:
     a covering walk may have to repeat a directed return path more often.
+
+    `hierarchy` pairs (first, second) say that `first` is serviced before
+    `second`.  Their transitive closure is built once, with one `reach`
+    search from each pair's second edge, and kept sorted; a cycle in it is a
+    SpecError.
     """
 
     graph: Graph
@@ -136,20 +141,12 @@ class ProblemSpec:
                 raise SpecError("hierarchy pair relates an edge to itself")
         if self.hierarchy and self.service is None:
             raise SpecError("hierarchy ordering requires service mode")
-        # closure must stay acyclic (partial order)
-        closure = set(self.hierarchy)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closure):
-                for c, d in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        closure = frozenset(closure)
-        object.__setattr__(self, "_hierarchy_closure", closure)
-        for a, b in closure:
-            if a == b:
+        # every edge the search from a pair's second edge reaches follows its
+        # first; the closure must stay acyclic (a partial order)
+        closure = sorted({(a, c) for a, b in self.hierarchy for c in reach(self.hierarchy, [b])})
+        object.__setattr__(self, "_precedence", tuple(closure))
+        for a, c in closure:
+            if a == c:
                 raise SpecError(f"hierarchy relation is cyclic through {a}")
 
         if self.service is not None and self.postmen.count > 1:
@@ -181,7 +178,6 @@ class ProblemSpec:
             if ref.kind == "u":
                 required_arcs[(ref.b, ref.a, ref.kind)] = ref
         object.__setattr__(self, "_required_arcs", required_arcs)
-        object.__setattr__(self, "_precedence", tuple(sorted(closure)))
 
         if self.postmen.capacities is not None:
             for c in self.postmen.capacities:
@@ -210,9 +206,9 @@ class ProblemSpec:
             or self.forbid_edge_collisions
         )
 
-    def hierarchy_closure(self) -> frozenset[tuple[EdgeRef, EdgeRef]]:
-        """Transitive closure of the must-precede pairs, computed once."""
-        return self._hierarchy_closure
+    def hierarchy_closure(self) -> tuple[tuple[EdgeRef, EdgeRef], ...]:
+        """Transitive closure of the must-precede pairs, sorted, computed once."""
+        return self._precedence
 
     @property
     def modes(self) -> tuple[str, ...]:

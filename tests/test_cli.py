@@ -363,6 +363,23 @@ def test_validate_detects_tampering(fig_graph_file, tmp_path, capsys):
     assert run("validate", out / "tampered.json", "--instance", fig_graph_file) == 2
 
 
+@pytest.mark.parametrize("walks, message", [
+    (lambda walk: [walk, walk], "expected 1 walks, found 2"),
+    (lambda walk: [], "expected 1 walks, found 0"),
+    (lambda walk: [[]], "empty walk"),
+])
+def test_validate_checks_a_graph_files_walk_count_and_empty_walk(
+        fig_graph_file, tmp_path, capsys, walks, message):
+    out = tmp_path / "out"
+    run("solve", fig_graph_file, "--pipeline", "pairing", "--solver", "brute", "--out", out)
+    route = json.loads((out / "fig.route.json").read_text())
+    route["walks"] = walks(route["walks"][0])
+    (out / "broken.json").write_text(json.dumps(route))
+    capsys.readouterr()
+    assert run("validate", out / "broken.json", "--instance", fig_graph_file) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_bench_rerun_is_byte_identical(tmp_path, fig_graph_file):
     suite = tmp_path / "suite"
     suite.mkdir()
@@ -799,6 +816,66 @@ def test_malformed_spec_fields_are_input_errors(case, tmp_path, capsys):
     code, out = export_qubo(MALFORMED_FIELDS[case], tmp_path)
     assert code == 1
     assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
+PATH_GRAPH = {"vertices": [0, 1, 2, 3], "undirected": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
+U01, U12 = [0, 1, "u"], [1, 2, "u"]
+MALFORMED_INSTANCES = {
+    "graph-self-loop": (
+        {"vertices": [0, 1], "undirected": [[0, 0, 1], [0, 1, 1]]}, "invalid graph"),
+    "graph-without-vertices": ({"undirected": [[0, 1, 1]]}, "missing keys ['vertices']"),
+    "graph-duplicate-labels": (
+        {"vertices": [0, 1, 0], "undirected": [[0, 1, 1]]}, "duplicate vertex labels"),
+    "graph-two-field-directed-entry": (
+        {"vertices": [0, 1], "directed": [[0, 1]]}, "directed entry needs"),
+    "graph-top-level-list": ([TRIANGLE], "expected a JSON object"),
+    "required-not-a-list": ({"graph": TRIANGLE, "required": 5}, "spec.required must be"),
+    "required-kind-x": ({"graph": TRIANGLE, "required": [[0, 1, "x"]]}, "required edge must be"),
+    "turn-three-numbers": (
+        {"graph": TRIANGLE, "turn_penalties": [[0, 1, 2]]}, "turn entry needs"),
+    "turn-onto-missing-arc": (
+        {"graph": PATH_GRAPH, "turn_penalties": [[[0, 1], [1, 3], 1]]},
+        "turn tuple references missing arcs"),
+    "hierarchy-one-edge-entry": (
+        {"graph": TRIANGLE, "service": True, "hierarchy": [[U01]]}, "hierarchy entry needs"),
+    "service-weight-on-missing-arc": (
+        {"graph": TRIANGLE, "service": {"service_weights": [[0, 2, 1, "d"]]}},
+        "no arc 0->2 of kind 'd'"),
+    "service-weight-two-fields": (
+        {"graph": TRIANGLE, "service": {"service_weights": [[0, 1]]}},
+        "service weight entry needs"),
+    "no-postmen": ({"graph": TRIANGLE, "postmen": {"count": 0}}, "postman count must be >= 1"),
+    "one-capacity-two-postmen": (
+        {"graph": TRIANGLE, "postmen": {"count": 2, "capacities": [9]}},
+        "need one capacity per postman"),
+    "fractional-capacity": (
+        {"graph": TRIANGLE, "postmen": {"count": 1, "capacities": [2.5]}},
+        "capacities must be positive integers"),
+    "one-weight-table-two-postmen": (
+        {"graph": TRIANGLE, "postmen": {"count": 2, "weights": [[]]}},
+        "need one weight table per postman"),
+    "hierarchy-on-non-required-edge": (
+        {"graph": TRIANGLE, "required": [U01], "service": True, "hierarchy": [[U01, U12]]},
+        "hierarchy pairs must reference required edges"),
+    "hierarchy-on-one-edge-twice": (
+        {"graph": TRIANGLE, "service": True, "hierarchy": [[U01, U01]]},
+        "relates an edge to itself"),
+    "collisions-with-service": (
+        {"graph": TRIANGLE, "service": True, "forbid_edge_collisions": True},
+        "do not combine with service mode"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("case", list(MALFORMED_INSTANCES))
+def test_malformed_instances_exit_one_and_write_nothing(case, command, tmp_path, capsys):
+    doc, fragment = MALFORMED_INSTANCES[case]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(command, path, "--out", out) == 1
+    assert fragment in capsys.readouterr().err
     assert not out.exists()
 
 

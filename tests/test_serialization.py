@@ -262,6 +262,13 @@ def test_revalidate_flags_broken_routes():
     assert any("never traversed" in p for p in problems)
 
 
+def test_revalidate_flags_a_step_that_is_not_a_graph_arc():
+    doc = parse_graph(FIG_GRAPH)
+    steps = (WalkStep(0, 1), WalkStep(1, 3), WalkStep(3, 2), WalkStep(2, 1), WalkStep(1, 0))
+    bad = RouteSolution(walks=(RouteWalk(steps, 0.0),), objective_weight=0.0)
+    assert revalidate_route(doc, bad) == ["walk 0 step 1->3 is not a graph arc"]
+
+
 def test_revalidate_flags_jumps_and_endpoints():
     sd = parse_spec({"graph": {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 2]]},
                      "start": 0, "stop": 2})

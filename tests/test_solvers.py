@@ -1,13 +1,21 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from postqubo import (
+    Graph,
+    NotPerfectPairing,
     NoValidSolution,
+    Pairing,
+    PairVar,
     PenaltyConfig,
+    ProblemSpec,
     Qubo,
+    ServiceMode,
+    SpecError,
     TooLarge,
     brute_force,
     decode_pairing,
@@ -20,6 +28,7 @@ from postqubo import (
     tabu_search,
 )
 from postqubo import solvers
+from postqubo.errors import QuboError
 from postqubo.pairing import compile_pairing
 from postqubo.solvers import CompiledInstance
 from conftest import (
@@ -484,3 +493,45 @@ def test_each_sampler_call_runs_its_own_stream():
 def test_samplers_reject_bad_schedules(sample):
     with pytest.raises(ValueError):
         sample(paper_instance())
+
+
+def _path_graph() -> Graph:
+    return Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1)])
+
+
+API_ARGUMENT_ERRORS = {
+    "greedy-no-starts": (lambda: greedy_descent(paper_instance(), starts=0),
+                         ValueError, "at least one start"),
+    "greedy-post-other-length": (
+        lambda: greedy_post(paper_instance(), brute_force(Qubo(2))), ValueError, "length 2 != 1"),
+    "sa-no-reads": (lambda: simulated_annealing(paper_instance(), reads=0),
+                    ValueError, "reads and sweeps"),
+    "sa-no-sweeps": (lambda: simulated_annealing(paper_instance(), sweeps=0),
+                     ValueError, "reads and sweeps"),
+    "tabu-no-tenure": (lambda: tabu_search(paper_instance(), tenure=0), ValueError, "tenure"),
+    "negative-retunes": (
+        lambda: solve_with_retune(pairing_builder(_path_graph()), PenaltyConfig.uniform(1.0),
+                                  brute_force, max_retunes=-1),
+        ValueError, "max_retunes"),
+    "zero-pairing-penalty": (lambda: compile_pairing(_path_graph(), p=0), ValueError, "positive"),
+    "overlapping-pairs": (lambda: Pairing(frozenset({(0, 1), (1, 2)})),
+                          NotPerfectPairing, "not disjoint"),
+    "pair-of-one-vertex": (lambda: PairVar(1, 1), QuboError, "two distinct vertices"),
+    "negative-variable-count": (lambda: Qubo(-1), QuboError, "non-negative"),
+    "unknown-stop": (lambda: ProblemSpec(graph=_path_graph(), stop=7),
+                     SpecError, "stop vertex 7 not in graph"),
+    "service-override-on-missing-arc": (
+        lambda: ProblemSpec(graph=_path_graph(),
+                            service=ServiceMode(service_overrides=((0, 2, "u", 1.0),))),
+        SpecError, "missing arc"),
+    "weight-of-missing-arc": (
+        lambda: ProblemSpec(graph=_path_graph()).weight(0, (0, 2, "u"), "plain"),
+        SpecError, "no arc 0->2 of kind u"),
+}
+
+
+@pytest.mark.parametrize("case", list(API_ARGUMENT_ERRORS))
+def test_documented_argument_errors(case):
+    call, error, fragment = API_ARGUMENT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
