@@ -824,6 +824,9 @@ U01, U12 = [0, 1, "u"], [1, 2, "u"]
 MALFORMED_INSTANCES = {
     "graph-self-loop": (
         {"vertices": [0, 1], "undirected": [[0, 0, 1], [0, 1, 1]]}, "invalid graph"),
+    "graph-self-loop-on-a-label": (
+        {"vertices": ["x", "y", "z"], "undirected": [["x", "y", 1], ["z", "z", 1]]},
+        "invalid graph: self-loop on vertex 'z'"),
     "graph-without-vertices": ({"undirected": [[0, 1, 1]]}, "missing keys ['vertices']"),
     "graph-duplicate-labels": (
         {"vertices": [0, 1, 0], "undirected": [[0, 1, 1]]}, "duplicate vertex labels"),
@@ -837,6 +840,10 @@ MALFORMED_INSTANCES = {
     "turn-onto-missing-arc": (
         {"graph": PATH_GRAPH, "turn_penalties": [[[0, 1], [1, 3], 1]]},
         "turn tuple references missing arcs"),
+    "turn-onto-missing-arc-by-label": (
+        {"graph": {"vertices": ["x", "y", "z"], "undirected": [["x", "y", 1], ["y", "z", 1]]},
+         "turn_penalties": [[["y", "z"], ["z", "x"], 1]]},
+        "turn tuple references missing arcs: [['y', 'z'], ['z', 'x'], 1]"),
     "hierarchy-one-edge-entry": (
         {"graph": TRIANGLE, "service": True, "hierarchy": [[U01]]}, "hierarchy entry needs"),
     "service-weight-on-missing-arc": (

@@ -1024,6 +1024,17 @@ def test_the_constructor_builds_what_compile_general_returns():
     assert built >= 2 * len(specs)  # auto and at least one explicit encoding each
 
 
+def test_compiled_general_carries_its_default_penalties():
+    for spec, encoding in [*_table_specs(), *_pinned_specs().values()]:
+        try:
+            compiled = compile_general(spec, encoding)
+        except InfeasibleEndpoints:
+            continue
+        assert compiled.penalties == default_penalties(spec)
+        assert (format_qubo_text(compiled.qubo())
+                == format_qubo_text(compiled.qubo(default_penalties(spec))))
+
+
 def _pinned_route(name: str, spec: ProblemSpec) -> list[list[tuple]]:
     """One valid route per pinned spec: the walk oracle's, or two hand walks for the team."""
     if name == "team":

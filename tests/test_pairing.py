@@ -22,6 +22,7 @@ from postqubo import (
     odd_degree_vertices,
     shortest_paths,
 )
+from postqubo.errors import QuboError
 from postqubo.pairing import compile_pairing, euler_route
 from conftest import (
     all_pairings,
@@ -112,6 +113,18 @@ def test_zero_distance_pairing_graph_gets_the_fallback_penalty():
     compiled = compile_pairing(g, p)
     assert compiled.penalty == compile_pairing(g).penalty == p
     assert brute_force(compiled.qubo()).best_assignment == [1]
+
+
+def test_compile_pairing_carries_its_penalties():
+    g = Graph.build(range(4), undirected=[(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4),
+                                          (0, 2, 5), (1, 3, 6)])
+    odd = sorted(odd_degree_vertices(g))
+    largest = max(g.paths.distance(a, b) for a, b in itertools.combinations(odd, 2))
+    assert len(odd) == 4 and largest > 0
+    assert compile_pairing(g).penalties == PenaltyConfig.for_max_weight(largest)
+    assert compile_pairing(g, 7.0).penalties == PenaltyConfig.uniform(7.0)
+    with pytest.raises(QuboError):
+        compile_pairing(g, float("inf"))
 
 
 # --- decode_pairing ------------------------------------------------------------
