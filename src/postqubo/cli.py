@@ -28,7 +28,7 @@ from .errors import (
     TooManyOddVertices,
     UnsupportedCombination,
 )
-from .general import compile_general, default_penalties
+from .general import compile_general
 from .graphs import Graph, odd_degree_vertices
 from .oracle import DEFAULT_NODE_LIMIT, euler_shortcut, exact_walk_oracle
 from .pairing import (
@@ -200,12 +200,8 @@ def _problem_of(instance, args: argparse.Namespace):
 
 def _compile(problem, args: argparse.Namespace) -> tuple[CompiledProblem, PenaltyConfig]:
     """Compile a graph or spec; its penalties are the defaults under the --p-* flags."""
-    if isinstance(problem, Graph):
-        compiled = compile_pairing(problem)
-        pen = PenaltyConfig.uniform(compiled.penalty)
-    else:
-        compiled, pen = compile_general(problem), default_penalties(problem)
-    return compiled, replace(pen, **args.penalties)
+    compiled = (compile_pairing if isinstance(problem, Graph) else compile_general)(problem)
+    return compiled, replace(compiled.penalties, **args.penalties)
 
 
 def _shortcut(problem) -> RouteSolution | None:

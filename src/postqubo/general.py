@@ -125,14 +125,15 @@ def _prune_steps(
 
 
 class CompiledGeneral(CompiledProblem):
-    """Spec compiled to a registry, objective and per-family constraints.
+    """Spec compiled to a registry, objective, per-family constraints and penalties.
 
     The constructor builds the whole compiled problem: it lays out the arc
     columns once, prunes steps for each encoding in play (the one `encoding`
     names, or under "auto" every encoding the spec admits), keeps the one
     with the fewest (step, arc, mode) slots, repetition on a tie, and builds
-    its registry, step tables and forms.  A rest spec admits only rest, a
-    service spec only terminal; any other encoding is a `SpecError`.
+    its registry, step tables and forms; its `penalties` are
+    `default_penalties(spec)`.  A rest spec admits only rest, a service spec
+    only terminal; any other encoding is a `SpecError`.
     """
 
     def __init__(self, spec: ProblemSpec, encoding: str = "auto"):
@@ -148,6 +149,7 @@ class CompiledGeneral(CompiledProblem):
             raise SpecError(f"this spec compiles the {' or '.join(admitted)} encoding, "
                             f"not {encoding}")
         self.spec = spec
+        self.penalties = default_penalties(spec)
         self.i_max = spec.effective_i_max
         if self.i_max < 1:
             raise SpecError("the step budget i_max is 0: the graph has no edges to walk")

@@ -177,9 +177,7 @@ def euler_shortcut(spec: ProblemSpec) -> RouteSolution | None:
     the cheapest orientation), form a connected even/balanced subgraph, fit
     the step budget, and are compatible with the given endpoints.
     """
-    if spec.postmen.count != 1 or spec.uses_rest_encoding:
-        return None
-    if spec.turn_penalties or spec.hierarchy:
+    if spec.uses_rest_encoding or spec.turn_penalties or spec.hierarchy:
         return None
     required = spec.resolved_required()
     if not required:

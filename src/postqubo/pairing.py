@@ -65,20 +65,13 @@ def _check_pairing_input(g: Graph) -> None:
 
 @dataclass
 class CompiledPairing(CompiledProblem):
-    """Pairing QUBO: path-distance objective plus the "pairing" constraint.
-
-    `penalty` is the multiplier the graph was compiled for; `qubo()` uses it
-    and `qubo(pen)` reads `pen.p_pairing` instead.
-    """
+    """Pairing QUBO: path-distance objective plus the "pairing" constraint."""
 
     graph: Graph
     registry: VariableRegistry
     objective: Qubo
     constraints: dict[str, Qubo]
-    penalty: float
-
-    def qubo(self, pen: PenaltyConfig | None = None) -> Qubo:
-        return super().qubo(pen if pen is not None else PenaltyConfig.uniform(self.penalty))
+    penalties: PenaltyConfig
 
     def decode(self, x: Sequence[int]) -> RouteSolution:
         try:
@@ -101,26 +94,26 @@ def _checked_odd_vertices(g: Graph) -> list[int]:
     return odd
 
 
-def _penalty(g: Graph, odd: list[int]) -> float:
+def _penalty(g: Graph, odd: list[int]) -> PenaltyConfig:
     pairs = itertools.combinations(odd, 2)
-    return PenaltyConfig.for_max_weight(max(g.paths.distance(a, b) for a, b in pairs)).p_pairing
+    return PenaltyConfig.for_max_weight(max(g.paths.distance(a, b) for a, b in pairs))
 
 
 def default_pairing_penalty(g: Graph) -> float:
     """The `PenaltyConfig.for_max_weight` multiplier at the largest odd-pair distance."""
-    return _penalty(g, _checked_odd_vertices(g))
+    return _penalty(g, _checked_odd_vertices(g)).p_pairing
 
 
 def compile_pairing(g: Graph, p: float | None = None) -> CompiledPairing:
     """Pairing QUBO: sum W_ij x_ij plus p * sum_i (1 - sum_j x_ij)^2.
 
-    `p` defaults to `default_pairing_penalty(g)`; the graph is checked once.
+    Its `penalties` are `PenaltyConfig.uniform(p)`, or the defaults at
+    `default_pairing_penalty(g)` when `p` is None; the graph is checked once.
     """
     odd = _checked_odd_vertices(g)
-    if p is None:
-        p = _penalty(g, odd)
-    elif p <= 0:
+    if p is not None and p <= 0:
         raise ValueError("pairing penalty must be positive")
+    penalties = _penalty(g, odd) if p is None else PenaltyConfig.uniform(p)
     sp = g.paths
     registry = VariableRegistry(
         PairVar(a, b) for a, b in itertools.combinations(odd, 2)
@@ -136,30 +129,29 @@ def compile_pairing(g: Graph, p: float | None = None) -> CompiledPairing:
     constraint = Qubo(len(registry))
     constraint.add_square_penalty([k for _, k in terms], -1.0, [1.0] * len(group),
                                   [g for g, _ in terms])
-    return CompiledPairing(g, registry, objective, {"pairing": constraint}, p)
+    return CompiledPairing(g, registry, objective, {"pairing": constraint}, penalties)
 
 
 def decode_pairing(x: Sequence[int], reg: VariableRegistry) -> Pairing:
     """Read the set pair variables back as a perfect pairing.
 
-    Raises NotPerfectPairing when any odd vertex is covered != 1 times,
-    which is the signal for the penalty-retune retry, and LengthMismatch
-    when x does not have one bit per variable.
+    Raises NotPerfectPairing when the set pairs share a vertex or miss one
+    of the registry's vertices, which is the signal for the penalty-retune
+    retry, and LengthMismatch when x does not have one bit per variable.
     """
     if len(x) != len(reg):
         raise LengthMismatch(f"assignment length {len(x)} != {len(reg)} variables")
-    chosen = [reg.label_of(i) for i, bit in enumerate(x) if bit]
-    coverage: dict[int, int] = {}
-    for lab in reg:
-        coverage.setdefault(lab.i, 0)
-        coverage.setdefault(lab.j, 0)
-    for lab in chosen:
-        coverage[lab.i] += 1
-        coverage[lab.j] += 1
-    bad = {v: c for v, c in coverage.items() if c != 1}
-    if bad:
-        raise NotPerfectPairing(f"odd vertices covered != 1 times: {bad}")
-    return Pairing(frozenset((lab.i, lab.j) for lab in chosen))
+    pairing = Pairing(frozenset((lab.i, lab.j) for lab, bit in zip(reg, x) if bit))
+    _check_covers(pairing, frozenset(v for lab in reg for v in (lab.i, lab.j)))
+    return pairing
+
+
+def _check_covers(pairing: Pairing, odd: frozenset[int]) -> None:
+    """Raise NotPerfectPairing unless the pairs hold exactly the vertices `odd`."""
+    if pairing.vertices() != odd:
+        raise NotPerfectPairing(
+            f"pairing covers {sorted(pairing.vertices())}, odd vertices are {sorted(odd)}"
+        )
 
 
 def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
@@ -174,11 +166,7 @@ def augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
 
 def _augment_and_route(g: Graph, pairing: Pairing) -> RouteSolution:
     """`augment_and_route` on a graph already checked for the pairing pipeline."""
-    odd = odd_degree_vertices(g)
-    if pairing.vertices() != odd:
-        raise NotPerfectPairing(
-            f"pairing covers {sorted(pairing.vertices())}, odd vertices are {sorted(odd)}"
-        )
+    _check_covers(pairing, odd_degree_vertices(g))
     # g.paths is read only for pairs, so an empty pairing computes no shortest paths
     edges = [(e.a, e.b) for e in g.undirected] + pairing.sorted_pairs()
     steps: list[tuple[int, int]] = []

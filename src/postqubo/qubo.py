@@ -3,8 +3,8 @@
 A Qubo stores linear/quadratic coefficients sparsely plus a constant offset
 so constraint values can be read off exactly.  A VariableRegistry is the
 bijection between semantic labels and dense indices.  A CompiledProblem is
-the shape both pipelines compile to: a registry, an objective and one
-constraint form per penalty family.
+the shape both pipelines compile to: a registry, an objective, one
+constraint form per penalty family and the default penalties.
 """
 
 from __future__ import annotations
@@ -462,17 +462,21 @@ class PenaltyConfig:
 # --- compiled problems ---------------------------------------------------------
 
 class CompiledProblem:
-    """A registry, an objective form and one constraint form per family.
+    """A registry, an objective form, one constraint form per family and the
+    default penalties the problem was compiled with.
 
     The penalized QUBO is the objective plus pen.value(family) times each
-    family's form; both pipelines' compiled problems share this shape.
+    family's form, at `penalties` unless `pen` is given; both pipelines'
+    compiled problems share this shape.
     """
 
     registry: VariableRegistry
     objective: Qubo
     constraints: dict[str, Qubo]
+    penalties: PenaltyConfig
 
-    def qubo(self, pen: PenaltyConfig) -> Qubo:
+    def qubo(self, pen: PenaltyConfig | None = None) -> Qubo:
+        pen = self.penalties if pen is None else pen
         total = self.objective.copy()
         for fam, form in self.constraints.items():
             total.add_scaled(form, pen.value(fam))
@@ -513,23 +517,13 @@ def format_qubo_text(q: Qubo) -> str:
 def format_registry_text(reg: VariableRegistry) -> str:
     """`index label` lines in index order, each label as its `str`.
 
-    The edge block is written from its columns as one fixed-width byte table,
-    as in `format_qubo_text`: a name per distinct integer, one byte string
-    per kind and mode, NUL padding dropped.
+    The edge block is written from its columns in one `%`-format pass, in
+    `EdgeStep.__str__`'s layout, so no label object is built.
     """
-    edges = reg._edges
-    size = edges.shape[1]
-    values, codes = np.unique(np.concatenate([np.arange(size), edges[:4].ravel()]),
-                              return_inverse=True)
-    names = np.array([str(v) for v in values.tolist()], dtype=bytes)
-    index, step, postman, tail, head = names[codes.reshape(5, size)]
-    kind = np.array(EDGE_KINDS, dtype=bytes)[edges[4]]
-    mode = np.array(EDGE_MODES, dtype=bytes)[edges[5]]
-    parts = [index, b" e[step=", step, b",", tail, b"->", head, b",", mode, b",p", postman,
-             b",", kind, b"]\n"]
-    fields = [(f"f{k}", np.asarray(part).dtype) for k, part in enumerate(parts)]
-    table = np.empty(size, dtype=fields)
-    for k, part in enumerate(parts):
-        table[f"f{k}"] = part
-    body = table.tobytes().translate(None, b"\0").decode()
-    return body + "".join(f"{i} {lab}\n" for i, lab in enumerate(reg._explicit, size))
+    lines = [
+        "%d e[step=%d,%d->%d,%s,p%d,%s]\n" % (i, step, tail, head, EDGE_MODES[mode], p,
+                                             EDGE_KINDS[kind])
+        for i, (step, p, tail, head, kind, mode) in enumerate(zip(*reg._edges.tolist()))
+    ]
+    lines += [f"{i} {lab}\n" for i, lab in enumerate(reg._explicit, len(lines))]
+    return "".join(lines)

@@ -104,6 +104,9 @@ def parse_graph(obj: Mapping) -> GraphDocument:
         if not isinstance(item, list) or len(item) != 3:
             raise InputError(f"directed entry needs [from,to,w]: {item!r}")
         directed.append((vid(item[0]), vid(item[1]), _number(item[2], "directed edge weight")))
+    for a, b, *_ in undirected + directed:
+        if a == b:  # named here by its label, not by the vertex id the graph sees
+            raise InputError(f"invalid graph: self-loop on vertex {labels[a]!r}")
     try:
         graph = Graph.build(range(len(labels)), undirected=undirected, directed=directed)
     except Exception as exc:
@@ -179,7 +182,7 @@ def parse_spec(obj: Mapping) -> SpecDocument:
             raise InputError('spec.required must be "all" or a list of edge refs')
         required = frozenset(_parse_edge_ref(item, doc, "required edge") for item in req_obj)
 
-    turns = []
+    turns, arcs = [], {key[:2] for key in doc.graph.arc_weights}
     for item in _as_list(obj.get("turn_penalties", []), "spec.turn_penalties"):
         if (
             not isinstance(item, list)
@@ -194,6 +197,8 @@ def parse_spec(obj: Mapping) -> SpecDocument:
         k2, r = doc.id_of(item[1][0]), doc.id_of(item[1][1])
         if k2 != k:
             raise InputError(f"turn entry: edge-out must start where edge-in ends: {item!r}")
+        if not {(j, k), (k, r)} <= arcs:
+            raise InputError(f"turn tuple references missing arcs: {item!r}")
         turns.append((j, k, r, _number(item[2], "turn bonus")))
 
     service = None

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the package in this tree."""
+"""Every demo script and README's Python code run against the package in this tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,14 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run_in_order():
+    """README's ```python blocks run in order in one namespace, and say what
+    their comments claim."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["route"].objective_weight == 32.0
+    assert namespace["solution"].is_valid

@@ -189,6 +189,17 @@ def test_shortcut_skips_windy_and_turns_and_odd():
     assert euler_shortcut(ProblemSpec(graph=odd, i_max=4)) is None
 
 
+@pytest.mark.parametrize("postmen, collisions", [
+    (Postmen(2), False), (Postmen(1, (9,)), False), (Postmen(1), True),
+], ids=["team", "capacity", "collision"])
+def test_shortcut_skips_rest_encoded_specs_on_an_euler_circuit(postmen, collisions):
+    g = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    assert euler_shortcut(ProblemSpec(graph=g, i_max=3)) is not None
+    spec = ProblemSpec(graph=g, i_max=3, postmen=postmen, forbid_edge_collisions=collisions)
+    assert spec.uses_rest_encoding
+    assert euler_shortcut(spec) is None
+
+
 def test_shortcut_on_directed_balanced_graph():
     g = Graph.build(range(3), directed=[(0, 1, 2), (1, 2, 2), (2, 0, 2)])
     solution = euler_shortcut(ProblemSpec(graph=g, i_max=3))

@@ -111,7 +111,7 @@ def test_zero_distance_pairing_graph_gets_the_fallback_penalty():
     p = default_pairing_penalty(g)
     assert p == PenaltyConfig.for_max_weight(0.0).p_pairing > 0
     compiled = compile_pairing(g, p)
-    assert compiled.penalty == compile_pairing(g).penalty == p
+    assert compiled.penalties.p_pairing == compile_pairing(g).penalties.p_pairing == p
     assert brute_force(compiled.qubo()).best_assignment == [1]
 
 
