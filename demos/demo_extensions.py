@@ -12,7 +12,7 @@ sampler = pq.make_sampler("sa+greedy", seed=11, reads=400, sweeps=400)
 
 def solve(spec, force_brute=False):
     compiled = compile_general(spec)
-    qubo = compiled.qubo(pq.default_penalties(spec))
+    qubo = compiled.qubo()
     report = pq.brute_force(qubo) if (force_brute or qubo.n <= 22) else sampler(qubo)
     return compiled, compiled.decode(report.best_assignment)
 

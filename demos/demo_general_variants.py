@@ -31,8 +31,7 @@ annealer = pq.make_sampler("sa+greedy", seed=7, reads=300, sweeps=400)
 
 for name, spec in cases.items():
     compiled = compile_general(spec)
-    pen = pq.default_penalties(spec)
-    qubo = compiled.qubo(pen)
+    qubo = compiled.qubo()  # at compiled.penalties, the spec's default penalties
     # exact enumeration when it fits, annealing otherwise
     report = pq.brute_force(qubo) if qubo.n <= 24 else annealer(qubo)
     decoded = compiled.decode(report.best_assignment)
