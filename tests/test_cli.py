@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from postqubo import cli
+from postqubo import cli, errors
 from postqubo.cli import _build_parser, main
 from postqubo.pairing import compile_pairing
 from postqubo.qubo import PENALTY_FAMILIES
@@ -821,6 +822,18 @@ def test_malformed_spec_fields_are_input_errors(case, tmp_path, capsys):
 
 PATH_GRAPH = {"vertices": [0, 1, 2, 3], "undirected": [[0, 1, 1], [1, 2, 1], [2, 3, 1]]}
 U01, U12 = [0, 1, "u"], [1, 2, "u"]
+# faults that only Graph.build finds in a graph file, and the message it gives
+GRAPH_BUILD_FAULTS = {
+    "graph-duplicate-edge": (
+        {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1], [0, 1, 2]]},
+        "duplicate edge u(0,1)"),
+    "graph-negative-weight": (
+        {"vertices": [0, 1, 2], "undirected": [[0, 1, -1], [1, 2, 1]]},
+        "arc (0,1) weight must be finite and non-negative, got -1.0"),
+    "graph-infinite-weight": (
+        {"vertices": [0, 1, 2], "directed": [[0, 1, 1], [1, 2, float("inf")]]},
+        "arc (1,2) weight must be finite and non-negative, got inf"),
+}
 MALFORMED_INSTANCES = {
     "graph-self-loop": (
         {"vertices": [0, 1], "undirected": [[0, 0, 1], [0, 1, 1]]}, "invalid graph"),
@@ -832,6 +845,8 @@ MALFORMED_INSTANCES = {
         {"vertices": [0, 1, 0], "undirected": [[0, 1, 1]]}, "duplicate vertex labels"),
     "graph-two-field-directed-entry": (
         {"vertices": [0, 1], "directed": [[0, 1]]}, "directed entry needs"),
+    **{case: (graph, f"invalid graph: {fault}")
+       for case, (graph, fault) in GRAPH_BUILD_FAULTS.items()},
     "graph-top-level-list": ([TRIANGLE], "expected a JSON object"),
     "required-not-a-list": ({"graph": TRIANGLE, "required": 5}, "spec.required must be"),
     "required-kind-x": ({"graph": TRIANGLE, "required": [[0, 1, "x"]]}, "required edge must be"),
@@ -884,6 +899,15 @@ def test_malformed_instances_exit_one_and_write_nothing(case, command, tmp_path,
     assert run(command, path, "--out", out) == 1
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", list(GRAPH_BUILD_FAULTS))
+def test_graph_build_faults_are_input_errors(case, tmp_path, capsys):
+    graph, fault = GRAPH_BUILD_FAULTS[case]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(graph))
+    assert run("solve", path, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"input error: invalid graph: {fault}\n"
 
 
 def test_integral_floats_are_counts(tmp_path):
@@ -986,6 +1010,45 @@ def test_an_even_graph_the_pairing_pipeline_rejects_has_no_shortcut(
         err = capsys.readouterr().err
         assert message in err and "ShortcutApplies" not in err
         assert not out.exists()
+
+
+MIXED_TRIANGLE = {"vertices": [0, 1, 2], "undirected": [[0, 1, 1], [1, 2, 1]],
+                  "directed": [[2, 0, 1]]}
+
+
+def test_a_graph_file_with_a_directed_edge_is_rejected_as_the_pairing_pipeline_does(
+        tmp_path, capsys):
+    # forced or not, no command counts odd degrees before the pairing check
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_TRIANGLE))
+    message = "pairing pipeline accepts undirected graphs only"
+    runs = [("solve",), ("export-qubo",), ("solve", "--force-qubo"),
+            ("export-qubo", "--force-qubo"), ("oracle",)]
+    for command, *flags in runs:
+        out = tmp_path / "out"
+        assert run(command, path, *flags, "--out", out) == 1
+        prefix = "mixed.json" if command == "oracle" else "input error"
+        assert capsys.readouterr().err == f"{prefix}: {message}\n"
+        assert not out.exists()
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.PostquboError)]
+ORACLE_LIMITS = {errors.TooLarge, errors.TooManyOddVertices, errors.SearchBudgetExceeded}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_carries_its_exit_status_and_kind(cls, monkeypatch, capsys):
+    status = 2 if cls is errors.NoValidSolution else 3 if cls in ORACLE_LIMITS else 1
+    assert cls.exit_code == status
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    assert main(["solve", "x"]) == status
+    kind = {1: "input error", 2: "no valid solution", 3: "oracle limit"}[status]
+    assert capsys.readouterr().err == f"{kind}: boom\n"
 
 
 PATH_SPEC = {"graph": {"vertices": [0, 1, 2, 3],

@@ -851,6 +851,13 @@ def test_spec_rejects_bad_inputs():
         ProblemSpec(graph=g, turn_penalties=(TurnPenalty(0, 1, 2, -1.0),))
 
 
+def test_spec_rejects_a_turn_onto_a_missing_arc():
+    # parse_spec rejects such a file first; this is the check for specs built in code
+    g = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(SpecError, match=r"turn tuple references missing arcs: TurnPenalty"):
+        ProblemSpec(graph=g, turn_penalties=(TurnPenalty(1, 2, 0, 1.0),))
+
+
 def test_spec_rejects_hierarchy_without_service():
     g = Graph.build(range(3), undirected=[(0, 1, 1), (1, 2, 1)])
     pair = (EdgeRef("u", 0, 1), EdgeRef("u", 1, 2))

@@ -330,6 +330,15 @@ def test_render_dot_contains_route_overlay():
     assert "color=red" in text
 
 
+def test_render_dot_draws_directed_edges_with_their_weight():
+    doc = parse_graph({"vertices": ["a", "b", "c"], "undirected": [["a", "b", 1, 2]],
+                       "directed": [["b", "c", 2.5], ["c", "a", 3]]})
+    lines = render_dot(doc).splitlines()
+    assert '  v0 -> v1 [dir=none, color=gray, label="1" , headlabel="2"];' in lines
+    assert '  v1 -> v2 [color=gray, label="2.5"];' in lines
+    assert '  v2 -> v0 [color=gray, label="3"];' in lines
+
+
 # --- every route producer round-trips through validate -----------------------------
 
 def _fractional(rng, g):
