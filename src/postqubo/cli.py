@@ -16,18 +16,7 @@ import zlib
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import (
-    InfeasibleEndpoints,
-    InputError,
-    NoOddVertices,
-    NoValidSolution,
-    PostquboError,
-    SearchBudgetExceeded,
-    SpecError,
-    TooLarge,
-    TooManyOddVertices,
-    UnsupportedCombination,
-)
+from .errors import InputError, PostquboError
 from .general import compile_general
 from .graphs import Graph, odd_degree_vertices
 from .oracle import DEFAULT_NODE_LIMIT, euler_shortcut, exact_walk_oracle
@@ -62,7 +51,7 @@ from .solvers import _BETA_RANGE, CompiledInstance, SOLVER_NAMES, make_sampler, 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
-EXIT_ORACLE_LIMIT = 3
+FAILURE_KINDS = {1: "input error", 2: "no valid solution", 3: "oracle limit"}  # by exit_code
 
 
 @functools.cache  # one parser per process: building it costs about 2 ms
@@ -207,12 +196,13 @@ def _compile(problem, args: argparse.Namespace) -> tuple[CompiledProblem, Penalt
 def _shortcut(problem) -> RouteSolution | None:
     """The Euler circuit that answers a graph or spec without a QUBO, or None.
 
-    A graph with no odd vertex is its own circuit; `euler_route` first checks
-    it as the pairing pipeline does, so a disconnected, windy or directed
-    graph is an input error here too.
+    A graph with no directed edge and no odd vertex is its own circuit;
+    `euler_route` first checks it as the pairing pipeline does, so a
+    disconnected or windy graph is an input error here too. A graph with a
+    directed edge gets None, and the pairing pipeline then rejects it.
     """
     if isinstance(problem, Graph):
-        return None if odd_degree_vertices(problem) else euler_route(problem)
+        return None if problem.directed or odd_degree_vertices(problem) else euler_route(problem)
     return euler_shortcut(problem)
 
 
@@ -348,7 +338,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             solution, doc, pipeline = _oracle_route(instance, args.node_limit)
         except PostquboError as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
-            codes.append(_failure(exc)[0])
+            codes.append(exc.exit_code)
             continue
         out_dir.mkdir(parents=True, exist_ok=True)
         route = route_to_json(solution, doc, pipeline, "oracle", 0, None, 0)
@@ -439,18 +429,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if successes else EXIT_INPUT
 
 
-def _failure(exc: PostquboError) -> tuple[int, str]:
-    """An error's exit code and the kind of failure it reports."""
-    if isinstance(exc, NoValidSolution):
-        return EXIT_NO_SOLUTION, "no valid solution"
-    if isinstance(exc, (TooLarge, TooManyOddVertices, SearchBudgetExceeded)):
-        return EXIT_ORACLE_LIMIT, "oracle limit"
-    if isinstance(exc, (InputError, SpecError, UnsupportedCombination, InfeasibleEndpoints,
-                        NoOddVertices)):
-        return EXIT_INPUT, "input error"
-    return EXIT_INPUT, "error"
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -465,9 +443,8 @@ def main(argv=None) -> int:
         _check_args(args)
         return handlers[args.command](args)
     except PostquboError as exc:
-        code, kind = _failure(exc)
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return code
+        print(f"{FAILURE_KINDS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

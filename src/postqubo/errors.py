@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class PostquboError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `exit_code` is the status `postqubo` exits with when the error ends a command.
+    """
+
+    exit_code = 1  # input error; 2 is no valid solution, 3 an oracle limit
 
 
 # --- graph layer ---------------------------------------------------------
@@ -66,7 +71,9 @@ class NotPerfectPairing(PairingError):
 
 
 class TooManyOddVertices(PairingError):
-    """Exhaustive pairing enumeration is capped at 12 odd vertices."""
+    """The pairing oracle's memoized subset DP is capped at 12 odd vertices."""
+
+    exit_code = 3
 
 
 # --- general compiler ----------------------------------------------------
@@ -92,13 +99,19 @@ class SolveError(PostquboError):
 class TooLarge(SolveError):
     """Instance exceeds an exhaustive solver's hard size cap."""
 
+    exit_code = 3
+
 
 class NoValidSolution(SolveError):
     """Penalty retuning exhausted without producing a valid decode."""
 
+    exit_code = 2
+
 
 class SearchBudgetExceeded(SolveError):
     """The walk oracle expanded more search states than its node limit."""
+
+    exit_code = 3
 
 
 class InputError(PostquboError):
